@@ -27,15 +27,13 @@ from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                            CellDiagnostics, DemandMatrix, InfeasibleDemand,
                            NonMonotoneDetected, demand_matrix, min_bs_density,
                            static_only_deployment, write_demand_csv)
-from .lpsolve import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution,
-                      NumericalBreakdown, solve_lp)
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          Violation, build_allocation_lp, canonicalize_schedule,
                          optimal_plan, peak_aggregate_demand, plan_to_dict, savings,
                          savings_to_dict, verify_plan, write_series_csv)
 from .pipeline import (RunArtifacts, SweepResult, ValidationCheck, ValidationReport,
                        run_pipeline, sweep_cost_ratio, sweep_density_ratio, validate,
-                       worker_count, write_sweep_csv)
+                       write_sweep_csv)
 
 __all__ = [
     "__version__",
@@ -53,9 +51,6 @@ __all__ = [
     "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "CellDiagnostics",
     "DemandMatrix", "InfeasibleDemand", "NonMonotoneDetected", "demand_matrix",
     "min_bs_density", "static_only_deployment", "write_demand_csv",
-    # lp solver
-    "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LinearProgram", "LpSolution",
-    "NumericalBreakdown", "solve_lp",
     # allocation
     "TIE_BREAK_EPSILON", "CostModel", "DeploymentPlan", "SavingsReport",
     "Violation", "build_allocation_lp", "canonicalize_schedule", "optimal_plan",
@@ -64,5 +59,5 @@ __all__ = [
     # pipeline / cli
     "RunArtifacts", "SweepResult", "ValidationCheck", "ValidationReport",
     "run_pipeline", "sweep_cost_ratio", "sweep_density_ratio", "validate",
-    "worker_count", "write_sweep_csv",
+    "write_sweep_csv",
 ]

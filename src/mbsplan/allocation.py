@@ -2,7 +2,7 @@
 mobile fleet.
 
 Given the per-slot, per-region minimum station densities produced by the
-dimensioning stage, this module builds and solves the deployment LP:
+dimensioning stage, the deployment problem is
 
     minimize  c_m * M  +  c_s * sum_z lambda_s[z] * A[z]
     s.t.      sum_z mbs[j, z] * A[z] == M                  (closed fleet)
@@ -13,10 +13,15 @@ where cap[z] is the worst-slot demand of region z (deploying more than the
 peak is never useful). M is the fleet size: the same pool of mobile
 stations serves every slot, redistributed between regions as traffic moves.
 
+Only the static densities are real decisions. The solver sees a reduced
+LP over [M, lambda_s, t] with t[j, z] >= demand[j, z] - lambda_s[z] the
+mobile density slot j needs in region z and sum_z A[z] t[j, z] <= M; the
+fleet then follows in closed form from lambda_s, and a canonicalization
+pass rebuilds a reproducible schedule that meets the equality above.
+
 With equal unit costs the optimum value is pinned but the static/mobile
 split is not; a tiny surcharge on the fleet makes the solver prefer static
-capacity deterministically, and a canonicalization pass makes the per-slot
-fleet allocation reproducible as well.
+capacity deterministically.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimensioning import DemandMatrix
-from .lpsolve import OPTIMAL, LinearProgram, solve_lp
 
 # Relative surcharge on the fleet's unit cost used only inside the solver,
 # so that ties between equally priced configurations resolve toward static
@@ -158,45 +162,50 @@ def _areas(areas_m2, num_regions) -> np.ndarray:
     return areas
 
 
-def build_allocation_lp(demand, areas_m2, costs: CostModel = CostModel()) -> LinearProgram:
-    """Assemble the deployment LP.
+@dataclass(frozen=True)
+class AllocationLP:
+    """The reduced deployment LP in ``scipy.optimize.linprog`` form:
 
-    Variable order: [M, static per region, schedule slot-major], i.e. index
-    1 + Z + j*Z + z holds the slot-j mobile density of region z.
+        minimize  objective @ x  s.t.  a_ub @ x <= b_ub,  bounds[:, 0] <= x <= bounds[:, 1]
+
+    Variable order: [M, static per region, t slot-major], i.e. index
+    1 + Z + j*Z + z holds the slot-j mobile density region z needs. Rows:
+    one fleet row per slot, then one coverage row per cell, slot-major.
     """
+
+    objective: np.ndarray
+    a_ub: object  # scipy.sparse CSR array
+    b_ub: np.ndarray
+    bounds: np.ndarray
+
+
+def build_allocation_lp(demand, areas_m2, costs: CostModel = CostModel()) -> AllocationLP:
+    """Assemble the reduced deployment LP as a sparse matrix."""
+    # Imported on first use, like linprog in optimal_plan, so that this
+    # module adds nothing to start-up.
+    from scipy import sparse
+
     values = _demand_values(demand)
     n_slots, n_regions = values.shape
     areas = _areas(areas_m2, n_regions)
     caps = values.max(axis=0)
+    n_cells = n_slots * n_regions
 
-    n_vars = 1 + n_regions + n_slots * n_regions
-    objective = np.zeros(n_vars)
-    objective[0] = costs.mobile_unit_cost
-    objective[1:1 + n_regions] = costs.static_unit_cost * areas
-
-    # Closed fleet: sum_z A_z * mbs[j, z] - M = 0 for every slot.
-    a_eq = np.zeros((n_slots, n_vars))
-    a_eq[:, 0] = -1.0
-    for j in range(n_slots):
-        a_eq[j, 1 + n_regions + j * n_regions:1 + n_regions + (j + 1) * n_regions] = areas
-    b_eq = np.zeros(n_slots)
-
-    # Coverage: -static[z] - mbs[j, z] <= -demand[j, z], slot-major rows.
-    a_ub = np.zeros((n_slots * n_regions, n_vars))
-    b_ub = np.empty(n_slots * n_regions)
-    for j in range(n_slots):
-        for z in range(n_regions):
-            row = j * n_regions + z
-            a_ub[row, 1 + z] = -1.0
-            a_ub[row, 1 + n_regions + row] = -1.0
-            b_ub[row] = -values[j, z]
-
-    bounds = [(0.0, math.inf)]
-    bounds += [(0.0, float(caps[z])) for z in range(n_regions)]
-    for _ in range(n_slots):
-        bounds += [(0.0, float(caps[z])) for z in range(n_regions)]
-    return LinearProgram(objective=objective, a_eq=a_eq, b_eq=b_eq,
-                         a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+    objective = np.concatenate(([costs.mobile_unit_cost], costs.static_unit_cost * areas,
+                                np.zeros(n_cells)))
+    # Fleet row j: sum_z A_z * t[j, z] - M <= 0. Coverage row of cell (j, z):
+    # -static[z] - t[j, z] <= -demand[j, z].
+    cells = np.arange(n_cells)
+    slot, region = np.divmod(cells, n_regions)
+    t_col = 1 + n_regions + cells
+    rows = np.concatenate((np.arange(n_slots), slot, n_slots + cells, n_slots + cells))
+    cols = np.concatenate((np.zeros(n_slots, dtype=int), t_col, 1 + region, t_col))
+    data = np.concatenate((-np.ones(n_slots), np.tile(areas, n_slots), -np.ones(2 * n_cells)))
+    a_ub = sparse.csr_array((data, (rows, cols)), shape=(n_slots + n_cells, objective.size))
+    b_ub = np.concatenate((np.zeros(n_slots), -values.ravel()))
+    upper = np.concatenate(([math.inf], caps, np.tile(caps, n_slots)))
+    bounds = np.column_stack((np.zeros(upper.size), upper))
+    return AllocationLP(objective=objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
 
 
 def canonicalize_schedule(raw_plan: DeploymentPlan, demand, areas_m2) -> DeploymentPlan:
@@ -234,26 +243,30 @@ def canonicalize_schedule(raw_plan: DeploymentPlan, demand, areas_m2) -> Deploym
 
 
 def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> DeploymentPlan:
-    """Solve the deployment LP and return the canonicalized optimum."""
+    """Solve the deployment LP with HiGHS and return the canonicalized optimum."""
+    # Imported on first use: scipy.optimize adds ~0.2 s to every start-up.
+    from scipy.optimize import linprog
+
     values = _demand_values(demand)
-    n_slots, n_regions = values.shape
-    areas = _areas(areas_m2, n_regions)
+    areas = _areas(areas_m2, values.shape[1])
 
     biased = CostModel(static_unit_cost=costs.static_unit_cost,
                        mobile_unit_cost=costs.mobile_unit_cost * (1.0 + TIE_BREAK_EPSILON))
-    solution = solve_lp(build_allocation_lp(values, areas, biased))
-    if solution.status != OPTIMAL:
+    lp = build_allocation_lp(values, areas, biased)
+    result = linprog(lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds,
+                     method="highs")
+    if result.status != 0:
         # A fleet of zero with static densities at each region's peak is
         # always feasible, so any other status means the solver broke.
-        raise RuntimeError(f"allocation LP reported '{solution.status}' on a "
-                           f"feasible-by-construction instance")
-    x = np.maximum(solution.variables, 0.0)  # clip solver dust at the origin
-
-    fleet = float(x[0])
-    static = x[1:1 + n_regions]
-    schedule = x[1 + n_regions:].reshape(n_slots, n_regions)
+        raise RuntimeError(f"allocation LP failed on a feasible-by-construction "
+                           f"instance: {result.message}")
+    # Keep only the static densities (clipped into their box against solver
+    # dust); the smallest fleet that tops them up to every slot's demand
+    # follows in closed form.
+    static = np.clip(result.x[1:1 + values.shape[1]], 0.0, values.max(axis=0))
+    fleet = float((np.maximum(0.0, values - static) @ areas).max())
     objective = costs.mobile_unit_cost * fleet + costs.static_unit_cost * float(static @ areas)
-    raw = DeploymentPlan(static_density=static, mbs_schedule=schedule,
+    raw = DeploymentPlan(static_density=static, mbs_schedule=np.zeros_like(values),
                          fleet_size=fleet, objective_value=objective, cost_model=costs)
     return canonicalize_schedule(raw, values, areas)
 

@@ -17,9 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,19 +64,6 @@ class SweepResult:
     objective: np.ndarray
     region_ids: tuple
     failures: list
-
-
-def worker_count(n_tasks: int) -> int:
-    """Parallel width for sweep points: machine width, capped by
-    ``MBSPLAN_THREADS`` and by the number of tasks."""
-    limit = os.cpu_count() or 1
-    env = os.environ.get("MBSPLAN_THREADS")
-    if env is not None:
-        try:
-            limit = min(limit, max(1, int(env)))
-        except ValueError:
-            raise ValueError(f"MBSPLAN_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(limit, n_tasks))
 
 
 def _quad_from_scenario(scenario: Scenario) -> QuadratureSpec:
@@ -214,30 +199,12 @@ def _sweep_collect(values, solve_one, region_count) -> SweepResult:
     failures: list = []
     ids: tuple = ()
 
-    def attempt(i):
-        return solve_one(float(values[i]))
-
-    results = [None] * n
-    workers = worker_count(n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(attempt, i) for i in range(n)]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    failures.append((float(values[i]), f"{type(exc).__name__}: {exc}"))
-    else:
-        for i in range(n):
-            try:
-                results[i] = attempt(i)
-            except Exception as exc:
-                failures.append((float(values[i]), f"{type(exc).__name__}: {exc}"))
-
-    for i, res in enumerate(results):
-        if res is None:
+    for i, value in enumerate(values):
+        try:
+            saving_i, solved = solve_one(float(value))
+        except Exception as exc:
+            failures.append((float(value), f"{type(exc).__name__}: {exc}"))
             continue
-        saving_i, solved = res
         saving[i] = saving_i
         per_region[i] = solved.report.per_region_static_saving_fraction
         fleet[i] = solved.plan.fleet_size

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +67,21 @@ def _check_keys(mapping, allowed, required, where):
         raise SchemaError(f"{where}: unknown keys {extra}")
 
 
+class _NonFiniteToken:
+    """A ``NaN``/``Infinity``/``-Infinity`` token from config JSON.
+
+    JSON has no such numbers, so the parser keeps the token as this marker
+    instead of a float. No field accepts it, so the check of whichever field
+    holds it rejects the config and names that field.
+    """
+
+    def __init__(self, token: str):
+        self.token = token
+
+    def __repr__(self) -> str:
+        return self.token
+
+
 def _number(mapping, key, where, integer=False):
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -74,6 +90,8 @@ def _number(mapping, key, where, integer=False):
         if not isinstance(value, int):
             raise ValidationError(f"{where}: {key} must be an integer, got {value!r}")
         return value
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int beyond float range
+        raise ValidationError(f"{where}: {key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -392,7 +410,7 @@ def load_scenario(document, base_dir=None) -> Scenario:
     """
     if isinstance(document, (str, bytes)):
         try:
-            document = json.loads(document)
+            document = json.loads(document, parse_constant=_NonFiniteToken)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
     _check_keys(document, _TOP_KEYS, _TOP_REQUIRED, "config")

@@ -1,10 +1,12 @@
-"""Brute-force LP reference used by the solver tests.
+"""Brute-force LP reference used by the allocation tests.
 
-Instances built by :func:`random_instance` put a finite box around every
-variable, so the feasible set (when non-empty) is a polytope: its optimum
-sits at a vertex, and a vertex is any nonsingular choice of n active
-constraints. Enumerating every such choice is exponential but fine at the
-test sizes (n <= 5), and shares no code with the simplex under test.
+:func:`allocation_lp` writes the deployment problem out in its full
+equality form, over [M, static per region, mobile schedule slot-major],
+and puts a finite box around every variable, so the feasible set is a
+polytope: its optimum sits at a vertex, and a vertex is any nonsingular
+choice of n active constraints. Enumerating every such choice is
+exponential but fine at the test sizes (n <= 9), and shares no code with
+the reduced LP and solver under test.
 """
 
 from __future__ import annotations
@@ -87,17 +89,56 @@ def _feasible(x, a_eq, b_eq, a_ub, b_ub, lo, hi):
     return bool(np.all(x >= lo - FEAS_TOL) and np.all(x <= hi + FEAS_TOL))
 
 
-def random_instance(rng):
-    """Small integer-coefficient LP inside a finite box, per the test contract
-    (<= 8 variables, <= 8 constraints, coefficients in [-5, 5])."""
-    n = int(rng.integers(1, 6))
-    m_eq = int(rng.integers(0, min(3, n + 1)))
-    m_ub = int(rng.integers(0, 5))
-    c = rng.integers(-5, 6, size=n).astype(float)
-    a_eq = rng.integers(-5, 6, size=(m_eq, n)).astype(float) if m_eq else None
-    b_eq = rng.integers(-5, 6, size=m_eq).astype(float) if m_eq else None
-    a_ub = rng.integers(-5, 6, size=(m_ub, n)).astype(float) if m_ub else None
-    b_ub = rng.integers(-5, 6, size=m_ub).astype(float) if m_ub else None
-    hi = rng.integers(1, 8, size=n).astype(float)
-    bounds = [(0.0, float(hi[i])) for i in range(n)]
-    return dict(objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+def allocation_lp(demand, areas, static_cost, mobile_cost):
+    """The deployment LP as ``enumerate_optimum`` arguments:
+
+        minimize  c_m M + c_s sum_z A_z s_z
+        s.t.      sum_z A_z mbs[j, z] - M = 0                (closed fleet)
+                  -s_z - mbs[j, z] <= -demand[j, z]          (coverage)
+                  0 <= s_z, mbs[j, z] <= cap_z,  0 <= M <= sum_z A_z cap_z
+
+    The bound on M is implied (no slot can hold more than every region at
+    its peak) and keeps the box finite.
+    """
+    demand = np.asarray(demand, dtype=float)
+    areas = np.asarray(areas, dtype=float)
+    n_slots, n_regions = demand.shape
+    caps = demand.max(axis=0)
+    n = 1 + n_regions + n_slots * n_regions
+    c = np.zeros(n)
+    c[0] = mobile_cost
+    c[1:1 + n_regions] = static_cost * areas
+    a_eq = np.zeros((n_slots, n))
+    a_ub = np.zeros((n_slots * n_regions, n))
+    b_ub = np.zeros(n_slots * n_regions)
+    for j in range(n_slots):
+        a_eq[j, 0] = -1.0
+        for z in range(n_regions):
+            mbs = 1 + n_regions + j * n_regions + z
+            a_eq[j, mbs] = areas[z]
+            row = j * n_regions + z
+            a_ub[row, 1 + z] = -1.0
+            a_ub[row, mbs] = -1.0
+            b_ub[row] = -demand[j, z]
+    bounds = [(0.0, float(areas @ caps))]
+    bounds += [(0.0, float(caps[z])) for z in range(n_regions)] * (1 + n_slots)
+    return c, a_eq, np.zeros(n_slots), a_ub, b_ub, bounds
+
+
+def random_allocation(rng, max_slots=3, max_regions=2):
+    """Small random deployment instance: (demand, areas, static, mobile cost).
+
+    Demand and areas are O(1) numbers (per km^2 and km^2) so that the
+    oracle's singularity test sees well-scaled matrices. About one demand
+    cell in five is zero; the unit costs are drawn independently, so the
+    mobile station is sometimes the dearer one, and a quarter of the
+    instances price both equally.
+    """
+    n_slots = int(rng.integers(1, max_slots + 1))
+    n_regions = int(rng.integers(1, max_regions + 1))
+    demand = rng.uniform(0.0, 20.0, size=(n_slots, n_regions))
+    demand[rng.random((n_slots, n_regions)) < 0.2] = 0.0
+    areas = rng.uniform(0.5, 5.0, size=n_regions)
+    static_cost = float(rng.uniform(0.5, 3.0))
+    mobile_cost = static_cost if rng.random() < 0.25 else float(rng.uniform(0.5, 3.0))
+    return demand, areas, static_cost, mobile_cost

@@ -14,10 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from lp_oracle import enumerate_optimum, random_instance
+from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
 from mbsplan.allocation import CostModel, optimal_plan, peak_aggregate_demand, savings, verify_plan
 from mbsplan.dimensioning import demand_matrix, min_bs_density
-from mbsplan.lpsolve import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from mbsplan.pipeline import run_pipeline, sweep_cost_ratio
 from mbsplan.qosmodel import (QuadratureSpec, delay_given_utilization, evaluate_qos,
                               mc_delay_oracle, overlap_area, pair_distance)
@@ -163,18 +162,19 @@ def test_criterion_06_lp_hand_instance_and_enumeration():
     assert abs(report.total_saving_fraction - 0.40) <= 1e-7
     assert np.all(np.abs(report.per_region_static_saving_fraction - 0.80) <= 1e-7)
 
+    # Random small instances (up to 3 slots x 2 regions, mobile sometimes
+    # dearer than static) against vertex enumeration of the full equality
+    # formulation, which shares no code with the reduced LP.
     rng = np.random.default_rng(1729)
     optima = 0
-    for _ in range(500):
-        spec = random_instance(rng)
-        status, best = enumerate_optimum(spec["objective"], spec["a_eq"], spec["b_eq"],
-                                         spec["a_ub"], spec["b_ub"], spec["bounds"])
-        sol = solve_lp(LinearProgram(**spec))
-        if status == "infeasible":
-            assert sol.status == INFEASIBLE
-            continue
-        assert sol.status == OPTIMAL
-        assert abs(sol.objective_value - best) <= 1e-7 * (1.0 + abs(best))
+    for _ in range(120):
+        demand, areas, static_cost, mobile_cost = random_allocation(rng)
+        status, best = enumerate_optimum(*allocation_lp(demand, areas, static_cost,
+                                                        mobile_cost))
+        assert status == "optimal"
+        plan = optimal_plan(demand, areas, CostModel(static_cost, mobile_cost))
+        assert abs(plan.objective_value - best) <= 1e-7 * (1.0 + abs(best))
+        assert verify_plan(plan, demand, areas) == []
         optima += 1
     assert optima >= 100  # the instance family must actually exercise the solver
 

@@ -1,7 +1,9 @@
 """Deployment-allocation tests: LP assembly, optima, canonical schedules,
 savings accounting and feasibility audits."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,29 +28,32 @@ def test_lp_assembly_shapes_and_entries():
     areas = np.array([2.0 * KM2, 0.5 * KM2])
     lp = build_allocation_lp(demand, areas, CostModel(2.0, 3.0))
 
+    # Variables: [M, static per region, t slot-major].
     assert lp.objective.shape == (7,)
     assert lp.objective[0] == 3.0
     np.testing.assert_allclose(lp.objective[1:3], 2.0 * areas)
     assert np.all(lp.objective[3:] == 0.0)
 
-    # One closed-system row per slot: fleet out, area-weighted schedule in.
-    assert lp.a_eq.shape == (2, 7)
-    np.testing.assert_array_equal(lp.a_eq[0], [-1.0, 0, 0, areas[0], areas[1], 0, 0])
-    np.testing.assert_array_equal(lp.a_eq[1], [-1.0, 0, 0, 0, 0, areas[0], areas[1]])
-    assert np.all(lp.b_eq == 0.0)
+    a_ub = lp.a_ub.toarray()
+    assert a_ub.shape == (6, 7)
+    # One fleet row per slot: area-weighted need in, fleet out.
+    np.testing.assert_array_equal(a_ub[0], [-1.0, 0, 0, areas[0], areas[1], 0, 0])
+    np.testing.assert_array_equal(a_ub[1], [-1.0, 0, 0, 0, 0, areas[0], areas[1]])
+    assert np.all(lp.b_ub[:2] == 0.0)
 
-    # Coverage rows are slot-major; row 2 is (slot 1, region 0).
-    assert lp.a_ub.shape == (4, 7)
-    np.testing.assert_array_equal(lp.a_ub[2], [0, -1.0, 0, 0, 0, -1.0, 0])
-    assert lp.b_ub[2] == -demand[1, 0]
+    # Coverage rows follow, slot-major; row 4 is (slot 1, region 0).
+    np.testing.assert_array_equal(a_ub[4], [0, -1.0, 0, 0, 0, -1.0, 0])
+    np.testing.assert_array_equal(lp.b_ub[2:], -demand.ravel())
+    # Every row has its two or three structural entries and nothing else.
+    assert lp.a_ub.nnz == 2 * 3 + 4 * 2
 
     caps = demand.max(axis=0)
-    assert lp.bounds[0] == (0.0, math.inf)
-    assert lp.bounds[1] == (0.0, caps[0])
-    assert lp.bounds[2] == (0.0, caps[1])
-    # Schedule variables inherit the same per-region caps in every slot.
-    assert lp.bounds[3] == lp.bounds[5] == (0.0, caps[0])
-    assert lp.bounds[4] == lp.bounds[6] == (0.0, caps[1])
+    assert lp.bounds.shape == (7, 2)
+    assert np.all(lp.bounds[:, 0] == 0.0)
+    assert lp.bounds[0, 1] == math.inf
+    np.testing.assert_array_equal(lp.bounds[1:3, 1], caps)
+    # Mobile needs inherit the same per-region caps in every slot.
+    np.testing.assert_array_equal(lp.bounds[3:, 1], np.tile(caps, 2))
 
 
 def test_hand_instance_optimum():
@@ -126,6 +131,23 @@ def test_equal_cost_objective_equals_peak_aggregate_demand():
         report = savings(plan, demand, areas)
         assert -1e-12 <= report.total_saving_fraction <= 1.0
         assert np.all(report.excess_capacity_series >= -1e-13)
+
+
+def test_bench_scenario_204_7_optimum_is_peak_aggregate_demand():
+    # A four-region, 36-slot instance on which a generic simplex once
+    # returned an infeasible "optimum" at cost ratio 1 and feasible plans
+    # 1.98x and 2.79x too dear at ratios 2 and 3. For any static:mobile
+    # cost ratio >= 1 an all-mobile fleet sized for the peak slot is
+    # optimal, so the objective is the peak aggregate demand.
+    doc = json.loads((Path(__file__).parent / "data" / "bench_scenario_204_7.json").read_text())
+    demand = np.array(doc["min_bs_density_per_m2"])
+    areas = np.array(doc["areas_m2"])
+    peak = peak_aggregate_demand(demand, areas)
+    for ratio in (1.0, 2.0, 3.0):
+        plan = optimal_plan(demand, areas, CostModel(static_unit_cost=ratio,
+                                                     mobile_unit_cost=1.0))
+        assert plan.objective_value == pytest.approx(peak, rel=1e-7)
+        assert verify_plan(plan, demand, areas) == []
 
 
 def test_fleet_grows_as_static_stations_get_pricier():

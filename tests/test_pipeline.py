@@ -11,7 +11,7 @@ import pytest
 import mbsplan
 from mbsplan import cli, pipeline
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
-                              worker_count, write_sweep_csv)
+                              write_sweep_csv)
 from mbsplan.scenario import default_config, default_scenario, user_density_matrix
 
 SERIES_HEADER = ("slot,time_h,region_id,baseline_per_km2,static_only_per_km2,"
@@ -206,21 +206,6 @@ def test_sweep_csv_schema(tmp_path):
     assert [float(r[0]) for r in rows] == [1.0, 1.5, 2.0]
 
 
-def test_worker_count_honors_thread_env(monkeypatch):
-    monkeypatch.delenv("MBSPLAN_THREADS", raising=False)
-    assert worker_count(1) == 1
-    assert worker_count(8) >= 1
-    monkeypatch.setenv("MBSPLAN_THREADS", "2")
-    assert 1 <= worker_count(8) <= 2
-    monkeypatch.setenv("MBSPLAN_THREADS", "1")
-    assert worker_count(8) == 1
-    monkeypatch.setenv("MBSPLAN_THREADS", "0")
-    assert worker_count(8) == 1
-    monkeypatch.setenv("MBSPLAN_THREADS", "three")
-    with pytest.raises(ValueError, match="MBSPLAN_THREADS"):
-        worker_count(8)
-
-
 def test_cli_run(tmp_path, capsys):
     out = tmp_path / "artifacts"
     assert cli.main(["run", "--out", str(out)]) == 0
@@ -282,6 +267,21 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
         cli.main(["sweep-density", "--ratios", "5:1:3", "--out", str(tmp_path)])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field,token", [("target_delay_s_per_bit", "Infinity"),
+                                         ("bandwidth_hz", "NaN")])
+def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
+    # An infinite delay target once yielded a 0.1-station plan with exit 0,
+    # a NaN bandwidth a model failure with exit 1.
+    config = default_config()
+    config["radio"][field] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"@"', token))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"radio: {field} must be a number, got {token}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_version(capsys):

@@ -150,6 +150,27 @@ def test_unknown_keys_rejected_everywhere():
         load_scenario(config)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   pytest.param(10 ** 400, id="int_past_float_range")])
+def test_non_finite_numbers_rejected(value):
+    # Parsed documents: the field's own check names it.
+    for section, key in (("radio", "target_delay_s_per_bit"), ("radio", "bandwidth_hz"),
+                         ("regions", "area_km2")):
+        config = default_config()
+        target = config["regions"][0] if section == "regions" else config[section]
+        target[key] = value
+        with pytest.raises(ValidationError, match=key):
+            load_scenario(config)
+    # JSON text: NaN/Infinity tokens never become numbers, in any field.
+    token = json.dumps(value)
+    for key in ("peak_user_density_per_km2", "id"):
+        config = default_config()
+        config["regions"][1][key] = "@"
+        text = json.dumps(config).replace('"@"', token)
+        with pytest.raises(ValidationError, match=f"regions\\[1\\]: {key} .*{token}"):
+            load_scenario(text)
+
+
 def test_missing_and_duplicate_regions_rejected():
     config = default_config()
     del config["radio"]["bandwidth_hz"]
