@@ -25,8 +25,8 @@ from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, QuadratureS
                        pair_distance, shared_load_kernel)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                            CellDiagnostics, DemandMatrix, InfeasibleDemand,
-                           NonMonotoneDetected, demand_matrix, min_bs_density,
-                           static_only_deployment, write_demand_csv)
+                           demand_matrix, min_bs_density, static_only_deployment,
+                           write_demand_csv)
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          Violation, build_allocation_lp, canonicalize_schedule,
                          optimal_plan, peak_aggregate_demand, plan_to_dict, savings,
@@ -49,8 +49,8 @@ __all__ = [
     "mean_interference", "overlap_area", "pair_distance", "shared_load_kernel",
     # dimensioning
     "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "CellDiagnostics",
-    "DemandMatrix", "InfeasibleDemand", "NonMonotoneDetected", "demand_matrix",
-    "min_bs_density", "static_only_deployment", "write_demand_csv",
+    "DemandMatrix", "InfeasibleDemand", "demand_matrix", "min_bs_density",
+    "static_only_deployment", "write_demand_csv",
     # allocation
     "TIE_BREAK_EPSILON", "CostModel", "DeploymentPlan", "SavingsReport",
     "Violation", "build_allocation_lp", "canonicalize_schedule", "optimal_plan",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +33,8 @@ def _ratio_range(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numeric start:stop:count, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"start and stop must be finite, got {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError(f"count must be at least 1, got {count}")
     if stop < start:

@@ -1,49 +1,44 @@
 """Minimum station density meeting the delay target, per slot and region.
 
-The self-consistent delay is non-increasing in the station density (more
-stations mean shorter links, smaller cells and less load per station), so
-the smallest density with delay <= target is found by bracketing and
-bisection, cell by cell. Cells are independent: the objective sums per-cell
-densities and every constraint touches exactly one (slot, region) pair, so
-the cell-wise minimum is the global one.
+The utilization fixed point starts at the busy end u = 1 and the delay
+rises with u, so the self-consistent delay meets the target T exactly when
+tau(lambda_b, lambda_u, 1) = (lambda_u / lambda_b) * S(lambda_b) <= T, with
+S the unit-kernel sum of kernel / rate at u = 1. That reads lambda_u / T <=
+h(lambda_b) = lambda_b / S(lambda_b), and h is strictly increasing: the SIR
+at the scaled radius does not depend on lambda_b and the SNR grows with it.
+All loads of a scenario are inverted at once: bracket from lambda_u / 10 by
+halving or doubling up to the cap, bisect in log space to
+``BISECTION_REL_TOL`` and return the feasible end. S comes from
+``delay_given_utilization`` at u = 1, the fixed point's own first step, so
+the achieved delay never exceeds T; the fixed point runs once per distinct
+load, only to report that delay.
 
-A defensive fallback handles the hypothetical case where the probed delays
-do not decrease with density: a coarse log-grid scan locates the first
-feasible segment and bisection resumes inside it.
+Cells are independent: the objective sums per-cell densities and every
+constraint touches exactly one (slot, region) pair, so the cell-wise
+minimum is the global one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import M2_PER_KM2, RadioParams, UserDensityMatrix
-from .qosmodel import FixedPointDiverged, QuadratureSpec, evaluate_qos
+from .qosmodel import FixedPointDiverged, QuadratureSpec, delay_given_utilization, evaluate_qos
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
-
-# Coarse scan used only when monotonicity is violated.
-_FALLBACK_GRID_POINTS = 200
-_FALLBACK_GRID_FLOOR_PER_M2 = 1e-2 / M2_PER_KM2
-
-# Relative slack when comparing probed delays for the monotonicity audit;
-# covers quadrature rounding without masking real violations.
-_MONOTONE_SLACK = 1e-9
 
 
 class InfeasibleDemand(RuntimeError):
     """No density up to the cap meets the delay target."""
 
 
-class NonMonotoneDetected(RuntimeError):
-    """Probed delays increased with density; bisection preconditions broken."""
-
-
 @dataclass(frozen=True)
 class CellDiagnostics:
-    bisection_iterations: int
+    fixed_point_iterations: int
     achieved_delay_s_per_bit: float
     converged: bool
 
@@ -74,130 +69,49 @@ class DemandMatrix:
         return self.values.shape[1]
 
 
-class _Prober:
-    """Counts delay probes and audits monotonicity along bracketing moves."""
-
-    def __init__(self, eval_fn):
-        self.eval_fn = eval_fn
-        self.count = 0
-
-    def __call__(self, lambda_b: float) -> float:
-        self.count += 1
-        return self.eval_fn(lambda_b)
+def _unmet(lambda_u: float, params: RadioParams, lambda_cap: float) -> str:
+    return (f"delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the density "
+            f"cap {lambda_cap * M2_PER_KM2:.6g} per km^2 (user density "
+            f"{lambda_u * M2_PER_KM2:.6g} per km^2)")
 
 
-def _default_eval_fn(lambda_u, params, quad):
-    def probe(lambda_b: float) -> float:
-        result = evaluate_qos(lambda_b, lambda_u, params, quad)
-        if not result.converged:
-            raise FixedPointDiverged(
-                f"utilization fixed point did not converge at lambda_b={lambda_b:.6e}, "
-                f"lambda_u={lambda_u:.6e}"
-            )
-        return result.delay_s_per_bit
-    return probe
+def _min_densities(loads, params, quad, lambda_cap, rel_tol) -> np.ndarray:
+    """Smallest feasible station density for every user density in the 1-D
+    array ``loads``: 0 for a zero load, inf where even the cap misses.
 
-
-def _solve_cell(lambda_u, params, quad, lambda_cap, rel_tol, eval_fn):
-    if lambda_u < 0:
-        raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
-    if lambda_cap <= 0:
-        raise ValueError(f"lambda_cap must be > 0, got {lambda_cap}")
-    if lambda_u == 0.0:
-        return 0.0, CellDiagnostics(0, 0.0, True)
+    Every step is elementwise and stops on the load's own bracket, so a
+    load's answer does not depend on the other loads in the array.
+    """
+    loads = np.asarray(loads, dtype=float)
+    if not np.all(np.isfinite(loads)) or np.any(loads < 0):
+        raise ValueError(f"user densities must be finite and >= 0, got {loads}")
+    if not 0 < lambda_cap < math.inf:
+        raise ValueError(f"lambda_cap must be finite and > 0, got {lambda_cap}")
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     target = params.target_delay_s_per_bit
-    probe = _Prober(eval_fn if eval_fn is not None else _default_eval_fn(lambda_u, params, quad))
-    try:
-        density, delay = _bracket_and_bisect(probe, lambda_u, target, lambda_cap, rel_tol)
-    except NonMonotoneDetected:
-        density, delay = _grid_scan(probe, target, lambda_cap, rel_tol)
-    return density, CellDiagnostics(probe.count, delay, True)
-
-
-def _bracket_and_bisect(probe, lambda_u, target, lambda_cap, rel_tol):
-    start = min(lambda_u / 10.0, lambda_cap)
-    d_start = probe(start)
-    if d_start <= target:
-        # Already feasible: halve downward until the target is violated.
-        hi, d_hi = start, d_start
-        lo = None
-        for _ in range(200):
-            cand = hi / 2.0
-            d_cand = probe(cand)
-            if d_cand < d_hi * (1.0 - _MONOTONE_SLACK):
-                raise NonMonotoneDetected(
-                    f"delay decreased from {d_hi:.6e} to {d_cand:.6e} while the "
-                    f"density was halved to {cand:.6e}"
-                )
-            if d_cand > target:
-                lo = cand
-                break
-            hi, d_hi = cand, d_cand
-        if lo is None:
-            raise NonMonotoneDetected(
-                f"no infeasible density found after 200 halvings below {start:.6e}"
-            )
-    else:
-        # Infeasible: double upward; try the cap itself before giving up.
-        lo, d_lo = start, d_start
-        hi = d_hi = None
-        while hi is None:
-            cand = lo * 2.0
-            if cand > lambda_cap:
-                d_cap = probe(lambda_cap)
-                if d_cap > target:
-                    raise InfeasibleDemand(
-                        f"delay target {target:.3e} s/bit unmet at the density cap "
-                        f"{lambda_cap * M2_PER_KM2:.6g} per km^2 (user density "
-                        f"{lambda_u * M2_PER_KM2:.6g} per km^2)"
-                    )
-                hi, d_hi = lambda_cap, d_cap
-                break
-            d_cand = probe(cand)
-            if d_cand > d_lo * (1.0 + _MONOTONE_SLACK):
-                raise NonMonotoneDetected(
-                    f"delay increased from {d_lo:.6e} to {d_cand:.6e} while the "
-                    f"density was doubled to {cand:.6e}"
-                )
-            if d_cand <= target:
-                hi, d_hi = cand, d_cand
-            else:
-                lo, d_lo = cand, d_cand
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        d_mid = probe(mid)
-        if d_mid <= target:
-            hi, d_hi = mid, d_mid
-        else:
-            lo = mid
-    return hi, d_hi
-
-
-def _grid_scan(probe, target, lambda_cap, rel_tol):
-    grid = np.logspace(
-        np.log10(_FALLBACK_GRID_FLOOR_PER_M2), np.log10(lambda_cap), _FALLBACK_GRID_POINTS
-    )
-    prev = None
-    for lam in grid:
-        delay = probe(float(lam))
-        if delay <= target:
-            hi, d_hi = float(lam), delay
-            if prev is None:
-                return hi, d_hi
-            lo = prev
-            while hi - lo > rel_tol * hi:
-                mid = 0.5 * (lo + hi)
-                d_mid = probe(mid)
-                if d_mid <= target:
-                    hi, d_hi = mid, d_mid
-                else:
-                    lo = mid
-            return hi, d_hi
-        prev = float(lam)
-    raise InfeasibleDemand(
-        f"delay target {target:.3e} s/bit unmet everywhere on the fallback grid "
-        f"up to {lambda_cap * M2_PER_KM2:.6g} per km^2"
-    )
+    positive = loads > 0
+    lam_u = loads[positive]
+    # hi: smallest density known to meet the target (inf: none yet);
+    # lo: largest density known to miss it (0: none yet).
+    hi = np.full(lam_u.shape, np.inf)
+    lo = np.zeros(lam_u.shape)
+    cand = np.minimum(lam_u / 10.0, lambda_cap)
+    idx = np.arange(lam_u.size)
+    while idx.size:
+        ok = delay_given_utilization(cand[idx], lam_u[idx], 1.0, params, quad) <= target
+        hi[idx[ok]] = cand[idx[ok]]
+        lo[idx[~ok]] = cand[idx[~ok]]
+        halve = lo == 0.0
+        double = (hi == np.inf) & (lo < lambda_cap)
+        bisect = (lo > 0.0) & (hi < np.inf) & (hi - lo > rel_tol * hi)
+        cand[halve] = 0.5 * hi[halve]
+        cand[double] = np.minimum(2.0 * lo[double], lambda_cap)
+        cand[bisect] = lo[bisect] * np.sqrt(hi[bisect] / lo[bisect])
+        idx = np.flatnonzero(halve | double | bisect)
+    density = np.zeros(loads.shape)
+    density[positive] = hi
+    return density
 
 
 def min_bs_density(
@@ -206,15 +120,15 @@ def min_bs_density(
     quad: QuadratureSpec = QuadratureSpec(),
     lambda_cap: float = DEFAULT_DENSITY_CAP_PER_M2,
     rel_tol: float = BISECTION_REL_TOL,
-    eval_fn=None,
 ) -> float:
     """Smallest station density (to relative tolerance ``rel_tol``) whose
     self-consistent delay meets the target, for user density ``lambda_u``.
 
-    ``eval_fn`` may replace the delay evaluation (a callable lambda_b ->
-    delay); the default runs the full utilization fixed point.
+    Bit-equal to the ``demand_matrix`` cell with the same load.
     """
-    density, _ = _solve_cell(lambda_u, params, quad, lambda_cap, rel_tol, eval_fn)
+    density = float(_min_densities([lambda_u], params, quad, lambda_cap, rel_tol)[0])
+    if density == math.inf:
+        raise InfeasibleDemand(_unmet(lambda_u, params, lambda_cap))
     return density
 
 
@@ -226,26 +140,38 @@ def demand_matrix(
 ) -> DemandMatrix:
     """Cell-wise minimum station densities for a whole scenario.
 
-    Results are memoized on the user density (quantized to 12 significant
-    digits), so slots with repeated loads cost one solve.
+    Densities come from one inversion over the distinct loads; the fixed
+    point then runs once per distinct load for the achieved delay, so cells
+    with equal loads share their density and diagnostics.
     """
-    num_slots, num_regions = users.values.shape
-    values = np.zeros((num_slots, num_regions))
-    diagnostics = [[None] * num_regions for _ in range(num_slots)]
-    memo: dict = {}
-    for j in range(num_slots):
-        for z in range(num_regions):
-            lam = float(users.values[j, z])
-            key = float(f"{lam:.12g}")
-            if key not in memo:
-                try:
-                    memo[key] = _solve_cell(lam, params, quad, lambda_cap, BISECTION_REL_TOL, None)
-                except (InfeasibleDemand, NonMonotoneDetected, FixedPointDiverged) as exc:
-                    raise type(exc)(f"slot {j}, region index {z}: {exc}") from exc
-            values[j, z], diagnostics[j][z] = memo[key]
+    loads, first, inverse = np.unique(users.values, return_index=True, return_inverse=True)
+    densities = _min_densities(loads, params, quad, lambda_cap, BISECTION_REL_TOL)
+    num_regions = users.values.shape[1]
+
+    def cell(k):
+        j, z = divmod(int(first[k]), num_regions)
+        return f"slot {j}, region index {z}"
+
+    unmet = np.flatnonzero(densities == np.inf)
+    if unmet.size:
+        k = unmet[np.argmin(first[unmet])]
+        raise InfeasibleDemand(f"{cell(k)}: {_unmet(loads[k], params, lambda_cap)}")
+    per_load = []
+    for k, (lam_u, lam_b) in enumerate(zip(loads, densities)):
+        if lam_u == 0.0:
+            per_load.append(CellDiagnostics(0, 0.0, True))
+            continue
+        result = evaluate_qos(float(lam_b), float(lam_u), params, quad)
+        if not result.converged:
+            raise FixedPointDiverged(
+                f"{cell(k)}: utilization fixed point did not converge at "
+                f"lambda_b={lam_b:.6e}, lambda_u={lam_u:.6e}")
+        per_load.append(CellDiagnostics(result.fixed_point_iterations,
+                                        result.delay_s_per_bit, True))
+    inverse = inverse.reshape(users.values.shape)
     return DemandMatrix(
-        values=values,
-        per_cell_diagnostics=tuple(tuple(row) for row in diagnostics),
+        values=densities[inverse],
+        per_cell_diagnostics=tuple(tuple(per_load[k] for k in row) for row in inverse),
     )
 
 

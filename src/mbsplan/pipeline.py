@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .allocation import (CostModel, DeploymentPlan, SavingsReport, optimal_plan,
@@ -139,6 +140,15 @@ def _write_series_csv(path: Path, solved: _Solved) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _dimensioning_counters(solved: _Solved) -> dict:
+    """Cells, distinct loads, and the fixed-point iterations spent reporting
+    the achieved delays (one fixed point per distinct load)."""
+    _, first = np.unique(solved.users.values, return_index=True)
+    cells = [diag for row in solved.demand.per_cell_diagnostics for diag in row]
+    return {"cells": len(cells), "distinct_loads": int(first.size),
+            "fixed_point_iterations": sum(cells[i].fixed_point_iterations for i in first)}
+
+
 def run_pipeline(config_path, out_dir) -> RunArtifacts:
     """Run the full chain on one scenario and write all artifacts.
 
@@ -170,6 +180,9 @@ def run_pipeline(config_path, out_dir) -> RunArtifacts:
         written.append(paths["series"])
         manifest = {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
+            "dimensioning": _dimensioning_counters(solved),
+            "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
             "tool_version": __version__,
             "wall_time_s": time.perf_counter() - started,
         }
@@ -187,17 +200,16 @@ def run_pipeline(config_path, out_dir) -> RunArtifacts:
                         manifest=manifest)
 
 
-def _sweep_collect(values, solve_one, region_count) -> SweepResult:
+def _sweep_collect(values, solve_one, region_ids) -> SweepResult:
     """Run one solver callable per parameter value, in order, tolerating
     per-point failures."""
     values = np.asarray(values, dtype=float)
     n = values.size
     saving = np.full(n, np.nan)
-    per_region = np.full((n, region_count), np.nan)
+    per_region = np.full((n, len(region_ids)), np.nan)
     fleet = np.full(n, np.nan)
     objective = np.full(n, np.nan)
     failures: list = []
-    ids: tuple = ()
 
     for i, value in enumerate(values):
         try:
@@ -209,10 +221,9 @@ def _sweep_collect(values, solve_one, region_count) -> SweepResult:
         per_region[i] = solved.report.per_region_static_saving_fraction
         fleet[i] = solved.plan.fleet_size
         objective[i] = solved.plan.objective_value
-        ids = solved.scenario.region_ids
     return SweepResult(parameter_values=values, total_saving_fraction=saving,
                        per_region_static_saving=per_region, fleet_size=fleet,
-                       objective=objective, region_ids=ids, failures=failures)
+                       objective=objective, region_ids=tuple(region_ids), failures=failures)
 
 
 def sweep_density_ratio(config_path, ratios) -> SweepResult:
@@ -241,7 +252,7 @@ def sweep_density_ratio(config_path, ratios) -> SweepResult:
         solved = _solve_scenario(dataclasses.replace(base, regions=regions))
         return solved.report.total_saving_fraction, solved
 
-    return _sweep_collect(ratios, solve_one, 2)
+    return _sweep_collect(ratios, solve_one, base.region_ids)
 
 
 def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
@@ -266,7 +277,7 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
             1.0 - solved.plan.objective_value / static_only_cost
         return saving, solved
 
-    return _sweep_collect(ratios, solve_one, len(scenario.regions))
+    return _sweep_collect(ratios, solve_one, scenario.region_ids)
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
@@ -313,8 +324,8 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
 
     Three Monte Carlo delay spot checks (pass below 5% relative error), a
     zero-traffic identity, and a grid-scan cross-check of the dimensioning
-    bisection (pass when the answers land within one cell of a 2000-point
-    log grid). Deterministic for a fixed seed.
+    inversion (pass when the answers land within one cell of a 2000-point
+    log grid of fixed-point delays). Deterministic for a fixed seed.
     """
     if mc_trials < 1000:
         raise ValueError(f"mc_trials must be at least 1000, got {mc_trials}")
@@ -359,14 +370,14 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
         except Exception as exc:
             checks.append(ValidationCheck(
                 f"grid-scan users={users_km2:g}/km2", False,
-                f"bisection failed where the grid scan succeeded: {exc}"))
+                f"inversion failed where the grid scan succeeded: {exc}"))
             continue
         k = int(np.argmax(feasible))
         lo = grid[max(k - 1, 0)] * (1.0 - 1e-9)
         hi = grid[min(k + 1, grid.size - 1)] * (1.0 + 1e-9)
         checks.append(ValidationCheck(
             f"grid-scan users={users_km2:g}/km2", lo <= solved <= hi,
-            f"bisection {solved * 1e6:.6g}/km2, grid first-feasible "
+            f"inversion {solved * 1e6:.6g}/km2, grid first-feasible "
             f"{grid[k] * 1e6:.6g}/km2 (cell width {100 * (grid[1] / grid[0] - 1):.2f}%)"))
 
     return ValidationReport(checks=tuple(checks))

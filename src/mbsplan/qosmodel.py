@@ -274,25 +274,29 @@ def capacity(r, params: RadioParams, interference):
 
 
 def delay_given_utilization(
-    lambda_b: float,
-    lambda_u: float,
+    lambda_b,
+    lambda_u,
     utilization: float,
     params: RadioParams,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
+):
     """Mean per-bit delay when every station is busy a fixed fraction
-    ``utilization`` of the time. Exactly linear in lambda_u."""
-    if lambda_b <= 0:
+    ``utilization`` of the time. Exactly linear in lambda_u. Equal-shape
+    arrays of densities give one delay per pair, each bit-equal to the
+    scalar call; at utilization 1 it is ``evaluate_qos``'s first delay."""
+    lambda_b = np.asarray(lambda_b, dtype=float)
+    lambda_u = np.asarray(lambda_u, dtype=float)
+    if np.any(lambda_b <= 0):
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
-    if lambda_u < 0:
+    if np.any(lambda_u < 0):
         raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
     r1, kernel = _unit_kernel(quad)
-    r = r1 / math.sqrt(lambda_b)
-    rate = capacity(r, params, mean_interference(r, params, lambda_b, utilization))
-    tau = (lambda_u / lambda_b) * float(np.sum(kernel / rate))
-    if not math.isfinite(tau):
+    r = r1 / np.sqrt(lambda_b)[..., None]
+    rate = capacity(r, params, mean_interference(r, params, lambda_b[..., None], utilization))
+    tau = (lambda_u / lambda_b) * np.sum(kernel / rate, axis=-1)
+    if not np.all(np.isfinite(tau)):
         raise NonFinite(f"delay: non-finite result at lambda_b={lambda_b}, lambda_u={lambda_u}")
-    return tau
+    return float(tau) if tau.ndim == 0 else tau
 
 
 def evaluate_qos(

@@ -1,30 +1,28 @@
-"""Demand dimensioning tests: bisection, fallbacks, memoization, CSV export."""
+"""Demand dimensioning tests: the u = 1 inversion, shared loads, CSV export."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mbsplan.dimensioning import (BISECTION_REL_TOL, CellDiagnostics, DemandMatrix,
-                                  InfeasibleDemand, demand_matrix, min_bs_density,
-                                  static_only_deployment, write_demand_csv)
-from mbsplan.qosmodel import QuadratureSpec, evaluate_qos
+from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
+                                  CellDiagnostics, DemandMatrix, InfeasibleDemand,
+                                  demand_matrix, min_bs_density, static_only_deployment,
+                                  write_demand_csv)
+from mbsplan.qosmodel import QuadratureSpec, delay_given_utilization, evaluate_qos
 from mbsplan.scenario import (M2_PER_KM2, RadioParams, UserDensityMatrix,
                               default_scenario, slot_midpoints_h, user_density_matrix)
 
 PARAMS = RadioParams()
 
 
-class CountingFn:
-    """Wraps a delay function and records every probed density."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = []
-
-    def __call__(self, lam):
-        self.calls.append(lam)
-        return self.fn(lam)
+def _noiseless_threshold(params, lambda_u):
+    """Without noise the SINR at the scaled radius does not depend on the
+    station density, so tau(lambda_b) = (lambda_u / lambda_b) * S with a
+    constant S and the minimum density is lambda_u * S / target."""
+    unit_sum = delay_given_utilization(1.0, 1.0, 1.0, params)
+    return lambda_u * unit_sum / params.target_delay_s_per_bit
 
 
 def test_zero_user_density_needs_no_stations():
@@ -39,76 +37,75 @@ def test_negative_inputs_rejected():
 
 
 def test_bisection_matches_closed_form_threshold():
-    # delay(lam) = a / lam crosses the target exactly at lam* = a / target.
-    target = PARAMS.target_delay_s_per_bit
-    a = 7.3e-9
-    lam_star = a / target
-    fn = CountingFn(lambda lam: a / lam)
-    got = min_bs_density(1e-4, PARAMS, eval_fn=fn)
-    assert lam_star <= got <= lam_star * (1.0 + 2.0 * BISECTION_REL_TOL)
-    assert len(fn.calls) < 60
+    # A tight target puts the threshold above the starting point lambda_u / 10.
+    noiseless = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
+    lambda_u = 1e-4
+    unit_sum = delay_given_utilization(1.0, 1.0, 1.0, noiseless)
+    params = dataclasses.replace(noiseless, target_delay_s_per_bit=0.1 * unit_sum)
+    lam_star = _noiseless_threshold(params, lambda_u)
+    assert lam_star > 5.0 * lambda_u
+    got = min_bs_density(lambda_u, params)
+    assert lam_star * (1.0 - 1e-12) <= got <= lam_star * (1.0 + 2.0 * BISECTION_REL_TOL)
 
 
 def test_bisection_halves_downward_when_start_is_feasible():
-    # Small a puts the threshold far below the starting probe lambda_u / 10.
-    target = PARAMS.target_delay_s_per_bit
-    a = 1e-12
-    lam_star = a / target
-    fn = CountingFn(lambda lam: a / lam)
+    # A lax target puts the threshold far below the starting point lambda_u / 10.
+    noiseless = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
     lambda_u = 1e-3
-    got = min_bs_density(lambda_u, PARAMS, eval_fn=fn)
-    assert fn.calls[0] == pytest.approx(lambda_u / 10.0, rel=1e-12)
-    assert got < lambda_u / 10.0
-    assert lam_star <= got <= lam_star * (1.0 + 2.0 * BISECTION_REL_TOL)
+    unit_sum = delay_given_utilization(1.0, 1.0, 1.0, noiseless)
+    params = dataclasses.replace(noiseless, target_delay_s_per_bit=1e3 * unit_sum)
+    lam_star = _noiseless_threshold(params, lambda_u)
+    got = min_bs_density(lambda_u, params)
+    assert got < lambda_u / 100.0
+    assert lam_star * (1.0 - 1e-12) <= got <= lam_star * (1.0 + 2.0 * BISECTION_REL_TOL)
 
 
 def test_infeasible_at_cap_raises():
-    target = PARAMS.target_delay_s_per_bit
-    always_bad = CountingFn(lambda lam: 2.0 * target)
     with pytest.raises(InfeasibleDemand) as excinfo:
-        min_bs_density(1e-4, PARAMS, eval_fn=always_bad)
-    # The cap itself must have been probed before giving up.
-    assert any(lam == pytest.approx(0.1, rel=1e-12) for lam in always_bad.calls)
-    assert "per km^2" in str(excinfo.value)
+        min_bs_density(1e-4, PARAMS, lambda_cap=1e-9)
+    assert "density cap 0.001 per km^2 (user density 100 per km^2)" in str(excinfo.value)
 
 
-def test_non_monotone_probe_falls_back_to_grid_scan():
-    # Delay jumps upward mid-bracket, then drops below target past 0.02:
-    # the doubling audit trips and the coarse grid scan must still locate
-    # the feasibility edge at 0.02 per m^2.
+def test_busy_delay_test_agrees_with_fixed_point():
+    # The fixed point starts at u = 1 and the delay rises with u, so the
+    # busy delay meets the target exactly when the self-consistent one does.
     target = PARAMS.target_delay_s_per_bit
-
-    def bumpy(lam):
-        if lam < 0.01:
-            return 2.0 * target
-        if lam < 0.02:
-            return 3.0 * target
-        return 0.5 * target
-
-    fn = CountingFn(bumpy)
-    got = min_bs_density(5e-3, PARAMS, eval_fn=fn)
-    assert 0.02 <= got <= 0.02 * (1.0 + 10.0 * BISECTION_REL_TOL)
+    lam_b = np.logspace(0.0, 4.0, 30) / M2_PER_KM2
+    lam_u = np.logspace(1.0, 5.0, 30) / M2_PER_KM2
+    bb, uu = np.meshgrid(lam_b, lam_u)
+    busy_ok = delay_given_utilization(bb, uu, 1.0, PARAMS) <= target
+    fixed_ok = np.array([[evaluate_qos(b, u, PARAMS).delay_s_per_bit <= target
+                          for b, u in zip(row_b, row_u)] for row_b, row_u in zip(bb, uu)])
+    assert 0 < busy_ok.sum() < busy_ok.size
+    assert np.array_equal(busy_ok, fixed_ok)
 
 
-def test_non_monotone_during_halving_falls_back():
-    # Delay *decreases* as the density is halved -- the opposite of the
-    # model's behavior -- so bracketing aborts and the grid takes over.
-    target = PARAMS.target_delay_s_per_bit
-
-    def inverted(lam):
-        return 0.5 * target if lam >= 0.01 else 0.2 * target
-
-    got = min_bs_density(1.0, PARAMS, eval_fn=CountingFn(inverted))
-    # Everything on the grid is feasible; the scan returns its floor.
-    assert got == pytest.approx(1e-2 / M2_PER_KM2, rel=1e-9)
+@pytest.mark.parametrize("noise_scale", [1.0, 1e6])
+def test_inverted_function_is_strictly_increasing(noise_scale):
+    # h(lambda_b) = lambda_b / S(lambda_b) = 1 / tau(lambda_b, lambda_u=1, u=1).
+    params = dataclasses.replace(PARAMS, noise_psd_w_per_hz=PARAMS.noise_psd_w_per_hz
+                                 * noise_scale)
+    lam_b = np.logspace(-3.0, 5.0, 400) / M2_PER_KM2
+    h = 1.0 / delay_given_utilization(lam_b, np.ones_like(lam_b), 1.0, params)
+    assert np.all(np.diff(h) > 0.0)
 
 
-def test_constant_feasible_delay_falls_back_to_grid_floor():
-    # 200 halvings never find an infeasible point, so the defensive grid
-    # path reports the smallest scanned density.
-    target = PARAMS.target_delay_s_per_bit
-    got = min_bs_density(1.0, PARAMS, eval_fn=lambda lam: 0.5 * target)
-    assert got == pytest.approx(1e-2 / M2_PER_KM2, rel=1e-9)
+def test_min_density_is_bit_equal_to_its_matrix_cell():
+    lam = 1234.5 / M2_PER_KM2
+    # On the default radio every bracket spans a factor 2. On a noiseless
+    # radio with threshold 0.11 * lambda_u and a cap of 0.12 * lam, lam's
+    # bracket is [0.1, 0.12] * lam and needs fewer bisection steps than the
+    # smaller loads' factor-2 brackets.
+    noiseless = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
+    unit_sum = delay_given_utilization(1.0, 1.0, 1.0, noiseless)
+    tight = dataclasses.replace(noiseless, target_delay_s_per_bit=unit_sum / 0.11)
+    for params, cap in ((PARAMS, DEFAULT_DENSITY_CAP_PER_M2), (tight, 0.12 * lam)):
+        alone = min_bs_density(lam, params, lambda_cap=cap)
+        for others in ([], [0.0], [0.5], [0.2, 0.9], list(np.linspace(0.1, 1.0, 7))):
+            loads = lam * np.array([1.0] + others)
+            users = UserDensityMatrix(values=loads[:, None],
+                                      slot_times_h=slot_midpoints_h(loads.size))
+            assert demand_matrix(users, params, lambda_cap=cap).values[0, 0] == alone
 
 
 def test_min_density_increases_with_user_density():
@@ -130,20 +127,23 @@ def test_solved_density_is_feasible_and_nearly_minimal():
 
 
 def test_demand_matrix_memoizes_repeated_loads():
+    # Equal loads share one density and one fixed point, hence the very
+    # same diagnostics object; a load that differs in its last bit is a
+    # load of its own.
     times = slot_midpoints_h(4)
     lam = 800.0 / M2_PER_KM2
     users = UserDensityMatrix(
-        values=np.array([[lam], [lam * (1.0 + 1e-15)], [2.0 * lam], [lam]]),
+        values=np.array([[lam], [np.nextafter(lam, 1.0)], [2.0 * lam], [lam]]),
         slot_times_h=times,
     )
     demand = demand_matrix(users, PARAMS)
     diag = demand.per_cell_diagnostics
-    # Identical loads (including ones equal after 12-digit quantization)
-    # share one solve, hence the very same diagnostics object.
-    assert diag[1][0] is diag[0][0]
     assert diag[3][0] is diag[0][0]
+    assert demand.values[3, 0] == demand.values[0, 0]
+    assert diag[1][0] is not diag[0][0]
     assert diag[2][0] is not diag[0][0]
-    assert demand.values[0, 0] == demand.values[3, 0]
+    assert demand.values[2, 0] > demand.values[0, 0]
+    assert diag[0][0].fixed_point_iterations > 0
 
 
 def test_demand_matrix_on_default_scenario():
@@ -165,15 +165,21 @@ def test_demand_matrix_on_default_scenario():
 
 
 def test_demand_matrix_error_names_the_cell():
-    times = slot_midpoints_h(2)
-    users = UserDensityMatrix(
-        values=np.array([[1e-4, 1e-4], [1e-4, 5e-3]]),
-        slot_times_h=times,
-    )
+    light, heavy = 1e-4, 5e-3
+    users = UserDensityMatrix(values=np.array([[light, light], [light, heavy]]),
+                              slot_times_h=slot_midpoints_h(2))
     # A cap of 1e-3 stations per km^2 is hopeless for any of these loads.
     with pytest.raises(InfeasibleDemand) as excinfo:
         demand_matrix(users, PARAMS, lambda_cap=1e-3 / M2_PER_KM2)
     assert "slot 0, region index 0" in str(excinfo.value)
+    # A cap between the two loads' minimum densities: only cell (1, 1) fails.
+    cap = math.sqrt(min_bs_density(light, PARAMS) * min_bs_density(heavy, PARAMS))
+    with pytest.raises(InfeasibleDemand) as excinfo:
+        demand_matrix(users, PARAMS, lambda_cap=cap)
+    message = str(excinfo.value)
+    assert message.startswith("slot 1, region index 1: ")
+    assert f"density cap {cap * M2_PER_KM2:.6g} per km^2" in message
+    assert "user density 5000 per km^2" in message
 
 
 def test_static_only_deployment_takes_column_peaks():

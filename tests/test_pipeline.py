@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import mbsplan
 from mbsplan import cli, pipeline
@@ -40,12 +41,22 @@ def test_run_emits_complete_artifact_set(default_run):
     assert manifest_path.exists()
     manifest = json.loads(manifest_path.read_text())
     assert manifest == default_run.manifest
-    assert set(manifest) == {"config_sha256", "tool_version", "wall_time_s"}
+    assert set(manifest) == {"config_sha256", "dimensioning", "numpy_version",
+                             "scipy_version", "tool_version", "wall_time_s"}
     expected = hashlib.sha256(
         json.dumps(default_config(), sort_keys=True).encode()).hexdigest()
     assert manifest["config_sha256"] == expected
     assert manifest["tool_version"] == mbsplan.__version__
     assert manifest["wall_time_s"] > 0.0
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == scipy.__version__
+    users = user_density_matrix(default_scenario()).values
+    counters = manifest["dimensioning"]
+    assert set(counters) == {"cells", "distinct_loads", "fixed_point_iterations"}
+    assert counters["cells"] == users.size
+    assert counters["distinct_loads"] == np.unique(users).size
+    # one fixed point per distinct load, each at least one iteration
+    assert counters["fixed_point_iterations"] >= counters["distinct_loads"]
 
 
 def test_demand_csv_schema(default_run):
@@ -110,8 +121,8 @@ def test_rerun_is_byte_identical(default_run, tmp_path):
     for first, second in pairs:
         assert first.read_bytes() == second.read_bytes()
     # wall time differs; everything else in the manifest must not
-    assert again.manifest["config_sha256"] == default_run.manifest["config_sha256"]
-    assert again.manifest["tool_version"] == default_run.manifest["tool_version"]
+    first_manifest = dict(default_run.manifest, wall_time_s=None)
+    assert dict(again.manifest, wall_time_s=None) == first_manifest
 
 
 def test_explicit_default_config_file_reproduces_builtin_run(default_run, tmp_path):
@@ -192,6 +203,21 @@ def test_sweep_tolerates_failed_points(monkeypatch, tmp_path):
     assert [float(r[0]) for r in rows] == [1.0, 3.0]
 
 
+def test_sweep_keeps_region_columns_when_every_point_fails(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(pipeline, "_solve_scenario", broken)
+    result = sweep_cost_ratio(None, [1.0, 2.0])
+    assert len(result.failures) == 2
+    assert result.region_ids == ("office", "residential")
+    path = tmp_path / "sweep_cost.csv"
+    write_sweep_csv(path, result)
+    header, rows = _read_csv(path)
+    assert header[-2:] == ["static_saving_office", "static_saving_residential"]
+    assert rows == []
+
+
 def test_sweep_csv_schema(tmp_path):
     result = sweep_cost_ratio(None, np.linspace(1.0, 2.0, 3))
     path = tmp_path / "sweep_cost.csv"
@@ -267,6 +293,18 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
         cli.main(["sweep-density", "--ratios", "5:1:3", "--out", str(tmp_path)])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,ratios", [("sweep-cost", "nan:3:3"),
+                                            ("sweep-cost", "1:inf:2"),
+                                            ("sweep-density", "nan:nan:1")])
+def test_cli_non_finite_ratios_exit_2(tmp_path, capsys, command, ratios):
+    # These once exited 1, after writing a one-point CSV or failing in the model.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--ratios", ratios, "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "argument --ratios: start and stop must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("field,token", [("target_delay_s_per_bit", "Infinity"),

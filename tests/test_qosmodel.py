@@ -135,6 +135,21 @@ def test_delay_linear_in_user_density():
     assert twice == pytest.approx(2.0 * base, rel=1e-12)
 
 
+def test_delay_given_utilization_arrays_match_scalar_calls():
+    rng = np.random.default_rng(7)
+    lam_b = 10.0 ** rng.uniform(-1.0, 4.0, 50) * PER_KM2
+    lam_u = 10.0 ** rng.uniform(0.0, 5.0, 50) * PER_KM2
+    for u in (1.0, 0.3):
+        batch = delay_given_utilization(lam_b, lam_u, u, PARAMS, QUAD)
+        loop = [delay_given_utilization(float(b), float(v), u, PARAMS, QUAD)
+                for b, v in zip(lam_b, lam_u)]
+        assert np.array_equal(batch, loop)
+        assert np.array_equal(delay_given_utilization(lam_b[7:20], lam_u[7:20], u,
+                                                      PARAMS, QUAD), batch[7:20])
+    with pytest.raises(ValueError):
+        delay_given_utilization(np.array([1e-5, 0.0]), np.ones(2), 1.0, PARAMS, QUAD)
+
+
 def test_delay_decreasing_in_bs_density():
     lam_u = 1000.0 * PER_KM2
     grid = np.logspace(np.log10(0.1), np.log10(1000.0), 10) * PER_KM2
