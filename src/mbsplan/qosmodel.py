@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .scenario import RadioParams
 
@@ -42,10 +40,6 @@ _LN2 = math.log(2.0)
 # acos arguments may stray outside [-1, 1] by rounding at tangency
 # configurations; anything beyond this slack is treated as a bug.
 _ACOS_SLACK = 1e-9
-
-# Trials per vectorized batch in the Monte Carlo oracle. Fixed, so the draw
-# sequence (and hence the result for a given seed) never depends on timing.
-_MC_BATCH = 64
 
 
 class NonFinite(ArithmeticError):
@@ -197,7 +191,6 @@ def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = Quadrat
     return g
 
 
-_KERNEL_LOCK = threading.Lock()
 _KERNEL_CACHE: dict = {}
 
 
@@ -218,30 +211,26 @@ def _unit_kernel(quad: QuadratureSpec):
     cached = _KERNEL_CACHE.get(quad)
     if cached is not None:
         return cached
-    with _KERNEL_LOCK:
-        cached = _KERNEL_CACHE.get(quad)
-        if cached is not None:
-            return cached
-        r_max = _truncation_radius(1.0, quad.tail_mass_epsilon)
-        xi_r, w_r = _gauss_unit(quad.nodes_r)
-        r1 = xi_r * r_max
-        wr = w_r * r_max
-        xi_x, w_x = _gauss_unit(quad.nodes_x)
-        xi_t, w_t = _gauss_unit(quad.nodes_theta)
-        x_max = r_max + r1
-        x = xi_x[None, :] * x_max[:, None]
-        wx = w_x[None, :] * x_max[:, None]
-        t = xi_t * TWO_PI
-        wt = w_t * TWO_PI
-        area = overlap_area(r1[:, None, None], x[:, :, None], t[None, None, :])
-        g1 = np.einsum("ij,ijk,k->i", wx * x, np.exp(-area), wt)
-        kernel = wr * g1 * np.exp(-math.pi * r1 * r1) * TWO_PI * r1
-        if not np.all(np.isfinite(kernel)):
-            raise NonFinite("unit kernel: non-finite entries; geometry bug")
-        r1.setflags(write=False)
-        kernel.setflags(write=False)
-        _KERNEL_CACHE[quad] = (r1, kernel)
-        return r1, kernel
+    r_max = _truncation_radius(1.0, quad.tail_mass_epsilon)
+    xi_r, w_r = _gauss_unit(quad.nodes_r)
+    r1 = xi_r * r_max
+    wr = w_r * r_max
+    xi_x, w_x = _gauss_unit(quad.nodes_x)
+    xi_t, w_t = _gauss_unit(quad.nodes_theta)
+    x_max = r_max + r1
+    x = xi_x[None, :] * x_max[:, None]
+    wx = w_x[None, :] * x_max[:, None]
+    t = xi_t * TWO_PI
+    wt = w_t * TWO_PI
+    area = overlap_area(r1[:, None, None], x[:, :, None], t[None, None, :])
+    g1 = np.einsum("ij,ijk,k->i", wx * x, np.exp(-area), wt)
+    kernel = wr * g1 * np.exp(-math.pi * r1 * r1) * TWO_PI * r1
+    if not np.all(np.isfinite(kernel)):
+        raise NonFinite("unit kernel: non-finite entries; geometry bug")
+    r1.setflags(write=False)
+    kernel.setflags(write=False)
+    _KERNEL_CACHE[quad] = (r1, kernel)
+    return r1, kernel
 
 
 def mean_interference(r, params: RadioParams, lambda_b: float, utilization: float):
@@ -361,6 +350,64 @@ def evaluate_qos(
     )
 
 
+def _cell_area(dx, dy, box) -> float:
+    """Area of the Voronoi cell of a station at the origin among stations at
+    offset arrays (dx, dy), within the rectangle box = (x0, x1, y0, y1).
+
+    Clips the rectangle (Sutherland-Hodgman) by the perpendicular bisector
+    to each station, nearest first, and stops once a station is farther
+    than twice the cell's farthest vertex: its bisector and every later one
+    miss the cell, so the area is exact.
+    """
+    d2 = dx * dx + dy * dy
+    order = np.argsort(d2)
+    x0, x1, y0, y1 = box
+    cell = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    reach2 = max(x * x + y * y for x, y in cell)
+    for qx, qy, q2 in zip(dx[order].tolist(), dy[order].tolist(), d2[order].tolist()):
+        if q2 > 4.0 * reach2:
+            break
+        # keep the side p . q <= |q|^2 / 2, which holds the origin
+        half = 0.5 * q2
+        px, py = cell[-1]
+        pv = px * qx + py * qy - half
+        clipped = []
+        for x, y in cell:
+            v = x * qx + y * qy - half
+            if (v > 0.0) != (pv > 0.0):
+                s = pv / (pv - v)
+                clipped.append((px + s * (x - px), py + s * (y - py)))
+            if v <= 0.0:
+                clipped.append((x, y))
+            px, py, pv = x, y, v
+        cell = clipped
+        reach2 = max(x * x + y * y for x, y in cell)
+    return 0.5 * sum(px * y - py * x for (px, py), (x, y) in zip(cell[-1:] + cell[:-1], cell))
+
+
+def _serving_cells(lambda_b: float, trials: int, rng: np.random.Generator):
+    """Serving distance and serving-cell area of the station nearest to a
+    tagged user at the origin, one independent Poisson field per trial.
+
+    r follows its void probability P(r > t) = exp(-lambda_b pi t^2), with
+    the uniform variate stratified over the trials; by isotropy the serving
+    station sits at (r, 0). The other stations are a Poisson field on the
+    annulus r < |y| < R, R holding 100 stations in expectation, and the
+    cell is cut from the square enclosing that disc.
+    """
+    radius = 10.0 / math.sqrt(lambda_b * math.pi)
+    u = (rng.permutation(trials) + rng.random(trials)) / trials
+    r = np.sqrt(-np.log(u) / (math.pi * lambda_b))
+    counts = rng.poisson(lambda_b * math.pi * np.maximum(radius * radius - r * r, 0.0))
+    areas = np.empty(trials)
+    for t, (r_t, n) in enumerate(zip(r.tolist(), counts.tolist())):
+        rho = np.sqrt(r_t * r_t + (radius * radius - r_t * r_t) * rng.random(n))
+        phi = TWO_PI * rng.random(n)
+        areas[t] = _cell_area(rho * np.cos(phi) - r_t, rho * np.sin(phi),
+                              (-radius - r_t, radius - r_t, -radius, radius))
+    return r, areas
+
+
 def mc_delay_oracle(
     lambda_b: float,
     lambda_u: float,
@@ -371,68 +418,19 @@ def mc_delay_oracle(
 ) -> float:
     """Simulation estimate of the mean per-bit delay, for cross-checking.
 
-    Each trial drops a Poisson field of stations and one of users on a disc
-    holding 100 stations in expectation, reads off the tagged user's serving
-    distance r and the number N of users falling in the same cell, and
-    scores N / C(r) with the analytic mean interference at the given
-    utilization (the simulation validates the geometry and load integrals,
-    not the interference average). Deterministic for a fixed seed.
+    Given the stations, the number of other users sharing the tagged user's
+    station is Poisson with mean lambda_u |V0|, |V0| the area of the serving
+    station's Voronoi cell, so each trial of ``_serving_cells`` scores
+    lambda_u |V0| / C(r) at its serving distance r instead of sampling
+    users. C(r) uses the analytic mean interference at the given
+    utilization: the simulation validates the geometry and load integrals,
+    not the interference average. It shares no code with the analytic
+    integrals. Deterministic for a fixed seed.
     """
     if lambda_b <= 0:
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    radius = 10.0 / math.sqrt(lambda_b * math.pi)
-    mean_bs = lambda_b * math.pi * radius * radius
-    mean_users = lambda_u * math.pi * radius * radius
-    rng = np.random.default_rng(rng_seed)
-    # Trials within a batch live on well-separated discs so one KD-tree
-    # serves the whole batch without cross-talk.
-    centers_x = np.arange(_MC_BATCH) * (10.0 * radius)
-    total = 0.0
-    done = 0
-    while done < trials:
-        batch = min(_MC_BATCH, trials - done)
-        n_bs = rng.poisson(mean_bs, batch)
-        n_users = rng.poisson(mean_users, batch)
-        bs_total = int(n_bs.sum())
-        u_total = int(n_users.sum())
-        bs_radii = radius * np.sqrt(rng.random(bs_total))
-        bs_angle = rng.uniform(0.0, TWO_PI, bs_total)
-        u_radii = radius * np.sqrt(rng.random(u_total))
-        u_angle = rng.uniform(0.0, TWO_PI, u_total)
-        bs_offset = np.repeat(centers_x[:batch], n_bs)
-        u_offset = np.repeat(centers_x[:batch], n_users)
-        bs_pos = np.column_stack(
-            (bs_radii * np.cos(bs_angle) + bs_offset, bs_radii * np.sin(bs_angle))
-        )
-        u_pos = np.column_stack((u_radii * np.cos(u_angle) + u_offset, u_radii * np.sin(u_angle)))
-
-        serving = np.full(batch, -1, dtype=np.intp)
-        serve_r = np.ones(batch)
-        starts = np.concatenate(([0], np.cumsum(n_bs)))
-        for t in range(batch):
-            seg = bs_radii[starts[t]:starts[t + 1]]
-            if seg.size:
-                local = int(np.argmin(seg))
-                serving[t] = starts[t] + local
-                serve_r[t] = seg[local]
-
-        if bs_total and u_total:
-            tree = cKDTree(bs_pos)
-            nearest = tree.query(u_pos, k=1, workers=1)[1]
-            trial_of_user = np.repeat(np.arange(batch), n_users)
-            hit = nearest == serving[trial_of_user]
-            counts = np.bincount(trial_of_user[hit], minlength=batch)
-        else:
-            counts = np.zeros(batch)
-
-        ok = serving >= 0
-        if np.any(ok & (counts > 0)):
-            r_ok = serve_r[ok]
-            rate = capacity(
-                r_ok, params, mean_interference(r_ok, params, lambda_b, utilization)
-            )
-            total += float(np.sum(counts[ok] / rate))
-        done += batch
-    return total / trials
+    r, areas = _serving_cells(lambda_b, trials, np.random.default_rng(rng_seed))
+    rate = capacity(r, params, mean_interference(r, params, lambda_b, utilization))
+    return lambda_u * float(np.sum(areas / rate)) / trials

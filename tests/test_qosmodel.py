@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from mbsplan.qosmodel import (QuadratureSpec, capacity, delay_given_utilization,
-                              evaluate_qos, mc_delay_oracle, mean_interference,
-                              overlap_area, pair_distance, shared_load_kernel)
+from mbsplan.qosmodel import (QuadratureSpec, _cell_area, _serving_cells, capacity,
+                              delay_given_utilization, evaluate_qos, mc_delay_oracle,
+                              mean_interference, overlap_area, pair_distance,
+                              shared_load_kernel)
 from mbsplan.scenario import RadioParams
 
 PARAMS = RadioParams()
@@ -218,6 +219,77 @@ def test_mc_oracle_zero_traffic_and_determinism():
     second = mc_delay_oracle(lam_b, 100.0 * PER_KM2, 1.0, PARAMS, trials=1000, rng_seed=42)
     assert first == second
     assert first > 0.0
+
+
+def _lattice(a, b, spacing, reach=4):
+    """Lattice points i a + j b (|i|, |j| <= reach) but the origin, scaled."""
+    i, j = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1))
+    keep = (i != 0) | (j != 0)
+    return (spacing * (i[keep] * a[0] + j[keep] * b[0]),
+            spacing * (i[keep] * a[1] + j[keep] * b[1]))
+
+
+BOX = (-50.0, 50.0, -50.0, 50.0)
+
+
+def test_cell_area_exact_on_square_and_hexagonal_lattices():
+    dx, dy = _lattice((1.0, 0.0), (0.0, 1.0), 3.0)
+    assert _cell_area(dx, dy, BOX) == pytest.approx(9.0, abs=1e-12)
+    dx, dy = _lattice((1.0, 0.0), (0.5, np.sqrt(3.0) / 2.0), 2.0)
+    assert _cell_area(dx, dy, BOX) == pytest.approx(np.sqrt(3.0) / 2.0 * 4.0, abs=1e-12)
+
+
+def test_cell_area_unchanged_by_far_stations():
+    dx, dy = _lattice((1.0, 0.0), (0.0, 1.0), 3.0)
+    base = _cell_area(dx, dy, BOX)
+    # The cell is the square of half-side 1.5, whose corners lie 1.5 sqrt(2)
+    # from the station: no station beyond twice that can cut it.
+    rng = np.random.default_rng(3)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 50)
+    far = rng.uniform(3.0 * np.sqrt(2.0) + 1e-9, 40.0, 50)
+    grown = _cell_area(np.concatenate((dx, far * np.cos(phi))),
+                       np.concatenate((dy, far * np.sin(phi))), BOX)
+    assert grown == pytest.approx(base, abs=1e-12)
+
+
+def test_cell_area_keeps_a_cut_just_inside_the_stop_distance():
+    # Square cell of half-side 1 (farthest vertex sqrt(2)); the station at
+    # (1.6, 1.6), 2.26 away, is inside twice that and cuts a corner of
+    # legs 0.4.
+    dx = np.array([2.0, -2.0, 0.0, 0.0, 1.6])
+    dy = np.array([0.0, 0.0, 2.0, -2.0, 1.6])
+    assert _cell_area(dx, dy, BOX) == pytest.approx(4.0 - 0.08, abs=1e-12)
+
+
+def test_cell_area_matches_brute_force_nearest_station_count():
+    rng = np.random.default_rng(3)
+    dx, dy = rng.uniform(-10.0, 10.0, (2, 40))
+    g = np.linspace(-20.0, 20.0, 801)
+    gx, gy = np.meshgrid(g, g)
+    nearest = np.full(gx.shape, np.inf)
+    for x, y in zip(dx, dy):
+        np.minimum(nearest, (gx - x) ** 2 + (gy - y) ** 2, out=nearest)
+    own = gx * gx + gy * gy < nearest
+    assert not (own[0].any() or own[-1].any() or own[:, 0].any() or own[:, -1].any())
+    counted = np.count_nonzero(own) * (g[1] - g[0]) ** 2
+    assert _cell_area(dx, dy, BOX) == pytest.approx(counted, rel=0.02)
+
+
+def test_serving_cell_mean_area_matches_gilbert():
+    # Gilbert (1962): the cell covering a fixed point has mean area
+    # 1.2801 / lambda_b, against 1 / lambda_b for a typical cell.
+    lam_b = 10.0 * PER_KM2
+    r, areas = _serving_cells(lam_b, 4000, np.random.default_rng(11))
+    assert areas.mean() * lam_b == pytest.approx(1.2801, rel=0.03)
+    assert np.all(areas > 0.0)
+    # The stratified serving distance keeps its law P(r > t) = exp(-lambda pi t^2).
+    assert np.mean(np.pi * lam_b * r * r) == pytest.approx(1.0, rel=0.01)
+
+
+def test_cell_area_without_other_stations_is_the_box():
+    # A trial whose annulus holds no station keeps the whole square.
+    empty = np.empty(0)
+    assert _cell_area(empty, empty, (-3.0, 5.0, -4.0, 4.0)) == pytest.approx(64.0, abs=1e-12)
 
 
 def test_quadrature_spec_validation():
