@@ -24,13 +24,12 @@ from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, QuadratureS
                        mc_delay_oracle, mean_interference, overlap_area,
                        pair_distance, shared_load_kernel)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
-                           CellDiagnostics, DemandMatrix, InfeasibleDemand,
-                           demand_matrix, min_bs_density, static_only_deployment,
-                           write_demand_csv)
+                           DemandMatrix, InfeasibleDemand, demand_matrix,
+                           min_bs_density, write_demand_csv)
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          Violation, build_allocation_lp, canonicalize_schedule,
                          optimal_plan, peak_aggregate_demand, plan_to_dict, savings,
-                         savings_to_dict, verify_plan, write_series_csv)
+                         savings_to_dict, verify_plan)
 from .pipeline import (RunArtifacts, SweepResult, ValidationCheck, ValidationReport,
                        run_pipeline, sweep_cost_ratio, sweep_density_ratio, validate,
                        write_sweep_csv)
@@ -48,14 +47,13 @@ __all__ = [
     "capacity", "delay_given_utilization", "evaluate_qos", "mc_delay_oracle",
     "mean_interference", "overlap_area", "pair_distance", "shared_load_kernel",
     # dimensioning
-    "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "CellDiagnostics",
-    "DemandMatrix", "InfeasibleDemand", "demand_matrix", "min_bs_density",
-    "static_only_deployment", "write_demand_csv",
+    "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "DemandMatrix",
+    "InfeasibleDemand", "demand_matrix", "min_bs_density", "write_demand_csv",
     # allocation
     "TIE_BREAK_EPSILON", "CostModel", "DeploymentPlan", "SavingsReport",
     "Violation", "build_allocation_lp", "canonicalize_schedule", "optimal_plan",
     "peak_aggregate_demand", "plan_to_dict", "savings", "savings_to_dict",
-    "verify_plan", "write_series_csv",
+    "verify_plan",
     # pipeline / cli
     "RunArtifacts", "SweepResult", "ValidationCheck", "ValidationReport",
     "run_pipeline", "sweep_cost_ratio", "sweep_density_ratio", "validate",

@@ -380,21 +380,3 @@ def savings_to_dict(report: SavingsReport, region_ids) -> dict:
         "mbs_fraction": [[float(v) for v in row] for row in report.mbs_fraction_series],
     }
 
-
-def write_series_csv(path, series, slot_times_h, region_ids) -> None:
-    """Write one slots x regions series as ``slot,time_h,region_id,value``.
-
-    Values are written exactly as passed; pick units before calling.
-    """
-    series = np.asarray(series, dtype=float)
-    times = np.asarray(slot_times_h, dtype=float)
-    region_ids = list(region_ids)
-    n_slots, n_regions = series.shape
-    if times.shape != (n_slots,) or len(region_ids) != n_regions:
-        raise ValueError("series, slot_times_h and region_ids disagree on shape")
-    lines = ["slot,time_h,region_id,value"]
-    for j in range(n_slots):
-        for z in range(n_regions):
-            lines.append(f"{j},{float(times[j])!r},{region_ids[z]},{float(series[j, z])!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -10,8 +10,8 @@ All loads of a scenario are inverted at once: bracket from lambda_u / 10 by
 halving or doubling up to the cap, bisect in log space to
 ``BISECTION_REL_TOL`` and return the feasible end. S comes from
 ``delay_given_utilization`` at u = 1, the fixed point's own first step, so
-the achieved delay never exceeds T; the fixed point runs once per distinct
-load, only to report that delay.
+the achieved delay never exceeds T; one array fixed point over the distinct
+loads reports that delay.
 
 Cells are independent: the objective sums per-cell densities and every
 constraint touches exactly one (slot, region) pair, so the cell-wise
@@ -37,18 +37,14 @@ class InfeasibleDemand(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CellDiagnostics:
-    fixed_point_iterations: int
-    achieved_delay_s_per_bit: float
-    converged: bool
-
-
-@dataclass(frozen=True)
 class DemandMatrix:
-    """Per-slot, per-region minimum station density (stations per m^2)."""
+    """Per-slot, per-region minimum station density (stations per m^2),
+    optionally with the J x Z delay achieved at it and the fixed-point
+    iterations spent finding that delay (0 for a zero load)."""
 
     values: np.ndarray
-    per_cell_diagnostics: tuple | None = None
+    achieved_delay_s_per_bit: np.ndarray | None = None
+    fixed_point_iterations: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -140,60 +136,53 @@ def demand_matrix(
 ) -> DemandMatrix:
     """Cell-wise minimum station densities for a whole scenario.
 
-    Densities come from one inversion over the distinct loads; the fixed
-    point then runs once per distinct load for the achieved delay, so cells
-    with equal loads share their density and diagnostics.
+    Densities come from one inversion over the distinct loads, and the
+    achieved delays from one array fixed point over the distinct positive
+    loads, so cells with equal loads share their density and diagnostics.
     """
     loads, first, inverse = np.unique(users.values, return_index=True, return_inverse=True)
     densities = _min_densities(loads, params, quad, lambda_cap, BISECTION_REL_TOL)
     num_regions = users.values.shape[1]
 
-    def cell(k):
+    def first_cell(ks):
+        k = ks[np.argmin(first[ks])]
         j, z = divmod(int(first[k]), num_regions)
-        return f"slot {j}, region index {z}"
+        return k, f"slot {j}, region index {z}"
 
     unmet = np.flatnonzero(densities == np.inf)
     if unmet.size:
-        k = unmet[np.argmin(first[unmet])]
-        raise InfeasibleDemand(f"{cell(k)}: {_unmet(loads[k], params, lambda_cap)}")
-    per_load = []
-    for k, (lam_u, lam_b) in enumerate(zip(loads, densities)):
-        if lam_u == 0.0:
-            per_load.append(CellDiagnostics(0, 0.0, True))
-            continue
-        result = evaluate_qos(float(lam_b), float(lam_u), params, quad)
-        if not result.converged:
-            raise FixedPointDiverged(
-                f"{cell(k)}: utilization fixed point did not converge at "
-                f"lambda_b={lam_b:.6e}, lambda_u={lam_u:.6e}")
-        per_load.append(CellDiagnostics(result.fixed_point_iterations,
-                                        result.delay_s_per_bit, True))
+        k, cell = first_cell(unmet)
+        raise InfeasibleDemand(f"{cell}: {_unmet(loads[k], params, lambda_cap)}")
+    positive = np.flatnonzero(loads > 0)
+    result = evaluate_qos(densities[positive], loads[positive], params, quad)
+    diverged = positive[~result.converged]
+    if diverged.size:
+        k, cell = first_cell(diverged)
+        raise FixedPointDiverged(
+            f"{cell}: utilization fixed point did not converge at "
+            f"lambda_b={densities[k]:.6e}, lambda_u={loads[k]:.6e}")
+    delay = np.zeros(loads.shape)
+    delay[positive] = result.delay_s_per_bit
+    iterations = np.zeros(loads.shape, dtype=int)
+    iterations[positive] = result.fixed_point_iterations
     inverse = inverse.reshape(users.values.shape)
-    return DemandMatrix(
-        values=densities[inverse],
-        per_cell_diagnostics=tuple(tuple(per_load[k] for k in row) for row in inverse),
-    )
-
-
-def static_only_deployment(demand: DemandMatrix) -> np.ndarray:
-    """Per-region density a fixed deployment needs: the peak over slots."""
-    return demand.values.max(axis=0)
+    return DemandMatrix(values=densities[inverse], achieved_delay_s_per_bit=delay[inverse],
+                        fixed_point_iterations=iterations[inverse])
 
 
 def write_demand_csv(path, demand: DemandMatrix, users: UserDensityMatrix, region_ids) -> None:
     """One row per (slot, region): user density, required station density and
     the delay actually achieved at the returned density. km^2 units."""
-    if demand.per_cell_diagnostics is None:
+    if demand.achieved_delay_s_per_bit is None:
         raise ValueError("demand matrix carries no diagnostics; export needs them")
     lines = ["slot,time_h,region_id,user_density_per_km2,min_bs_density_per_km2,achieved_delay_s_per_bit"]
     for j in range(demand.num_slots):
         for z, rid in enumerate(region_ids):
-            diag = demand.per_cell_diagnostics[j][z]
             lines.append(
                 f"{j},{float(users.slot_times_h[j])!r},{rid},"
                 f"{float(users.values[j, z] * M2_PER_KM2)!r},"
                 f"{float(demand.values[j, z] * M2_PER_KM2)!r},"
-                f"{float(diag.achieved_delay_s_per_bit)!r}"
+                f"{float(demand.achieved_delay_s_per_bit[j, z])!r}"
             )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,18 +144,20 @@ def _write_series_csv(path: Path, solved: _Solved) -> None:
 
 def _dimensioning_counters(solved: _Solved) -> dict:
     """Cells, distinct loads, and the fixed-point iterations spent reporting
-    the achieved delays (one fixed point per distinct load)."""
+    the achieved delays (summed over the distinct loads)."""
     _, first = np.unique(solved.users.values, return_index=True)
-    cells = [diag for row in solved.demand.per_cell_diagnostics for diag in row]
-    return {"cells": len(cells), "distinct_loads": int(first.size),
-            "fixed_point_iterations": sum(cells[i].fixed_point_iterations for i in first)}
+    iterations = solved.demand.fixed_point_iterations.ravel()
+    return {"cells": int(iterations.size), "distinct_loads": int(first.size),
+            "fixed_point_iterations": int(iterations[first].sum())}
 
 
 def run_pipeline(config_path, out_dir) -> RunArtifacts:
     """Run the full chain on one scenario and write all artifacts.
 
     ``config_path`` may be None to use the built-in two-district scenario.
-    Partial outputs are removed if any stage fails.
+    The files are written into a temporary directory inside ``out_dir`` and
+    moved into place only once all of them exist, so a failed run leaves
+    the previous artifacts untouched.
     """
     started = time.perf_counter()
     scenario, raw = _load(config_path)
@@ -166,18 +170,14 @@ def run_pipeline(config_path, out_dir) -> RunArtifacts:
         "series": out / "series.csv",
         "manifest": out / "manifest.json",
     }
-    written: list[Path] = []
-    try:
+    with tempfile.TemporaryDirectory(dir=out) as tmp:
+        staged = {key: Path(tmp) / path.name for key, path in paths.items()}
         solved = _solve_scenario(scenario)
         ids = scenario.region_ids
-        write_demand_csv(paths["demand"], solved.demand, solved.users, ids)
-        written.append(paths["demand"])
-        _write_json(paths["plan"], plan_to_dict(solved.plan, ids))
-        written.append(paths["plan"])
-        _write_json(paths["savings"], savings_to_dict(solved.report, ids))
-        written.append(paths["savings"])
-        _write_series_csv(paths["series"], solved)
-        written.append(paths["series"])
+        write_demand_csv(staged["demand"], solved.demand, solved.users, ids)
+        _write_json(staged["plan"], plan_to_dict(solved.plan, ids))
+        _write_json(staged["savings"], savings_to_dict(solved.report, ids))
+        _write_series_csv(staged["series"], solved)
         manifest = {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
             "dimensioning": _dimensioning_counters(solved),
@@ -186,15 +186,9 @@ def run_pipeline(config_path, out_dir) -> RunArtifacts:
             "tool_version": __version__,
             "wall_time_s": time.perf_counter() - started,
         }
-        _write_json(paths["manifest"], manifest)
-        written.append(paths["manifest"])
-    except BaseException:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+        _write_json(staged["manifest"], manifest)
+        for key, path in paths.items():
+            os.replace(staged[key], path)
     return RunArtifacts(demand_csv_path=paths["demand"], plan_json_path=paths["plan"],
                         savings_json_path=paths["savings"], series_csv_path=paths["series"],
                         manifest=manifest)
@@ -358,8 +352,7 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     tau0 = params.target_delay_s_per_bit
     for users_km2 in GRID_SPOT_USER_DENSITIES_PER_KM2:
         lam_u = users_km2 / 1e6
-        feasible = np.array([evaluate_qos(lam, lam_u, params, quad).delay_s_per_bit <= tau0
-                             for lam in grid])
+        feasible = evaluate_qos(grid, lam_u, params, quad).delay_s_per_bit <= tau0
         if not feasible.any():
             checks.append(ValidationCheck(
                 f"grid-scan users={users_km2:g}/km2", False,

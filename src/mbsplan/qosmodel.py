@@ -14,7 +14,8 @@ Averaging the shared-user count over both point processes and dividing by
 the Shannon rate at distance r gives the mean per-bit delay as a triple
 integral over (r, x, theta). Interference enters through the mean busy
 fraction (utilization) of the other stations, which itself equals
-delay / target_delay, so the delay is solved as a damped fixed point.
+delay / target_delay, so the delay is solved as a fixed point in the
+utilization, elementwise over arrays of densities.
 
 The overlap area is homogeneous of degree 2 in the lengths, so the whole
 radial quadrature grid at density lambda_b maps node-for-node onto the
@@ -90,12 +91,19 @@ class QuadratureSpec:
         )
 
 
+# Stopping rule of the utilization fixed point in ``evaluate_qos``.
+FIXED_POINT_TOL = 1e-6
+FIXED_POINT_MAX_ITERATIONS = 100
+
+
 @dataclass(frozen=True)
 class QosEvaluation:
-    delay_s_per_bit: float
-    utilization: float
-    fixed_point_iterations: int
-    converged: bool
+    """Python scalars for scalar densities, arrays of their shape otherwise."""
+
+    delay_s_per_bit: float | np.ndarray
+    utilization: float | np.ndarray
+    fixed_point_iterations: int | np.ndarray
+    converged: bool | np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -233,13 +241,18 @@ def _unit_kernel(quad: QuadratureSpec):
     return r1, kernel
 
 
+def _check_utilization(utilization) -> None:
+    u = np.asarray(utilization, dtype=float)
+    if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):
+        raise ValueError(f"utilization must lie in [0, 1], got {utilization}")
+
+
 def mean_interference(r, params: RadioParams, lambda_b: float, utilization: float):
     """Average co-channel interference power at distance r from the serving
     station, over a field of stations each busy a fraction ``utilization``
     of the time."""
     alpha = params.path_loss_exponent
-    if not -1e-12 <= utilization <= 1.0 + 1e-12:
-        raise ValueError(f"utilization must lie in [0, 1], got {utilization}")
+    _check_utilization(utilization)
     scale = (
         params.reference_gain
         * params.tx_power_w
@@ -265,23 +278,31 @@ def capacity(r, params: RadioParams, interference):
 def delay_given_utilization(
     lambda_b,
     lambda_u,
-    utilization: float,
+    utilization,
     params: RadioParams,
     quad: QuadratureSpec = QuadratureSpec(),
 ):
     """Mean per-bit delay when every station is busy a fixed fraction
-    ``utilization`` of the time. Exactly linear in lambda_u. Equal-shape
-    arrays of densities give one delay per pair, each bit-equal to the
-    scalar call; at utilization 1 it is ``evaluate_qos``'s first delay."""
+    ``utilization`` of the time. Exactly linear in lambda_u.
+
+    The interference is taken in busy x u form: the interference of an
+    always-busy field, ``mean_interference(r, params, lambda_b, 1.0)``,
+    times u (at u = 1 the factor is an exact 1.0). Densities and
+    utilizations may be arrays that broadcast against each other; each
+    element is bit-equal to its scalar call.
+    """
     lambda_b = np.asarray(lambda_b, dtype=float)
     lambda_u = np.asarray(lambda_u, dtype=float)
+    utilization = np.asarray(utilization, dtype=float)
     if np.any(lambda_b <= 0):
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
     if np.any(lambda_u < 0):
         raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
+    _check_utilization(utilization)
     r1, kernel = _unit_kernel(quad)
     r = r1 / np.sqrt(lambda_b)[..., None]
-    rate = capacity(r, params, mean_interference(r, params, lambda_b[..., None], utilization))
+    busy = mean_interference(r, params, lambda_b[..., None], 1.0)
+    rate = capacity(r, params, busy * utilization[..., None])
     tau = (lambda_u / lambda_b) * np.sum(kernel / rate, axis=-1)
     if not np.all(np.isfinite(tau)):
         raise NonFinite(f"delay: non-finite result at lambda_b={lambda_b}, lambda_u={lambda_u}")
@@ -289,65 +310,46 @@ def delay_given_utilization(
 
 
 def evaluate_qos(
-    lambda_b: float,
-    lambda_u: float,
+    lambda_b,
+    lambda_u,
     params: RadioParams,
     quad: QuadratureSpec = QuadratureSpec(),
-    initial_utilization: float = 1.0,
-    tol: float = 1e-6,
-    max_iterations: int = 100,
 ) -> QosEvaluation:
     """Self-consistent delay and utilization at the given densities.
 
     Interference scales with the stations' busy fraction delay/target, which
-    feeds back into the delay, so iterate u -> clamp(tau(u)/target, 0, 1)
-    from the busy end u = 1 (worst-case interference). A half step is taken
-    whenever successive updates change direction. Non-convergence is
-    reported through the ``converged`` flag rather than an exception.
+    feeds back into the delay, so iterate u -> g(u) = clamp(tau(u)/target,
+    0, 1) from the busy end u = 1 until successive utilizations differ by
+    at most ``FIXED_POINT_TOL``. tau rises with u, so g is nondecreasing:
+    from u = 1 the iterates can only fall, never change direction, and need
+    no damping; every reported delay is at most the u = 1 delay.
+
+    Densities may be arrays that broadcast against each other: the fixed
+    point then runs elementwise, each element stopping on its own, and the
+    fields hold arrays bit-equal to the scalar calls. Non-convergence within
+    ``FIXED_POINT_MAX_ITERATIONS`` is reported through ``converged`` rather
+    than an exception.
     """
-    if lambda_b <= 0:
-        raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
-    if lambda_u < 0:
-        raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
-    target_delay = params.target_delay_s_per_bit
-    r1, kernel = _unit_kernel(quad)
-    r = r1 / math.sqrt(lambda_b)
-    b_eff = params.bandwidth_hz / params.reuse_factor
-    noise_w = params.noise_psd_w_per_hz * b_eff
-    signal = params.reference_gain * params.tx_power_w * r ** (-params.path_loss_exponent)
-    interference_busy = mean_interference(r, params, lambda_b, 1.0)
-    users_per_station = lambda_u / lambda_b
-
-    def tau_of(u: float) -> float:
-        rate = b_eff * np.log1p(signal / (noise_w + interference_busy * u)) / _LN2
-        return users_per_station * float(np.sum(kernel / rate))
-
-    u = float(initial_utilization)
-    prev_delta = 0.0
-    iterations = 0
-    converged = False
-    while True:
-        tau = tau_of(u)
-        iterations += 1
-        target = min(max(tau / target_delay, 0.0), 1.0)
-        delta = target - u
-        if abs(delta) <= tol:
-            u = target
-            converged = True
-            break
-        if iterations >= max_iterations:
-            u = target
-            break
-        u = u + 0.5 * delta if delta * prev_delta < 0.0 else target
-        prev_delta = delta
-    if not math.isfinite(tau):
-        raise NonFinite(f"evaluate_qos: non-finite delay at lambda_b={lambda_b}")
-    return QosEvaluation(
-        delay_s_per_bit=tau,
-        utilization=u,
-        fixed_point_iterations=iterations,
-        converged=converged,
-    )
+    lambda_b, lambda_u = np.broadcast_arrays(np.asarray(lambda_b, dtype=float),
+                                             np.asarray(lambda_u, dtype=float))
+    shape = lambda_b.shape
+    lambda_b, lambda_u = lambda_b.ravel(), lambda_u.ravel()
+    tau = np.zeros(lambda_b.shape)
+    u = np.ones(lambda_b.shape)
+    iterations = np.zeros(lambda_b.shape, dtype=int)
+    converged = np.zeros(lambda_b.shape, dtype=bool)
+    idx = np.arange(lambda_b.size)
+    while idx.size:
+        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u[idx], params, quad)
+        iterations[idx] += 1
+        target = np.clip(tau[idx] / params.target_delay_s_per_bit, 0.0, 1.0)
+        converged[idx] = np.abs(target - u[idx]) <= FIXED_POINT_TOL
+        u[idx] = target
+        idx = idx[~converged[idx] & (iterations[idx] < FIXED_POINT_MAX_ITERATIONS)]
+    if not shape:
+        return QosEvaluation(float(tau[0]), float(u[0]), int(iterations[0]), bool(converged[0]))
+    return QosEvaluation(tau.reshape(shape), u.reshape(shape), iterations.reshape(shape),
+                         converged.reshape(shape))
 
 
 def _cell_area(dx, dy, box) -> float:

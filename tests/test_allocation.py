@@ -11,8 +11,7 @@ import pytest
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan,
                                 build_allocation_lp, canonicalize_schedule,
                                 optimal_plan, peak_aggregate_demand, plan_to_dict,
-                                savings, savings_to_dict, verify_plan,
-                                write_series_csv)
+                                savings, savings_to_dict, verify_plan)
 
 KM2 = 1e6  # m^2 per km^2; densities below are written per km^2 and scaled
 
@@ -242,21 +241,6 @@ def test_savings_to_dict_schema():
     assert out["mbs_fraction"][1][1] == pytest.approx(1.0, rel=1e-9)
     with pytest.raises(ValueError):
         savings_to_dict(savings(plan, HAND_DEMAND, HAND_AREAS), ["a", "b", "c"])
-
-
-def test_write_series_csv_round_trip(tmp_path):
-    series = np.array([[1.5, 0.0], [2.25, 1e-7]])
-    path = tmp_path / "series.csv"
-    write_series_csv(path, series, [0.2, 0.6], ["north", "south"])
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "slot,time_h,region_id,value"
-    assert len(lines) == 5
-    parsed = [line.split(",") for line in lines[1:]]
-    assert [row[2] for row in parsed] == ["north", "south", "north", "south"]
-    values = np.array([float(row[3]) for row in parsed]).reshape(2, 2)
-    np.testing.assert_array_equal(values, series)
-    with pytest.raises(ValueError):
-        write_series_csv(path, series, [0.2], ["north", "south"])
 
 
 def test_fleet_size_ceil_forgives_float_dust():

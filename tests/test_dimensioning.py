@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from mbsplan import dimensioning
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
-                                  CellDiagnostics, DemandMatrix, InfeasibleDemand,
-                                  demand_matrix, min_bs_density, static_only_deployment,
-                                  write_demand_csv)
-from mbsplan.qosmodel import QuadratureSpec, delay_given_utilization, evaluate_qos
+                                  DemandMatrix, InfeasibleDemand, demand_matrix,
+                                  min_bs_density, write_demand_csv)
+from mbsplan.qosmodel import (FixedPointDiverged, QuadratureSpec, delay_given_utilization,
+                              evaluate_qos)
 from mbsplan.scenario import (M2_PER_KM2, RadioParams, UserDensityMatrix,
                               default_scenario, slot_midpoints_h, user_density_matrix)
 
@@ -127,9 +128,9 @@ def test_solved_density_is_feasible_and_nearly_minimal():
 
 
 def test_demand_matrix_memoizes_repeated_loads():
-    # Equal loads share one density and one fixed point, hence the very
-    # same diagnostics object; a load that differs in its last bit is a
-    # load of its own.
+    # Equal loads share one density and one fixed-point element, hence
+    # equal entries in every array; a load that differs in its last bit is
+    # a load of its own, with its own density and its own fixed point.
     times = slot_midpoints_h(4)
     lam = 800.0 / M2_PER_KM2
     users = UserDensityMatrix(
@@ -137,13 +138,17 @@ def test_demand_matrix_memoizes_repeated_loads():
         slot_times_h=times,
     )
     demand = demand_matrix(users, PARAMS)
-    diag = demand.per_cell_diagnostics
-    assert diag[3][0] is diag[0][0]
+    delay, iterations = demand.achieved_delay_s_per_bit, demand.fixed_point_iterations
     assert demand.values[3, 0] == demand.values[0, 0]
-    assert diag[1][0] is not diag[0][0]
-    assert diag[2][0] is not diag[0][0]
+    assert delay[3, 0] == delay[0, 0]
+    assert iterations[3, 0] == iterations[0, 0] > 0
+    assert demand.values[1, 0] != demand.values[0, 0]
     assert demand.values[2, 0] > demand.values[0, 0]
-    assert diag[0][0].fixed_point_iterations > 0
+    assert delay[2, 0] != delay[0, 0]
+    for j in range(4):
+        alone = evaluate_qos(float(demand.values[j, 0]), float(users.values[j, 0]), PARAMS)
+        assert delay[j, 0] == alone.delay_s_per_bit
+        assert iterations[j, 0] == alone.fixed_point_iterations
 
 
 def test_demand_matrix_on_default_scenario():
@@ -154,11 +159,9 @@ def test_demand_matrix_on_default_scenario():
     assert np.all(demand.values >= 0.0)
     assert np.all(demand.values > 0.0)  # both profiles carry load all day
     target = scenario.radio.target_delay_s_per_bit
-    for j in range(demand.num_slots):
-        for z in range(demand.num_regions):
-            d = demand.per_cell_diagnostics[j][z]
-            assert d.converged
-            assert d.achieved_delay_s_per_bit <= target
+    assert demand.achieved_delay_s_per_bit.shape == (60, 2)
+    assert np.all(demand.achieved_delay_s_per_bit <= target)
+    assert np.all(demand.fixed_point_iterations > 0)
     # Busier slots never need fewer stations than the quietest one.
     quiet = demand.values.min(axis=0)
     assert np.all(demand.values.max(axis=0) > quiet)
@@ -182,9 +185,18 @@ def test_demand_matrix_error_names_the_cell():
     assert "user density 5000 per km^2" in message
 
 
-def test_static_only_deployment_takes_column_peaks():
-    demand = DemandMatrix(values=np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 4.0]]))
-    assert np.array_equal(static_only_deployment(demand), [3.0, 5.0])
+def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
+    light, heavy = 1e-4, 5e-3
+    users = UserDensityMatrix(values=np.array([[light, light], [heavy, light], [light, heavy]]),
+                              slot_times_h=slot_midpoints_h(3))
+
+    def heavy_diverges(lambda_b, lambda_u, params, quad):
+        result = evaluate_qos(lambda_b, lambda_u, params, quad)
+        return dataclasses.replace(result, converged=result.converged & (lambda_u != heavy))
+
+    monkeypatch.setattr(dimensioning, "evaluate_qos", heavy_diverges)
+    with pytest.raises(FixedPointDiverged, match=r"^slot 1, region index 0: "):
+        demand_matrix(users, PARAMS)
 
 
 def test_demand_matrix_validation():
@@ -199,11 +211,9 @@ def test_demand_matrix_validation():
 
 def test_write_demand_csv_round_trip(tmp_path):
     values = np.array([[2e-6, 0.0], [3.5e-6, 1e-6]])
-    diagnostics = tuple(
-        tuple(CellDiagnostics(3, 1.1e-6 * (1 + i + j), True) for j in range(2))
-        for i in range(2)
-    )
-    demand = DemandMatrix(values=values, per_cell_diagnostics=diagnostics)
+    delays = 1.1e-6 * (1 + np.arange(2)[:, None] + np.arange(2)[None, :])
+    demand = DemandMatrix(values=values, achieved_delay_s_per_bit=delays,
+                          fixed_point_iterations=np.full((2, 2), 3))
     users = UserDensityMatrix(
         values=np.array([[1e-3, 0.0], [2e-3, 5e-4]]),
         slot_times_h=slot_midpoints_h(2),
@@ -223,7 +233,7 @@ def test_write_demand_csv_round_trip(tmp_path):
         # repr round trip: parsing the cell recovers the exact float
         assert float(lam_u) == users.values[j, z] * M2_PER_KM2
         assert float(lam_b) == demand.values[j, z] * M2_PER_KM2
-        assert float(delay) == diagnostics[j][z].achieved_delay_s_per_bit
+        assert float(delay) == delays[j, z]
     assert math.isclose(float(lines[1].split(",")[4]), 2.0, rel_tol=1e-12)
 
 

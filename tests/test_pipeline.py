@@ -149,6 +149,22 @@ def test_failed_run_cleans_up_partial_outputs(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_failed_rerun_leaves_previous_artifacts_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_pipeline(None, out)
+    names = ("demand.csv", "plan.json", "savings.json", "series.csv", "manifest.json")
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def boom(path, solved):
+        raise RuntimeError("disk full, allegedly")
+
+    monkeypatch.setattr(pipeline, "_write_series_csv", boom)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_pipeline(None, out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
 def test_density_sweep_identity_point_matches_run(default_run):
     result = sweep_density_ratio(None, [10.0])
     assert result.failures == []

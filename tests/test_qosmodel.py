@@ -140,15 +140,22 @@ def test_delay_given_utilization_arrays_match_scalar_calls():
     rng = np.random.default_rng(7)
     lam_b = 10.0 ** rng.uniform(-1.0, 4.0, 50) * PER_KM2
     lam_u = 10.0 ** rng.uniform(0.0, 5.0, 50) * PER_KM2
-    for u in (1.0, 0.3):
+    for u in (1.0, 0.3, np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 48)))):
+        per_pair = np.broadcast_to(u, lam_b.shape)
         batch = delay_given_utilization(lam_b, lam_u, u, PARAMS, QUAD)
-        loop = [delay_given_utilization(float(b), float(v), u, PARAMS, QUAD)
-                for b, v in zip(lam_b, lam_u)]
+        loop = [delay_given_utilization(float(b), float(v), float(w), PARAMS, QUAD)
+                for b, v, w in zip(lam_b, lam_u, per_pair)]
         assert np.array_equal(batch, loop)
-        assert np.array_equal(delay_given_utilization(lam_b[7:20], lam_u[7:20], u,
+        assert np.array_equal(delay_given_utilization(lam_b[7:20], lam_u[7:20], per_pair[7:20],
                                                       PARAMS, QUAD), batch[7:20])
+        # one density pair against every utilization at once
+        column = delay_given_utilization(lam_b[3], lam_u[3], per_pair, PARAMS, QUAD)
+        assert np.array_equal(column, [delay_given_utilization(lam_b[3], lam_u[3], float(w),
+                                                               PARAMS, QUAD) for w in per_pair])
     with pytest.raises(ValueError):
         delay_given_utilization(np.array([1e-5, 0.0]), np.ones(2), 1.0, PARAMS, QUAD)
+    with pytest.raises(ValueError):
+        delay_given_utilization(lam_b[:2], lam_u[:2], np.array([0.5, 1.0 + 1e-6]), PARAMS, QUAD)
 
 
 def test_delay_decreasing_in_bs_density():
@@ -201,15 +208,45 @@ def test_evaluate_qos_overloaded_cell_saturates():
     assert result.delay_s_per_bit > PARAMS.target_delay_s_per_bit
 
 
-def test_evaluate_qos_start_point_invariance():
-    # tighter tolerance than default so both starts land on the same point
+def test_fixed_point_map_crosses_the_identity_once():
+    # g(u) = clamp(tau(u) / target, 0, 1) is nondecreasing, so g(u) - u
+    # changes sign exactly once on [0, 1]: the fixed point is unique and the
+    # start u = 1 finds the same point as any other start would.
+    u = np.linspace(0.0, 1.0, 1001)
+    target = PARAMS.target_delay_s_per_bit
     for lam_b_km2, lam_u_km2 in ((20.0, 500.0), (40.0, 2000.0)):
-        from_one = evaluate_qos(lam_b_km2 * PER_KM2, lam_u_km2 * PER_KM2, PARAMS, QUAD,
-                                initial_utilization=1.0, tol=1e-8)
-        from_zero = evaluate_qos(lam_b_km2 * PER_KM2, lam_u_km2 * PER_KM2, PARAMS, QUAD,
-                                 initial_utilization=0.0, tol=1e-8)
-        assert from_zero.delay_s_per_bit == pytest.approx(
-            from_one.delay_s_per_bit, rel=1e-5)
+        lam_b, lam_u = lam_b_km2 * PER_KM2, lam_u_km2 * PER_KM2
+        g = np.clip(delay_given_utilization(lam_b, lam_u, u, PARAMS, QUAD) / target, 0.0, 1.0)
+        above = g - u > 0.0
+        assert above[0] and not above[-1]
+        crossings = np.flatnonzero(above[1:] != above[:-1])
+        assert crossings.size == 1
+        k = int(crossings[0])
+        fixed = evaluate_qos(lam_b, lam_u, PARAMS, QUAD).utilization
+        assert u[k] - 1e-6 <= fixed <= u[k + 1] + 1e-6
+
+
+def test_evaluate_qos_arrays_match_scalar_calls():
+    # zero load, a saturated cell (u pinned at 1) and ordinary cells
+    lam_b = np.array([[10.0, 1.0, 20.0], [50.0, 5.0, 40.0]]) * PER_KM2
+    lam_u = np.array([[0.0, 5000.0, 500.0], [1000.0, 5000.0, 2000.0]]) * PER_KM2
+    batch = evaluate_qos(lam_b, lam_u, PARAMS, QUAD)
+    assert batch.utilization[0, 1] == 1.0
+    assert batch.delay_s_per_bit[0, 0] == 0.0
+    for field in ("delay_s_per_bit", "utilization", "fixed_point_iterations", "converged"):
+        assert getattr(batch, field).shape == (2, 3)
+    for j in range(2):
+        for z in range(3):
+            alone = evaluate_qos(float(lam_b[j, z]), float(lam_u[j, z]), PARAMS, QUAD)
+            assert type(alone.delay_s_per_bit) is float
+            assert type(alone.fixed_point_iterations) is int
+            assert batch.delay_s_per_bit[j, z] == alone.delay_s_per_bit
+            assert batch.utilization[j, z] == alone.utilization
+            assert batch.fixed_point_iterations[j, z] == alone.fixed_point_iterations
+            assert batch.converged[j, z] == alone.converged
+    # a scalar broadcasts against an array, as in the grid scan
+    row = evaluate_qos(lam_b[1], 1000.0 * PER_KM2, PARAMS, QUAD)
+    assert row.delay_s_per_bit[0] == batch.delay_s_per_bit[1, 0]
 
 
 def test_mc_oracle_zero_traffic_and_determinism():
