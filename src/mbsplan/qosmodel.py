@@ -352,39 +352,111 @@ def evaluate_qos(
                          converged.reshape(shape))
 
 
-def _cell_area(dx, dy, box) -> float:
-    """Area of the Voronoi cell of a station at the origin among stations at
-    offset arrays (dx, dy), within the rectangle box = (x0, x1, y0, y1).
+# Trials clipped together by ``_serving_cells``. A block's station arrays
+# are as wide as its busiest trial, so blocks keep memory flat in the trial
+# count while each numpy call still spans many trials.
+_CLIP_BLOCK = 1024
 
-    Clips the rectangle (Sutherland-Hodgman) by the perpendicular bisector
-    to each station, nearest first, and stops once a station is farther
-    than twice the cell's farthest vertex: its bisector and every later one
-    miss the cell, so the area is exact.
+
+def _clip(cx, cy, m, qx, qy, q2):
+    """Clip polygon t by the perpendicular bisector to its station
+    (qx[t], qy[t]), keeping the side p . q <= |q|^2 / 2, which holds the
+    origin, for every t at once.
+
+    Polygons are stored vertex-major: column t of cx, cy holds polygon t's
+    m[t] vertices in rows 1..m[t] and its last vertex again in row 0, so
+    row i - 1 holds the predecessor of row i; the rest is zero padding.
+    Each vertex in turn emits the crossing of its incoming edge with the
+    bisector, then itself if it is kept. Returns the clipped polygons in the
+    same layout and their vertex counts.
     """
+    trials = m.size
+    v = cx * qx
+    v += cy * qy
+    v -= 0.5 * q2
+    out = v > 0.0
+    valid = np.arange(cx.shape[0] - 1)[:, None] < m
+    cross = (out[:-1] != out[1:]) & valid
+    keep = ~out[1:] & valid
+    emitted = cross.astype(np.intp) + keep
+    end = np.cumsum(emitted, axis=0)
+    m = end[-1]
+    nx = np.zeros((m.max() + 1, trials))
+    ny = np.zeros((m.max() + 1, trials))
+    # flat positions: row i of cross/keep is row i + 1 of cx, cy (one row
+    # of `trials` further on), its predecessor row i
+    column = np.arange(trials)
+    at = np.flatnonzero(cross)
+    pv, cv = v.ravel()[at], v.ravel()[at + trials]
+    px, py = cx.ravel()[at], cy.ravel()[at]
+    s = pv / (pv - cv)
+    to = ((end - emitted + 1) * trials + column).ravel()[at]
+    nx.ravel()[to] = px + s * (cx.ravel()[at + trials] - px)
+    ny.ravel()[to] = py + s * (cy.ravel()[at + trials] - py)
+    at = np.flatnonzero(keep)
+    to = (end * trials + column).ravel()[at]
+    nx.ravel()[to] = cx.ravel()[at + trials]
+    ny.ravel()[to] = cy.ravel()[at + trials]
+    nx[0] = nx[m, column]
+    ny[0] = ny[m, column]
+    return nx, ny, m
+
+
+def _shoelace(cx, cy, m):
+    """Areas of polygons in ``_clip``'s layout, each polygon's terms summed
+    in vertex order, one row at a time, as a sequential sum over that
+    polygon alone would."""
+    terms = cx[:-1] * cy[1:] - cy[:-1] * cx[1:]
+    terms[np.arange(terms.shape[0])[:, None] >= m] = 0.0
+    total = np.zeros(m.size)
+    for row in terms:
+        total += row
+    return 0.5 * total
+
+
+def _cell_areas(dx, dy, box):
+    """Area of the Voronoi cell of a station at the origin, one per row.
+
+    Row t holds the offsets (dx[t], dy[t]) of the other stations, padded
+    with inf, and its cell is cut from the rectangle box = (x0, x1, y0, y1),
+    whose entries are scalars or per-row arrays. Each row clips its
+    rectangle (Sutherland-Hodgman) by the perpendicular bisector to each
+    station, nearest first, and retires once its next station is farther
+    than twice the cell's farthest vertex: that bisector and every later
+    one miss the cell, so the area is exact.
+
+    All live rows take a step together, on polygons stored as in
+    ``_clip``. A row's arithmetic and vertex order do not depend on the
+    other rows (ties in distance keep their column order), so its area
+    equals that of its one-row call.
+    """
+    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
+    trials, stations = dx.shape
     d2 = dx * dx + dy * dy
-    order = np.argsort(d2)
-    x0, x1, y0, y1 = box
-    cell = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    reach2 = max(x * x + y * y for x, y in cell)
-    for qx, qy, q2 in zip(dx[order].tolist(), dy[order].tolist(), d2[order].tolist()):
-        if q2 > 4.0 * reach2:
-            break
-        # keep the side p . q <= |q|^2 / 2, which holds the origin
-        half = 0.5 * q2
-        px, py = cell[-1]
-        pv = px * qx + py * qy - half
-        clipped = []
-        for x, y in cell:
-            v = x * qx + y * qy - half
-            if (v > 0.0) != (pv > 0.0):
-                s = pv / (pv - v)
-                clipped.append((px + s * (x - px), py + s * (y - py)))
-            if v <= 0.0:
-                clipped.append((x, y))
-            px, py, pv = x, y, v
-        cell = clipped
-        reach2 = max(x * x + y * y for x, y in cell)
-    return 0.5 * sum(px * y - py * x for (px, py), (x, y) in zip(cell[-1:] + cell[:-1], cell))
+    order = np.argsort(d2, axis=1, kind="stable")
+    x0, x1, y0, y1 = (np.broadcast_to(np.asarray(b, dtype=float), (trials,)) for b in box)
+    cx = np.stack((x0, x0, x1, x1, x0))
+    cy = np.stack((y1, y0, y0, y1, y1))
+    m = np.full(trials, 4)
+    live = np.arange(trials)
+    areas = np.empty(trials)
+    for k in range(stations):
+        # neither the repeated vertex nor zero padding raises the maximum
+        reach2 = np.max(cx * cx + cy * cy, axis=0)
+        nearest = order[live, k]
+        q2 = d2[live, nearest]
+        done = q2 > 4.0 * reach2
+        if done.any():
+            areas[live[done]] = _shoelace(cx[:, done], cy[:, done], m[done])
+            going = ~done
+            live, cx, cy, m = live[going], cx[:, going], cy[:, going], m[going]
+            nearest, q2 = nearest[going], q2[going]
+            if not live.size:
+                break
+        cx, cy, m = _clip(cx, cy, m, dx[live, nearest], dy[live, nearest], q2)
+    # trials that outlive their stations
+    areas[live] = _shoelace(cx, cy, m)
+    return areas
 
 
 def _serving_cells(lambda_b: float, trials: int, rng: np.random.Generator):
@@ -396,17 +468,31 @@ def _serving_cells(lambda_b: float, trials: int, rng: np.random.Generator):
     station sits at (r, 0). The other stations are a Poisson field on the
     annulus r < |y| < R, R holding 100 stations in expectation, and the
     cell is cut from the square enclosing that disc.
+
+    Trials are drawn and clipped in blocks of ``_CLIP_BLOCK``. A block
+    takes one draw of uniforms, in which trial t's n_t stations own 2 n_t
+    consecutive values: n_t radial variates, then n_t angular ones.
     """
     radius = 10.0 / math.sqrt(lambda_b * math.pi)
     u = (rng.permutation(trials) + rng.random(trials)) / trials
     r = np.sqrt(-np.log(u) / (math.pi * lambda_b))
     counts = rng.poisson(lambda_b * math.pi * np.maximum(radius * radius - r * r, 0.0))
     areas = np.empty(trials)
-    for t, (r_t, n) in enumerate(zip(r.tolist(), counts.tolist())):
-        rho = np.sqrt(r_t * r_t + (radius * radius - r_t * r_t) * rng.random(n))
-        phi = TWO_PI * rng.random(n)
-        areas[t] = _cell_area(rho * np.cos(phi) - r_t, rho * np.sin(phi),
-                              (-radius - r_t, radius - r_t, -radius, radius))
+    for start in range(0, trials, _CLIP_BLOCK):
+        block = slice(start, start + _CLIP_BLOCK)
+        r_b, n_b = r[block], counts[block]
+        draws = rng.random(2 * int(n_b.sum()))
+        # True on each trial's first n_t draws, False on its next n_t
+        radial = np.repeat(np.resize((True, False), 2 * n_b.size), np.repeat(n_b, 2))
+        r_s = np.repeat(r_b, n_b)
+        rho = np.sqrt(r_s * r_s + (radius * radius - r_s * r_s) * draws[radial])
+        phi = TWO_PI * draws[~radial]
+        present = np.arange(n_b.max()) < n_b[:, None]
+        dx = np.full(present.shape, np.inf)
+        dy = np.full(present.shape, np.inf)
+        dx[present] = rho * np.cos(phi) - r_s
+        dy[present] = rho * np.sin(phi)
+        areas[block] = _cell_areas(dx, dy, (-radius - r_b, radius - r_b, -radius, radius))
     return r, areas
 
 

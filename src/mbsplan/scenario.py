@@ -101,9 +101,10 @@ class RadioParams:
 
     Defaults describe a 10 MHz downlink at 1 GHz with unit reuse, 1 W
     transmit power, urban path loss 3.5 and thermal noise -174 dBm/Hz.
-    ``reference_gain`` folds antenna gain and the 1 m free-space loss into
-    one received-power multiplier; left unset it is derived from the
-    carrier frequency as (c / 4 pi f)^2.
+    ``reference_gain`` folds the antenna gain G and the 1 m free-space loss
+    into one received-power multiplier; left unset it is derived as
+    G (c / 4 pi f)^2. An explicit ``reference_gain`` already includes G, so
+    it cannot be combined with an ``antenna_gain`` other than 1.
     """
 
     bandwidth_hz: float = 1e7
@@ -137,9 +138,16 @@ class RadioParams:
             raise ValidationError(
                 f"target_delay_s_per_bit must be > 0, got {self.target_delay_s_per_bit}"
             )
+        if not self.antenna_gain > 0:
+            raise ValidationError(f"radio: antenna_gain must be > 0, got {self.antenna_gain}")
         if self.reference_gain is None:
             gain = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * self.carrier_freq_hz)) ** 2
-            object.__setattr__(self, "reference_gain", gain)
+            object.__setattr__(self, "reference_gain", self.antenna_gain * gain)
+        elif self.antenna_gain != 1.0:
+            raise ValidationError(
+                "radio: reference_gain already includes the antenna gain; give either "
+                f"reference_gain or antenna_gain, not both (antenna_gain {self.antenna_gain})"
+            )
         if self.reference_gain <= 0:
             raise ValidationError(f"reference_gain must be > 0, got {self.reference_gain}")
 
@@ -506,9 +514,10 @@ def scenario_to_config(scenario: Scenario, profile_refs: dict) -> dict:
             "path_loss_exponent": radio.path_loss_exponent,
             "noise_psd_w_per_hz": radio.noise_psd_w_per_hz,
             "target_delay_s_per_bit": radio.target_delay_s_per_bit,
-            "reference_gain": radio.reference_gain,
         },
     }
+    if radio.antenna_gain == 1.0:
+        doc["radio"]["reference_gain"] = radio.reference_gain
     if scenario.quadrature is not None:
         doc["quadrature"] = dict(scenario.quadrature)
     return doc

@@ -11,7 +11,8 @@ the reduced LP and solver under test.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -49,44 +50,44 @@ def enumerate_optimum(c, a_eq, b_eq, a_ub, b_ub, bounds):
     if need < 0:
         # Over-determined equality system; solve by least squares and check.
         x, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-        if _feasible(x, a_eq, b_eq, a_ub, b_ub, lo, hi):
+        if _feasible(x[np.newaxis], a_eq, b_eq, a_ub, b_ub, lo, hi)[0]:
             return "optimal", float(c @ x)
         return "infeasible", None
 
-    combos = list(combinations(range(pool_a.shape[0]), need))
-    if not combos:
-        combos = [()]
-    mats = np.empty((len(combos), n, n))
-    rhs = np.empty((len(combos), n))
+    # One system per choice of `need` active rows from the pool.
+    count = comb(pool_a.shape[0], need)
+    combos = chain.from_iterable(combinations(range(pool_a.shape[0]), need))
+    idx = np.fromiter(combos, dtype=np.intp, count=count * need).reshape(count, need)
+    mats = np.empty((idx.shape[0], n, n))
+    rhs = np.empty((idx.shape[0], n))
     mats[:, :m_eq] = a_eq
     rhs[:, :m_eq] = b_eq
-    for i, combo in enumerate(combos):
-        idx = list(combo)
-        mats[i, m_eq:] = pool_a[idx]
-        rhs[i, m_eq:] = pool_b[idx]
+    mats[:, m_eq:] = pool_a[idx]
+    rhs[:, m_eq:] = pool_b[idx]
 
     dets = np.abs(np.linalg.det(mats))
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)) ** n)
+    # largest |entry| of each system, from per-row maxima
+    eq_max = np.abs(a_eq).max(initial=0.0)
+    row_max = np.abs(pool_a).max(axis=1)[idx].max(axis=1, initial=eq_max)
+    scale = np.maximum(1.0, row_max ** n)
     usable = dets > 1e-9 * scale
-    best = None
-    if usable.any():
-        solutions = np.linalg.solve(mats[usable], rhs[usable][..., np.newaxis])[..., 0]
-        for x in solutions:
-            if _feasible(x, a_eq, b_eq, a_ub, b_ub, lo, hi):
-                value = float(c @ x)
-                if best is None or value < best:
-                    best = value
-    if best is None:
+    if not usable.any():
         return "infeasible", None
-    return "optimal", best
+    solutions = np.linalg.solve(mats[usable], rhs[usable][..., np.newaxis])[..., 0]
+    feasible = solutions[_feasible(solutions, a_eq, b_eq, a_ub, b_ub, lo, hi)]
+    if not feasible.size:
+        return "infeasible", None
+    return "optimal", float(np.min(feasible @ c))
 
 
-def _feasible(x, a_eq, b_eq, a_ub, b_ub, lo, hi):
-    if a_eq.size and np.max(np.abs(a_eq @ x - b_eq)) > FEAS_TOL * (1.0 + np.abs(b_eq).max()):
-        return False
-    if a_ub.size and np.max(a_ub @ x - b_ub) > FEAS_TOL * (1.0 + np.abs(b_ub).max()):
-        return False
-    return bool(np.all(x >= lo - FEAS_TOL) and np.all(x <= hi + FEAS_TOL))
+def _feasible(xs, a_eq, b_eq, a_ub, b_ub, lo, hi):
+    """Which rows of xs satisfy every constraint to FEAS_TOL."""
+    ok = np.all((xs >= lo - FEAS_TOL) & (xs <= hi + FEAS_TOL), axis=1)
+    if a_eq.size:
+        ok &= np.max(np.abs(xs @ a_eq.T - b_eq), axis=1) <= FEAS_TOL * (1.0 + np.abs(b_eq).max())
+    if a_ub.size:
+        ok &= np.max(xs @ a_ub.T - b_ub, axis=1) <= FEAS_TOL * (1.0 + np.abs(b_ub).max())
+    return ok
 
 
 def allocation_lp(demand, areas, static_cost, mobile_cost):

@@ -341,6 +341,30 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("gain", [0, -5.0])
+def test_cli_non_positive_antenna_gain_exits_2(tmp_path, capsys, gain):
+    # Gains of 0 and -5 once exited 0 with the unchanged 27.40% plan.
+    config = default_config()
+    config["radio"]["antenna_gain"] = gain
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"radio: antenna_gain must be > 0, got {gain}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_antenna_gain_with_reference_gain_exits_2(tmp_path, capsys):
+    config = default_config()
+    config["radio"]["antenna_gain"] = 4.0
+    config["radio"]["reference_gain"] = 1e-3
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "radio: reference_gain" in err and "antenna_gain" in err
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--version"])

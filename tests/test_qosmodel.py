@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from mbsplan.qosmodel import (QuadratureSpec, _cell_area, _serving_cells, capacity,
+import mc_reference
+from mbsplan.pipeline import MC_SPOT_DENSITIES_PER_KM2
+from mbsplan.qosmodel import (QuadratureSpec, _cell_areas, _serving_cells, capacity,
                               delay_given_utilization, evaluate_qos, mc_delay_oracle,
                               mean_interference, overlap_area, pair_distance,
                               shared_load_kernel)
@@ -269,6 +271,11 @@ def _lattice(a, b, spacing, reach=4):
 BOX = (-50.0, 50.0, -50.0, 50.0)
 
 
+def _cell_area(dx, dy, box):
+    """One cell through the batched clipper, as a batch of one row."""
+    return _cell_areas(np.atleast_2d(dx), np.atleast_2d(dy), box)[0]
+
+
 def test_cell_area_exact_on_square_and_hexagonal_lattices():
     dx, dy = _lattice((1.0, 0.0), (0.0, 1.0), 3.0)
     assert _cell_area(dx, dy, BOX) == pytest.approx(9.0, abs=1e-12)
@@ -327,6 +334,48 @@ def test_cell_area_without_other_stations_is_the_box():
     # A trial whose annulus holds no station keeps the whole square.
     empty = np.empty(0)
     assert _cell_area(empty, empty, (-3.0, 5.0, -4.0, 4.0)) == pytest.approx(64.0, abs=1e-12)
+
+
+# validate's Monte Carlo station densities: the zero-traffic spot runs at
+# 10/km^2 as well.
+SPOT_BS_PER_KM2 = sorted({10.0} | {bs for bs, _ in MC_SPOT_DENSITIES_PER_KM2})
+
+
+@pytest.mark.parametrize("trials", [1000, 2500])  # 2500 crosses a block boundary
+@pytest.mark.parametrize("bs_km2", SPOT_BS_PER_KM2)
+def test_serving_cells_bit_equal_to_scalar_reference(bs_km2, trials):
+    for seed in (1234, 1235, 1236):
+        r, areas = _serving_cells(bs_km2 * PER_KM2, trials, np.random.default_rng(seed))
+        r_ref, areas_ref = mc_reference.serving_cells(bs_km2 * PER_KM2, trials,
+                                                      np.random.default_rng(seed))
+        assert np.array_equal(r, r_ref)
+        assert np.array_equal(areas, areas_ref)
+
+
+def test_cell_areas_rows_equal_their_single_row_calls():
+    # A lattice row, a row with no other station (the whole box) and the
+    # corner-cut row, padded with inf to a common width, each with its box.
+    lattice = _lattice((1.0, 0.0), (0.5, np.sqrt(3.0) / 2.0), 2.0)
+    corner = (np.array([2.0, -2.0, 0.0, 0.0, 1.6]), np.array([0.0, 0.0, 2.0, -2.0, 1.6]))
+    empty = (np.empty(0), np.empty(0))
+    stations = [lattice, empty, corner]
+    boxes = [BOX, (-3.0, 5.0, -4.0, 4.0), BOX]
+    width = max(x.size for x, _ in stations)
+    dx = np.full((3, width), np.inf)
+    dy = np.full((3, width), np.inf)
+    for t, (x, y) in enumerate(stations):
+        dx[t, :x.size] = x
+        dy[t, :y.size] = y
+    areas = _cell_areas(dx, dy, tuple(np.array(b) for b in zip(*boxes)))
+    for t, ((x, y), box) in enumerate(zip(stations, boxes)):
+        assert areas[t] == _cell_area(x, y, box)
+    # The lattice's equidistant stations may be clipped in another order by
+    # the reference's unstable sort; the other rows have no ties.
+    assert areas[0] == pytest.approx(np.sqrt(3.0) / 2.0 * 4.0, abs=1e-12)
+    for t in (1, 2):
+        assert areas[t] == mc_reference.cell_area(*stations[t], boxes[t])
+    assert areas[1] == 64.0
+    assert areas[2] == pytest.approx(4.0 - 0.08, abs=1e-12)
 
 
 def test_quadrature_spec_validation():

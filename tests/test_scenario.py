@@ -29,6 +29,14 @@ def test_radio_explicit_reference_gain_kept():
     assert params.reference_gain == 1e-3
 
 
+def test_radio_antenna_gain_scales_the_derived_reference_gain():
+    assert RadioParams(antenna_gain=4.0).reference_gain == 4.0 * RadioParams().reference_gain
+    # an explicit reference gain already includes the antenna gain
+    assert RadioParams(antenna_gain=1.0, reference_gain=1e-3).reference_gain == 1e-3
+    with pytest.raises(ValidationError, match="reference_gain.*antenna_gain"):
+        RadioParams(antenna_gain=4.0, reference_gain=1e-3)
+
+
 @pytest.mark.parametrize("field,value", [
     ("bandwidth_hz", 0.0),
     ("reuse_factor", 0),
@@ -36,6 +44,8 @@ def test_radio_explicit_reference_gain_kept():
     ("path_loss_exponent", 2.0),   # model needs alpha > 2
     ("noise_psd_w_per_hz", -1e-21),  # zero is legal (interference-limited)
     ("target_delay_s_per_bit", -1e-5),
+    ("antenna_gain", 0.0),
+    ("antenna_gain", -5.0),
 ])
 def test_radio_rejects_bad_values(field, value):
     with pytest.raises(ValidationError):
@@ -202,6 +212,9 @@ def test_save_load_round_trip(tmp_path):
     assert [r.id for r in again.regions] == [r.id for r in scenario.regions]
     for a, b in zip(again.profiles, scenario.profiles):
         assert a.samples == b.samples
+    # a derived reference gain is not written back next to its antenna gain
+    gained = dataclasses.replace(scenario, radio=RadioParams(antenna_gain=4.0))
+    assert load_scenario_file(save_scenario(gained, tmp_path / "gained")).radio == gained.radio
 
 
 def test_default_scenario_matches_default_config():
