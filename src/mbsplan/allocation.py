@@ -22,6 +22,13 @@ pass rebuilds a reproducible schedule that meets the equality above.
 With equal unit costs the optimum value is pinned but the static/mobile
 split is not; a tiny surcharge on the fleet makes the solver prefer static
 capacity deterministically.
+
+When static stations are strictly dearer than the surcharged fleet,
+c_s > c_m' = c_m (1 + TIE_BREAK_EPSILON), no solver runs: the peak slot
+forces M >= P - sum_z A_z lambda_s[z], P the peak aggregate demand, so the
+cost is at least c_m' P + (c_s - c_m') sum_z A_z lambda_s[z], uniquely
+smallest at lambda_s = 0 with M = P. HiGHS runs only when static is not
+dearer.
 """
 
 from __future__ import annotations
@@ -181,7 +188,7 @@ class AllocationLP:
 
 def build_allocation_lp(demand, areas_m2, costs: CostModel = CostModel()) -> AllocationLP:
     """Assemble the reduced deployment LP as a sparse matrix."""
-    # Imported on first use, like linprog in optimal_plan, so that this
+    # Imported on first use, like linprog in _solve_static, so that this
     # module adds nothing to start-up.
     from scipy import sparse
 
@@ -243,15 +250,33 @@ def canonicalize_schedule(raw_plan: DeploymentPlan, demand, areas_m2) -> Deploym
 
 
 def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> DeploymentPlan:
-    """Solve the deployment LP with HiGHS and return the canonicalized optimum."""
-    # Imported on first use: scipy.optimize adds ~0.2 s to every start-up.
-    from scipy.optimize import linprog
-
+    """Return the canonicalized optimum: all-mobile in closed form when
+    static stations are strictly dearer, otherwise solved by HiGHS."""
     values = _demand_values(demand)
     areas = _areas(areas_m2, values.shape[1])
 
     biased = CostModel(static_unit_cost=costs.static_unit_cost,
                        mobile_unit_cost=costs.mobile_unit_cost * (1.0 + TIE_BREAK_EPSILON))
+    if biased.static_unit_cost > biased.mobile_unit_cost:
+        # M >= P - sum_z A_z s_z (the peak slot), so the biased cost is at
+        # least c_m' P + (c_s - c_m') sum_z A_z s_z: uniquely smallest at s = 0.
+        static = np.zeros(values.shape[1])
+    else:
+        static = _solve_static(values, areas, biased)
+    # The smallest fleet that tops the static densities up to every slot's
+    # demand follows in closed form.
+    fleet = float((np.maximum(0.0, values - static) @ areas).max())
+    objective = costs.mobile_unit_cost * fleet + costs.static_unit_cost * float(static @ areas)
+    raw = DeploymentPlan(static_density=static, mbs_schedule=np.zeros_like(values),
+                         fleet_size=fleet, objective_value=objective, cost_model=costs)
+    return canonicalize_schedule(raw, values, areas)
+
+
+def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
+    """Static densities of the reduced LP's optimum under the biased costs."""
+    # Imported on first use: scipy.optimize adds ~0.2 s to every start-up.
+    from scipy.optimize import linprog
+
     lp = build_allocation_lp(values, areas, biased)
     result = linprog(lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds,
                      method="highs")
@@ -260,15 +285,9 @@ def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> Deployment
         # always feasible, so any other status means the solver broke.
         raise RuntimeError(f"allocation LP failed on a feasible-by-construction "
                            f"instance: {result.message}")
-    # Keep only the static densities (clipped into their box against solver
-    # dust); the smallest fleet that tops them up to every slot's demand
-    # follows in closed form.
-    static = np.clip(result.x[1:1 + values.shape[1]], 0.0, values.max(axis=0))
-    fleet = float((np.maximum(0.0, values - static) @ areas).max())
-    objective = costs.mobile_unit_cost * fleet + costs.static_unit_cost * float(static @ areas)
-    raw = DeploymentPlan(static_density=static, mbs_schedule=np.zeros_like(values),
-                         fleet_size=fleet, objective_value=objective, cost_model=costs)
-    return canonicalize_schedule(raw, values, areas)
+    # Keep only the static densities, clipped into their box against solver
+    # dust.
+    return np.clip(result.x[1:1 + values.shape[1]], 0.0, values.max(axis=0))
 
 
 def peak_aggregate_demand(demand, areas_m2) -> float:

@@ -95,10 +95,13 @@ class _Solved:
 
 
 def _solve_scenario(scenario: Scenario, costs: CostModel = CostModel(),
+                    users: UserDensityMatrix | None = None,
                     demand: DemandMatrix | None = None) -> _Solved:
     """The shared run/sweep path; sweeps reuse it so that identical inputs
-    give bit-identical outputs either way."""
-    users = user_density_matrix(scenario)
+    give bit-identical outputs either way. A sweep that holds the scenario
+    fixed passes its ``users`` and ``demand`` in, computed once."""
+    if users is None:
+        users = user_density_matrix(scenario)
     if demand is None:
         demand = demand_matrix(users, scenario.radio, _quad_from_scenario(scenario))
     plan = optimal_plan(demand, scenario.areas_m2(), costs)
@@ -252,9 +255,13 @@ def sweep_density_ratio(config_path, ratios) -> SweepResult:
 def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
     """Vary the static/mobile unit-cost ratio on a fixed demand matrix.
 
-    Dimensioning runs once; each point solves the deployment LP with static
-    cost equal to the ratio (mobile cost 1) and reports the cost saving
-    against an all-static build priced at the same static cost.
+    The user densities and the dimensioning are computed once; each point
+    prices static stations at the ratio (mobile cost 1) and reports the cost
+    saving against an all-static build priced at the same static cost. A
+    ratio above 1 + ``TIE_BREAK_EPSILON`` makes static strictly dearer, so
+    its optimum is the all-mobile fleet at the peak aggregate demand in
+    closed form; only the points where static is not dearer solve the
+    deployment LP with HiGHS.
     """
     scenario, _ = _load(config_path)
     ratios = np.asarray(cost_ratios, dtype=float)
@@ -265,7 +272,7 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
 
     def solve_one(ratio):
         costs = CostModel(static_unit_cost=ratio, mobile_unit_cost=1.0)
-        solved = _solve_scenario(scenario, costs=costs, demand=demand)
+        solved = _solve_scenario(scenario, costs=costs, users=users, demand=demand)
         static_only_cost = ratio * solved.report.static_only_total
         saving = 0.0 if static_only_cost <= 0.0 else \
             1.0 - solved.plan.objective_value / static_only_cost
@@ -328,23 +335,28 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     quad = _quad_from_scenario(scenario)
     checks: list[ValidationCheck] = []
 
-    # Zero traffic: the analytic delay and the simulated delay are both
-    # exactly zero (no users, nothing to transmit).
-    analytic_zero = delay_given_utilization(10e-6, 0.0, 1.0, params, quad)
-    mc_zero = mc_delay_oracle(10e-6, 0.0, 1.0, params, trials=1000, rng_seed=seed)
+    # Each spot's draws score its load and zero traffic: the estimate is
+    # linear in the user density, so the second costs no extra draws.
+    simulated = [mc_delay_oracle(bs_km2 / 1e6, (users_km2 / 1e6, 0.0), 1.0, params,
+                                 trials=mc_trials, rng_seed=seed + i).tolist()
+                 for i, (bs_km2, users_km2) in enumerate(MC_SPOT_DENSITIES_PER_KM2)]
+
+    # Zero traffic: the analytic delay and the simulated delay (on the first
+    # spot's draws) are both exactly zero (no users, nothing to transmit).
+    analytic_zero = delay_given_utilization(MC_SPOT_DENSITIES_PER_KM2[0][0] / 1e6, 0.0, 1.0,
+                                            params, quad)
+    mc_zero = simulated[0][1]
     ok = analytic_zero == 0.0 and mc_zero == 0.0
     checks.append(ValidationCheck(
         "zero-traffic identity", ok,
         f"analytic {analytic_zero!r}, simulated {mc_zero!r} (both must be 0.0)"))
 
-    for i, (bs_km2, users_km2) in enumerate(MC_SPOT_DENSITIES_PER_KM2):
+    for (bs_km2, users_km2), (mc, _) in zip(MC_SPOT_DENSITIES_PER_KM2, simulated):
         analytic = delay_given_utilization(bs_km2 / 1e6, users_km2 / 1e6, 1.0, params, quad)
-        simulated = mc_delay_oracle(bs_km2 / 1e6, users_km2 / 1e6, 1.0, params,
-                                    trials=mc_trials, rng_seed=seed + i)
-        rel = abs(simulated - analytic) / analytic
+        rel = abs(mc - analytic) / analytic
         checks.append(ValidationCheck(
             f"mc-delay bs={bs_km2:g}/km2 users={users_km2:g}/km2", rel < _MC_REL_TOL,
-            f"analytic {analytic:.6e} s/bit, simulated {simulated:.6e} s/bit, "
+            f"analytic {analytic:.6e} s/bit, simulated {mc:.6e} s/bit, "
             f"rel err {100 * rel:.2f}% (limit {100 * _MC_REL_TOL:.0f}%)"))
 
     grid = np.logspace(np.log10(_GRID_LO_PER_KM2), np.log10(_GRID_HI_PER_KM2),

@@ -498,12 +498,12 @@ def _serving_cells(lambda_b: float, trials: int, rng: np.random.Generator):
 
 def mc_delay_oracle(
     lambda_b: float,
-    lambda_u: float,
+    lambda_u,
     utilization: float,
     params: RadioParams,
     trials: int,
     rng_seed: int,
-) -> float:
+):
     """Simulation estimate of the mean per-bit delay, for cross-checking.
 
     Given the stations, the number of other users sharing the tagged user's
@@ -514,6 +514,9 @@ def mc_delay_oracle(
     utilization: the simulation validates the geometry and load integrals,
     not the interference average. It shares no code with the analytic
     integrals. Deterministic for a fixed seed.
+
+    The estimate is linear in lambda_u, so one set of draws scores an array
+    of user densities at once; each element is bit-equal to its scalar call.
     """
     if lambda_b <= 0:
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
@@ -521,4 +524,5 @@ def mc_delay_oracle(
         raise ValueError(f"trials must be >= 1, got {trials}")
     r, areas = _serving_cells(lambda_b, trials, np.random.default_rng(rng_seed))
     rate = capacity(r, params, mean_interference(r, params, lambda_b, utilization))
-    return lambda_u * float(np.sum(areas / rate)) / trials
+    tau = np.asarray(lambda_u, dtype=float) * float(np.sum(areas / rate)) / trials
+    return float(tau) if tau.ndim == 0 else tau

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan,
                                 build_allocation_lp, canonicalize_schedule,
@@ -147,6 +148,47 @@ def test_bench_scenario_204_7_optimum_is_peak_aggregate_demand():
                                                      mobile_unit_cost=1.0))
         assert plan.objective_value == pytest.approx(peak, rel=1e-7)
         assert verify_plan(plan, demand, areas) == []
+
+
+def test_dearer_static_is_all_mobile_without_a_solver(monkeypatch):
+    # Static strictly dearer than the surcharged fleet: the optimum is
+    # s = 0, M = P in closed form, and no LP may be solved to get it.
+    def linprog(*args, **kwargs):
+        raise AssertionError("linprog called where the optimum is closed-form")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    rng = np.random.default_rng(2718)
+    demand = rng.uniform(0.0, 15.0, size=(6, 3)) / KM2
+    areas = rng.uniform(1.0, 3.0, size=3) * KM2
+    costs = CostModel(static_unit_cost=2.0, mobile_unit_cost=1.0)
+    plan = optimal_plan(demand, areas, costs)
+    peak = peak_aggregate_demand(demand, areas)
+    assert np.all(plan.static_density == 0.0)
+    assert plan.fleet_size == peak
+    assert plan.objective_value == costs.mobile_unit_cost * peak
+    assert verify_plan(plan, demand, areas) == []
+
+
+@pytest.mark.parametrize("static_cost, calls", [
+    (2.0, 0),
+    (np.nextafter(1.0 + TIE_BREAK_EPSILON, math.inf), 0),
+    (1.0 + TIE_BREAK_EPSILON, 1),  # exact tie with the surcharged fleet
+    (1.0, 1),
+    (0.5, 1),
+])
+def test_linprog_runs_only_when_static_is_not_dearer(monkeypatch, static_cost, calls):
+    real = scipy.optimize.linprog
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    plan = optimal_plan(HAND_DEMAND, HAND_AREAS, CostModel(static_unit_cost=static_cost,
+                                                           mobile_unit_cost=1.0))
+    assert len(seen) == calls
+    assert verify_plan(plan, HAND_DEMAND, HAND_AREAS) == []
 
 
 def test_fleet_grows_as_static_stations_get_pricier():

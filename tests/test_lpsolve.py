@@ -4,8 +4,11 @@ solver failures, LP invariances and the brute-force vertex oracle."""
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbsplan.allocation import CostModel, build_allocation_lp, optimal_plan, verify_plan
+from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, build_allocation_lp,
+                                optimal_plan, verify_plan)
 
 from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
 
@@ -127,6 +130,35 @@ def test_matches_vertex_enumeration():
         assert status == "optimal"  # all-static at each region's peak is feasible
         plan = optimal_plan(demand, areas, CostModel(static_cost, mobile_cost))
         assert plan.objective_value == pytest.approx(best, rel=1e-7, abs=1e-7)
+
+
+@st.composite
+def _dearer_static_instances(draw):
+    """Up to 2 x 2 cells (enumeration stays fast), some of them idle, with
+    static stations strictly dearer than the surcharged fleet."""
+    n_slots = draw(st.integers(1, 2))
+    n_regions = draw(st.integers(1, 2))
+    cell = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+    demand = np.array(draw(st.lists(cell, min_size=n_slots * n_regions,
+                                    max_size=n_slots * n_regions))).reshape(n_slots, n_regions)
+    areas = np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=n_regions,
+                                   max_size=n_regions)))
+    mobile_cost = draw(st.floats(0.5, 3.0))
+    surcharged = mobile_cost * (1.0 + TIE_BREAK_EPSILON)
+    static_cost = draw(st.one_of(st.just(np.nextafter(surcharged, np.inf)),
+                                 st.floats(surcharged, 3.0 * surcharged, exclude_min=True)))
+    return demand, areas, float(static_cost), mobile_cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dearer_static_instances())
+def test_dearer_static_matches_vertex_enumeration(instance):
+    demand, areas, static_cost, mobile_cost = instance
+    status, best = enumerate_optimum(*allocation_lp(demand, areas, static_cost, mobile_cost))
+    assert status == "optimal"
+    plan = optimal_plan(demand, areas, CostModel(static_cost, mobile_cost))
+    assert plan.objective_value == pytest.approx(best, rel=1e-7, abs=1e-7)
+    assert verify_plan(plan, demand, areas) == []
 
 
 def test_solution_feasibility_tolerances():

@@ -186,6 +186,19 @@ def test_cost_sweep_unit_ratio_matches_equal_cost_run(default_run):
     assert float(result.total_saving_fraction[0]) == report["total_saving_fraction"]
 
 
+def test_cost_sweep_computes_user_densities_once(monkeypatch):
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return user_density_matrix(scenario)
+
+    monkeypatch.setattr(pipeline, "user_density_matrix", counted)
+    result = sweep_cost_ratio(None, [1.0, 2.0, 3.0])
+    assert result.failures == []
+    assert len(calls) == 1
+
+
 def test_sweep_input_validation(tmp_path):
     with pytest.raises(ValueError):
         sweep_density_ratio(None, [0.5, 2.0])

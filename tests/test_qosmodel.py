@@ -260,6 +260,20 @@ def test_mc_oracle_zero_traffic_and_determinism():
     assert first > 0.0
 
 
+def test_mc_oracle_scores_user_densities_on_one_set_of_draws():
+    # Linear in lambda_u: one call scores an array of user densities, each
+    # element bit-equal to its scalar call on the same seed.
+    lam_b = 30.0 * PER_KM2
+    users = np.array([1000.0 * PER_KM2, 0.0, 37.5 * PER_KM2])
+    batch = mc_delay_oracle(lam_b, users, 0.7, PARAMS, trials=1000, rng_seed=9)
+    assert batch.shape == users.shape
+    for lam_u, value in zip(users, batch):
+        assert mc_delay_oracle(lam_b, float(lam_u), 0.7, PARAMS, trials=1000,
+                               rng_seed=9) == value
+    assert batch[1] == 0.0
+    assert isinstance(mc_delay_oracle(lam_b, 0.0, 0.7, PARAMS, trials=1000, rng_seed=9), float)
+
+
 def _lattice(a, b, spacing, reach=4):
     """Lattice points i a + j b (|i|, |j| <= reach) but the origin, scaled."""
     i, j = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1))
