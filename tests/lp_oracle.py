@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-FEAS_TOL = 1e-7
+FEAS_TOL = 1e-9
 
 
 def enumerate_optimum(c, a_eq, b_eq, a_ub, b_ub, bounds):
