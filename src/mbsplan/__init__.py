@@ -14,11 +14,9 @@ surface.
 __version__ = "0.1.0"
 
 from .scenario import (RadioParams, Region, Scenario, ScenarioError, SchemaError,
-                       TrafficProfile, UserDensityMatrix, ValidationError,
-                       default_config, default_scenario, load_scenario,
-                       load_scenario_file, resample_profile, save_scenario,
-                       scenario_to_config, slot_midpoints_h, synth_profile,
-                       user_density_matrix, write_profile_csv)
+                       UserDensityMatrix, ValidationError, default_config,
+                       default_scenario, load_scenario, load_scenario_file,
+                       slot_midpoints_h, user_density_matrix)
 from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, QuadratureSpec,
                        capacity, delay_given_utilization, evaluate_qos,
                        mc_delay_oracle, mean_interference, overlap_area,
@@ -38,10 +36,8 @@ __all__ = [
     "__version__",
     # scenario
     "RadioParams", "Region", "Scenario", "ScenarioError", "SchemaError",
-    "TrafficProfile", "UserDensityMatrix", "ValidationError", "default_config",
-    "default_scenario", "load_scenario", "load_scenario_file", "resample_profile",
-    "save_scenario", "scenario_to_config", "slot_midpoints_h", "synth_profile",
-    "user_density_matrix", "write_profile_csv",
+    "UserDensityMatrix", "ValidationError", "default_config", "default_scenario",
+    "load_scenario", "load_scenario_file", "slot_midpoints_h", "user_density_matrix",
     # qos model
     "FixedPointDiverged", "NonFinite", "QosEvaluation", "QuadratureSpec",
     "capacity", "delay_given_utilization", "evaluate_qos", "mc_delay_oracle",

@@ -239,10 +239,9 @@ def test_criterion_09d_fleet_grows_with_cost_ratio():
 
 def test_criterion_10_identical_profiles_save_nothing():
     base = default_scenario()
-    office_shape_everywhere = dataclasses.replace(base.profiles[0],
-                                                  region_id=base.regions[1].id)
-    scenario = dataclasses.replace(
-        base, profiles=(base.profiles[0], office_shape_everywhere))
+    office, residential = base.regions
+    office_shape_everywhere = dataclasses.replace(residential, profile=office.profile)
+    scenario = dataclasses.replace(base, regions=(office, office_shape_everywhere))
     bundle = _solved_bundle(scenario)
     assert abs(bundle["report"].total_saving_fraction) <= 1e-7
 

@@ -16,7 +16,8 @@ import mbsplan
 from mbsplan import cli, pipeline
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
-from mbsplan.scenario import default_config, default_scenario, user_density_matrix
+from mbsplan.scenario import (default_config, default_scenario, load_scenario_file,
+                              user_density_matrix)
 
 SERIES_HEADER = ("slot,time_h,region_id,baseline_per_km2,static_only_per_km2,"
                  "static_per_km2,mbs_per_km2,total_per_km2,excess_per_km2,mbs_fraction")
@@ -49,6 +50,8 @@ def test_run_emits_complete_artifact_set(default_run):
     expected = hashlib.sha256(
         json.dumps(default_config(), sort_keys=True).encode()).hexdigest()
     assert manifest["config_sha256"] == expected
+    # default_config() builds its radio block from RadioParams' fields: pin its bytes
+    assert expected == "b2911cb002f8eef400448858ba271ac0564db375371300d886cb3334ec41f637"
     assert manifest["tool_version"] == mbsplan.__version__
     assert manifest["wall_time_s"] > 0.0
     assert manifest["numpy_version"] == np.__version__
@@ -135,6 +138,27 @@ def test_explicit_default_config_file_reproduces_builtin_run(default_run, tmp_pa
     assert artifacts.manifest["config_sha256"] == default_run.manifest["config_sha256"]
     assert artifacts.plan_json_path.read_bytes() == default_run.plan_json_path.read_bytes()
     assert artifacts.savings_json_path.read_bytes() == default_run.savings_json_path.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["office_table_csv", "committed_percent_csvs"])
+def test_csv_profiles_reproduce_builtin_run(default_run, tmp_path, case):
+    if case == "office_table_csv":
+        rows = "".join(f"{t!r},{v!r}\n" for t, v in default_scenario().regions[0].profile)
+        (tmp_path / "office.csv").write_text("time_h,normalized_load\n" + rows)
+        config = default_config()
+        config["regions"][0]["profile"] = "office.csv"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        # both builtin tables in percent: each v / 100 rounds to the table's float
+        path = Path(__file__).parent / "data" / "csv_profiles" / "config.json"
+    users = user_density_matrix(load_scenario_file(path)).values
+    assert users.tobytes() == user_density_matrix(default_scenario()).values.tobytes()
+    artifacts = run_pipeline(path, tmp_path / "out")
+    for name in ("demand.csv", "plan.json", "savings.json", "series.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (default_run.demand_csv_path.parent / name).read_bytes()
+    assert artifacts.manifest["dimensioning"] == default_run.manifest["dimensioning"]
 
 
 def test_failed_run_cleans_up_partial_outputs(tmp_path, monkeypatch):
@@ -351,6 +375,41 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert f"radio: {field} must be a number, got {token}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("edit,value,message", [
+    # an id with a CSV delimiter once shifted the demand.csv and series.csv columns
+    pytest.param("id", "off,ice", "regions[0]: id must be", id="id-comma"),
+    pytest.param("id", 'off"ice', "regions[0]: id must be", id="id-quote"),
+    pytest.param("id", "off\nice", "regions[0]: id must be", id="id-newline"),
+    pytest.param("id", "office\r", "regions[0]: id must be", id="id-carriage-return"),
+    # these once failed later, naming no file, region or field
+    pytest.param("profile", "12,nan", "profile.csv, line 3: values must be finite",
+                 id="profile-nan"),
+    pytest.param("profile", "inf,0.5", "profile.csv, line 3: values must be finite",
+                 id="profile-inf"),
+    pytest.param("profile", "12,1e400", "profile.csv, line 3: values must be finite",
+                 id="profile-1e400"),
+    # the last value once won: a 7-slot plan with exit 0
+    pytest.param("json", ('"num_slots": 60', '"num_slots": 60, "num_slots": 7'),
+                 "config: duplicate key 'num_slots'", id="duplicate-key"),
+])
+def test_cli_meaningless_config_exits_2(tmp_path, capsys, edit, value, message):
+    config = default_config()
+    if edit == "id":
+        config["regions"][0]["id"] = value
+    elif edit == "profile":
+        (tmp_path / "profile.csv").write_text(f"time_h,normalized_load\n0,1\n{value}\n")
+        config["regions"][1]["profile"] = "profile.csv"
+    text = json.dumps(config)
+    if edit == "json":
+        text = text.replace(*value)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -1,4 +1,4 @@
-"""Scenario layer tests: config parsing, profiles, resampling, round trips."""
+"""Scenario layer tests: config parsing, profiles and slot interpolation."""
 
 import dataclasses
 import json
@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from mbsplan.scenario import (RadioParams, Region, Scenario, SchemaError,
-                              TrafficProfile, ValidationError, default_config,
-                              default_scenario, load_scenario, load_scenario_file,
-                              resample_profile, save_scenario, slot_midpoints_h,
-                              synth_profile, user_density_matrix, write_profile_csv)
+from mbsplan.scenario import (RadioParams, Region, SchemaError, ValidationError,
+                              default_config, default_scenario, load_scenario,
+                              load_scenario_file, slot_midpoints_h, user_density_matrix)
+
+FLAT = ((0.0, 1.0), (12.0, 1.0))
 
 
 def test_radio_defaults_and_derived_reference_gain():
@@ -46,6 +46,8 @@ def test_radio_antenna_gain_scales_the_derived_reference_gain():
     ("target_delay_s_per_bit", -1e-5),
     ("antenna_gain", 0.0),
     ("antenna_gain", -5.0),
+    ("bandwidth_hz", float("nan")),
+    ("reuse_factor", 1.5),
 ])
 def test_radio_rejects_bad_values(field, value):
     with pytest.raises(ValidationError):
@@ -53,43 +55,50 @@ def test_radio_rejects_bad_values(field, value):
 
 
 def test_region_validation():
-    region = Region(id="office", area_km2=2.0, peak_user_density_per_km2=100.0)
+    region = Region(id="office", area_km2=2.0, peak_user_density_per_km2=100.0, profile=FLAT)
     assert region.area_m2 == pytest.approx(2e6)
     assert region.peak_user_density_per_m2 == pytest.approx(1e-4)
     with pytest.raises(ValidationError):
-        Region(id="", area_km2=1.0, peak_user_density_per_km2=1.0)
+        dataclasses.replace(region, id="")
     with pytest.raises(ValidationError):
-        Region(id="x", area_km2=0.0, peak_user_density_per_km2=1.0)
+        dataclasses.replace(region, area_km2=0.0)
+    # ids are written unquoted into CSV rows and column names
+    for bad_id in ("off,ice", 'off"ice', "off\nice", "office\r"):
+        with pytest.raises(ValidationError, match="^id must be"):
+            dataclasses.replace(region, id=bad_id)
 
 
 def test_profile_normalizes_to_unit_peak():
-    profile = TrafficProfile(region_id="r", samples=((0.0, 2.0), (12.0, 4.0)))
-    assert profile.loads.max() == pytest.approx(1.0)
-    assert profile.loads[0] == pytest.approx(0.5)
+    region = Region(id="r", area_km2=1.0, peak_user_density_per_km2=1.0,
+                    profile=((0.0, 2.0), (12.0, 4.0)))
+    assert region.profile == ((0.0, 0.5), (12.0, 1.0))
 
 
 def test_profile_rejects_bad_samples():
-    with pytest.raises(ValidationError):
-        TrafficProfile(region_id="r", samples=((0.0, 1.0),))  # single point
-    with pytest.raises(ValidationError):
-        TrafficProfile(region_id="r", samples=((0.0, 1.0), (24.0, 1.0)))  # 24 h excluded
-    with pytest.raises(ValidationError):
-        TrafficProfile(region_id="r", samples=((5.0, 1.0), (2.0, 1.0)))  # not increasing
-    with pytest.raises(ValidationError):
-        TrafficProfile(region_id="r", samples=((0.0, 0.0), (1.0, 0.0)))  # all zero
+    region = Region(id="r", area_km2=1.0, peak_user_density_per_km2=1.0, profile=FLAT)
+    for profile in (((0.0, 1.0),),                       # single point
+                    ((0.0, 1.0), (24.0, 1.0)),           # 24 h excluded
+                    ((5.0, 1.0), (2.0, 1.0)),            # not increasing
+                    ((0.0, 0.0), (1.0, 0.0)),            # all zero
+                    ((0.0, float("nan")), (1.0, 1.0)),   # max() would skip NaN
+                    ((0.0, float("inf")), (1.0, 1.0)),   # inf / inf is NaN
+                    ((0.0, 1.0), (float("nan"), 1.0))):
+        with pytest.raises(ValidationError, match="^profile"):
+            dataclasses.replace(region, profile=profile)
 
 
 def test_builtin_profiles_shape():
-    office = synth_profile("office")
-    resid = synth_profile("residential")
-    assert office.loads.size == 24 and resid.loads.size == 24
-    assert office.loads.max() == 1.0 and resid.loads.max() == 1.0
+    office, resid = (np.array(r.profile) for r in default_scenario().regions)
+    assert office.shape == resid.shape == (24, 2)
+    assert office[:, 1].max() == 1.0 and resid[:, 1].max() == 1.0
     # peaks anti-aligned: office mid-morning, residential in the evening
-    assert office.times_h[np.argmax(office.loads)] == 10.0
-    assert resid.times_h[np.argmax(resid.loads)] == 21.0
-    assert office.loads[21] < 0.5 and resid.loads[10] < 0.5
-    with pytest.raises(ValidationError):
-        synth_profile("industrial")
+    assert office[np.argmax(office[:, 1]), 0] == 10.0
+    assert resid[np.argmax(resid[:, 1]), 0] == 21.0
+    assert office[21, 1] < 0.5 and resid[10, 1] < 0.5
+    config = default_config()
+    config["regions"][1]["profile"] = "builtin:industrial"
+    with pytest.raises(ValidationError, match=r"regions\[1\]: profile: unknown builtin"):
+        load_scenario(config)
 
 
 def test_slot_midpoints():
@@ -100,8 +109,11 @@ def test_slot_midpoints():
 
 def test_resample_wraps_around_midnight():
     # two samples; midnight gap interpolates between 22 h and 2 h
-    profile = TrafficProfile(region_id="r", samples=((2.0, 1.0), (22.0, 0.5)))
-    load = resample_profile(profile, 24)
+    scenario = default_scenario()
+    region = dataclasses.replace(scenario.regions[0], peak_user_density_per_km2=1e6,
+                                 profile=((2.0, 1.0), (22.0, 0.5)))
+    load = user_density_matrix(dataclasses.replace(
+        scenario, regions=(region,), num_slots=24)).values[:, 0]
     t = slot_midpoints_h(24)
     k = int(np.argmin(np.abs(t - 0.5)))  # 00:30, inside the wrap segment
     expected = 0.5 + (1.0 - 0.5) * ((0.5 + 24.0 - 22.0) / 4.0)
@@ -112,24 +124,13 @@ def test_user_density_matrix_units_and_shape():
     scenario = default_scenario()
     users = user_density_matrix(scenario)
     assert users.values.shape == (60, 2)
-    # each column is the resampled load scaled by the region's peak density
-    expected = resample_profile(scenario.profiles[0], 60) * 1e4 / 1e6
+    # each column is the interpolated load scaled by the region's peak density
+    times, loads = np.array(scenario.regions[0].profile).T
+    expected = np.interp(slot_midpoints_h(60), times, loads, period=24.0) * 1e4 / 1e6
     assert np.allclose(users.values[:, 0], expected, rtol=1e-12)
     # slot midpoints miss the exact hourly peak, so the max sits just below it
     assert 0.9 * 1e-2 < users.values[:, 0].max() <= 1e-2
     assert not users.values.flags.writeable
-
-
-def test_profile_csv_round_trip(tmp_path):
-    profile = synth_profile("office", region_id="office")
-    path = tmp_path / "office.csv"
-    write_profile_csv(profile, path)
-    text = path.read_text()
-    assert text.startswith("time_h,normalized_load\n")
-    config = default_config()
-    config["regions"][0]["profile"] = str(path)
-    scenario = load_scenario(config)
-    assert np.allclose(scenario.profiles[0].loads, profile.loads)
 
 
 def test_profile_csv_header_rejected(tmp_path):
@@ -158,11 +159,23 @@ def test_unknown_keys_rejected_everywhere():
     config["quadrature"] = {"nodes_r": 32, "nodes_q": 16}
     with pytest.raises(SchemaError):
         load_scenario(config)
+    # JSON alone would keep a repeated key's last value; equal values are rejected too
+    text = json.dumps(default_config())
+    for entry, where in (('"num_slots": 60', "config"), ('"bandwidth_hz": 10000000.0', "radio"),
+                         ('"area_km2": 10.0', r"regions\[1\]")):
+        key = entry.split('"')[1]
+        with pytest.raises(SchemaError, match=f"^{where}: duplicate key '{key}'$"):
+            load_scenario(text.replace(entry, f"{entry}, {entry}"))
+    # no field takes null; the optional reference_gain would read it as unset
+    config = default_config()
+    config["radio"]["reference_gain"] = None
+    with pytest.raises(SchemaError, match=r"^radio: null keys \['reference_gain'\]$"):
+        load_scenario(config)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
                                    pytest.param(10 ** 400, id="int_past_float_range")])
-def test_non_finite_numbers_rejected(value):
+def test_non_finite_numbers_rejected(value, tmp_path):
     # Parsed documents: the field's own check names it.
     for section, key in (("radio", "target_delay_s_per_bit"), ("radio", "bandwidth_hz"),
                          ("regions", "area_km2")):
@@ -179,6 +192,15 @@ def test_non_finite_numbers_rejected(value):
         text = json.dumps(config).replace('"@"', token)
         with pytest.raises(ValidationError, match=f"regions\\[1\\]: {key} .*{token}"):
             load_scenario(text)
+    # Profile CSVs: float() parses "nan", "inf" and "1e400", so each value is checked.
+    # Line numbers count blank lines too.
+    for row in (f"{value},1", f"12,{value}"):
+        (tmp_path / "profile.csv").write_text(f"time_h,normalized_load\n0,0.5\n\n{row}\n")
+        config = default_config()
+        config["regions"][1]["profile"] = str(tmp_path / "profile.csv")
+        with pytest.raises(ValidationError, match=r"^regions\[1\]: profile .*profile\.csv, "
+                                                  r"line 4: values must be finite"):
+            load_scenario(config)
 
 
 def test_missing_and_duplicate_regions_rejected():
@@ -193,28 +215,13 @@ def test_missing_and_duplicate_regions_rejected():
 
 
 def test_relative_profile_path_resolves_against_config_dir(tmp_path):
-    profile = synth_profile("residential", region_id="residential")
-    write_profile_csv(profile, tmp_path / "evening.csv")
+    (tmp_path / "evening.csv").write_text("time_h,normalized_load\n6,0.5\n21,2\n")
     config = default_config()
     config["regions"][1]["profile"] = "evening.csv"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     scenario = load_scenario_file(path)
-    assert np.allclose(scenario.profiles[1].loads, profile.loads)
-
-
-def test_save_load_round_trip(tmp_path):
-    scenario = default_scenario()
-    config_path = save_scenario(scenario, tmp_path)
-    again = load_scenario_file(config_path)
-    assert again.num_slots == scenario.num_slots
-    assert again.radio == scenario.radio
-    assert [r.id for r in again.regions] == [r.id for r in scenario.regions]
-    for a, b in zip(again.profiles, scenario.profiles):
-        assert a.samples == b.samples
-    # a derived reference gain is not written back next to its antenna gain
-    gained = dataclasses.replace(scenario, radio=RadioParams(antenna_gain=4.0))
-    assert load_scenario_file(save_scenario(gained, tmp_path / "gained")).radio == gained.radio
+    assert scenario.regions[1].profile == ((6.0, 0.25), (21.0, 1.0))
 
 
 def test_default_scenario_matches_default_config():
