@@ -215,6 +215,13 @@ def build_allocation_lp(demand, areas_m2, costs: CostModel = CostModel()) -> All
     return AllocationLP(objective=objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
 
 
+def _row_dots(matrix, weights) -> np.ndarray:
+    """``matrix[j] @ weights`` for every row j, bit for bit: a stack of
+    1 x Z by Z x 1 products takes numpy's vector dot per row, where
+    ``matrix @ weights`` may sum each row in another order."""
+    return (matrix[:, None, :] @ weights[:, None])[:, 0, 0]
+
+
 def canonicalize_schedule(raw_plan: DeploymentPlan, demand, areas_m2) -> DeploymentPlan:
     """Rebuild the fleet schedule in a solver-independent way.
 
@@ -226,24 +233,19 @@ def canonicalize_schedule(raw_plan: DeploymentPlan, demand, areas_m2) -> Deploym
     unchanged.
     """
     values = _demand_values(demand)
-    n_slots, n_regions = values.shape
-    areas = _areas(areas_m2, n_regions)
+    areas = _areas(areas_m2, values.shape[1])
     caps = values.max(axis=0)
     static = raw_plan.static_density
     fleet = raw_plan.fleet_size
 
-    schedule = np.empty((n_slots, n_regions))
-    for j in range(n_slots):
-        required = np.maximum(0.0, values[j] - static)
-        leftover = fleet - float(required @ areas)
-        headroom = np.maximum(0.0, caps - required)
-        weights = headroom * areas
-        total = float(weights.sum())
-        if leftover > 0.0 and total > 0.0:
-            # share_z / A_z <= headroom_z because leftover <= sum(weights).
-            schedule[j] = required + leftover * headroom / total
-        else:
-            schedule[j] = required
+    required = np.maximum(0.0, values - static)
+    leftover = fleet - _row_dots(required, areas)
+    headroom = np.maximum(0.0, caps - required)
+    total = (headroom * areas).sum(axis=1)
+    spread = (leftover > 0.0) & (total > 0.0)
+    schedule = required.copy()
+    # share_z / A_z <= headroom_z because leftover <= total.
+    schedule[spread] += leftover[spread, None] * headroom[spread] / total[spread, None]
     return DeploymentPlan(static_density=static, mbs_schedule=schedule,
                           fleet_size=fleet, objective_value=raw_plan.objective_value,
                           cost_model=raw_plan.cost_model)
@@ -328,31 +330,28 @@ def savings(plan: DeploymentPlan, demand, areas_m2) -> SavingsReport:
 def verify_plan(plan: DeploymentPlan, demand, areas_m2) -> list[Violation]:
     """Check every plan invariant; an empty list means the plan is feasible."""
     values = _demand_values(demand)
-    n_slots, n_regions = values.shape
-    areas = _areas(areas_m2, n_regions)
+    areas = _areas(areas_m2, values.shape[1])
     caps = values.max(axis=0)
     out: list[Violation] = []
 
     closed_tol = _CLOSED_TOL * (1.0 + plan.fleet_size)
-    for j in range(n_slots):
-        err = abs(float(plan.mbs_schedule[j] @ areas) - plan.fleet_size)
-        if err > closed_tol:
-            out.append(Violation("closed_system", slot=j, region=None, magnitude=err))
+    err = np.abs(_row_dots(plan.mbs_schedule, areas) - plan.fleet_size)
+    for j in np.flatnonzero(err > closed_tol):
+        out.append(Violation("closed_system", slot=int(j), region=None, magnitude=float(err[j])))
 
-    total = plan.static_density[np.newaxis, :] + plan.mbs_schedule
-    for j in range(n_slots):
-        for z in range(n_regions):
-            shortfall = values[j, z] - total[j, z] - _COVERAGE_TOL * (1.0 + values[j, z])
-            if shortfall > 0.0:
-                out.append(Violation("coverage", slot=j, region=z, magnitude=shortfall))
-            over = max(-plan.mbs_schedule[j, z], plan.mbs_schedule[j, z] - caps[z]) - _CAP_TOL
-            if over > 0.0:
-                out.append(Violation("mbs_cap", slot=j, region=z, magnitude=over))
+    # Per cell in row-major order, coverage before mbs_cap.
+    schedule = plan.mbs_schedule
+    found = np.stack((
+        values - (plan.static_density + schedule) - _COVERAGE_TOL * (1.0 + values),
+        np.maximum(-schedule, schedule - caps) - _CAP_TOL,
+    ), axis=-1)
+    for j, z, kind in zip(*np.nonzero(found > 0.0)):
+        out.append(Violation(("coverage", "mbs_cap")[kind], slot=int(j), region=int(z),
+                             magnitude=float(found[j, z, kind])))
 
-    for z in range(n_regions):
-        over = max(-plan.static_density[z], plan.static_density[z] - caps[z]) - _CAP_TOL
-        if over > 0.0:
-            out.append(Violation("static_cap", slot=None, region=z, magnitude=over))
+    over = np.maximum(-plan.static_density, plan.static_density - caps) - _CAP_TOL
+    for z in np.flatnonzero(over > 0.0):
+        out.append(Violation("static_cap", slot=None, region=int(z), magnitude=float(over[z])))
     return out
 
 

@@ -1,7 +1,9 @@
 """Minimum station density meeting the delay target, per slot and region.
 
-The utilization fixed point starts at the busy end u = 1 and the delay
-rises with u, so the self-consistent delay meets the target T exactly when
+The utilization fixed point starts at the busy end u = 1, the delay rises
+with u and no later iterate rises above the first one (``evaluate_qos``
+clips each secant step below the map's image), so the self-consistent
+delay meets the target T exactly when
 tau(lambda_b, lambda_u, 1) = (lambda_u / lambda_b) * S(lambda_b) <= T, with
 S the unit-kernel sum of kernel / rate at u = 1. That reads lambda_u / T <=
 h(lambda_b) = lambda_b / S(lambda_b), and h is strictly increasing: the SIR
@@ -11,7 +13,7 @@ halving or doubling up to the cap, bisect in log space to
 ``BISECTION_REL_TOL`` and return the feasible end. S comes from
 ``delay_given_utilization`` at u = 1, the fixed point's own first step, so
 the achieved delay never exceeds T; one array fixed point over the distinct
-loads reports that delay.
+loads reports that delay, in about three delay evaluations per load.
 
 Cells are independent: the objective sums per-cell densities and every
 constraint touches exactly one (slot, region) pair, so the cell-wise

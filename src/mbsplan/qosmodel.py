@@ -15,7 +15,9 @@ the Shannon rate at distance r gives the mean per-bit delay as a triple
 integral over (r, x, theta). Interference enters through the mean busy
 fraction (utilization) of the other stations, which itself equals
 delay / target_delay, so the delay is solved as a fixed point in the
-utilization, elementwise over arrays of densities.
+utilization, elementwise over arrays of densities: a first step from the
+busy end u = 1, then safeguarded secant steps that never rise above the
+map's image, so no reported delay exceeds the u = 1 delay.
 
 The overlap area is homogeneous of degree 2 in the lengths, so the whole
 radial quadrature grid at density lambda_b maps node-for-node onto the
@@ -318,17 +320,22 @@ def evaluate_qos(
     """Self-consistent delay and utilization at the given densities.
 
     Interference scales with the stations' busy fraction delay/target, which
-    feeds back into the delay, so iterate u -> g(u) = clamp(tau(u)/target,
-    0, 1) from the busy end u = 1 until successive utilizations differ by
-    at most ``FIXED_POINT_TOL``. tau rises with u, so g is nondecreasing:
-    from u = 1 the iterates can only fall, never change direction, and need
-    no damping; every reported delay is at most the u = 1 delay.
+    feeds back into the delay, so u solves u = g(u) = clamp(tau(u)/target,
+    0, 1). Each iteration evaluates the delay tau(u) once and stops when the
+    residual f(u) = g(u) - u is at most ``FIXED_POINT_TOL`` in magnitude,
+    reporting tau(u) and g(u). The first iteration, from the busy end u = 1,
+    moves to g(1) (saturated, overloaded and zero-load points stop exactly
+    as plain iteration does); each later one takes the secant step on f
+    through the last two iterates, clipped into [0, g(u)], or g(u) itself
+    when the secant slope is not finite and negative. tau rises with u, so
+    g is nondecreasing and g(u) <= 1: every iterate, and so every reported
+    delay, is at most the u = 1 delay.
 
     Densities may be arrays that broadcast against each other: the fixed
-    point then runs elementwise, each element stopping on its own, and the
-    fields hold arrays bit-equal to the scalar calls. Non-convergence within
-    ``FIXED_POINT_MAX_ITERATIONS`` is reported through ``converged`` rather
-    than an exception.
+    point then runs elementwise, each element keeping its own previous
+    iterate and stopping on its own, and the fields hold arrays bit-equal to
+    the scalar calls. Non-convergence within ``FIXED_POINT_MAX_ITERATIONS``
+    is reported through ``converged`` rather than an exception.
     """
     lambda_b, lambda_u = np.broadcast_arrays(np.asarray(lambda_b, dtype=float),
                                              np.asarray(lambda_u, dtype=float))
@@ -336,16 +343,27 @@ def evaluate_qos(
     lambda_b, lambda_u = lambda_b.ravel(), lambda_u.ravel()
     tau = np.zeros(lambda_b.shape)
     u = np.ones(lambda_b.shape)
+    # the previous iterate and its residual; NaN makes the first step g(1)
+    u_prev = np.full(lambda_b.shape, np.nan)
+    f_prev = np.full(lambda_b.shape, np.nan)
     iterations = np.zeros(lambda_b.shape, dtype=int)
     converged = np.zeros(lambda_b.shape, dtype=bool)
     idx = np.arange(lambda_b.size)
     while idx.size:
-        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u[idx], params, quad)
+        u_now = u[idx]
+        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u_now, params, quad)
         iterations[idx] += 1
         target = np.clip(tau[idx] / params.target_delay_s_per_bit, 0.0, 1.0)
-        converged[idx] = np.abs(target - u[idx]) <= FIXED_POINT_TOL
-        u[idx] = target
-        idx = idx[~converged[idx] & (iterations[idx] < FIXED_POINT_MAX_ITERATIONS)]
+        f = target - u_now
+        done = np.abs(f) <= FIXED_POINT_TOL
+        converged[idx] = done
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (f - f_prev[idx]) / (u_now - u_prev[idx])
+            secant = np.isfinite(slope) & (slope < 0.0)
+            step = np.clip(u_now - f / slope, 0.0, target)
+        u[idx] = np.where(secant & ~done, step, target)
+        u_prev[idx], f_prev[idx] = u_now, f
+        idx = idx[~done & (iterations[idx] < FIXED_POINT_MAX_ITERATIONS)]
     if not shape:
         return QosEvaluation(float(tau[0]), float(u[0]), int(iterations[0]), bool(converged[0]))
     return QosEvaluation(tau.reshape(shape), u.reshape(shape), iterations.reshape(shape),

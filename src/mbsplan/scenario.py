@@ -361,6 +361,13 @@ def load_scenario(document, base_dir=None) -> Scenario:
         quadrature = {key: _number(quad_doc[key], f"quadrature: {key}",
                                    integer=key.startswith("nodes_"))
                       for key in sorted(quad_doc)}
+        # The bounds live on QuadratureSpec; qosmodel imports this module,
+        # so it is imported here, on first use.
+        from .qosmodel import QuadratureSpec
+        try:
+            QuadratureSpec(**quadrature)
+        except ValueError as exc:
+            raise ValidationError(f"quadrature: {exc}") from None
 
     return Scenario(regions=tuple(regions), num_slots=document["num_slots"], radio=radio,
                     quadrature=quadrature)

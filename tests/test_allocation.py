@@ -8,6 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import allocation_reference
 
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan,
                                 build_allocation_lp, canonicalize_schedule,
@@ -316,3 +320,68 @@ def test_input_validation():
     with pytest.raises(ValueError):
         DeploymentPlan(static_density=np.zeros(2), mbs_schedule=np.zeros((2, 2)),
                        fleet_size=-1.0, objective_value=1.0, cost_model=CostModel())
+
+
+def test_verify_plan_reports_violations_in_a_fixed_order():
+    # Slot by slot closed-system rows first, then each cell in row-major
+    # order (coverage before mbs_cap), then static caps region by region.
+    demand = np.array([[10.0, 2.0], [2.0, 10.0], [5.0, 5.0]]) / KM2
+    plan = DeploymentPlan(static_density=np.array([-1.0, 12.0]) / KM2,
+                          mbs_schedule=np.array([[12.0, -1.0], [-2.0, 10.0], [6.0, 0.0]]) / KM2,
+                          fleet_size=8.0, objective_value=0.0, cost_model=CostModel())
+    violations = verify_plan(plan, demand, HAND_AREAS)
+    assert [(v.constraint, v.slot, v.region) for v in violations] == [
+        ("closed_system", 0, None),
+        ("closed_system", 2, None),
+        ("mbs_cap", 0, 0),
+        ("mbs_cap", 0, 1),
+        ("coverage", 1, 0),
+        ("mbs_cap", 1, 0),
+        ("static_cap", None, 0),
+        ("static_cap", None, 1),
+    ]
+    np.testing.assert_allclose([v.magnitude for v in violations],
+                               [3.0, 2.0, 2.0 / KM2, 1.0 / KM2, 5.0 / KM2, 2.0 / KM2,
+                                1.0 / KM2, 2.0 / KM2], rtol=0.0, atol=2e-8)
+    assert all(type(v.magnitude) is float for v in violations)
+
+
+@st.composite
+def _plans(draw):
+    """A demand matrix, areas and a plan around its canonical optimum, with
+    some entries pushed out of their boxes and the fleet off balance."""
+    n_slots, n_regions = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    size = n_slots * n_regions
+    cell = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+    demand = np.array(draw(st.lists(cell, min_size=size, max_size=size))).reshape(
+        n_slots, n_regions) / KM2
+    areas = np.array(draw(st.lists(st.floats(0.1, 20.0), min_size=n_regions,
+                                   max_size=n_regions))) * KM2
+    unit = st.floats(0.0, 1.0)
+    static = demand.max(axis=0) * np.array(draw(st.lists(unit, min_size=n_regions,
+                                                         max_size=n_regions)))
+    fleet = float((np.maximum(0.0, demand - static) @ areas).max()) * draw(st.floats(1.0, 1.5))
+    push = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+    schedule_push = np.array(draw(st.lists(push, min_size=size, max_size=size)))
+    static_push = np.array(draw(st.lists(push, min_size=n_regions, max_size=n_regions)))
+    fleet_push = draw(st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)))
+    return demand, areas, static, fleet, (schedule_push.reshape(n_slots, n_regions) / KM2,
+                                          static_push / KM2, fleet_push)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_plans())
+def test_array_checks_match_the_loop_reference(instance):
+    demand, areas, static, fleet, (schedule_push, static_push, fleet_push) = instance
+    raw = DeploymentPlan(static_density=static, mbs_schedule=np.zeros_like(demand),
+                         fleet_size=fleet, objective_value=0.0, cost_model=CostModel())
+    plan = canonicalize_schedule(raw, demand, areas)
+    reference = allocation_reference.canonical_schedule(static, fleet, demand, areas)
+    assert np.array_equal(plan.mbs_schedule, reference)
+    broken = DeploymentPlan(static_density=static + static_push,
+                            mbs_schedule=plan.mbs_schedule + schedule_push,
+                            fleet_size=fleet * (1.0 + fleet_push), objective_value=0.0,
+                            cost_model=CostModel())
+    found = [(v.constraint, v.slot, v.region, v.magnitude)
+             for v in verify_plan(broken, demand, areas)]
+    assert found == allocation_reference.violations(broken, demand, areas)

@@ -63,6 +63,8 @@ def test_run_emits_complete_artifact_set(default_run):
     assert counters["distinct_loads"] == np.unique(users).size
     # one fixed point per distinct load, each at least one iteration
     assert counters["fixed_point_iterations"] >= counters["distinct_loads"]
+    # and, with the secant step, about three (plain iteration took 17)
+    assert counters["fixed_point_iterations"] <= 3 * counters["distinct_loads"]
 
 
 def test_demand_csv_schema(default_run):
@@ -410,6 +412,23 @@ def test_cli_meaningless_config_exits_2(tmp_path, capsys, edit, value, message):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("nodes_r", 4, "quadrature: nodes_r must be an integer >= 8, got 4"),
+    ("tail_mass_epsilon", 1e-3,
+     "quadrature: tail_mass_epsilon must lie in (0, 1e-6], got 0.001"),
+])
+def test_cli_out_of_range_quadrature_exits_2(tmp_path, capsys, key, value, message):
+    # These once exited 2 without the "quadrature:" prefix.
+    config = default_config()
+    config["quadrature"] = {key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -1,10 +1,19 @@
 """Delay-model tests: geometry, capacity, linearity, fixed point, kernels."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mc_reference
-from mbsplan.pipeline import MC_SPOT_DENSITIES_PER_KM2
+import picard_reference
+from mbsplan import qosmodel
+from mbsplan.dimensioning import min_bs_density
+from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2,
+                              GRID_SPOT_USER_DENSITIES_PER_KM2, MC_SPOT_DENSITIES_PER_KM2)
 from mbsplan.qosmodel import (QuadratureSpec, _cell_areas, _serving_cells, capacity,
                               delay_given_utilization, evaluate_qos, mc_delay_oracle,
                               mean_interference, overlap_area, pair_distance,
@@ -249,6 +258,49 @@ def test_evaluate_qos_arrays_match_scalar_calls():
     # a scalar broadcasts against an array, as in the grid scan
     row = evaluate_qos(lam_b[1], 1000.0 * PER_KM2, PARAMS, QUAD)
     assert row.delay_s_per_bit[0] == batch.delay_s_per_bit[1, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_b=st.floats(math.log10(_GRID_LO_PER_KM2), math.log10(_GRID_HI_PER_KM2)),
+       log_u=st.floats(math.log10(min(GRID_SPOT_USER_DENSITIES_PER_KM2)),
+                       math.log10(max(GRID_SPOT_USER_DENSITIES_PER_KM2))),
+       noise_scale=st.sampled_from((1.0, 1e6)),
+       at_boundary=st.booleans())
+def test_secant_fixed_point_matches_picard(log_b, log_u, noise_scale, at_boundary):
+    # Station densities on validate's grid-scan range, or just above the
+    # dimensioned density, where u* sits near 1 and plain iteration is slowest.
+    params = dataclasses.replace(PARAMS, noise_psd_w_per_hz=PARAMS.noise_psd_w_per_hz * noise_scale)
+    lam_u = 10.0 ** log_u * PER_KM2
+    lam_b = 10.0 ** log_b * PER_KM2
+    if at_boundary:
+        lam_b = min_bs_density(lam_u, params, QUAD) * (1.0 + 0.01 * (log_b % 1.0))
+    fast = evaluate_qos(lam_b, lam_u, params, QUAD)
+    slow = picard_reference.evaluate_qos(lam_b, lam_u, params, QUAD)
+    assert fast.converged == slow.converged
+    target = params.target_delay_s_per_bit
+    assert (fast.delay_s_per_bit <= target) == (slow.delay_s_per_bit <= target)
+    assert abs(fast.utilization - slow.utilization) <= 1e-5
+    # the reported utilization is g at the reported delay's utilization
+    assert fast.utilization == min(max(fast.delay_s_per_bit / target, 0.0), 1.0)
+
+
+def test_secant_steps_are_clipped_into_zero_and_the_image(monkeypatch):
+    # A convex stand-in map g(u) = 0.1 + 0.5 u^2 makes the secant through
+    # (1, g(1)) and (g(1), g(g(1))) overshoot below 0, and the next one
+    # overshoot above g(0) = 0.1; the clip holds both into [0, g(u)].
+    seen = []
+
+    def convex_delay(lambda_b, lambda_u, utilization, params, quad):
+        seen.append(float(utilization[0]))
+        return params.target_delay_s_per_bit * (0.1 + 0.5 * utilization ** 2)
+
+    monkeypatch.setattr(qosmodel, "delay_given_utilization", convex_delay)
+    result = evaluate_qos(1.0, 1.0, PARAMS, QUAD)
+    assert result.converged
+    assert result.utilization == pytest.approx(1.0 - math.sqrt(0.8), abs=1e-6)
+    assert seen[:4] == [1.0, 0.6, 0.0, 0.1]
+    for u, after in zip(seen, seen[1:]):
+        assert 0.0 <= after <= 0.1 + 0.5 * u ** 2
 
 
 def test_mc_oracle_zero_traffic_and_determinism():

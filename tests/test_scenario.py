@@ -239,3 +239,15 @@ def test_quadrature_block_accepted():
                             "tail_mass_epsilon": 1e-10}
     scenario = load_scenario(config)
     assert scenario.quadrature["nodes_r"] == 32
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("nodes_r", 4, "quadrature: nodes_r must be an integer >= 8, got 4"),
+    ("tail_mass_epsilon", 1e-3, "quadrature: tail_mass_epsilon must lie in (0, 1e-6], got 0.001"),
+])
+def test_quadrature_out_of_range_rejected_at_load(key, value, message):
+    config = default_config()
+    config["quadrature"] = {key: value}
+    with pytest.raises(ValidationError) as excinfo:
+        load_scenario(config)
+    assert str(excinfo.value) == message
