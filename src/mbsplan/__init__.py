@@ -13,14 +13,13 @@ surface.
 # Set before the submodule imports: pipeline reads it at import time.
 __version__ = "0.1.0"
 
-from .scenario import (RadioParams, Region, Scenario, ScenarioError, SchemaError,
-                       UserDensityMatrix, ValidationError, default_config,
+from .scenario import (QuadratureSpec, RadioParams, Region, Scenario, ScenarioError,
+                       SchemaError, UserDensityMatrix, ValidationError, default_config,
                        default_scenario, load_scenario, load_scenario_file,
                        slot_midpoints_h, user_density_matrix)
-from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, QuadratureSpec,
-                       capacity, delay_given_utilization, evaluate_qos,
-                       mc_delay_oracle, mean_interference, overlap_area,
-                       pair_distance, shared_load_kernel)
+from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, capacity,
+                       delay_given_utilization, evaluate_qos, mc_delay_oracle,
+                       mean_interference, overlap_area, pair_distance, shared_load_kernel)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                            DemandMatrix, InfeasibleDemand, demand_matrix,
                            min_bs_density, write_demand_csv)
@@ -35,13 +34,14 @@ from .pipeline import (RunArtifacts, SweepResult, ValidationCheck, ValidationRep
 __all__ = [
     "__version__",
     # scenario
-    "RadioParams", "Region", "Scenario", "ScenarioError", "SchemaError",
-    "UserDensityMatrix", "ValidationError", "default_config", "default_scenario",
-    "load_scenario", "load_scenario_file", "slot_midpoints_h", "user_density_matrix",
+    "QuadratureSpec", "RadioParams", "Region", "Scenario", "ScenarioError",
+    "SchemaError", "UserDensityMatrix", "ValidationError", "default_config",
+    "default_scenario", "load_scenario", "load_scenario_file", "slot_midpoints_h",
+    "user_density_matrix",
     # qos model
-    "FixedPointDiverged", "NonFinite", "QosEvaluation", "QuadratureSpec",
-    "capacity", "delay_given_utilization", "evaluate_qos", "mc_delay_oracle",
-    "mean_interference", "overlap_area", "pair_distance", "shared_load_kernel",
+    "FixedPointDiverged", "NonFinite", "QosEvaluation", "capacity",
+    "delay_given_utilization", "evaluate_qos", "mc_delay_oracle", "mean_interference",
+    "overlap_area", "pair_distance", "shared_load_kernel",
     # dimensioning
     "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "DemandMatrix",
     "InfeasibleDemand", "demand_matrix", "min_bs_density", "write_demand_csv",

@@ -34,11 +34,12 @@ dearer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dimensioning import DemandMatrix
+from .scenario import _check_numbers
 
 # Relative surcharge on the fleet's unit cost used only inside the solver,
 # so that ties between equally priced configurations resolve toward static
@@ -54,15 +55,11 @@ _CAP_TOL = 1e-10
 class CostModel:
     """Unit CAPEX of a static station and of a mobile station."""
 
-    static_unit_cost: float = 1.0
-    mobile_unit_cost: float = 1.0
+    static_unit_cost: float = field(default=1.0, metadata={">": 0})
+    mobile_unit_cost: float = field(default=1.0, metadata={">": 0})
 
     def __post_init__(self):
-        for name in ("static_unit_cost", "mobile_unit_cost"):
-            value = float(getattr(self, name))
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, value)
+        _check_numbers(self)
 
 
 @dataclass(frozen=True)

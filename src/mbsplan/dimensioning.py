@@ -9,8 +9,8 @@ S the unit-kernel sum of kernel / rate at u = 1. That reads lambda_u / T <=
 h(lambda_b) = lambda_b / S(lambda_b), and h is strictly increasing: the SIR
 at the scaled radius does not depend on lambda_b and the SNR grows with it.
 All loads of a scenario are inverted at once: bracket from lambda_u / 10 by
-halving or doubling up to the cap, bisect in log space to
-``BISECTION_REL_TOL`` and return the feasible end. S comes from
+halving or doubling up to ``DEFAULT_DENSITY_CAP_PER_M2``, bisect in log
+space to ``BISECTION_REL_TOL`` and return the feasible end. S comes from
 ``delay_given_utilization`` at u = 1, the fixed point's own first step, so
 the achieved delay never exceeds T; one array fixed point over the distinct
 loads reports that delay, in about three delay evaluations per load.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import M2_PER_KM2, RadioParams, UserDensityMatrix
-from .qosmodel import FixedPointDiverged, QuadratureSpec, delay_given_utilization, evaluate_qos
+from .scenario import M2_PER_KM2, QuadratureSpec, RadioParams, UserDensityMatrix
+from .qosmodel import FixedPointDiverged, delay_given_utilization, evaluate_qos
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
@@ -67,13 +67,13 @@ class DemandMatrix:
         return self.values.shape[1]
 
 
-def _unmet(lambda_u: float, params: RadioParams, lambda_cap: float) -> str:
+def _unmet(lambda_u: float, params: RadioParams) -> str:
     return (f"delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the density "
-            f"cap {lambda_cap * M2_PER_KM2:.6g} per km^2 (user density "
+            f"cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user density "
             f"{lambda_u * M2_PER_KM2:.6g} per km^2)")
 
 
-def _min_densities(loads, params, quad, lambda_cap, rel_tol) -> np.ndarray:
+def _min_densities(loads, params, quad) -> np.ndarray:
     """Smallest feasible station density for every user density in the 1-D
     array ``loads``: 0 for a zero load, inf where even the cap misses.
 
@@ -83,10 +83,6 @@ def _min_densities(loads, params, quad, lambda_cap, rel_tol) -> np.ndarray:
     loads = np.asarray(loads, dtype=float)
     if not np.all(np.isfinite(loads)) or np.any(loads < 0):
         raise ValueError(f"user densities must be finite and >= 0, got {loads}")
-    if not 0 < lambda_cap < math.inf:
-        raise ValueError(f"lambda_cap must be finite and > 0, got {lambda_cap}")
-    if not 0 < rel_tol < 1:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     target = params.target_delay_s_per_bit
     positive = loads > 0
     lam_u = loads[positive]
@@ -94,17 +90,17 @@ def _min_densities(loads, params, quad, lambda_cap, rel_tol) -> np.ndarray:
     # lo: largest density known to miss it (0: none yet).
     hi = np.full(lam_u.shape, np.inf)
     lo = np.zeros(lam_u.shape)
-    cand = np.minimum(lam_u / 10.0, lambda_cap)
+    cand = np.minimum(lam_u / 10.0, DEFAULT_DENSITY_CAP_PER_M2)
     idx = np.arange(lam_u.size)
     while idx.size:
         ok = delay_given_utilization(cand[idx], lam_u[idx], 1.0, params, quad) <= target
         hi[idx[ok]] = cand[idx[ok]]
         lo[idx[~ok]] = cand[idx[~ok]]
         halve = lo == 0.0
-        double = (hi == np.inf) & (lo < lambda_cap)
-        bisect = (lo > 0.0) & (hi < np.inf) & (hi - lo > rel_tol * hi)
+        double = (hi == np.inf) & (lo < DEFAULT_DENSITY_CAP_PER_M2)
+        bisect = (lo > 0.0) & (hi < np.inf) & (hi - lo > BISECTION_REL_TOL * hi)
         cand[halve] = 0.5 * hi[halve]
-        cand[double] = np.minimum(2.0 * lo[double], lambda_cap)
+        cand[double] = np.minimum(2.0 * lo[double], DEFAULT_DENSITY_CAP_PER_M2)
         cand[bisect] = lo[bisect] * np.sqrt(hi[bisect] / lo[bisect])
         idx = np.flatnonzero(halve | double | bisect)
     density = np.zeros(loads.shape)
@@ -116,17 +112,15 @@ def min_bs_density(
     lambda_u: float,
     params: RadioParams,
     quad: QuadratureSpec = QuadratureSpec(),
-    lambda_cap: float = DEFAULT_DENSITY_CAP_PER_M2,
-    rel_tol: float = BISECTION_REL_TOL,
 ) -> float:
-    """Smallest station density (to relative tolerance ``rel_tol``) whose
-    self-consistent delay meets the target, for user density ``lambda_u``.
+    """Smallest station density (to relative tolerance ``BISECTION_REL_TOL``)
+    whose self-consistent delay meets the target, for user density ``lambda_u``.
 
     Bit-equal to the ``demand_matrix`` cell with the same load.
     """
-    density = float(_min_densities([lambda_u], params, quad, lambda_cap, rel_tol)[0])
+    density = float(_min_densities([lambda_u], params, quad)[0])
     if density == math.inf:
-        raise InfeasibleDemand(_unmet(lambda_u, params, lambda_cap))
+        raise InfeasibleDemand(_unmet(lambda_u, params))
     return density
 
 
@@ -134,7 +128,6 @@ def demand_matrix(
     users: UserDensityMatrix,
     params: RadioParams,
     quad: QuadratureSpec = QuadratureSpec(),
-    lambda_cap: float = DEFAULT_DENSITY_CAP_PER_M2,
 ) -> DemandMatrix:
     """Cell-wise minimum station densities for a whole scenario.
 
@@ -143,7 +136,7 @@ def demand_matrix(
     loads, so cells with equal loads share their density and diagnostics.
     """
     loads, first, inverse = np.unique(users.values, return_index=True, return_inverse=True)
-    densities = _min_densities(loads, params, quad, lambda_cap, BISECTION_REL_TOL)
+    densities = _min_densities(loads, params, quad)
     num_regions = users.values.shape[1]
 
     def first_cell(ks):
@@ -154,7 +147,7 @@ def demand_matrix(
     unmet = np.flatnonzero(densities == np.inf)
     if unmet.size:
         k, cell = first_cell(unmet)
-        raise InfeasibleDemand(f"{cell}: {_unmet(loads[k], params, lambda_cap)}")
+        raise InfeasibleDemand(f"{cell}: {_unmet(loads[k], params)}")
     positive = np.flatnonzero(loads > 0)
     result = evaluate_qos(densities[positive], loads[positive], params, quad)
     diverged = positive[~result.converged]

@@ -30,7 +30,7 @@ from . import __version__
 from .allocation import (CostModel, DeploymentPlan, SavingsReport, optimal_plan,
                          plan_to_dict, savings, savings_to_dict, verify_plan)
 from .dimensioning import DemandMatrix, demand_matrix, min_bs_density, write_demand_csv
-from .qosmodel import QuadratureSpec, delay_given_utilization, evaluate_qos, mc_delay_oracle
+from .qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
 from .scenario import (Scenario, UserDensityMatrix, default_config, default_scenario,
                        load_scenario_file, user_density_matrix)
 
@@ -69,12 +69,6 @@ class SweepResult:
     failures: list
 
 
-def _quad_from_scenario(scenario: Scenario) -> QuadratureSpec:
-    if scenario.quadrature is None:
-        return QuadratureSpec()
-    return QuadratureSpec(**scenario.quadrature)
-
-
 def _load(config_path) -> tuple[Scenario, bytes]:
     """Scenario plus the exact bytes that define it (for the manifest hash)."""
     if config_path is None:
@@ -103,7 +97,7 @@ def _solve_scenario(scenario: Scenario, costs: CostModel = CostModel(),
     if users is None:
         users = user_density_matrix(scenario)
     if demand is None:
-        demand = demand_matrix(users, scenario.radio, _quad_from_scenario(scenario))
+        demand = demand_matrix(users, scenario.radio, scenario.quadrature)
     plan = optimal_plan(demand, scenario.areas_m2(), costs)
     violations = verify_plan(plan, demand, scenario.areas_m2())
     if violations:
@@ -268,7 +262,7 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
     if np.any(ratios < 1.0):
         raise ValueError("cost ratios must be >= 1")
     users = user_density_matrix(scenario)
-    demand = demand_matrix(users, scenario.radio, _quad_from_scenario(scenario))
+    demand = demand_matrix(users, scenario.radio, scenario.quadrature)
 
     def solve_one(ratio):
         costs = CostModel(static_unit_cost=ratio, mobile_unit_cost=1.0)
@@ -332,7 +326,7 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
         raise ValueError(f"mc_trials must be at least 1000, got {mc_trials}")
     scenario, _ = _load(config_path)
     params = scenario.radio
-    quad = _quad_from_scenario(scenario)
+    quad = scenario.quadrature
     checks: list[ValidationCheck] = []
 
     # Each spot's draws score its load and zero traffic: the estimate is

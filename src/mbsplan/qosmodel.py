@@ -24,18 +24,19 @@ radial quadrature grid at density lambda_b maps node-for-node onto the
 unit-density grid scaled by sqrt(lambda_b). The expensive double integral is
 therefore computed once per quadrature spec ("unit kernel") and reused for
 every density, slot and fixed-point iteration; only the cheap 1-D capacity
-weighting is reevaluated.
+weighting is reevaluated. The spec, ``QuadratureSpec``, is a parameter block
+of the scenario and is defined and checked in ``scenario``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import RadioParams
+from .scenario import QuadratureSpec, RadioParams
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -53,46 +54,6 @@ class FixedPointDiverged(RuntimeError):
     """The utilization fixed point failed to converge within the iteration cap."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor-product Gauss-Legendre node counts and truncation control.
-
-    ``tail_mass_epsilon`` sets where the radial integrals are cut: at the
-    radius where the void probability exp(-lambda_b * pi * t^2) drops below
-    it. ``refinement_rel_tol`` is the relative change considered acceptable
-    when all node counts are doubled (used by convergence checks, not at
-    runtime).
-    """
-
-    nodes_r: int = 64
-    nodes_x: int = 64
-    nodes_theta: int = 64
-    tail_mass_epsilon: float = 1e-12
-    refinement_rel_tol: float = 1e-4
-
-    def __post_init__(self):
-        for name in ("nodes_r", "nodes_x", "nodes_theta"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 8:
-                raise ValueError(f"{name} must be an integer >= 8, got {n!r}")
-        if not 0.0 < self.tail_mass_epsilon <= 1e-6:
-            raise ValueError(
-                f"tail_mass_epsilon must lie in (0, 1e-6], got {self.tail_mass_epsilon}"
-            )
-        if not 0.0 < self.refinement_rel_tol <= 1e-2:
-            raise ValueError(
-                f"refinement_rel_tol must lie in (0, 1e-2], got {self.refinement_rel_tol}"
-            )
-
-    def doubled(self) -> "QuadratureSpec":
-        return replace(
-            self,
-            nodes_r=2 * self.nodes_r,
-            nodes_x=2 * self.nodes_x,
-            nodes_theta=2 * self.nodes_theta,
-        )
-
-
 # Stopping rule of the utilization fixed point in ``evaluate_qos``.
 FIXED_POINT_TOL = 1e-6
 FIXED_POINT_MAX_ITERATIONS = 100
@@ -108,7 +69,7 @@ class QosEvaluation:
     converged: bool | np.ndarray
 
 
-@functools.lru_cache(maxsize=32)
+@functools.cache
 def _gauss_unit(n: int):
     """Gauss-Legendre nodes/weights on [0, 1], cached per node count."""
     xi, w = np.polynomial.legendre.leggauss(n)
@@ -171,7 +132,7 @@ def overlap_area(r, x, theta):
 
 def _truncation_radius(lambda_b: float, eps: float) -> float:
     """Radius beyond which the void probability exp(-lambda pi t^2) < eps."""
-    return math.sqrt(math.log(1.0 / eps) / (lambda_b * math.pi))
+    return math.sqrt(-math.log(eps) / (lambda_b * math.pi))
 
 
 def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -201,9 +162,7 @@ def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = Quadrat
     return g
 
 
-_KERNEL_CACHE: dict = {}
-
-
+@functools.cache
 def _unit_kernel(quad: QuadratureSpec):
     """Radial nodes and integral weights of the outer integral at unit density.
 
@@ -218,9 +177,6 @@ def _unit_kernel(quad: QuadratureSpec):
     overlap area is homogeneous of degree 2 and every truncation radius
     scales with 1 / sqrt(lambda_b).
     """
-    cached = _KERNEL_CACHE.get(quad)
-    if cached is not None:
-        return cached
     r_max = _truncation_radius(1.0, quad.tail_mass_epsilon)
     xi_r, w_r = _gauss_unit(quad.nodes_r)
     r1 = xi_r * r_max
@@ -239,7 +195,6 @@ def _unit_kernel(quad: QuadratureSpec):
         raise NonFinite("unit kernel: non-finite entries; geometry bug")
     r1.setflags(write=False)
     kernel.setflags(write=False)
-    _KERNEL_CACHE[quad] = (r1, kernel)
     return r1, kernel
 
 

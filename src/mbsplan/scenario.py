@@ -1,9 +1,14 @@
 """Scenario ingestion and time discretization.
 
-A scenario bundles radio-layer constants with a set of regions, each carrying
-a daily traffic profile sampled over a 24 h window. Profiles are normalized
-to a peak load of 1 and interpolated at slot midpoints to produce the
-per-slot, per-region active-user density matrix that drives dimensioning.
+A scenario bundles radio-layer constants and the quadrature that integrates
+the delay with a set of regions, each carrying a daily traffic profile
+sampled over a 24 h window. Profiles are normalized to a peak load of 1 and
+interpolated at slot midpoints to produce the per-slot, per-region
+active-user density matrix that drives dimensioning.
+
+Every numeric parameter is checked in one place: a field's metadata holds
+its bounds, e.g. ``{">": 0, "<=": 1e-6}``, and ``_check_numbers`` rejects a
+value outside them with a message naming the field.
 
 Units: everything internal is SI (meters, watts, users per square meter).
 Configuration files and exported tables use km^2-based units, which is what
@@ -14,8 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +31,7 @@ HOURS_PER_DAY = 24.0
 M2_PER_KM2 = 1e6
 
 _PROFILE_HEADER = "time_h,normalized_load"
-_QUAD_KEYS = {"nodes_r", "nodes_x", "nodes_theta", "tail_mass_epsilon"}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 class ScenarioError(ValueError):
@@ -66,8 +72,11 @@ def _check_keys(mapping, allowed, required, where):
 
 
 def _config_keys(cls):
-    """Allowed and required keys of a dataclass: optional fields default to None."""
-    return {f.name for f in fields(cls)}, {f.name for f in fields(cls) if f.default is not None}
+    """Allowed and required keys of a dataclass: optional fields default to
+    None or to a whole parameter block."""
+    names = {f.name for f in fields(cls)}
+    return names, names - {f.name for f in fields(cls)
+                           if f.default is None or is_dataclass(f.default)}
 
 
 class _NonFiniteToken:
@@ -98,14 +107,15 @@ def _number(value, name, integer=False):
 
 
 def _check_numbers(obj, prefix=""):
-    """Check each field bounded in its metadata, e.g. ``{">": 0}``, and store it as a number."""
+    """Check each field bounded in its metadata, e.g. ``{">": 0, "<=": 1e-6}``,
+    and store it as a number."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.metadata and not (value is None and f.default is None):
             value = _number(value, prefix + f.name, integer=f.type in ("int", int))
-            (op, low), = f.metadata.items()
-            if not (value > low if op == ">" else value >= low):
-                raise ValidationError(f"{prefix}{f.name} must be {op} {low}, got {value!r}")
+            for op, bound in f.metadata.items():
+                if not _BOUNDS[op](value, bound):
+                    raise ValidationError(f"{prefix}{f.name} must be {op} {bound}, got {value!r}")
             object.__setattr__(obj, f.name, value)
 
 
@@ -146,6 +156,28 @@ class RadioParams:
                 "radio: reference_gain already includes the antenna gain; give either "
                 f"reference_gain or antenna_gain, not both (antenna_gain {self.antenna_gain})"
             )
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Tensor-product Gauss-Legendre node counts and truncation control.
+
+    ``tail_mass_epsilon`` sets where the radial integrals are cut: at the
+    radius where the void probability exp(-lambda_b * pi * t^2) drops below
+    it. The fields are the config's ``quadrature`` keys, all optional.
+    """
+
+    nodes_r: int = field(default=64, metadata={">=": 8, "<=": 256})
+    nodes_x: int = field(default=64, metadata={">=": 8, "<=": 256})
+    nodes_theta: int = field(default=64, metadata={">=": 8, "<=": 256})
+    tail_mass_epsilon: float = field(default=1e-12, metadata={">": 0, "<=": 1e-6})
+
+    def __post_init__(self):
+        _check_numbers(self, "quadrature: ")
+
+    def doubled(self) -> "QuadratureSpec":
+        return replace(self, nodes_r=2 * self.nodes_r, nodes_x=2 * self.nodes_x,
+                       nodes_theta=2 * self.nodes_theta)
 
 
 @dataclass(frozen=True)
@@ -201,7 +233,7 @@ class Scenario:
     regions: tuple
     num_slots: int = field(metadata={">=": 1})
     radio: RadioParams
-    quadrature: dict | None = None
+    quadrature: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
@@ -354,23 +386,10 @@ def load_scenario(document, base_dir=None) -> Scenario:
         except ScenarioError as exc:
             raise type(exc)(f"{where}: {exc}") from None
 
-    quadrature = None
-    if "quadrature" in document:
-        quad_doc = document["quadrature"]
-        _check_keys(quad_doc, _QUAD_KEYS, set(), "quadrature")
-        quadrature = {key: _number(quad_doc[key], f"quadrature: {key}",
-                                   integer=key.startswith("nodes_"))
-                      for key in sorted(quad_doc)}
-        # The bounds live on QuadratureSpec; qosmodel imports this module,
-        # so it is imported here, on first use.
-        from .qosmodel import QuadratureSpec
-        try:
-            QuadratureSpec(**quadrature)
-        except ValueError as exc:
-            raise ValidationError(f"quadrature: {exc}") from None
-
+    quad_doc = document.get("quadrature", {})
+    _check_keys(quad_doc, _config_keys(QuadratureSpec)[0], set(), "quadrature")
     return Scenario(regions=tuple(regions), num_slots=document["num_slots"], radio=radio,
-                    quadrature=quadrature)
+                    quadrature=QuadratureSpec(**quad_doc))
 
 
 def load_scenario_file(path) -> Scenario:

@@ -26,6 +26,21 @@ def _noiseless_threshold(params, lambda_u):
     return lambda_u * unit_sum / params.target_delay_s_per_bit
 
 
+def _threshold_radio(ratio):
+    """Noiseless radio whose minimum station density is ``ratio * lambda_u``."""
+    noiseless = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
+    unit_sum = delay_given_utilization(1.0, 1.0, 1.0, noiseless)
+    return dataclasses.replace(noiseless, target_delay_s_per_bit=unit_sum / ratio)
+
+
+def _beyond_cap(factor, params=PARAMS):
+    """A user density ``factor`` (> 1) times the largest one the density cap
+    serves: the delay is linear in the load, so the cap's delay then misses
+    the target by that factor."""
+    at_cap = delay_given_utilization(DEFAULT_DENSITY_CAP_PER_M2, 1.0, 1.0, params)
+    return factor * params.target_delay_s_per_bit / at_cap
+
+
 def test_zero_user_density_needs_no_stations():
     assert min_bs_density(0.0, PARAMS) == 0.0
 
@@ -33,8 +48,6 @@ def test_zero_user_density_needs_no_stations():
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         min_bs_density(-1.0, PARAMS)
-    with pytest.raises(ValueError):
-        min_bs_density(1.0, PARAMS, lambda_cap=0.0)
 
 
 def test_bisection_matches_closed_form_threshold():
@@ -62,9 +75,15 @@ def test_bisection_halves_downward_when_start_is_feasible():
 
 
 def test_infeasible_at_cap_raises():
-    with pytest.raises(InfeasibleDemand) as excinfo:
-        min_bs_density(1e-4, PARAMS, lambda_cap=1e-9)
-    assert "density cap 0.001 per km^2 (user density 100 per km^2)" in str(excinfo.value)
+    # Loads just beyond the cap. On the default radio the first probe,
+    # lambda_u / 10, is already clipped to the cap; on the 0.11 radio a
+    # doubling step is, and unclipped it would meet the target.
+    for params in (PARAMS, _threshold_radio(0.11)):
+        lam_u = _beyond_cap(1.01, params)
+        with pytest.raises(InfeasibleDemand) as excinfo:
+            min_bs_density(lam_u, params)
+        assert (f"density cap 100000 per km^2 (user density {lam_u * M2_PER_KM2:.6g} "
+                "per km^2)" in str(excinfo.value))
 
 
 def test_busy_delay_test_agrees_with_fixed_point():
@@ -92,21 +111,18 @@ def test_inverted_function_is_strictly_increasing(noise_scale):
 
 
 def test_min_density_is_bit_equal_to_its_matrix_cell():
-    lam = 1234.5 / M2_PER_KM2
     # On the default radio every bracket spans a factor 2. On a noiseless
-    # radio with threshold 0.11 * lambda_u and a cap of 0.12 * lam, lam's
-    # bracket is [0.1, 0.12] * lam and needs fewer bisection steps than the
-    # smaller loads' factor-2 brackets.
-    noiseless = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
-    unit_sum = delay_given_utilization(1.0, 1.0, 1.0, noiseless)
-    tight = dataclasses.replace(noiseless, target_delay_s_per_bit=unit_sum / 0.11)
-    for params, cap in ((PARAMS, DEFAULT_DENSITY_CAP_PER_M2), (tight, 0.12 * lam)):
-        alone = min_bs_density(lam, params, lambda_cap=cap)
+    # radio with threshold 0.11 * lambda_u and lam = cap / 0.12, lam's
+    # bracket is [0.1, 0.12] * lam, clipped at the cap, and needs fewer
+    # bisection steps than the smaller loads' factor-2 brackets.
+    for params, lam in ((PARAMS, 1234.5 / M2_PER_KM2),
+                        (_threshold_radio(0.11), DEFAULT_DENSITY_CAP_PER_M2 / 0.12)):
+        alone = min_bs_density(lam, params)
         for others in ([], [0.0], [0.5], [0.2, 0.9], list(np.linspace(0.1, 1.0, 7))):
             loads = lam * np.array([1.0] + others)
             users = UserDensityMatrix(values=loads[:, None],
                                       slot_times_h=slot_midpoints_h(loads.size))
-            assert demand_matrix(users, params, lambda_cap=cap).values[0, 0] == alone
+            assert demand_matrix(users, params).values[0, 0] == alone
 
 
 def test_min_density_increases_with_user_density():
@@ -171,21 +187,22 @@ def test_demand_matrix_on_default_scenario():
 
 
 def test_demand_matrix_error_names_the_cell():
-    light, heavy = 1e-4, 5e-3
-    users = UserDensityMatrix(values=np.array([[light, light], [light, heavy]]),
-                              slot_times_h=slot_midpoints_h(2))
-    # A cap of 1e-3 stations per km^2 is hopeless for any of these loads.
+    def users(light, heavy):
+        return UserDensityMatrix(values=np.array([[light, light], [light, heavy]]),
+                                 slot_times_h=slot_midpoints_h(2))
+
+    # Both loads beyond the cap: every cell fails, and the first is named.
     with pytest.raises(InfeasibleDemand) as excinfo:
-        demand_matrix(users, PARAMS, lambda_cap=1e-3 / M2_PER_KM2)
-    assert "slot 0, region index 0" in str(excinfo.value)
-    # A cap between the two loads' minimum densities: only cell (1, 1) fails.
-    cap = math.sqrt(min_bs_density(light, PARAMS) * min_bs_density(heavy, PARAMS))
+        demand_matrix(users(_beyond_cap(2.0), _beyond_cap(4.0)), PARAMS)
+    assert str(excinfo.value).startswith("slot 0, region index 0: ")
+    # Only the heavy load beyond the cap: only cell (1, 1) fails.
+    heavy = _beyond_cap(2.0)
     with pytest.raises(InfeasibleDemand) as excinfo:
-        demand_matrix(users, PARAMS, lambda_cap=cap)
+        demand_matrix(users(1e-4, heavy), PARAMS)
     message = str(excinfo.value)
     assert message.startswith("slot 1, region index 1: ")
-    assert f"density cap {cap * M2_PER_KM2:.6g} per km^2" in message
-    assert "user density 5000 per km^2" in message
+    assert "density cap 100000 per km^2" in message
+    assert f"user density {heavy * M2_PER_KM2:.6g} per km^2" in message
 
 
 def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):

@@ -1,6 +1,7 @@
 """Pipeline and CLI tests: artifact schemas, determinism, sweeps, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,8 +17,8 @@ import mbsplan
 from mbsplan import cli, pipeline
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
-from mbsplan.scenario import (default_config, default_scenario, load_scenario_file,
-                              user_density_matrix)
+from mbsplan.scenario import (QuadratureSpec, default_config, default_scenario,
+                              load_scenario_file, user_density_matrix)
 
 SERIES_HEADER = ("slot,time_h,region_id,baseline_per_km2,static_only_per_km2,"
                  "static_per_km2,mbs_per_km2,total_per_km2,excess_per_km2,mbs_fraction")
@@ -140,6 +141,18 @@ def test_explicit_default_config_file_reproduces_builtin_run(default_run, tmp_pa
     assert artifacts.manifest["config_sha256"] == default_run.manifest["config_sha256"]
     assert artifacts.plan_json_path.read_bytes() == default_run.plan_json_path.read_bytes()
     assert artifacts.savings_json_path.read_bytes() == default_run.savings_json_path.read_bytes()
+
+
+def test_explicit_default_quadrature_reproduces_builtin_run(default_run, tmp_path):
+    # CI runs the same comparison through the CLI, sweeps included.
+    path = Path(__file__).parent / "data" / "explicit_quadrature.json"
+    assert json.loads(path.read_text())["quadrature"] == dataclasses.asdict(QuadratureSpec())
+    run_pipeline(path, tmp_path)
+    builtin = default_run.plan_json_path.parent
+    names = sorted(p.name for p in builtin.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (builtin / name).read_bytes()
 
 
 @pytest.mark.parametrize("case", ["office_table_csv", "committed_percent_csvs"])
@@ -416,9 +429,10 @@ def test_cli_meaningless_config_exits_2(tmp_path, capsys, edit, value, message):
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("nodes_r", 4, "quadrature: nodes_r must be an integer >= 8, got 4"),
-    ("tail_mass_epsilon", 1e-3,
-     "quadrature: tail_mass_epsilon must lie in (0, 1e-6], got 0.001"),
+    ("nodes_r", 4, "quadrature: nodes_r must be >= 8, got 4"),
+    ("tail_mass_epsilon", 1e-3, "quadrature: tail_mass_epsilon must be <= 1e-06, got 0.001"),
+    # A typo once built 64 x 64 x 6400-node kernel arrays instead of exiting 2.
+    ("nodes_theta", 257, "quadrature: nodes_theta must be <= 256, got 257"),
 ])
 def test_cli_out_of_range_quadrature_exits_2(tmp_path, capsys, key, value, message):
     # These once exited 2 without the "quadrature:" prefix.
@@ -430,6 +444,19 @@ def test_cli_out_of_range_quadrature_exits_2(tmp_path, capsys, key, value, messa
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_tiny_tail_mass_epsilon_runs(default_run, tmp_path):
+    # 1 / 1e-310 overflows to inf: this in-range value once exited 1 with
+    # "unit kernel: non-finite entries".
+    config = default_config()
+    config["quadrature"] = {"tail_mass_epsilon": 1e-310}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    # The wider radial cut reaches the dimensioning.
+    assert (tmp_path / "out" / "demand.csv").read_bytes() != \
+        default_run.demand_csv_path.read_bytes()
 
 
 @pytest.mark.parametrize("gain", [0, -5.0])

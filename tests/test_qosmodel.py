@@ -23,6 +23,7 @@ from mbsplan.scenario import RadioParams
 PARAMS = RadioParams()
 QUAD = QuadratureSpec()
 PER_KM2 = 1e-6  # density conversion: 1 per km^2 in per m^2
+REFINEMENT_REL_TOL = 1e-4  # acceptable relative change when all node counts double
 
 
 def test_pair_distance_hand_values():
@@ -121,7 +122,7 @@ def test_shared_load_kernel_positive_and_converged():
     r = 100.0
     coarse = shared_load_kernel(lam_b, r, QUAD)
     fine = shared_load_kernel(lam_b, r, QUAD.doubled())
-    assert abs(fine - coarse) / coarse < QUAD.refinement_rel_tol
+    assert abs(fine - coarse) / coarse < REFINEMENT_REL_TOL
 
 
 def test_shared_load_kernel_against_mc_integration():
@@ -449,8 +450,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(nodes_r=4)
     with pytest.raises(ValueError):
         QuadratureSpec(tail_mass_epsilon=1e-3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(refinement_rel_tol=0.0)
     doubled = QUAD.doubled()
     assert (doubled.nodes_r, doubled.nodes_x, doubled.nodes_theta) == (128, 128, 128)
     assert doubled.tail_mass_epsilon == QUAD.tail_mass_epsilon

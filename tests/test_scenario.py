@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from mbsplan.scenario import (RadioParams, Region, SchemaError, ValidationError,
-                              default_config, default_scenario, load_scenario,
-                              load_scenario_file, slot_midpoints_h, user_density_matrix)
+from mbsplan.allocation import CostModel
+from mbsplan.scenario import (QuadratureSpec, RadioParams, Region, Scenario, SchemaError,
+                              ValidationError, default_config, default_scenario,
+                              load_scenario, load_scenario_file, slot_midpoints_h,
+                              user_density_matrix)
 
 FLAT = ((0.0, 1.0), (12.0, 1.0))
 
@@ -238,12 +241,17 @@ def test_quadrature_block_accepted():
     config["quadrature"] = {"nodes_r": 32, "nodes_x": 32, "nodes_theta": 16,
                             "tail_mass_epsilon": 1e-10}
     scenario = load_scenario(config)
-    assert scenario.quadrature["nodes_r"] == 32
+    assert scenario.quadrature == QuadratureSpec(nodes_r=32, nodes_x=32, nodes_theta=16,
+                                                 tail_mass_epsilon=1e-10)
+    # A partial block keeps the other defaults; no block gives the default spec.
+    config["quadrature"] = {"nodes_theta": 128}
+    assert load_scenario(config).quadrature == QuadratureSpec(nodes_theta=128)
+    assert default_scenario().quadrature == QuadratureSpec()
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("nodes_r", 4, "quadrature: nodes_r must be an integer >= 8, got 4"),
-    ("tail_mass_epsilon", 1e-3, "quadrature: tail_mass_epsilon must lie in (0, 1e-6], got 0.001"),
+    ("nodes_r", 4, "quadrature: nodes_r must be >= 8, got 4"),
+    ("tail_mass_epsilon", 1e-3, "quadrature: tail_mass_epsilon must be <= 1e-06, got 0.001"),
 ])
 def test_quadrature_out_of_range_rejected_at_load(key, value, message):
     config = default_config()
@@ -251,3 +259,35 @@ def test_quadrature_out_of_range_rejected_at_load(key, value, message):
     with pytest.raises(ValidationError) as excinfo:
         load_scenario(config)
     assert str(excinfo.value) == message
+
+
+# Every block whose fields carry bounds, and the prefix its messages use.
+_PREFIX = {RadioParams: "radio: ", Region: "regions[0]: ", Scenario: "",
+           QuadratureSpec: "quadrature: ", CostModel: ""}
+
+
+def _build(cls, name, value):
+    """``cls`` with field ``name`` set to ``value``; config blocks go through load_scenario."""
+    if cls is CostModel:
+        return CostModel(**{name: value})
+    config = default_config()
+    block = {RadioParams: config["radio"], Region: config["regions"][0], Scenario: config,
+             QuadratureSpec: config.setdefault("quadrature", {})}[cls]
+    block[name] = value
+    return load_scenario(config)
+
+
+@pytest.mark.parametrize("cls,name,integer,op,bound", [
+    pytest.param(cls, f.name, f.type == "int", op, bound, id=f"{cls.__name__}.{f.name}{op}{bound}")
+    for cls in _PREFIX for f in dataclasses.fields(cls) for op, bound in f.metadata.items()])
+def test_value_just_past_a_bound_is_rejected(cls, name, integer, op, bound):
+    if integer:
+        below, above = bound - 1, bound + 1
+    else:
+        below, above = math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)
+    past = {">": bound if integer else float(bound), ">=": below, "<=": above}[op]
+    with pytest.raises(ValidationError) as excinfo:
+        _build(cls, name, past)
+    assert str(excinfo.value) == f"{_PREFIX[cls]}{name} must be {op} {bound}, got {past!r}"
+    if op != ">":  # an inclusive bound admits the bound itself
+        _build(cls, name, bound)
