@@ -351,47 +351,3 @@ def verify_plan(plan: DeploymentPlan, demand, areas_m2) -> list[Violation]:
         out.append(Violation("static_cap", slot=None, region=int(z), magnitude=float(over[z])))
     return out
 
-
-# ---------------------------------------------------------------------------
-# export helpers
-
-def plan_to_dict(plan: DeploymentPlan, region_ids) -> dict:
-    """JSON-ready view of a plan, densities converted to stations/km^2."""
-    region_ids = list(region_ids)
-    if len(region_ids) != plan.num_regions:
-        raise ValueError(f"expected {plan.num_regions} region ids, got {len(region_ids)}")
-    return {
-        "fleet_size": plan.fleet_size,
-        "fleet_size_ceil": plan.fleet_size_ceil,
-        "static_density_per_km2": {
-            rid: float(plan.static_density[z]) * 1e6 for z, rid in enumerate(region_ids)
-        },
-        "mbs_schedule_per_km2": [[float(v) * 1e6 for v in row] for row in plan.mbs_schedule],
-        "objective_value": plan.objective_value,
-        "cost_model": {
-            "static_unit_cost": plan.cost_model.static_unit_cost,
-            "mobile_unit_cost": plan.cost_model.mobile_unit_cost,
-        },
-        "tie_break_epsilon": TIE_BREAK_EPSILON,
-    }
-
-
-def savings_to_dict(report: SavingsReport, region_ids) -> dict:
-    """JSON-ready view of a savings report (excess series in stations/km^2)."""
-    region_ids = list(region_ids)
-    per_region = report.per_region_static_saving_fraction
-    if len(region_ids) != per_region.size:
-        raise ValueError(f"expected {per_region.size} region ids, got {len(region_ids)}")
-    return {
-        "static_only_total": report.static_only_total,
-        "hybrid_total": report.hybrid_total,
-        "total_saving_fraction": report.total_saving_fraction,
-        "per_region_static_saving_fraction": {
-            rid: float(per_region[z]) for z, rid in enumerate(region_ids)
-        },
-        "peak_aggregate_demand": report.peak_aggregate_demand,
-        "excess_capacity_per_km2": [[float(v) * 1e6 for v in row]
-                                    for row in report.excess_capacity_series],
-        "mbs_fraction": [[float(v) for v in row] for row in report.mbs_fraction_series],
-    }
-

@@ -12,7 +12,6 @@ fails, 2 on bad input (config, flags, unreadable files).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -78,11 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     artifacts = run_pipeline(args.config, args.out)
-    report = json.loads(artifacts.savings_json_path.read_text())
+    report = artifacts.report
     print(f"wrote {artifacts.demand_csv_path.parent}")
-    print(f"total saving: {100 * report['total_saving_fraction']:.2f}% "
-          f"(static-only {report['static_only_total']:.1f} stations, "
-          f"hybrid {report['hybrid_total']:.1f})")
+    print(f"total saving: {100 * report.total_saving_fraction:.2f}% "
+          f"(static-only {report.static_only_total:.1f} stations, "
+          f"hybrid {report.hybrid_total:.1f})")
     return 0
 
 

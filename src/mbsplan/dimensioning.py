@@ -164,20 +164,3 @@ def demand_matrix(
     return DemandMatrix(values=densities[inverse], achieved_delay_s_per_bit=delay[inverse],
                         fixed_point_iterations=iterations[inverse])
 
-
-def write_demand_csv(path, demand: DemandMatrix, users: UserDensityMatrix, region_ids) -> None:
-    """One row per (slot, region): user density, required station density and
-    the delay actually achieved at the returned density. km^2 units."""
-    if demand.achieved_delay_s_per_bit is None:
-        raise ValueError("demand matrix carries no diagnostics; export needs them")
-    lines = ["slot,time_h,region_id,user_density_per_km2,min_bs_density_per_km2,achieved_delay_s_per_bit"]
-    for j in range(demand.num_slots):
-        for z, rid in enumerate(region_ids):
-            lines.append(
-                f"{j},{float(users.slot_times_h[j])!r},{rid},"
-                f"{float(users.values[j, z] * M2_PER_KM2)!r},"
-                f"{float(demand.values[j, z] * M2_PER_KM2)!r},"
-                f"{float(demand.achieved_delay_s_per_bit[j, z])!r}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -2,7 +2,8 @@
 
 ``run_pipeline`` chains the stages (traffic profiles -> user densities ->
 minimum station densities -> deployment LP -> savings report) and writes
-CSV/JSON artifacts suitable for plotting. The two parameter sweeps rerun
+CSV/JSON artifacts suitable for plotting. This module alone knows the
+artifact formats; the stages only compute. The two parameter sweeps rerun
 that chain while varying either the office/residential user-density ratio
 or the static/mobile unit-cost ratio. ``validate`` replays the analytic
 model against its Monte Carlo and grid-scan oracles.
@@ -27,12 +28,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .allocation import (CostModel, DeploymentPlan, SavingsReport, optimal_plan,
-                         plan_to_dict, savings, savings_to_dict, verify_plan)
-from .dimensioning import DemandMatrix, demand_matrix, min_bs_density, write_demand_csv
+from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
+                         optimal_plan, savings, verify_plan)
+from .dimensioning import DemandMatrix, demand_matrix, min_bs_density
 from .qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
-from .scenario import (Scenario, UserDensityMatrix, default_config, default_scenario,
-                       load_scenario_file, user_density_matrix)
+from .scenario import (M2_PER_KM2, Scenario, UserDensityMatrix, default_config,
+                       default_scenario, load_scenario_file, user_density_matrix)
 
 # Spot checks used by ``validate``: (station density, user density) pairs in
 # per-km^2 units for the Monte Carlo oracle, and user densities for the
@@ -47,13 +48,15 @@ _MC_REL_TOL = 0.05
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Paths of the files a pipeline run produced, plus its manifest."""
+    """Paths of the files a pipeline run produced, plus its manifest and
+    the savings report that ``savings.json`` holds."""
 
     demand_csv_path: Path
     plan_json_path: Path
     savings_json_path: Path
     series_csv_path: Path
     manifest: dict
+    report: SavingsReport
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,41 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _cell(value) -> str:
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def _write_csv(path, header, rows) -> None:
+    """``header`` and then each row as one comma-joined line ending in
+    ``\n``: ints and strings as they are, every other value as
+    ``repr(float(v))``, the shortest form that parses back to the same float."""
+    lines = "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    Path(path).write_text(lines, encoding="utf-8", newline="\n")
+
+
+def _write_cell_csv(path: Path, solved: _Solved, columns: dict) -> None:
+    """One row per (slot, region), slot-major: ``slot,time_h,region_id``
+    and then ``columns``, each a J x Z array or one that broadcasts to it."""
+    shape = solved.demand.values.shape
+    arrays = [np.broadcast_to(a, shape) for a in columns.values()]
+    times = solved.users.slot_times_h
+    rows = ((j, times[j], rid, *(a[j, z] for a in arrays))
+            for j in range(shape[0]) for z, rid in enumerate(solved.scenario.region_ids))
+    _write_csv(path, ("slot", "time_h", "region_id", *columns), rows)
+
+
+def _write_demand_csv(path: Path, solved: _Solved) -> None:
+    """The dimensioning result: user density, required station density and
+    the delay achieved at it."""
+    _write_cell_csv(path, solved, {
+        "user_density_per_km2": solved.users.values * M2_PER_KM2,
+        "min_bs_density_per_km2": solved.demand.values * M2_PER_KM2,
+        "achieved_delay_s_per_bit": solved.demand.achieved_delay_s_per_bit,
+    })
+
+
 def _write_series_csv(path: Path, solved: _Solved) -> None:
     """Wide per-(slot, region) series used for the daily-profile figures.
 
@@ -117,26 +155,47 @@ def _write_series_csv(path: Path, solved: _Solved) -> None:
     so total = static + mbs and excess = total - baseline hold bit-exactly
     on re-parse.
     """
-    demand = solved.demand.values
-    plan = solved.plan
-    caps = demand.max(axis=0)
-    times = solved.users.slot_times_h
-    ids = solved.scenario.region_ids
-    lines = ["slot,time_h,region_id,baseline_per_km2,static_only_per_km2,"
-             "static_per_km2,mbs_per_km2,total_per_km2,excess_per_km2,mbs_fraction"]
-    for j in range(demand.shape[0]):
-        for z in range(demand.shape[1]):
-            baseline = demand[j, z] * 1e6
-            static = plan.static_density[z] * 1e6
-            mbs = plan.mbs_schedule[j, z] * 1e6
-            total = static + mbs
-            lines.append(",".join((
-                str(j), repr(float(times[j])), ids[z], repr(float(baseline)),
-                repr(float(caps[z] * 1e6)), repr(float(static)), repr(float(mbs)),
-                repr(float(total)), repr(float(total - baseline)),
-                repr(float(solved.report.mbs_fraction_series[j, z])),
-            )))
-    path.write_text("\n".join(lines) + "\n")
+    baseline = solved.demand.values * M2_PER_KM2
+    static = solved.plan.static_density * M2_PER_KM2
+    mbs = solved.plan.mbs_schedule * M2_PER_KM2
+    total = static + mbs
+    _write_cell_csv(path, solved, {
+        "baseline_per_km2": baseline,
+        "static_only_per_km2": baseline.max(axis=0),
+        "static_per_km2": static,
+        "mbs_per_km2": mbs,
+        "total_per_km2": total,
+        "excess_per_km2": total - baseline,
+        "mbs_fraction": solved.report.mbs_fraction_series,
+    })
+
+
+def _plan_dict(plan: DeploymentPlan, region_ids) -> dict:
+    """``plan.json``: the plan with densities in stations/km^2."""
+    return {
+        "fleet_size": plan.fleet_size,
+        "fleet_size_ceil": plan.fleet_size_ceil,
+        "static_density_per_km2": dict(zip(region_ids,
+                                           (plan.static_density * M2_PER_KM2).tolist())),
+        "mbs_schedule_per_km2": (plan.mbs_schedule * M2_PER_KM2).tolist(),
+        "objective_value": plan.objective_value,
+        "cost_model": dataclasses.asdict(plan.cost_model),
+        "tie_break_epsilon": TIE_BREAK_EPSILON,
+    }
+
+
+def _savings_dict(report: SavingsReport, region_ids) -> dict:
+    """``savings.json``: the report with the excess series in stations/km^2."""
+    return {
+        "static_only_total": report.static_only_total,
+        "hybrid_total": report.hybrid_total,
+        "total_saving_fraction": report.total_saving_fraction,
+        "per_region_static_saving_fraction": dict(
+            zip(region_ids, report.per_region_static_saving_fraction.tolist())),
+        "peak_aggregate_demand": report.peak_aggregate_demand,
+        "excess_capacity_per_km2": (report.excess_capacity_series * M2_PER_KM2).tolist(),
+        "mbs_fraction": report.mbs_fraction_series.tolist(),
+    }
 
 
 def _dimensioning_counters(solved: _Solved) -> dict:
@@ -171,9 +230,9 @@ def run_pipeline(config_path, out_dir) -> RunArtifacts:
         staged = {key: Path(tmp) / path.name for key, path in paths.items()}
         solved = _solve_scenario(scenario)
         ids = scenario.region_ids
-        write_demand_csv(staged["demand"], solved.demand, solved.users, ids)
-        _write_json(staged["plan"], plan_to_dict(solved.plan, ids))
-        _write_json(staged["savings"], savings_to_dict(solved.report, ids))
+        _write_demand_csv(staged["demand"], solved)
+        _write_json(staged["plan"], _plan_dict(solved.plan, ids))
+        _write_json(staged["savings"], _savings_dict(solved.report, ids))
         _write_series_csv(staged["series"], solved)
         manifest = {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
@@ -188,7 +247,7 @@ def run_pipeline(config_path, out_dir) -> RunArtifacts:
             os.replace(staged[key], path)
     return RunArtifacts(demand_csv_path=paths["demand"], plan_json_path=paths["plan"],
                         savings_json_path=paths["savings"], series_csv_path=paths["series"],
-                        manifest=manifest)
+                        manifest=manifest, report=solved.report)
 
 
 def _sweep_collect(values, solve_one, region_ids) -> SweepResult:
@@ -278,18 +337,13 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
 def write_sweep_csv(path, result: SweepResult) -> None:
     """``parameter,total_saving_fraction,fleet_size,objective`` plus one
     ``static_saving_<region>`` column per region; failed points are skipped."""
-    header = "parameter,total_saving_fraction,fleet_size,objective"
-    for rid in result.region_ids:
-        header += f",static_saving_{rid}"
-    lines = [header]
-    for i, value in enumerate(result.parameter_values):
-        if not np.isfinite(result.fleet_size[i]):
-            continue  # failed point, recorded in result.failures
-        cells = [repr(float(value)), repr(float(result.total_saving_fraction[i])),
-                 repr(float(result.fleet_size[i])), repr(float(result.objective[i]))]
-        cells += [repr(float(v)) for v in result.per_region_static_saving[i]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ("parameter", "total_saving_fraction", "fleet_size", "objective",
+              *(f"static_saving_{rid}" for rid in result.region_ids))
+    rows = np.column_stack((result.parameter_values, result.total_saving_fraction,
+                            result.fleet_size, result.objective,
+                            result.per_region_static_saving))
+    # a failed point is recorded in result.failures, not written as NaN
+    _write_csv(path, header, rows[np.isfinite(result.fleet_size)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import allocation_reference
 
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan,
                                 build_allocation_lp, canonicalize_schedule,
-                                optimal_plan, peak_aggregate_demand, plan_to_dict,
-                                savings, savings_to_dict, verify_plan)
+                                optimal_plan, peak_aggregate_demand, savings,
+                                verify_plan)
 
 KM2 = 1e6  # m^2 per km^2; densities below are written per km^2 and scaled
 
@@ -258,35 +258,6 @@ def test_verify_plan_flags_broken_invariants():
     coverage = [v for v in violations if v.constraint == "coverage"]
     assert len(coverage) == 4
     assert all(v.magnitude > 0.0 for v in coverage)
-
-
-def test_plan_to_dict_schema():
-    plan = optimal_plan(HAND_DEMAND, HAND_AREAS)
-    out = plan_to_dict(plan, ["office", "residential"])
-    assert set(out) == {"fleet_size", "fleet_size_ceil", "static_density_per_km2",
-                        "mbs_schedule_per_km2", "objective_value", "cost_model",
-                        "tie_break_epsilon"}
-    assert out["fleet_size"] == pytest.approx(8.0, rel=1e-9)
-    assert out["fleet_size_ceil"] == 8
-    assert out["static_density_per_km2"]["office"] == pytest.approx(2.0, rel=1e-9)
-    assert out["mbs_schedule_per_km2"][0][0] == pytest.approx(8.0, rel=1e-9)
-    assert out["cost_model"] == {"static_unit_cost": 1.0, "mobile_unit_cost": 1.0}
-    assert out["tie_break_epsilon"] == TIE_BREAK_EPSILON
-    with pytest.raises(ValueError):
-        plan_to_dict(plan, ["office"])
-
-
-def test_savings_to_dict_schema():
-    plan = optimal_plan(HAND_DEMAND, HAND_AREAS)
-    out = savings_to_dict(savings(plan, HAND_DEMAND, HAND_AREAS), ["a", "b"])
-    assert set(out) == {"static_only_total", "hybrid_total", "total_saving_fraction",
-                        "per_region_static_saving_fraction", "peak_aggregate_demand",
-                        "excess_capacity_per_km2", "mbs_fraction"}
-    assert out["per_region_static_saving_fraction"]["b"] == pytest.approx(0.8, rel=1e-9)
-    assert len(out["excess_capacity_per_km2"]) == 2
-    assert out["mbs_fraction"][1][1] == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        savings_to_dict(savings(plan, HAND_DEMAND, HAND_AREAS), ["a", "b", "c"])
 
 
 def test_fleet_size_ceil_forgives_float_dust():

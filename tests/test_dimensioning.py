@@ -1,7 +1,6 @@
-"""Demand dimensioning tests: the u = 1 inversion, shared loads, CSV export."""
+"""Demand dimensioning tests: the u = 1 inversion, shared loads, cell errors."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from mbsplan import dimensioning
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                                   DemandMatrix, InfeasibleDemand, demand_matrix,
-                                  min_bs_density, write_demand_csv)
+                                  min_bs_density)
 from mbsplan.qosmodel import (FixedPointDiverged, QuadratureSpec, delay_given_utilization,
                               evaluate_qos)
 from mbsplan.scenario import (M2_PER_KM2, RadioParams, UserDensityMatrix,
@@ -227,37 +226,3 @@ def test_demand_matrix_validation():
     demand = DemandMatrix(values=np.ones((2, 2)))
     with pytest.raises(ValueError):
         demand.values[0, 0] = 9.0
-
-
-def test_write_demand_csv_round_trip(tmp_path):
-    values = np.array([[2e-6, 0.0], [3.5e-6, 1e-6]])
-    delays = 1.1e-6 * (1 + np.arange(2)[:, None] + np.arange(2)[None, :])
-    demand = DemandMatrix(values=values, achieved_delay_s_per_bit=delays,
-                          fixed_point_iterations=np.full((2, 2), 3))
-    users = UserDensityMatrix(
-        values=np.array([[1e-3, 0.0], [2e-3, 5e-4]]),
-        slot_times_h=slot_midpoints_h(2),
-    )
-    path = tmp_path / "demand.csv"
-    write_demand_csv(path, demand, users, ["office", "residential"])
-    lines = path.read_text().strip().split("\n")
-    header = ("slot,time_h,region_id,user_density_per_km2,"
-              "min_bs_density_per_km2,achieved_delay_s_per_bit")
-    assert lines[0] == header
-    assert len(lines) == 1 + 4
-    for line in lines[1:]:
-        slot, time_h, rid, lam_u, lam_b, delay = line.split(",")
-        j = int(slot)
-        z = ["office", "residential"].index(rid)
-        assert float(time_h) == users.slot_times_h[j]
-        # repr round trip: parsing the cell recovers the exact float
-        assert float(lam_u) == users.values[j, z] * M2_PER_KM2
-        assert float(lam_b) == demand.values[j, z] * M2_PER_KM2
-        assert float(delay) == delays[j, z]
-    assert math.isclose(float(lines[1].split(",")[4]), 2.0, rel_tol=1e-12)
-
-
-def test_write_demand_csv_requires_diagnostics(tmp_path):
-    demand = DemandMatrix(values=np.ones((1, 1)))
-    with pytest.raises(ValueError):
-        write_demand_csv(tmp_path / "demand.csv", demand, None, ["r"])

@@ -15,15 +15,22 @@ import scipy
 
 import mbsplan
 from mbsplan import cli, pipeline
+from mbsplan.allocation import TIE_BREAK_EPSILON, optimal_plan, savings
+from mbsplan.dimensioning import demand_matrix
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
-from mbsplan.scenario import (QuadratureSpec, default_config, default_scenario,
+from mbsplan.scenario import (M2_PER_KM2, QuadratureSpec, default_config, default_scenario,
                               load_scenario_file, user_density_matrix)
 
 SERIES_HEADER = ("slot,time_h,region_id,baseline_per_km2,static_only_per_km2,"
                  "static_per_km2,mbs_per_km2,total_per_km2,excess_per_km2,mbs_fraction")
 DEMAND_HEADER = ("slot,time_h,region_id,user_density_per_km2,"
                  "min_bs_density_per_km2,achieved_delay_s_per_bit")
+
+# Two regions with mirrored peaks: the cheapest deployment keeps 2/km^2
+# static in each region and shuttles 8 mobile stations back and forth.
+HAND_DEMAND = np.array([[10.0, 2.0], [2.0, 10.0]]) / M2_PER_KM2
+HAND_AREAS = np.array([M2_PER_KM2, M2_PER_KM2])
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +88,54 @@ def test_demand_csv_schema(default_run):
         assert float(row[3]) == users.values[j, z] * 1e6
         assert float(row[4]) > 0.0
         assert 0.0 < float(row[5]) <= default_scenario().radio.target_delay_s_per_bit
+
+
+def test_demand_csv_round_trip(default_run):
+    scenario = default_scenario()
+    users = user_density_matrix(scenario)
+    demand = demand_matrix(users, scenario.radio, scenario.quadrature)
+    lines = default_run.demand_csv_path.read_text().strip().split("\n")
+    assert lines[0] == DEMAND_HEADER
+    assert len(lines) == 1 + demand.values.size
+    for line in lines[1:]:
+        slot, time_h, rid, lam_u, lam_b, delay = line.split(",")
+        j = int(slot)
+        z = scenario.region_ids.index(rid)
+        # repr round trip: parsing the cell recovers the exact float
+        assert float(time_h) == users.slot_times_h[j]
+        assert float(lam_u) == users.values[j, z] * M2_PER_KM2
+        assert float(lam_b) == demand.values[j, z] * M2_PER_KM2
+        assert float(delay) == demand.achieved_delay_s_per_bit[j, z]
+
+
+def test_plan_json_schema():
+    plan = optimal_plan(HAND_DEMAND, HAND_AREAS)
+    out = pipeline._plan_dict(plan, ["office", "residential"])
+    assert set(out) == {"fleet_size", "fleet_size_ceil", "static_density_per_km2",
+                        "mbs_schedule_per_km2", "objective_value", "cost_model",
+                        "tie_break_epsilon"}
+    assert out["fleet_size"] == pytest.approx(8.0, rel=1e-9)
+    assert out["fleet_size_ceil"] == 8
+    assert out["static_density_per_km2"]["office"] == pytest.approx(2.0, rel=1e-9)
+    assert out["mbs_schedule_per_km2"][0][0] == pytest.approx(8.0, rel=1e-9)
+    assert out["cost_model"] == {"static_unit_cost": 1.0, "mobile_unit_cost": 1.0}
+    assert out["tie_break_epsilon"] == TIE_BREAK_EPSILON
+
+
+def test_savings_json_schema():
+    plan = optimal_plan(HAND_DEMAND, HAND_AREAS)
+    out = pipeline._savings_dict(savings(plan, HAND_DEMAND, HAND_AREAS), ["a", "b"])
+    assert set(out) == {"static_only_total", "hybrid_total", "total_saving_fraction",
+                        "per_region_static_saving_fraction", "peak_aggregate_demand",
+                        "excess_capacity_per_km2", "mbs_fraction"}
+    assert out["per_region_static_saving_fraction"]["b"] == pytest.approx(0.8, rel=1e-9)
+    assert len(out["excess_capacity_per_km2"]) == 2
+    assert out["mbs_fraction"][1][1] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_run_returns_the_written_savings_report(default_run):
+    report = json.loads(default_run.savings_json_path.read_text())
+    assert report == pipeline._savings_dict(default_run.report, ("office", "residential"))
 
 
 def test_series_csv_identities(default_run):
@@ -176,15 +231,23 @@ def test_csv_profiles_reproduce_builtin_run(default_run, tmp_path, case):
     assert artifacts.manifest["dimensioning"] == default_run.manifest["dimensioning"]
 
 
-def test_failed_run_cleans_up_partial_outputs(tmp_path, monkeypatch):
+def _failing_series_writer(staged_before):
+    """A series writer that records the files already staged beside it,
+    then fails."""
     def boom(path, solved):
+        staged_before.extend(sorted(p.name for p in Path(path).parent.iterdir()))
         raise RuntimeError("disk full, allegedly")
+    return boom
 
-    monkeypatch.setattr(pipeline, "_write_series_csv", boom)
+
+def test_failed_run_cleans_up_partial_outputs(tmp_path, monkeypatch):
+    staged = []
+    monkeypatch.setattr(pipeline, "_write_series_csv", _failing_series_writer(staged))
     out = tmp_path / "partial"
     with pytest.raises(RuntimeError, match="disk full"):
         run_pipeline(None, out)
     # demand/plan/savings were written before the failure and must be gone
+    assert staged == ["demand.csv", "plan.json", "savings.json"]
     assert list(out.iterdir()) == []
 
 
@@ -194,12 +257,11 @@ def test_failed_rerun_leaves_previous_artifacts_untouched(tmp_path, monkeypatch)
     names = ("demand.csv", "plan.json", "savings.json", "series.csv", "manifest.json")
     before = {name: (out / name).read_bytes() for name in names}
 
-    def boom(path, solved):
-        raise RuntimeError("disk full, allegedly")
-
-    monkeypatch.setattr(pipeline, "_write_series_csv", boom)
+    staged = []
+    monkeypatch.setattr(pipeline, "_write_series_csv", _failing_series_writer(staged))
     with pytest.raises(RuntimeError, match="disk full"):
         run_pipeline(None, out)
+    assert staged == ["demand.csv", "plan.json", "savings.json"]
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
     assert {name: (out / name).read_bytes() for name in names} == before
 
