@@ -19,7 +19,7 @@ from .scenario import (QuadratureSpec, RadioParams, Region, Scenario, ScenarioEr
                        slot_midpoints_h, user_density_matrix)
 from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, capacity,
                        delay_given_utilization, evaluate_qos, mc_delay_oracle,
-                       mean_interference, overlap_area, pair_distance, shared_load_kernel)
+                       mean_interference, overlap_area)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                            DemandMatrix, InfeasibleDemand, demand_matrix, min_bs_density)
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
@@ -39,7 +39,7 @@ __all__ = [
     # qos model
     "FixedPointDiverged", "NonFinite", "QosEvaluation", "capacity",
     "delay_given_utilization", "evaluate_qos", "mc_delay_oracle", "mean_interference",
-    "overlap_area", "pair_distance", "shared_load_kernel",
+    "overlap_area",
     # dimensioning
     "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "DemandMatrix",
     "InfeasibleDemand", "demand_matrix", "min_bs_density",

@@ -21,7 +21,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -174,10 +174,6 @@ class QuadratureSpec:
 
     def __post_init__(self):
         _check_numbers(self, "quadrature: ")
-
-    def doubled(self) -> "QuadratureSpec":
-        return replace(self, nodes_r=2 * self.nodes_r, nodes_x=2 * self.nodes_x,
-                       nodes_theta=2 * self.nodes_theta)
 
 
 @dataclass(frozen=True)

