@@ -378,6 +378,8 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     """
     if mc_trials < 1000:
         raise ValueError(f"mc_trials must be at least 1000, got {mc_trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     scenario, _ = _load(config_path)
     params = scenario.radio
     quad = scenario.quadrature

@@ -575,6 +575,12 @@ def test_cli_validate_quick_pass(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_cli_validate_negative_seed_exits_2(capsys):
+    # This once exited 2 with only "expected non-negative integer" from numpy.
+    assert cli.main(["validate", "--trials", "1000", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_cli_validate_fails_on_unreachable_target(tmp_path, capsys):
     config = json.loads(json.dumps(default_config()))
     config["radio"]["target_delay_s_per_bit"] = 1e-12
