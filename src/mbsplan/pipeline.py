@@ -113,29 +113,28 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, (int, str)):
-        return str(value)
-    return repr(float(value))
-
-
-def _write_csv(path, header, rows) -> None:
-    """``header`` and then each row as one comma-joined line ending in
-    ``\n``: ints and strings as they are, every other value as
-    ``repr(float(v))``, the shortest form that parses back to the same float."""
-    lines = "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
-    Path(path).write_text(lines, encoding="utf-8", newline="\n")
+def _write_csv(path, columns: dict) -> None:
+    """The column names, then one comma-joined line per row, each ending in
+    ``\n``. A column is a list of ints or strings, written as they are, or
+    an array of floats, each written as ``repr(float(v))``: the shortest
+    form that parses back to the same float."""
+    cells = [map(str, c) if isinstance(c, list)
+             else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                          newline="\n")
 
 
 def _write_cell_csv(path: Path, solved: _Solved, columns: dict) -> None:
     """One row per (slot, region), slot-major: ``slot,time_h,region_id``
     and then ``columns``, each a J x Z array or one that broadcasts to it."""
-    shape = solved.demand.values.shape
-    arrays = [np.broadcast_to(a, shape) for a in columns.values()]
-    times = solved.users.slot_times_h
-    rows = ((j, times[j], rid, *(a[j, z] for a in arrays))
-            for j in range(shape[0]) for z, rid in enumerate(solved.scenario.region_ids))
-    _write_csv(path, ("slot", "time_h", "region_id", *columns), rows)
+    num_slots, num_regions = shape = solved.demand.values.shape
+    _write_csv(path, {
+        "slot": [j for j in range(num_slots) for _ in range(num_regions)],
+        "time_h": np.repeat(solved.users.slot_times_h, num_regions),
+        "region_id": list(solved.scenario.region_ids) * num_slots,
+        **{name: np.broadcast_to(a, shape).ravel() for name, a in columns.items()},
+    })
 
 
 def _write_demand_csv(path: Path, solved: _Solved) -> None:
@@ -337,13 +336,15 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
 def write_sweep_csv(path, result: SweepResult) -> None:
     """``parameter,total_saving_fraction,fleet_size,objective`` plus one
     ``static_saving_<region>`` column per region; failed points are skipped."""
-    header = ("parameter", "total_saving_fraction", "fleet_size", "objective",
-              *(f"static_saving_{rid}" for rid in result.region_ids))
-    rows = np.column_stack((result.parameter_values, result.total_saving_fraction,
-                            result.fleet_size, result.objective,
-                            result.per_region_static_saving))
-    # a failed point is recorded in result.failures, not written as NaN
-    _write_csv(path, header, rows[np.isfinite(result.fleet_size)])
+    ok = np.isfinite(result.fleet_size)  # failed points are in result.failures
+    _write_csv(path, {
+        "parameter": result.parameter_values[ok],
+        "total_saving_fraction": result.total_saving_fraction[ok],
+        "fleet_size": result.fleet_size[ok],
+        "objective": result.objective[ok],
+        **{f"static_saving_{rid}": result.per_region_static_saving[ok, z]
+           for z, rid in enumerate(result.region_ids)},
+    })
 
 
 # ---------------------------------------------------------------------------
