@@ -114,15 +114,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path, columns: dict) -> None:
-    """The column names, then one comma-joined line per row, each ending in
-    ``\n``. A column is a list of ints or strings, written as they are, or
-    an array of floats, each written as ``repr(float(v))``: the shortest
-    form that parses back to the same float."""
+    """The column names, then one comma-joined line per row, each line
+    ending in a newline. A column is a list of ints or strings, written as
+    they are, or an array of floats, each written as ``repr(float(v))``:
+    the shortest form that parses back to the same float."""
     cells = [map(str, c) if isinstance(c, list)
              else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns.values()]
     lines = [",".join(columns), *map(",".join, zip(*cells))]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8",
-                          newline="\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_cell_csv(path: Path, solved: _Solved, columns: dict) -> None:
