@@ -23,8 +23,8 @@ from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, capacity,
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                            DemandMatrix, InfeasibleDemand, demand_matrix, min_bs_density)
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
-                         Violation, build_allocation_lp, canonicalize_schedule,
-                         optimal_plan, peak_aggregate_demand, savings, verify_plan)
+                         Violation, optimal_plan, peak_aggregate_demand, savings,
+                         verify_plan)
 from .pipeline import (RunArtifacts, SweepResult, ValidationCheck, ValidationReport,
                        run_pipeline, sweep_cost_ratio, sweep_density_ratio, validate,
                        write_sweep_csv)
@@ -45,8 +45,7 @@ __all__ = [
     "InfeasibleDemand", "demand_matrix", "min_bs_density",
     # allocation
     "TIE_BREAK_EPSILON", "CostModel", "DeploymentPlan", "SavingsReport",
-    "Violation", "build_allocation_lp", "canonicalize_schedule", "optimal_plan",
-    "peak_aggregate_demand", "savings", "verify_plan",
+    "Violation", "optimal_plan", "peak_aggregate_demand", "savings", "verify_plan",
     # pipeline / cli
     "RunArtifacts", "SweepResult", "ValidationCheck", "ValidationReport",
     "run_pipeline", "sweep_cost_ratio", "sweep_density_ratio", "validate",

@@ -1,8 +1,10 @@
 """Cost-optimal split of capacity between static stations and a shared
 mobile fleet.
 
-Given the per-slot, per-region minimum station densities produced by the
-dimensioning stage, the deployment problem is
+Every function takes the demand as a plain slots x regions array of
+minimum station densities (stations/m^2; a ``DemandMatrix`` from the
+dimensioning stage is passed as its ``.values``) and the region areas in
+m^2. The deployment problem is
 
     minimize  c_m * M  +  c_s * sum_z lambda_s[z] * A[z]
     s.t.      sum_z mbs[j, z] * A[z] == M                  (closed fleet)
@@ -16,19 +18,18 @@ stations serves every slot, redistributed between regions as traffic moves.
 Only the static densities are real decisions. The solver sees a reduced
 LP over [M, lambda_s, t] with t[j, z] >= demand[j, z] - lambda_s[z] the
 mobile density slot j needs in region z and sum_z A[z] t[j, z] <= M; the
-fleet then follows in closed form from lambda_s, and a canonicalization
-pass rebuilds a reproducible schedule that meets the equality above.
+fleet then follows in closed form from lambda_s, and the schedule is
+rebuilt in a solver-independent, reproducible way that meets the equality
+above.
 
-With equal unit costs the optimum value is pinned but the static/mobile
-split is not; a tiny surcharge on the fleet makes the solver prefer static
-capacity deterministically.
-
-When static stations are strictly dearer than the surcharged fleet,
-c_s > c_m' = c_m (1 + TIE_BREAK_EPSILON), no solver runs: the peak slot
-forces M >= P - sum_z A_z lambda_s[z], P the peak aggregate demand, so the
-cost is at least c_m' P + (c_s - c_m') sum_z A_z lambda_s[z], uniquely
-smallest at lambda_s = 0 with M = P. HiGHS runs only when static is not
-dearer.
+When static stations are strictly dearer, c_s > c_m, no solver runs: the
+peak slot forces M >= P - sum_z A_z lambda_s[z], P the peak aggregate
+demand, so the cost is at least c_m P + (c_s - c_m) sum_z A_z lambda_s[z],
+uniquely smallest at lambda_s = 0 with M = P. HiGHS runs only when static
+is not dearer. With equal unit costs the optimum value is pinned but the
+static/mobile split is not; inside the solver a tiny surcharge on the
+fleet, c_m (1 + TIE_BREAK_EPSILON), makes it prefer static capacity
+deterministically.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimensioning import DemandMatrix
 from .scenario import _check_numbers
 
 # Relative surcharge on the fleet's unit cost used only inside the solver,
@@ -149,7 +149,7 @@ class Violation:
 
 
 def _demand_values(demand) -> np.ndarray:
-    values = demand.values if isinstance(demand, DemandMatrix) else np.asarray(demand, dtype=float)
+    values = np.asarray(demand, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"demand must be a slots x regions matrix, got shape {values.shape}")
     if values.size == 0 or np.any(values < 0.0) or not np.all(np.isfinite(values)):
@@ -166,9 +166,62 @@ def _areas(areas_m2, num_regions) -> np.ndarray:
     return areas
 
 
-@dataclass(frozen=True)
-class AllocationLP:
-    """The reduced deployment LP in ``scipy.optimize.linprog`` form:
+def _row_dots(matrix, weights) -> np.ndarray:
+    """``matrix[j] @ weights`` for every row j, bit for bit: a stack of
+    1 x Z by Z x 1 products takes numpy's vector dot per row, where
+    ``matrix @ weights`` may sum each row in another order."""
+    return (matrix[:, None, :] @ weights[:, None])[:, 0, 0]
+
+
+def _canonical_schedule(values, areas, static, fleet) -> np.ndarray:
+    """The fleet schedule, rebuilt in a solver-independent way.
+
+    The LP pins the fleet size but usually not how it is split between
+    regions slot by slot. The canonical split first parks in each region
+    exactly what coverage requires beyond its static stations, then spreads
+    the leftover fleet proportionally to each region's remaining headroom
+    (peak demand minus the required density). Objective and feasibility are
+    unchanged.
+    """
+    caps = values.max(axis=0)
+    required = np.maximum(0.0, values - static)
+    leftover = fleet - _row_dots(required, areas)
+    headroom = np.maximum(0.0, caps - required)
+    total = (headroom * areas).sum(axis=1)
+    spread = (leftover > 0.0) & (total > 0.0)
+    schedule = required.copy()
+    # share_z / A_z <= headroom_z because leftover <= total.
+    schedule[spread] += leftover[spread, None] * headroom[spread] / total[spread, None]
+    return schedule
+
+
+def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> DeploymentPlan:
+    """Return the canonicalized optimum: all-mobile in closed form when
+    static stations are strictly dearer, otherwise solved by HiGHS."""
+    values = _demand_values(demand)
+    areas = _areas(areas_m2, values.shape[1])
+
+    if costs.static_unit_cost > costs.mobile_unit_cost:
+        # M >= P - sum_z A_z s_z (the peak slot), so the cost is at least
+        # c_m P + (c_s - c_m) sum_z A_z s_z: uniquely smallest at s = 0.
+        static = np.zeros(values.shape[1])
+    else:
+        biased = CostModel(static_unit_cost=costs.static_unit_cost,
+                           mobile_unit_cost=costs.mobile_unit_cost * (1.0 + TIE_BREAK_EPSILON))
+        static = _solve_static(values, areas, biased)
+    # The smallest fleet that tops the static densities up to every slot's
+    # demand follows in closed form.
+    fleet = float((np.maximum(0.0, values - static) @ areas).max())
+    objective = costs.mobile_unit_cost * fleet + costs.static_unit_cost * float(static @ areas)
+    return DeploymentPlan(static_density=static,
+                          mbs_schedule=_canonical_schedule(values, areas, static, fleet),
+                          fleet_size=fleet, objective_value=objective, cost_model=costs)
+
+
+def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
+    """Static densities of the reduced LP's optimum under the biased costs.
+
+    The LP goes to ``scipy.optimize.linprog`` as
 
         minimize  objective @ x  s.t.  a_ub @ x <= b_ub,  bounds[:, 0] <= x <= bounds[:, 1]
 
@@ -176,26 +229,15 @@ class AllocationLP:
     1 + Z + j*Z + z holds the slot-j mobile density region z needs. Rows:
     one fleet row per slot, then one coverage row per cell, slot-major.
     """
-
-    objective: np.ndarray
-    a_ub: object  # scipy.sparse CSR array
-    b_ub: np.ndarray
-    bounds: np.ndarray
-
-
-def build_allocation_lp(demand, areas_m2, costs: CostModel = CostModel()) -> AllocationLP:
-    """Assemble the reduced deployment LP as a sparse matrix."""
-    # Imported on first use, like linprog in _solve_static, so that this
-    # module adds nothing to start-up.
+    # Imported on first use: scipy.optimize adds ~0.2 s to every start-up.
     from scipy import sparse
+    from scipy.optimize import linprog
 
-    values = _demand_values(demand)
     n_slots, n_regions = values.shape
-    areas = _areas(areas_m2, n_regions)
     caps = values.max(axis=0)
     n_cells = n_slots * n_regions
 
-    objective = np.concatenate(([costs.mobile_unit_cost], costs.static_unit_cost * areas,
+    objective = np.concatenate(([biased.mobile_unit_cost], biased.static_unit_cost * areas,
                                 np.zeros(n_cells)))
     # Fleet row j: sum_z A_z * t[j, z] - M <= 0. Coverage row of cell (j, z):
     # -static[z] - t[j, z] <= -demand[j, z].
@@ -209,76 +251,7 @@ def build_allocation_lp(demand, areas_m2, costs: CostModel = CostModel()) -> All
     b_ub = np.concatenate((np.zeros(n_slots), -values.ravel()))
     upper = np.concatenate(([math.inf], caps, np.tile(caps, n_slots)))
     bounds = np.column_stack((np.zeros(upper.size), upper))
-    return AllocationLP(objective=objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
-
-
-def _row_dots(matrix, weights) -> np.ndarray:
-    """``matrix[j] @ weights`` for every row j, bit for bit: a stack of
-    1 x Z by Z x 1 products takes numpy's vector dot per row, where
-    ``matrix @ weights`` may sum each row in another order."""
-    return (matrix[:, None, :] @ weights[:, None])[:, 0, 0]
-
-
-def canonicalize_schedule(raw_plan: DeploymentPlan, demand, areas_m2) -> DeploymentPlan:
-    """Rebuild the fleet schedule in a solver-independent way.
-
-    The LP pins the fleet size but usually not how it is split between
-    regions slot by slot. The canonical split first parks in each region
-    exactly what coverage requires beyond its static stations, then spreads
-    the leftover fleet proportionally to each region's remaining headroom
-    (peak demand minus the required density). Objective and feasibility are
-    unchanged.
-    """
-    values = _demand_values(demand)
-    areas = _areas(areas_m2, values.shape[1])
-    caps = values.max(axis=0)
-    static = raw_plan.static_density
-    fleet = raw_plan.fleet_size
-
-    required = np.maximum(0.0, values - static)
-    leftover = fleet - _row_dots(required, areas)
-    headroom = np.maximum(0.0, caps - required)
-    total = (headroom * areas).sum(axis=1)
-    spread = (leftover > 0.0) & (total > 0.0)
-    schedule = required.copy()
-    # share_z / A_z <= headroom_z because leftover <= total.
-    schedule[spread] += leftover[spread, None] * headroom[spread] / total[spread, None]
-    return DeploymentPlan(static_density=static, mbs_schedule=schedule,
-                          fleet_size=fleet, objective_value=raw_plan.objective_value,
-                          cost_model=raw_plan.cost_model)
-
-
-def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> DeploymentPlan:
-    """Return the canonicalized optimum: all-mobile in closed form when
-    static stations are strictly dearer, otherwise solved by HiGHS."""
-    values = _demand_values(demand)
-    areas = _areas(areas_m2, values.shape[1])
-
-    biased = CostModel(static_unit_cost=costs.static_unit_cost,
-                       mobile_unit_cost=costs.mobile_unit_cost * (1.0 + TIE_BREAK_EPSILON))
-    if biased.static_unit_cost > biased.mobile_unit_cost:
-        # M >= P - sum_z A_z s_z (the peak slot), so the biased cost is at
-        # least c_m' P + (c_s - c_m') sum_z A_z s_z: uniquely smallest at s = 0.
-        static = np.zeros(values.shape[1])
-    else:
-        static = _solve_static(values, areas, biased)
-    # The smallest fleet that tops the static densities up to every slot's
-    # demand follows in closed form.
-    fleet = float((np.maximum(0.0, values - static) @ areas).max())
-    objective = costs.mobile_unit_cost * fleet + costs.static_unit_cost * float(static @ areas)
-    raw = DeploymentPlan(static_density=static, mbs_schedule=np.zeros_like(values),
-                         fleet_size=fleet, objective_value=objective, cost_model=costs)
-    return canonicalize_schedule(raw, values, areas)
-
-
-def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
-    """Static densities of the reduced LP's optimum under the biased costs."""
-    # Imported on first use: scipy.optimize adds ~0.2 s to every start-up.
-    from scipy.optimize import linprog
-
-    lp = build_allocation_lp(values, areas, biased)
-    result = linprog(lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, bounds=lp.bounds,
-                     method="highs")
+    result = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if result.status != 0:
         # A fleet of zero with static densities at each region's peak is
         # always feasible, so any other status means the solver broke.
@@ -286,7 +259,7 @@ def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
                            f"instance: {result.message}")
     # Keep only the static densities, clipped into their box against solver
     # dust.
-    return np.clip(result.x[1:1 + values.shape[1]], 0.0, values.max(axis=0))
+    return np.clip(result.x[1:1 + n_regions], 0.0, caps)
 
 
 def peak_aggregate_demand(demand, areas_m2) -> float:

@@ -33,7 +33,7 @@ from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsRe
 from .dimensioning import DemandMatrix, demand_matrix, min_bs_density
 from .qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
 from .scenario import (M2_PER_KM2, Scenario, UserDensityMatrix, default_config,
-                       default_scenario, load_scenario_file, user_density_matrix)
+                       default_scenario, load_scenario, user_density_matrix)
 
 # Spot checks used by ``validate``: (station density, user density) pairs in
 # per-km^2 units for the Monte Carlo oracle, and user densities for the
@@ -78,8 +78,9 @@ def _load(config_path) -> tuple[Scenario, bytes]:
         scenario = default_scenario()
         raw = json.dumps(default_config(), sort_keys=True).encode()
         return scenario, raw
-    raw = Path(config_path).read_bytes()
-    return load_scenario_file(config_path), raw
+    path = Path(config_path)
+    raw = path.read_bytes()
+    return load_scenario(raw.decode("utf-8"), base_dir=path.parent), raw
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,12 @@ def _solve_scenario(scenario: Scenario, costs: CostModel = CostModel(),
         users = user_density_matrix(scenario)
     if demand is None:
         demand = demand_matrix(users, scenario.radio, scenario.quadrature)
-    plan = optimal_plan(demand, scenario.areas_m2(), costs)
-    violations = verify_plan(plan, demand, scenario.areas_m2())
+    areas = scenario.areas_m2()
+    plan = optimal_plan(demand.values, areas, costs)
+    violations = verify_plan(plan, demand.values, areas)
     if violations:
         raise RuntimeError(f"optimizer emitted an infeasible plan: {violations[:3]}")
-    report = savings(plan, demand, scenario.areas_m2())
+    report = savings(plan, demand.values, areas)
     return _Solved(scenario, users, demand, plan, report)
 
 
@@ -309,10 +311,9 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
     The user densities and the dimensioning are computed once; each point
     prices static stations at the ratio (mobile cost 1) and reports the cost
     saving against an all-static build priced at the same static cost. A
-    ratio above 1 + ``TIE_BREAK_EPSILON`` makes static strictly dearer, so
-    its optimum is the all-mobile fleet at the peak aggregate demand in
-    closed form; only the points where static is not dearer solve the
-    deployment LP with HiGHS.
+    ratio above 1 makes static strictly dearer, so its optimum is the
+    all-mobile fleet at the peak aggregate demand in closed form; only the
+    points where static is not dearer solve the deployment LP with HiGHS.
     """
     scenario, _ = _load(config_path)
     ratios = np.asarray(cost_ratios, dtype=float)

@@ -222,8 +222,11 @@ def delay_given_utilization(
     busy = mean_interference(r, params, lambda_b[..., None], 1.0)
     rate = capacity(r, params, busy * utilization[..., None])
     tau = (lambda_u / lambda_b) * np.sum(kernel / rate, axis=-1)
-    if not np.all(np.isfinite(tau)):
-        raise NonFinite(f"delay: non-finite result at lambda_b={lambda_b}, lambda_u={lambda_u}")
+    finite = np.isfinite(tau)
+    if not np.all(finite):
+        first = np.argmin(finite)  # flat index of the first non-finite element
+        b, u = (float(np.broadcast_to(x, tau.shape).flat[first]) for x in (lambda_b, lambda_u))
+        raise NonFinite(f"delay: non-finite result at lambda_b={b!r}, lambda_u={u!r}")
     return float(tau) if tau.ndim == 0 else tau
 
 

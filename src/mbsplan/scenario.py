@@ -186,7 +186,8 @@ class Region:
     """
 
     id: str
-    area_km2: float = field(metadata={">": 0})
+    # Above this bound area_m2 overflows to inf.
+    area_km2: float = field(metadata={">": 0, "<=": sys.float_info.max / M2_PER_KM2})
     peak_user_density_per_km2: float = field(metadata={">=": 0})
     profile: tuple
 
@@ -363,6 +364,8 @@ def load_scenario(document, base_dir=None) -> Scenario:
                                   parse_constant=_NonFiniteToken)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError("config is nested too deeply to parse") from None
     _check_keys(document, *_config_keys(Scenario), "config")
     base = Path(base_dir) if base_dir is not None else Path(".")
 

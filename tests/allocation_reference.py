@@ -1,4 +1,4 @@
-"""Loop references for ``allocation.canonicalize_schedule`` and
+"""Loop references for ``allocation._canonical_schedule`` and
 ``allocation.verify_plan``.
 
 These are the slot-by-slot and cell-by-cell loops the array code replaces.

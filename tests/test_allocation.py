@@ -4,6 +4,7 @@ savings accounting and feasibility audits."""
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from hypothesis import strategies as st
 import allocation_reference
 
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan,
-                                build_allocation_lp, canonicalize_schedule,
-                                optimal_plan, peak_aggregate_demand, savings,
-                                verify_plan)
+                                _canonical_schedule, optimal_plan,
+                                peak_aggregate_demand, savings, verify_plan)
 
 KM2 = 1e6  # m^2 per km^2; densities below are written per km^2 and scaled
 
@@ -27,14 +27,25 @@ HAND_DEMAND = np.array([[10.0, 2.0], [2.0, 10.0]]) / KM2
 HAND_AREAS = np.array([KM2, KM2])
 
 
-def test_lp_assembly_shapes_and_entries():
+def test_lp_assembly_shapes_and_entries(monkeypatch):
+    # The reduced LP as optimal_plan hands it to linprog.
+    real = scipy.optimize.linprog
+    seen = []
+
+    def spy(objective, **kwargs):
+        seen.append(SimpleNamespace(objective=objective, a_ub=kwargs["A_ub"],
+                                    b_ub=kwargs["b_ub"], bounds=kwargs["bounds"]))
+        return real(objective, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
     demand = np.array([[3.0, 1.0], [2.0, 5.0]]) / KM2
     areas = np.array([2.0 * KM2, 0.5 * KM2])
-    lp = build_allocation_lp(demand, areas, CostModel(2.0, 3.0))
+    optimal_plan(demand, areas, CostModel(2.0, 3.0))
+    [lp] = seen
 
     # Variables: [M, static per region, t slot-major].
     assert lp.objective.shape == (7,)
-    assert lp.objective[0] == 3.0
+    assert lp.objective[0] == 3.0 * (1.0 + TIE_BREAK_EPSILON)  # the surcharged fleet
     np.testing.assert_allclose(lp.objective[1:3], 2.0 * areas)
     assert np.all(lp.objective[3:] == 0.0)
 
@@ -155,8 +166,8 @@ def test_bench_scenario_204_7_optimum_is_peak_aggregate_demand():
 
 
 def test_dearer_static_is_all_mobile_without_a_solver(monkeypatch):
-    # Static strictly dearer than the surcharged fleet: the optimum is
-    # s = 0, M = P in closed form, and no LP may be solved to get it.
+    # Static strictly dearer than mobile: the optimum is s = 0, M = P in
+    # closed form, and no LP may be solved to get it.
     def linprog(*args, **kwargs):
         raise AssertionError("linprog called where the optimum is closed-form")
 
@@ -176,7 +187,10 @@ def test_dearer_static_is_all_mobile_without_a_solver(monkeypatch):
 @pytest.mark.parametrize("static_cost, calls", [
     (2.0, 0),
     (np.nextafter(1.0 + TIE_BREAK_EPSILON, math.inf), 0),
-    (1.0 + TIE_BREAK_EPSILON, 1),  # exact tie with the surcharged fleet
+    # Exact tie with the surcharged fleet: all-static and all-mobile cost
+    # the same to the solver, but mobile is cheaper at the true costs.
+    (1.0 + TIE_BREAK_EPSILON, 0),
+    (np.nextafter(1.0, math.inf), 0),
     (1.0, 1),
     (0.5, 1),
 ])
@@ -212,19 +226,15 @@ def test_fleet_grows_as_static_stations_get_pricier():
 
 def test_canonical_schedule_spreads_leftover_by_headroom():
     demand = np.array([[4.0, 2.0], [1.0, 1.0]]) / KM2
-    raw = DeploymentPlan(static_density=np.zeros(2),
-                         mbs_schedule=np.zeros((2, 2)),
-                         fleet_size=6.0, objective_value=6.0,
-                         cost_model=CostModel())
-    plan = canonicalize_schedule(raw, demand, HAND_AREAS)
+    schedule = _canonical_schedule(demand, HAND_AREAS, np.zeros(2), 6.0)
+    plan = DeploymentPlan(static_density=np.zeros(2), mbs_schedule=schedule,
+                          fleet_size=6.0, objective_value=6.0, cost_model=CostModel())
     # Slot 0 consumes the whole fleet on bare requirements.
     np.testing.assert_allclose(plan.mbs_schedule[0], [4.0 / KM2, 2.0 / KM2], rtol=1e-12)
     # Slot 1 requires only 2 stations; the 4 leftover split 3:1 by headroom,
     # which parks both regions exactly at their caps.
     np.testing.assert_allclose(plan.mbs_schedule[1], [4.0 / KM2, 2.0 / KM2], rtol=1e-12)
     assert verify_plan(plan, demand, HAND_AREAS) == []
-    assert plan.fleet_size == raw.fleet_size
-    assert plan.objective_value == raw.objective_value
 
 
 def test_verify_plan_flags_broken_invariants():
@@ -344,13 +354,11 @@ def _plans(draw):
 @given(_plans())
 def test_array_checks_match_the_loop_reference(instance):
     demand, areas, static, fleet, (schedule_push, static_push, fleet_push) = instance
-    raw = DeploymentPlan(static_density=static, mbs_schedule=np.zeros_like(demand),
-                         fleet_size=fleet, objective_value=0.0, cost_model=CostModel())
-    plan = canonicalize_schedule(raw, demand, areas)
+    schedule = _canonical_schedule(demand, areas, static, fleet)
     reference = allocation_reference.canonical_schedule(static, fleet, demand, areas)
-    assert np.array_equal(plan.mbs_schedule, reference)
+    assert np.array_equal(schedule, reference)
     broken = DeploymentPlan(static_density=static + static_push,
-                            mbs_schedule=plan.mbs_schedule + schedule_push,
+                            mbs_schedule=schedule + schedule_push,
                             fleet_size=fleet * (1.0 + fleet_push), objective_value=0.0,
                             cost_model=CostModel())
     found = [(v.constraint, v.slot, v.region, v.magnitude)

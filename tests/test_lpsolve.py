@@ -7,8 +7,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, build_allocation_lp,
-                                optimal_plan, verify_plan)
+from mbsplan.allocation import TIE_BREAK_EPSILON, CostModel, optimal_plan, verify_plan
 
 from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
 
@@ -102,10 +101,10 @@ def test_invalid_program_rejected():
     for demand in (np.array([[1.0, np.nan]]), np.array([[1.0, -2.0]]),
                    np.array([1.0, 2.0]), np.zeros((0, 2))):
         with pytest.raises(ValueError):
-            build_allocation_lp(demand, areas)
+            optimal_plan(demand, areas)
     for bad_areas in (np.array([1.0]), np.array([1.0, 0.0]), np.array([1.0, np.inf])):
         with pytest.raises(ValueError):
-            build_allocation_lp(np.ones((2, 2)), bad_areas)
+            optimal_plan(np.ones((2, 2)), bad_areas)
 
 
 def test_objective_scaling():
@@ -133,9 +132,11 @@ def test_matches_vertex_enumeration():
 
 
 @st.composite
-def _dearer_static_instances(draw):
+def _cost_ratio_instances(draw):
     """Up to 2 x 2 cells (enumeration stays fast), some of them idle, with
-    static stations strictly dearer than the surcharged fleet."""
+    static stations strictly cheaper than mobile ones, exactly as dear (as
+    in ``run`` and every ``sweep-density`` point), or dearer: by one ulp,
+    by exactly the tie-break surcharge, or by up to a factor of 3."""
     n_slots = draw(st.integers(1, 2))
     n_regions = draw(st.integers(1, 2))
     cell = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
@@ -144,19 +145,24 @@ def _dearer_static_instances(draw):
     areas = np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=n_regions,
                                    max_size=n_regions)))
     mobile_cost = draw(st.floats(0.5, 3.0))
-    surcharged = mobile_cost * (1.0 + TIE_BREAK_EPSILON)
-    static_cost = draw(st.one_of(st.just(np.nextafter(surcharged, np.inf)),
-                                 st.floats(surcharged, 3.0 * surcharged, exclude_min=True)))
+    static_cost = draw(st.one_of(
+        st.floats(0.3 * mobile_cost, mobile_cost, exclude_max=True),
+        st.just(mobile_cost),
+        st.just(np.nextafter(mobile_cost, np.inf)),
+        st.just(mobile_cost * (1.0 + TIE_BREAK_EPSILON)),
+        st.floats(mobile_cost, 3.0 * mobile_cost, exclude_min=True)))
     return demand, areas, float(static_cost), mobile_cost
 
 
 @settings(max_examples=60, deadline=None)
-@given(_dearer_static_instances())
+@given(_cost_ratio_instances())
 # A demand of 2**-23 sits just above the oracle's old absolute 1e-7
 # feasibility tolerance, which let an uncovered vertex through.
 @example((np.array([[0.0, 0.0], [0.0, 2.0 ** -23]]), np.array([2.0, 1.0]),
           1.0000010000000001, 1.0))
 def test_dearer_static_matches_vertex_enumeration(instance):
+    # Despite its name, this covers every cost ratio: static cheaper,
+    # equal and dearer.
     demand, areas, static_cost, mobile_cost = instance
     status, best = enumerate_optimum(*allocation_lp(demand, areas, static_cost, mobile_cost))
     assert status == "optimal"

@@ -471,6 +471,13 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
     # the last value once won: a 7-slot plan with exit 0
     pytest.param("json", ('"num_slots": 60', '"num_slots": 60, "num_slots": 7'),
                  "config: duplicate key 'num_slots'", id="duplicate-key"),
+    # the area in m^2 overflowed to inf, and the message named no region or field
+    pytest.param("json", ('"area_km2": 1.0', '"area_km2": 1e303'),
+                 "regions[0]: area_km2 must be <= 1.797693134862316e+302, got 1e+303",
+                 id="area-overflows-in-m2"),
+    # the parser's RecursionError is a RuntimeError, so this once exited 1
+    pytest.param("text", "[" * 100_000 + "]" * 100_000,
+                 "error: config is nested too deeply to parse", id="deeply-nested"),
 ])
 def test_cli_meaningless_config_exits_2(tmp_path, capsys, edit, value, message):
     config = default_config()
@@ -482,6 +489,8 @@ def test_cli_meaningless_config_exits_2(tmp_path, capsys, edit, value, message):
     text = json.dumps(config)
     if edit == "json":
         text = text.replace(*value)
+    elif edit == "text":
+        text = value
     path = tmp_path / "config.json"
     path.write_text(text)
     out = tmp_path / "out"

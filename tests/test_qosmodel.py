@@ -148,6 +148,14 @@ def test_delay_linear_in_user_density():
     assert twice == pytest.approx(2.0 * base, rel=1e-12)
 
 
+def test_non_finite_delay_names_its_first_element():
+    # A subnormal station density (from a 1e-300 peak user density) once
+    # raised a message that printed both whole density arrays.
+    with np.errstate(divide="ignore"), pytest.raises(qosmodel.NonFinite) as excinfo:
+        delay_given_utilization([20.0 * PER_KM2, 9e-309, 8e-309], 1e-4, 1.0, PARAMS, QUAD)
+    assert str(excinfo.value) == "delay: non-finite result at lambda_b=9e-309, lambda_u=0.0001"
+
+
 def test_delay_given_utilization_arrays_match_scalar_calls():
     rng = np.random.default_rng(7)
     lam_b = 10.0 ** rng.uniform(-1.0, 4.0, 50) * PER_KM2
