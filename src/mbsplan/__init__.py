@@ -14,14 +14,13 @@ surface.
 __version__ = "0.1.0"
 
 from .scenario import (QuadratureSpec, RadioParams, Region, Scenario, ScenarioError,
-                       SchemaError, UserDensityMatrix, ValidationError, default_config,
-                       default_scenario, load_scenario, load_scenario_file,
-                       slot_midpoints_h, user_density_matrix)
+                       SchemaError, ValidationError, default_config, default_scenario,
+                       load_scenario, slot_midpoints_h, user_density_matrix)
 from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, capacity,
                        delay_given_utilization, evaluate_qos, mc_delay_oracle,
                        mean_interference, overlap_area)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
-                           DemandMatrix, InfeasibleDemand, demand_matrix, min_bs_density)
+                           InfeasibleDemand, demand_matrix, min_bs_density)
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          Violation, optimal_plan, peak_aggregate_demand, savings,
                          verify_plan)
@@ -33,16 +32,15 @@ __all__ = [
     "__version__",
     # scenario
     "QuadratureSpec", "RadioParams", "Region", "Scenario", "ScenarioError",
-    "SchemaError", "UserDensityMatrix", "ValidationError", "default_config",
-    "default_scenario", "load_scenario", "load_scenario_file", "slot_midpoints_h",
-    "user_density_matrix",
+    "SchemaError", "ValidationError", "default_config", "default_scenario",
+    "load_scenario", "slot_midpoints_h", "user_density_matrix",
     # qos model
     "FixedPointDiverged", "NonFinite", "QosEvaluation", "capacity",
     "delay_given_utilization", "evaluate_qos", "mc_delay_oracle", "mean_interference",
     "overlap_area",
     # dimensioning
-    "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "DemandMatrix",
-    "InfeasibleDemand", "demand_matrix", "min_bs_density",
+    "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "InfeasibleDemand",
+    "demand_matrix", "min_bs_density",
     # allocation
     "TIE_BREAK_EPSILON", "CostModel", "DeploymentPlan", "SavingsReport",
     "Violation", "optimal_plan", "peak_aggregate_demand", "savings", "verify_plan",

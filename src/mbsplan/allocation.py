@@ -2,9 +2,9 @@
 mobile fleet.
 
 Every function takes the demand as a plain slots x regions array of
-minimum station densities (stations/m^2; a ``DemandMatrix`` from the
-dimensioning stage is passed as its ``.values``) and the region areas in
-m^2. The deployment problem is
+minimum station densities (stations/m^2; the first array that
+``dimensioning.demand_matrix`` returns) and the region areas in m^2. The
+deployment problem is
 
     minimize  c_m * M  +  c_s * sum_z lambda_s[z] * A[z]
     s.t.      sum_z mbs[j, z] * A[z] == M                  (closed fleet)
@@ -96,14 +96,6 @@ class DeploymentPlan:
         object.__setattr__(self, "mbs_schedule", schedule)
         object.__setattr__(self, "fleet_size", float(self.fleet_size))
         object.__setattr__(self, "objective_value", float(self.objective_value))
-
-    @property
-    def num_slots(self) -> int:
-        return self.mbs_schedule.shape[0]
-
-    @property
-    def num_regions(self) -> int:
-        return self.static_density.size
 
     @property
     def fleet_size_ceil(self) -> int:

@@ -23,12 +23,11 @@ minimum is the global one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import M2_PER_KM2, QuadratureSpec, RadioParams, UserDensityMatrix
-from .qosmodel import FixedPointDiverged, delay_given_utilization, evaluate_qos
+from .scenario import M2_PER_KM2, QuadratureSpec, RadioParams
+from .qosmodel import FixedPointDiverged, NonFinite, delay_given_utilization, evaluate_qos
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
@@ -36,35 +35,6 @@ BISECTION_REL_TOL = 1e-4
 
 class InfeasibleDemand(RuntimeError):
     """No density up to the cap meets the delay target."""
-
-
-@dataclass(frozen=True)
-class DemandMatrix:
-    """Per-slot, per-region minimum station density (stations per m^2),
-    optionally with the J x Z delay achieved at it and the fixed-point
-    iterations spent finding that delay (0 for a zero load)."""
-
-    values: np.ndarray
-    achieved_delay_s_per_bit: np.ndarray | None = None
-    fixed_point_iterations: np.ndarray | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"values must be a J x Z matrix, got shape {values.shape}")
-        if np.any(values < 0):
-            raise ValueError("station densities must be >= 0")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def num_slots(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_regions(self) -> int:
-        return self.values.shape[1]
 
 
 def _unmet(lambda_u: float, params: RadioParams) -> str:
@@ -78,7 +48,8 @@ def _min_densities(loads, params, quad) -> np.ndarray:
     array ``loads``: 0 for a zero load, inf where even the cap misses.
 
     Every step is elementwise and stops on the load's own bracket, so a
-    load's answer does not depend on the other loads in the array.
+    load's answer does not depend on the other loads in the array. A
+    ``NonFinite`` probe carries the index of its load in ``loads``.
     """
     loads = np.asarray(loads, dtype=float)
     if not np.all(np.isfinite(loads)) or np.any(loads < 0):
@@ -93,7 +64,10 @@ def _min_densities(loads, params, quad) -> np.ndarray:
     cand = np.minimum(lam_u / 10.0, DEFAULT_DENSITY_CAP_PER_M2)
     idx = np.arange(lam_u.size)
     while idx.size:
-        ok = delay_given_utilization(cand[idx], lam_u[idx], 1.0, params, quad) <= target
+        try:
+            ok = delay_given_utilization(cand[idx], lam_u[idx], 1.0, params, quad) <= target
+        except NonFinite as exc:
+            raise NonFinite(str(exc), int(np.flatnonzero(positive)[idx[exc.index]])) from None
         hi[idx[ok]] = cand[idx[ok]]
         lo[idx[~ok]] = cand[idx[~ok]]
         halve = lo == 0.0
@@ -124,26 +98,30 @@ def min_bs_density(
     return density
 
 
-def demand_matrix(
-    users: UserDensityMatrix,
-    params: RadioParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> DemandMatrix:
-    """Cell-wise minimum station densities for a whole scenario.
+def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureSpec()):
+    """Cell-wise minimum station densities for a J x Z array of user
+    densities (per m^2), as three J x Z arrays: the density (per m^2), the
+    delay achieved at it and the fixed-point iterations spent finding that
+    delay (0 for a zero load).
 
     Densities come from one inversion over the distinct loads, and the
     achieved delays from one array fixed point over the distinct positive
     loads, so cells with equal loads share their density and diagnostics.
     """
-    loads, first, inverse = np.unique(users.values, return_index=True, return_inverse=True)
-    densities = _min_densities(loads, params, quad)
-    num_regions = users.values.shape[1]
+    users = np.asarray(users, dtype=float)
+    if users.ndim != 2:
+        raise ValueError(f"user densities must be a J x Z array, got shape {users.shape}")
+    loads, first, inverse = np.unique(users, return_index=True, return_inverse=True)
 
     def first_cell(ks):
         k = ks[np.argmin(first[ks])]
-        j, z = divmod(int(first[k]), num_regions)
+        j, z = divmod(int(first[k]), users.shape[1])
         return k, f"slot {j}, region index {z}"
 
+    try:
+        densities = _min_densities(loads, params, quad)
+    except NonFinite as exc:
+        raise NonFinite(f"{first_cell([exc.index])[1]}: {exc}") from None
     unmet = np.flatnonzero(densities == np.inf)
     if unmet.size:
         k, cell = first_cell(unmet)
@@ -160,7 +138,5 @@ def demand_matrix(
     delay[positive] = result.delay_s_per_bit
     iterations = np.zeros(loads.shape, dtype=int)
     iterations[positive] = result.fixed_point_iterations
-    inverse = inverse.reshape(users.values.shape)
-    return DemandMatrix(values=densities[inverse], achieved_delay_s_per_bit=delay[inverse],
-                        fixed_point_iterations=iterations[inverse])
-
+    inverse = inverse.reshape(users.shape)
+    return densities[inverse], delay[inverse], iterations[inverse]

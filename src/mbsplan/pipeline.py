@@ -30,10 +30,10 @@ import scipy
 from . import __version__
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          optimal_plan, savings, verify_plan)
-from .dimensioning import DemandMatrix, demand_matrix, min_bs_density
+from .dimensioning import demand_matrix, min_bs_density
 from .qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
-from .scenario import (M2_PER_KM2, Scenario, UserDensityMatrix, default_config,
-                       default_scenario, load_scenario, user_density_matrix)
+from .scenario import (M2_PER_KM2, Scenario, default_config, default_scenario,
+                       load_scenario, slot_midpoints_h, user_density_matrix)
 
 # Spot checks used by ``validate``: (station density, user density) pairs in
 # per-km^2 units for the Monte Carlo oracle, and user densities for the
@@ -85,30 +85,36 @@ def _load(config_path) -> tuple[Scenario, bytes]:
 
 @dataclass(frozen=True)
 class _Solved:
+    """A solved scenario; users, demand, delay and iterations are J x Z."""
+
     scenario: Scenario
-    users: UserDensityMatrix
-    demand: DemandMatrix
+    users: np.ndarray
+    demand: np.ndarray
+    delay: np.ndarray
+    iterations: np.ndarray
     plan: DeploymentPlan
     report: SavingsReport
 
 
 def _solve_scenario(scenario: Scenario, costs: CostModel = CostModel(),
-                    users: UserDensityMatrix | None = None,
-                    demand: DemandMatrix | None = None) -> _Solved:
+                    dimensioned: tuple | None = None) -> _Solved:
     """The shared run/sweep path; sweeps reuse it so that identical inputs
     give bit-identical outputs either way. A sweep that holds the scenario
-    fixed passes its ``users`` and ``demand`` in, computed once."""
-    if users is None:
-        users = user_density_matrix(scenario)
-    if demand is None:
-        demand = demand_matrix(users, scenario.radio, scenario.quadrature)
+    fixed passes ``dimensioned`` in, computed once by ``_dimension``."""
+    users, demand, delay, iterations = dimensioned or _dimension(scenario)
     areas = scenario.areas_m2()
-    plan = optimal_plan(demand.values, areas, costs)
-    violations = verify_plan(plan, demand.values, areas)
+    plan = optimal_plan(demand, areas, costs)
+    violations = verify_plan(plan, demand, areas)
     if violations:
         raise RuntimeError(f"optimizer emitted an infeasible plan: {violations[:3]}")
-    report = savings(plan, demand.values, areas)
-    return _Solved(scenario, users, demand, plan, report)
+    report = savings(plan, demand, areas)
+    return _Solved(scenario, users, demand, delay, iterations, plan, report)
+
+
+def _dimension(scenario: Scenario) -> tuple:
+    """User densities, then demand_matrix's (density, delay, iterations)."""
+    users = user_density_matrix(scenario)
+    return (users, *demand_matrix(users, scenario.radio, scenario.quadrature))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -129,10 +135,10 @@ def _write_csv(path, columns: dict) -> None:
 def _write_cell_csv(path: Path, solved: _Solved, columns: dict) -> None:
     """One row per (slot, region), slot-major: ``slot,time_h,region_id``
     and then ``columns``, each a J x Z array or one that broadcasts to it."""
-    num_slots, num_regions = shape = solved.demand.values.shape
+    num_slots, num_regions = shape = solved.demand.shape
     _write_csv(path, {
         "slot": [j for j in range(num_slots) for _ in range(num_regions)],
-        "time_h": np.repeat(solved.users.slot_times_h, num_regions),
+        "time_h": np.repeat(slot_midpoints_h(num_slots), num_regions),
         "region_id": list(solved.scenario.region_ids) * num_slots,
         **{name: np.broadcast_to(a, shape).ravel() for name, a in columns.items()},
     })
@@ -142,9 +148,9 @@ def _write_demand_csv(path: Path, solved: _Solved) -> None:
     """The dimensioning result: user density, required station density and
     the delay achieved at it."""
     _write_cell_csv(path, solved, {
-        "user_density_per_km2": solved.users.values * M2_PER_KM2,
-        "min_bs_density_per_km2": solved.demand.values * M2_PER_KM2,
-        "achieved_delay_s_per_bit": solved.demand.achieved_delay_s_per_bit,
+        "user_density_per_km2": solved.users * M2_PER_KM2,
+        "min_bs_density_per_km2": solved.demand * M2_PER_KM2,
+        "achieved_delay_s_per_bit": solved.delay,
     })
 
 
@@ -155,7 +161,7 @@ def _write_series_csv(path: Path, solved: _Solved) -> None:
     so total = static + mbs and excess = total - baseline hold bit-exactly
     on re-parse.
     """
-    baseline = solved.demand.values * M2_PER_KM2
+    baseline = solved.demand * M2_PER_KM2
     static = solved.plan.static_density * M2_PER_KM2
     mbs = solved.plan.mbs_schedule * M2_PER_KM2
     total = static + mbs
@@ -201,8 +207,8 @@ def _savings_dict(report: SavingsReport, region_ids) -> dict:
 def _dimensioning_counters(solved: _Solved) -> dict:
     """Cells, distinct loads, and the fixed-point iterations spent reporting
     the achieved delays (summed over the distinct loads)."""
-    _, first = np.unique(solved.users.values, return_index=True)
-    iterations = solved.demand.fixed_point_iterations.ravel()
+    _, first = np.unique(solved.users, return_index=True)
+    iterations = solved.iterations.ravel()
     return {"cells": int(iterations.size), "distinct_loads": int(first.size),
             "fixed_point_iterations": int(iterations[first].sum())}
 
@@ -319,12 +325,11 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
     ratios = np.asarray(cost_ratios, dtype=float)
     if np.any(ratios < 1.0):
         raise ValueError("cost ratios must be >= 1")
-    users = user_density_matrix(scenario)
-    demand = demand_matrix(users, scenario.radio, scenario.quadrature)
+    dimensioned = _dimension(scenario)
 
     def solve_one(ratio):
         costs = CostModel(static_unit_cost=ratio, mobile_unit_cost=1.0)
-        solved = _solve_scenario(scenario, costs=costs, users=users, demand=demand)
+        solved = _solve_scenario(scenario, costs=costs, dimensioned=dimensioned)
         static_only_cost = ratio * solved.report.static_only_total
         saving = 0.0 if static_only_cost <= 0.0 else \
             1.0 - solved.plan.objective_value / static_only_cost

@@ -47,7 +47,12 @@ _ACOS_SLACK = 1e-9
 
 
 class NonFinite(ArithmeticError):
-    """An integrand produced NaN/inf, or geometry inputs left their domain."""
+    """An integrand produced NaN/inf, or geometry inputs left their domain;
+    ``index`` is the flat index of the delay the message names, where known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class FixedPointDiverged(RuntimeError):
@@ -221,12 +226,13 @@ def delay_given_utilization(
     r = r1 / np.sqrt(lambda_b)[..., None]
     busy = mean_interference(r, params, lambda_b[..., None], 1.0)
     rate = capacity(r, params, busy * utilization[..., None])
-    tau = (lambda_u / lambda_b) * np.sum(kernel / rate, axis=-1)
+    with np.errstate(all="ignore"):  # a rate that underflows to 0 is reported below
+        tau = (lambda_u / lambda_b) * np.sum(kernel / rate, axis=-1)
     finite = np.isfinite(tau)
     if not np.all(finite):
-        first = np.argmin(finite)  # flat index of the first non-finite element
+        first = int(np.argmin(finite))  # flat index of the first non-finite element
         b, u = (float(np.broadcast_to(x, tau.shape).flat[first]) for x in (lambda_b, lambda_u))
-        raise NonFinite(f"delay: non-finite result at lambda_b={b!r}, lambda_u={u!r}")
+        raise NonFinite(f"delay: non-finite result at lambda_b={b!r}, lambda_u={u!r}", first)
     return float(tau) if tau.ndim == 0 else tau
 
 

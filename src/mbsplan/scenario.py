@@ -186,8 +186,8 @@ class Region:
     """
 
     id: str
-    # Above this bound area_m2 overflows to inf.
-    area_km2: float = field(metadata={">": 0, "<=": sys.float_info.max / M2_PER_KM2})
+    # At most the Earth's surface: the LP solver rejects m^2 areas from 1e15 on.
+    area_km2: float = field(metadata={">": 0, "<=": 5.1e8})
     peak_user_density_per_km2: float = field(metadata={">=": 0})
     profile: tuple
 
@@ -249,30 +249,6 @@ class Scenario:
         return np.array([r.area_m2 for r in self.regions])
 
 
-@dataclass(frozen=True)
-class UserDensityMatrix:
-    """Active-user density per slot and region, in users per m^2."""
-
-    values: np.ndarray
-    slot_times_h: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        times = np.asarray(self.slot_times_h, dtype=float)
-        if values.ndim != 2:
-            raise ValidationError(f"values must be a J x Z matrix, got shape {values.shape}")
-        if times.shape != (values.shape[0],):
-            raise ValidationError(
-                f"slot_times_h length {times.shape} does not match {values.shape[0]} slots"
-            )
-        if np.any(values < 0):
-            raise ValidationError("user densities must be >= 0")
-        values.setflags(write=False)
-        times.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slot_times_h", times)
-
-
 # Built-in daily shapes, one sample per hour. The office curve tracks a
 # business district (ramp-up from 7:00, peak at 10:00, busy afternoon, quiet
 # evening); the residential curve mirrors it with an evening peak at 21:00.
@@ -297,8 +273,9 @@ def slot_midpoints_h(num_slots: int) -> np.ndarray:
     return ((np.arange(num_slots) + 0.5) * HOURS_PER_DAY) / num_slots
 
 
-def user_density_matrix(scenario: Scenario) -> UserDensityMatrix:
-    """Per-slot, per-region active-user density in users per m^2.
+def user_density_matrix(scenario: Scenario) -> np.ndarray:
+    """Per-slot, per-region active-user density in users per m^2, a
+    read-only J x Z array.
 
     Each region's profile is interpolated linearly at the slot midpoints.
     The sample grid wraps at 24 h, so a slot before the first sample
@@ -310,7 +287,9 @@ def user_density_matrix(scenario: Scenario) -> UserDensityMatrix:
         times, loads = np.array(region.profile).T
         load = np.interp(slot_times, times, loads, period=HOURS_PER_DAY)
         columns.append(load * region.peak_user_density_per_m2)
-    return UserDensityMatrix(values=np.column_stack(columns), slot_times_h=slot_times)
+    users = np.column_stack(columns)
+    users.setflags(write=False)
+    return users
 
 
 def _read_profile(spec, base_dir: Path) -> tuple:
@@ -389,11 +368,6 @@ def load_scenario(document, base_dir=None) -> Scenario:
     _check_keys(quad_doc, _config_keys(QuadratureSpec)[0], set(), "quadrature")
     return Scenario(regions=tuple(regions), num_slots=document["num_slots"], radio=radio,
                     quadrature=QuadratureSpec(**quad_doc))
-
-
-def load_scenario_file(path) -> Scenario:
-    path = Path(path)
-    return load_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
 def default_config() -> dict:

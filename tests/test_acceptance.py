@@ -40,15 +40,15 @@ def default_artifacts(tmp_path_factory):
 
 def _solved_bundle(scenario):
     users = user_density_matrix(scenario)
-    demand = demand_matrix(users, scenario.radio)
+    demand, _, _ = demand_matrix(users, scenario.radio)
     areas = scenario.areas_m2()
-    plan = optimal_plan(demand.values, areas)
+    plan = optimal_plan(demand, areas)
     return {
         "users": users,
         "demand": demand,
         "areas": areas,
         "plan": plan,
-        "report": savings(plan, demand.values, areas),
+        "report": savings(plan, demand, areas),
     }
 
 
@@ -183,7 +183,7 @@ def test_criterion_06_lp_hand_instance_and_enumeration():
 def test_criterion_07_equal_cost_objective_is_peak_aggregate_demand(density_ratio_points):
     bundles = [_solved_bundle(default_scenario())] + list(density_ratio_points.values())
     for bundle in bundles:
-        expected = peak_aggregate_demand(bundle["demand"].values, bundle["areas"])
+        expected = peak_aggregate_demand(bundle["demand"], bundle["areas"])
         got = bundle["plan"].objective_value
         assert abs(got - expected) <= 1e-7 * abs(expected)
 
@@ -200,7 +200,7 @@ def test_criterion_08_fleet_is_closed_and_plans_verify(default_artifacts, densit
     assert (totals.max() - totals.min()) <= 1e-8 * max(totals.max(), 1.0)
 
     for bundle in density_ratio_points.values():
-        assert verify_plan(bundle["plan"], bundle["demand"].values, bundle["areas"]) == []
+        assert verify_plan(bundle["plan"], bundle["demand"], bundle["areas"]) == []
 
 
 def test_criterion_09a_saving_positive_and_in_band(density_ratio_points):
@@ -224,7 +224,7 @@ def test_criterion_09c_fleet_concentrates_at_residential_peak(default_artifacts)
     artifacts, _ = default_artifacts
     report = json.loads(artifacts.savings_json_path.read_text())
     fraction = np.array(report["mbs_fraction"])[:, 1]
-    residential_load = user_density_matrix(default_scenario()).values[:, 1]
+    residential_load = user_density_matrix(default_scenario())[:, 1]
     peak_slots = residential_load >= 0.98 * residential_load.max()
     assert peak_slots.any()
     assert fraction[peak_slots].max() > 0.8

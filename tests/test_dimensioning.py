@@ -7,12 +7,10 @@ import pytest
 
 from mbsplan import dimensioning
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
-                                  DemandMatrix, InfeasibleDemand, demand_matrix,
-                                  min_bs_density)
-from mbsplan.qosmodel import (FixedPointDiverged, QuadratureSpec, delay_given_utilization,
-                              evaluate_qos)
-from mbsplan.scenario import (M2_PER_KM2, RadioParams, UserDensityMatrix,
-                              default_scenario, slot_midpoints_h, user_density_matrix)
+                                  InfeasibleDemand, demand_matrix, min_bs_density)
+from mbsplan.qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec,
+                              delay_given_utilization, evaluate_qos)
+from mbsplan.scenario import M2_PER_KM2, RadioParams, default_scenario, user_density_matrix
 
 PARAMS = RadioParams()
 
@@ -119,9 +117,7 @@ def test_min_density_is_bit_equal_to_its_matrix_cell():
         alone = min_bs_density(lam, params)
         for others in ([], [0.0], [0.5], [0.2, 0.9], list(np.linspace(0.1, 1.0, 7))):
             loads = lam * np.array([1.0] + others)
-            users = UserDensityMatrix(values=loads[:, None],
-                                      slot_times_h=slot_midpoints_h(loads.size))
-            assert demand_matrix(users, params).values[0, 0] == alone
+            assert demand_matrix(loads[:, None], params)[0][0, 0] == alone
 
 
 def test_min_density_increases_with_user_density():
@@ -146,22 +142,17 @@ def test_demand_matrix_memoizes_repeated_loads():
     # Equal loads share one density and one fixed-point element, hence
     # equal entries in every array; a load that differs in its last bit is
     # a load of its own, with its own density and its own fixed point.
-    times = slot_midpoints_h(4)
     lam = 800.0 / M2_PER_KM2
-    users = UserDensityMatrix(
-        values=np.array([[lam], [np.nextafter(lam, 1.0)], [2.0 * lam], [lam]]),
-        slot_times_h=times,
-    )
-    demand = demand_matrix(users, PARAMS)
-    delay, iterations = demand.achieved_delay_s_per_bit, demand.fixed_point_iterations
-    assert demand.values[3, 0] == demand.values[0, 0]
+    users = np.array([[lam], [np.nextafter(lam, 1.0)], [2.0 * lam], [lam]])
+    demand, delay, iterations = demand_matrix(users, PARAMS)
+    assert demand[3, 0] == demand[0, 0]
     assert delay[3, 0] == delay[0, 0]
     assert iterations[3, 0] == iterations[0, 0] > 0
-    assert demand.values[1, 0] != demand.values[0, 0]
-    assert demand.values[2, 0] > demand.values[0, 0]
+    assert demand[1, 0] != demand[0, 0]
+    assert demand[2, 0] > demand[0, 0]
     assert delay[2, 0] != delay[0, 0]
     for j in range(4):
-        alone = evaluate_qos(float(demand.values[j, 0]), float(users.values[j, 0]), PARAMS)
+        alone = evaluate_qos(float(demand[j, 0]), float(users[j, 0]), PARAMS)
         assert delay[j, 0] == alone.delay_s_per_bit
         assert iterations[j, 0] == alone.fixed_point_iterations
 
@@ -169,26 +160,25 @@ def test_demand_matrix_memoizes_repeated_loads():
 def test_demand_matrix_on_default_scenario():
     scenario = default_scenario()
     users = user_density_matrix(scenario)
-    demand = demand_matrix(users, scenario.radio)
-    assert demand.values.shape == (60, 2)
-    assert np.all(demand.values >= 0.0)
-    assert np.all(demand.values > 0.0)  # both profiles carry load all day
+    demand, delay, iterations = demand_matrix(users, scenario.radio)
+    assert demand.shape == (60, 2)
+    assert np.all(demand >= 0.0)
+    assert np.all(demand > 0.0)  # both profiles carry load all day
     target = scenario.radio.target_delay_s_per_bit
-    assert demand.achieved_delay_s_per_bit.shape == (60, 2)
-    assert np.all(demand.achieved_delay_s_per_bit <= target)
-    assert np.all(demand.fixed_point_iterations > 0)
+    assert delay.shape == (60, 2)
+    assert np.all(delay <= target)
+    assert np.all(iterations > 0)
     # The secant step needs at most 4 delay evaluations per load (plain
     # iteration from u = 1 took up to 22 here).
-    assert demand.fixed_point_iterations.max() <= 4
+    assert iterations.max() <= 4
     # Busier slots never need fewer stations than the quietest one.
-    quiet = demand.values.min(axis=0)
-    assert np.all(demand.values.max(axis=0) > quiet)
+    quiet = demand.min(axis=0)
+    assert np.all(demand.max(axis=0) > quiet)
 
 
 def test_demand_matrix_error_names_the_cell():
     def users(light, heavy):
-        return UserDensityMatrix(values=np.array([[light, light], [light, heavy]]),
-                                 slot_times_h=slot_midpoints_h(2))
+        return np.array([[light, light], [light, heavy]])
 
     # Both loads beyond the cap: every cell fails, and the first is named.
     with pytest.raises(InfeasibleDemand) as excinfo:
@@ -206,8 +196,7 @@ def test_demand_matrix_error_names_the_cell():
 
 def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
     light, heavy = 1e-4, 5e-3
-    users = UserDensityMatrix(values=np.array([[light, light], [heavy, light], [light, heavy]]),
-                              slot_times_h=slot_midpoints_h(3))
+    users = np.array([[light, light], [heavy, light], [light, heavy]])
 
     def heavy_diverges(lambda_b, lambda_u, params, quad):
         result = evaluate_qos(lambda_b, lambda_u, params, quad)
@@ -218,11 +207,20 @@ def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
         demand_matrix(users, PARAMS)
 
 
-def test_demand_matrix_validation():
-    with pytest.raises(ValueError):
-        DemandMatrix(values=np.zeros(3))
-    with pytest.raises(ValueError):
-        DemandMatrix(values=np.array([[1.0], [-0.5]]))
-    demand = DemandMatrix(values=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        demand.values[0, 0] = 9.0
+def test_demand_matrix_rejects_bad_user_arrays():
+    with pytest.raises(ValueError, match="J x Z"):
+        demand_matrix(np.full(3, 1e-4), PARAMS)
+    for bad in (-0.5e-4, np.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            demand_matrix(np.array([[1e-4], [bad]]), PARAMS)
+
+
+def test_demand_matrix_names_the_cell_of_a_non_finite_probe():
+    # The first probe of the two smallest positive loads, lambda_u / 10, is
+    # so small that the rate underflows to 0. The message names the smallest
+    # such load's first cell and the probe made for it; the zero load is
+    # never probed.
+    users = np.array([[1e-4, 0.0], [1e-4, 1e-306], [1e-307, 1e-306]])
+    with pytest.raises(NonFinite, match=r"^slot 2, region index 0: delay: non-finite result at "
+                       r"lambda_b=1e-308, lambda_u=1e-307$"):
+        demand_matrix(users, PARAMS)

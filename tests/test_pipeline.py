@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from mbsplan.dimensioning import demand_matrix
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
 from mbsplan.scenario import (M2_PER_KM2, QuadratureSpec, default_config, default_scenario,
-                              load_scenario_file, user_density_matrix)
+                              load_scenario, slot_midpoints_h, user_density_matrix)
 
 SERIES_HEADER = ("slot,time_h,region_id,baseline_per_km2,static_only_per_km2,"
                  "static_per_km2,mbs_per_km2,total_per_km2,excess_per_km2,mbs_fraction")
@@ -64,7 +66,7 @@ def test_run_emits_complete_artifact_set(default_run):
     assert manifest["wall_time_s"] > 0.0
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == scipy.__version__
-    users = user_density_matrix(default_scenario()).values
+    users = user_density_matrix(default_scenario())
     counters = manifest["dimensioning"]
     assert set(counters) == {"cells", "distinct_loads", "fixed_point_iterations"}
     assert counters["cells"] == users.size
@@ -84,8 +86,8 @@ def test_demand_csv_schema(default_run):
         j = int(row[0])
         z = ["office", "residential"].index(row[2])
         # repr round trip: the parsed cell equals the source value exactly
-        assert float(row[1]) == users.slot_times_h[j]
-        assert float(row[3]) == users.values[j, z] * 1e6
+        assert float(row[1]) == slot_midpoints_h(60)[j]
+        assert float(row[3]) == users[j, z] * 1e6
         assert float(row[4]) > 0.0
         assert 0.0 < float(row[5]) <= default_scenario().radio.target_delay_s_per_bit
 
@@ -93,19 +95,19 @@ def test_demand_csv_schema(default_run):
 def test_demand_csv_round_trip(default_run):
     scenario = default_scenario()
     users = user_density_matrix(scenario)
-    demand = demand_matrix(users, scenario.radio, scenario.quadrature)
+    demand, achieved, _ = demand_matrix(users, scenario.radio, scenario.quadrature)
     lines = default_run.demand_csv_path.read_text().strip().split("\n")
     assert lines[0] == DEMAND_HEADER
-    assert len(lines) == 1 + demand.values.size
+    assert len(lines) == 1 + demand.size
     for line in lines[1:]:
         slot, time_h, rid, lam_u, lam_b, delay = line.split(",")
         j = int(slot)
         z = scenario.region_ids.index(rid)
         # repr round trip: parsing the cell recovers the exact float
-        assert float(time_h) == users.slot_times_h[j]
-        assert float(lam_u) == users.values[j, z] * M2_PER_KM2
-        assert float(lam_b) == demand.values[j, z] * M2_PER_KM2
-        assert float(delay) == demand.achieved_delay_s_per_bit[j, z]
+        assert float(time_h) == slot_midpoints_h(scenario.num_slots)[j]
+        assert float(lam_u) == users[j, z] * M2_PER_KM2
+        assert float(lam_b) == demand[j, z] * M2_PER_KM2
+        assert float(delay) == achieved[j, z]
 
 
 def test_plan_json_schema():
@@ -222,8 +224,8 @@ def test_csv_profiles_reproduce_builtin_run(default_run, tmp_path, case):
     else:
         # both builtin tables in percent: each v / 100 rounds to the table's float
         path = Path(__file__).parent / "data" / "csv_profiles" / "config.json"
-    users = user_density_matrix(load_scenario_file(path)).values
-    assert users.tobytes() == user_density_matrix(default_scenario()).values.tobytes()
+    users = user_density_matrix(load_scenario(path.read_text(), base_dir=path.parent))
+    assert users.tobytes() == user_density_matrix(default_scenario()).tobytes()
     artifacts = run_pipeline(path, tmp_path / "out")
     for name in ("demand.csv", "plan.json", "savings.json", "series.csv"):
         assert (tmp_path / "out" / name).read_bytes() == \
@@ -402,6 +404,22 @@ def test_cli_sweep_reports_failed_points(monkeypatch, tmp_path, capsys):
     assert (tmp_path / "sweep_density.csv").exists()
 
 
+@pytest.mark.parametrize("density", [1e-200, 1e-300])
+def test_cli_tiny_load_names_its_cell(tmp_path, capsys, density):
+    # The first probe's rate underflowed to 0: the error named no cell and
+    # NumPy printed a divide-by-zero warning.
+    config = default_config()
+    config["regions"][0]["peak_user_density_per_km2"] = density
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert caught == []
+    assert re.fullmatch(r"error: slot \d+, region index 0: delay: non-finite result at "
+                        r"lambda_b=\S+, lambda_u=\S+\n", capsys.readouterr().err)
+
+
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -473,8 +491,12 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
                  "config: duplicate key 'num_slots'", id="duplicate-key"),
     # the area in m^2 overflowed to inf, and the message named no region or field
     pytest.param("json", ('"area_km2": 1.0', '"area_km2": 1e303'),
-                 "regions[0]: area_km2 must be <= 1.797693134862316e+302, got 1e+303",
+                 "regions[0]: area_km2 must be <= 510000000.0, got 1e+303",
                  id="area-overflows-in-m2"),
+    # HiGHS rejected the LP's m^2 coefficients: exit 1, naming no region or field
+    pytest.param("json", ('"area_km2": 1.0', '"area_km2": 1e9'),
+                 "regions[0]: area_km2 must be <= 510000000.0, got 1000000000.0",
+                 id="area-beyond-earth"),
     # the parser's RecursionError is a RuntimeError, so this once exited 1
     pytest.param("text", "[" * 100_000 + "]" * 100_000,
                  "error: config is nested too deeply to parse", id="deeply-nested"),

@@ -154,6 +154,7 @@ def test_non_finite_delay_names_its_first_element():
     with np.errstate(divide="ignore"), pytest.raises(qosmodel.NonFinite) as excinfo:
         delay_given_utilization([20.0 * PER_KM2, 9e-309, 8e-309], 1e-4, 1.0, PARAMS, QUAD)
     assert str(excinfo.value) == "delay: non-finite result at lambda_b=9e-309, lambda_u=0.0001"
+    assert excinfo.value.index == 1
 
 
 def test_delay_given_utilization_arrays_match_scalar_calls():

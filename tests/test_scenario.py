@@ -10,8 +10,7 @@ import pytest
 from mbsplan.allocation import CostModel
 from mbsplan.scenario import (QuadratureSpec, RadioParams, Region, Scenario, SchemaError,
                               ValidationError, default_config, default_scenario,
-                              load_scenario, load_scenario_file, slot_midpoints_h,
-                              user_density_matrix)
+                              load_scenario, slot_midpoints_h, user_density_matrix)
 
 FLAT = ((0.0, 1.0), (12.0, 1.0))
 
@@ -116,7 +115,7 @@ def test_resample_wraps_around_midnight():
     region = dataclasses.replace(scenario.regions[0], peak_user_density_per_km2=1e6,
                                  profile=((2.0, 1.0), (22.0, 0.5)))
     load = user_density_matrix(dataclasses.replace(
-        scenario, regions=(region,), num_slots=24)).values[:, 0]
+        scenario, regions=(region,), num_slots=24))[:, 0]
     t = slot_midpoints_h(24)
     k = int(np.argmin(np.abs(t - 0.5)))  # 00:30, inside the wrap segment
     expected = 0.5 + (1.0 - 0.5) * ((0.5 + 24.0 - 22.0) / 4.0)
@@ -126,14 +125,14 @@ def test_resample_wraps_around_midnight():
 def test_user_density_matrix_units_and_shape():
     scenario = default_scenario()
     users = user_density_matrix(scenario)
-    assert users.values.shape == (60, 2)
+    assert users.shape == (60, 2)
     # each column is the interpolated load scaled by the region's peak density
     times, loads = np.array(scenario.regions[0].profile).T
     expected = np.interp(slot_midpoints_h(60), times, loads, period=24.0) * 1e4 / 1e6
-    assert np.allclose(users.values[:, 0], expected, rtol=1e-12)
+    assert np.allclose(users[:, 0], expected, rtol=1e-12)
     # slot midpoints miss the exact hourly peak, so the max sits just below it
-    assert 0.9 * 1e-2 < users.values[:, 0].max() <= 1e-2
-    assert not users.values.flags.writeable
+    assert 0.9 * 1e-2 < users[:, 0].max() <= 1e-2
+    assert not users.flags.writeable
 
 
 def test_profile_csv_header_rejected(tmp_path):
@@ -223,7 +222,7 @@ def test_relative_profile_path_resolves_against_config_dir(tmp_path):
     config["regions"][1]["profile"] = "evening.csv"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    scenario = load_scenario_file(path)
+    scenario = load_scenario(path.read_text(), base_dir=path.parent)
     assert scenario.regions[1].profile == ((6.0, 0.25), (21.0, 1.0))
 
 
