@@ -20,13 +20,12 @@ from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, capacity,
                        delay_given_utilization, evaluate_qos, mc_delay_oracle,
                        mean_interference, overlap_area)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
-                           InfeasibleDemand, demand_matrix, min_bs_density)
+                           InfeasibleDemand, demand_matrix)
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          Violation, optimal_plan, peak_aggregate_demand, savings,
                          verify_plan)
-from .pipeline import (RunArtifacts, SweepResult, ValidationCheck, ValidationReport,
-                       run_pipeline, sweep_cost_ratio, sweep_density_ratio, validate,
-                       write_sweep_csv)
+from .pipeline import (SweepResult, ValidationCheck, ValidationReport, run_pipeline,
+                       sweep_cost_ratio, sweep_density_ratio, validate, write_sweep_csv)
 
 __all__ = [
     "__version__",
@@ -40,12 +39,11 @@ __all__ = [
     "overlap_area",
     # dimensioning
     "BISECTION_REL_TOL", "DEFAULT_DENSITY_CAP_PER_M2", "InfeasibleDemand",
-    "demand_matrix", "min_bs_density",
+    "demand_matrix",
     # allocation
     "TIE_BREAK_EPSILON", "CostModel", "DeploymentPlan", "SavingsReport",
     "Violation", "optimal_plan", "peak_aggregate_demand", "savings", "verify_plan",
     # pipeline / cli
-    "RunArtifacts", "SweepResult", "ValidationCheck", "ValidationReport",
-    "run_pipeline", "sweep_cost_ratio", "sweep_density_ratio", "validate",
-    "write_sweep_csv",
+    "SweepResult", "ValidationCheck", "ValidationReport", "run_pipeline",
+    "sweep_cost_ratio", "sweep_density_ratio", "validate", "write_sweep_csv",
 ]

@@ -76,9 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    artifacts = run_pipeline(args.config, args.out)
-    report = artifacts.report
-    print(f"wrote {artifacts.demand_csv_path.parent}")
+    report = run_pipeline(args.config, args.out)
+    print(f"wrote {Path(args.out)}")
     print(f"total saving: {100 * report.total_saving_fraction:.2f}% "
           f"(static-only {report.static_only_total:.1f} stations, "
           f"hybrid {report.hybrid_total:.1f})")

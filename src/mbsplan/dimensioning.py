@@ -22,8 +22,6 @@ minimum is the global one.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .scenario import M2_PER_KM2, QuadratureSpec, RadioParams
@@ -35,12 +33,6 @@ BISECTION_REL_TOL = 1e-4
 
 class InfeasibleDemand(RuntimeError):
     """No density up to the cap meets the delay target."""
-
-
-def _unmet(lambda_u: float, params: RadioParams) -> str:
-    return (f"delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the density "
-            f"cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user density "
-            f"{lambda_u * M2_PER_KM2:.6g} per km^2)")
 
 
 def _min_densities(loads, params, quad) -> np.ndarray:
@@ -82,27 +74,13 @@ def _min_densities(loads, params, quad) -> np.ndarray:
     return density
 
 
-def min_bs_density(
-    lambda_u: float,
-    params: RadioParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Smallest station density (to relative tolerance ``BISECTION_REL_TOL``)
-    whose self-consistent delay meets the target, for user density ``lambda_u``.
-
-    Bit-equal to the ``demand_matrix`` cell with the same load.
-    """
-    density = float(_min_densities([lambda_u], params, quad)[0])
-    if density == math.inf:
-        raise InfeasibleDemand(_unmet(lambda_u, params))
-    return density
-
-
 def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureSpec()):
     """Cell-wise minimum station densities for a J x Z array of user
     densities (per m^2), as three J x Z arrays: the density (per m^2), the
     delay achieved at it and the fixed-point iterations spent finding that
-    delay (0 for a zero load).
+    delay (0 for a zero load). Each density is the smallest one whose
+    self-consistent delay meets the target, to relative tolerance
+    ``BISECTION_REL_TOL``; ``demand_matrix([[lambda_u]], ...)`` inverts one load.
 
     Densities come from one inversion over the distinct loads, and the
     achieved delays from one array fixed point over the distinct positive
@@ -125,7 +103,10 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
     unmet = np.flatnonzero(densities == np.inf)
     if unmet.size:
         k, cell = first_cell(unmet)
-        raise InfeasibleDemand(f"{cell}: {_unmet(loads[k], params)}")
+        raise InfeasibleDemand(
+            f"{cell}: delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the "
+            f"density cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user "
+            f"density {loads[k] * M2_PER_KM2:.6g} per km^2)")
     positive = np.flatnonzero(loads > 0)
     result = evaluate_qos(densities[positive], loads[positive], params, quad)
     diverged = positive[~result.converged]

@@ -30,10 +30,10 @@ import scipy
 from . import __version__
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          optimal_plan, savings, verify_plan)
-from .dimensioning import demand_matrix, min_bs_density
+from .dimensioning import _min_densities, demand_matrix
 from .qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
-from .scenario import (M2_PER_KM2, Scenario, default_config, default_scenario,
-                       load_scenario, slot_midpoints_h, user_density_matrix)
+from .scenario import (M2_PER_KM2, Scenario, ValidationError, default_config, load_scenario,
+                       slot_midpoints_h, user_density_matrix)
 
 # Spot checks used by ``validate``: (station density, user density) pairs in
 # per-km^2 units for the Monte Carlo oracle, and user densities for the
@@ -44,19 +44,6 @@ _GRID_POINTS = 2000
 _GRID_LO_PER_KM2 = 1e-2
 _GRID_HI_PER_KM2 = 1e5
 _MC_REL_TOL = 0.05
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    """Paths of the files a pipeline run produced, plus its manifest and
-    the savings report that ``savings.json`` holds."""
-
-    demand_csv_path: Path
-    plan_json_path: Path
-    savings_json_path: Path
-    series_csv_path: Path
-    manifest: dict
-    report: SavingsReport
 
 
 @dataclass(frozen=True)
@@ -73,14 +60,15 @@ class SweepResult:
 
 
 def _load(config_path) -> tuple[Scenario, bytes]:
-    """Scenario plus the exact bytes that define it (for the manifest hash)."""
+    """Scenario parsed from the exact bytes that define it, and those bytes
+    (for the manifest hash). With no path they are ``default_config()``'s
+    JSON with sorted keys."""
     if config_path is None:
-        scenario = default_scenario()
-        raw = json.dumps(default_config(), sort_keys=True).encode()
-        return scenario, raw
-    path = Path(config_path)
-    raw = path.read_bytes()
-    return load_scenario(raw.decode("utf-8"), base_dir=path.parent), raw
+        raw, base_dir = json.dumps(default_config(), sort_keys=True).encode(), None
+    else:
+        path = Path(config_path)
+        raw, base_dir = path.read_bytes(), path.parent
+    return load_scenario(raw.decode("utf-8"), base_dir=base_dir), raw
 
 
 @dataclass(frozen=True)
@@ -213,8 +201,10 @@ def _dimensioning_counters(solved: _Solved) -> dict:
             "fixed_point_iterations": int(iterations[first].sum())}
 
 
-def run_pipeline(config_path, out_dir) -> RunArtifacts:
-    """Run the full chain on one scenario and write all artifacts.
+def run_pipeline(config_path, out_dir) -> SavingsReport:
+    """Run the full chain on one scenario, write ``demand.csv``,
+    ``plan.json``, ``savings.json``, ``series.csv`` and ``manifest.json``
+    into ``out_dir``, and return the report that ``savings.json`` holds.
 
     ``config_path`` may be None to use the built-in two-district scenario.
     The files are written into a temporary directory inside ``out_dir`` and
@@ -225,35 +215,25 @@ def run_pipeline(config_path, out_dir) -> RunArtifacts:
     scenario, raw = _load(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "demand": out / "demand.csv",
-        "plan": out / "plan.json",
-        "savings": out / "savings.json",
-        "series": out / "series.csv",
-        "manifest": out / "manifest.json",
-    }
     with tempfile.TemporaryDirectory(dir=out) as tmp:
-        staged = {key: Path(tmp) / path.name for key, path in paths.items()}
+        staged = Path(tmp)
         solved = _solve_scenario(scenario)
         ids = scenario.region_ids
-        _write_demand_csv(staged["demand"], solved)
-        _write_json(staged["plan"], _plan_dict(solved.plan, ids))
-        _write_json(staged["savings"], _savings_dict(solved.report, ids))
-        _write_series_csv(staged["series"], solved)
-        manifest = {
+        _write_demand_csv(staged / "demand.csv", solved)
+        _write_json(staged / "plan.json", _plan_dict(solved.plan, ids))
+        _write_json(staged / "savings.json", _savings_dict(solved.report, ids))
+        _write_series_csv(staged / "series.csv", solved)
+        _write_json(staged / "manifest.json", {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
             "dimensioning": _dimensioning_counters(solved),
             "numpy_version": np.__version__,
             "scipy_version": scipy.__version__,
             "tool_version": __version__,
             "wall_time_s": time.perf_counter() - started,
-        }
-        _write_json(staged["manifest"], manifest)
-        for key, path in paths.items():
-            os.replace(staged[key], path)
-    return RunArtifacts(demand_csv_path=paths["demand"], plan_json_path=paths["plan"],
-                        savings_json_path=paths["savings"], series_csv_path=paths["series"],
-                        manifest=manifest, report=solved.report)
+        })
+        for path in staged.iterdir():
+            os.replace(path, out / path.name)
+    return solved.report
 
 
 def _sweep_collect(values, solve_one, region_ids) -> SweepResult:
@@ -288,7 +268,9 @@ def sweep_density_ratio(config_path, ratios) -> SweepResult:
     The office district is pinned at 1 km^2 and 1e4 users/km^2; for ratio
     rho the residential district gets peak density 1e4/rho over rho km^2,
     holding its peak-hour user count at 1e4. Ratio 10 reproduces the
-    built-in default scenario.
+    built-in default scenario. Every point's regions are built before any
+    point is solved, so a ratio whose region is out of bounds raises a
+    ``ValidationError`` naming it and solves nothing.
     """
     base, _ = _load(config_path)
     if len(base.regions) != 2:
@@ -298,14 +280,18 @@ def sweep_density_ratio(config_path, ratios) -> SweepResult:
     if np.any(ratios < 1.0):
         raise ValueError("density ratios must be >= 1")
 
+    office = dataclasses.replace(base.regions[0], area_km2=1.0, peak_user_density_per_km2=1e4)
+    scenarios = {}
+    for rho in ratios.tolist():
+        try:
+            residential = dataclasses.replace(base.regions[1], area_km2=rho,
+                                              peak_user_density_per_km2=1e4 / rho)
+        except ValidationError as exc:
+            raise ValidationError(f"density ratio {rho:g}: {exc}") from None
+        scenarios[rho] = dataclasses.replace(base, regions=(office, residential))
+
     def solve_one(rho):
-        regions = [
-            dataclasses.replace(base.regions[0], area_km2=1.0,
-                                peak_user_density_per_km2=1e4),
-            dataclasses.replace(base.regions[1], area_km2=rho,
-                                peak_user_density_per_km2=1e4 / rho),
-        ]
-        solved = _solve_scenario(dataclasses.replace(base, regions=regions))
+        solved = _solve_scenario(scenarios[rho])
         return solved.report.total_saving_fraction, solved
 
     return _sweep_collect(ratios, solve_one, base.region_ids)
@@ -393,14 +379,14 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
 
     # Each spot's draws score its load and zero traffic: the estimate is
     # linear in the user density, so the second costs no extra draws.
-    simulated = [mc_delay_oracle(bs_km2 / 1e6, (users_km2 / 1e6, 0.0), 1.0, params,
-                                 trials=mc_trials, rng_seed=seed + i).tolist()
+    simulated = [mc_delay_oracle(bs_km2 / M2_PER_KM2, (users_km2 / M2_PER_KM2, 0.0), 1.0,
+                                 params, trials=mc_trials, rng_seed=seed + i).tolist()
                  for i, (bs_km2, users_km2) in enumerate(MC_SPOT_DENSITIES_PER_KM2)]
 
     # Zero traffic: the analytic delay and the simulated delay (on the first
     # spot's draws) are both exactly zero (no users, nothing to transmit).
-    analytic_zero = delay_given_utilization(MC_SPOT_DENSITIES_PER_KM2[0][0] / 1e6, 0.0, 1.0,
-                                            params, quad)
+    analytic_zero = delay_given_utilization(MC_SPOT_DENSITIES_PER_KM2[0][0] / M2_PER_KM2,
+                                            0.0, 1.0, params, quad)
     mc_zero = simulated[0][1]
     ok = analytic_zero == 0.0 and mc_zero == 0.0
     checks.append(ValidationCheck(
@@ -408,7 +394,8 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
         f"analytic {analytic_zero!r}, simulated {mc_zero!r} (both must be 0.0)"))
 
     for (bs_km2, users_km2), (mc, _) in zip(MC_SPOT_DENSITIES_PER_KM2, simulated):
-        analytic = delay_given_utilization(bs_km2 / 1e6, users_km2 / 1e6, 1.0, params, quad)
+        analytic = delay_given_utilization(bs_km2 / M2_PER_KM2, users_km2 / M2_PER_KM2, 1.0,
+                                           params, quad)
         rel = abs(mc - analytic) / analytic
         checks.append(ValidationCheck(
             f"mc-delay bs={bs_km2:g}/km2 users={users_km2:g}/km2", rel < _MC_REL_TOL,
@@ -416,10 +403,10 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
             f"rel err {100 * rel:.2f}% (limit {100 * _MC_REL_TOL:.0f}%)"))
 
     grid = np.logspace(np.log10(_GRID_LO_PER_KM2), np.log10(_GRID_HI_PER_KM2),
-                       _GRID_POINTS) / 1e6
+                       _GRID_POINTS) / M2_PER_KM2
     tau0 = params.target_delay_s_per_bit
     for users_km2 in GRID_SPOT_USER_DENSITIES_PER_KM2:
-        lam_u = users_km2 / 1e6
+        lam_u = users_km2 / M2_PER_KM2
         feasible = evaluate_qos(grid, lam_u, params, quad).delay_s_per_bit <= tau0
         if not feasible.any():
             checks.append(ValidationCheck(
@@ -427,7 +414,7 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
                 "no feasible grid point up to the density cap"))
             continue
         try:
-            solved = min_bs_density(lam_u, params, quad)
+            solved = float(_min_densities([lam_u], params, quad)[0])  # inf past the cap
         except Exception as exc:
             checks.append(ValidationCheck(
                 f"grid-scan users={users_km2:g}/km2", False,
@@ -438,7 +425,8 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
         hi = grid[min(k + 1, grid.size - 1)] * (1.0 + 1e-9)
         checks.append(ValidationCheck(
             f"grid-scan users={users_km2:g}/km2", lo <= solved <= hi,
-            f"inversion {solved * 1e6:.6g}/km2, grid first-feasible "
-            f"{grid[k] * 1e6:.6g}/km2 (cell width {100 * (grid[1] / grid[0] - 1):.2f}%)"))
+            f"inversion {solved * M2_PER_KM2:.6g}/km2, grid first-feasible "
+            f"{grid[k] * M2_PER_KM2:.6g}/km2 "
+            f"(cell width {100 * (grid[1] / grid[0] - 1):.2f}%)"))
 
     return ValidationReport(checks=tuple(checks))

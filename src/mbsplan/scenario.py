@@ -212,9 +212,7 @@ class Region:
         peak = max(loads)
         if peak <= 0.0:
             raise ValidationError("profile: all-zero profile cannot be normalized")
-        if abs(peak - 1.0) > 1e-12:
-            samples = tuple((t, v / peak) for t, v in samples)
-        object.__setattr__(self, "profile", samples)
+        object.__setattr__(self, "profile", tuple((t, v / peak) for t, v in samples))
 
     @property
     def area_m2(self) -> float:

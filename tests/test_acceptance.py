@@ -17,7 +17,7 @@ import pytest
 from kernel_reference import doubled, pair_distance
 from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
 from mbsplan.allocation import CostModel, optimal_plan, peak_aggregate_demand, savings, verify_plan
-from mbsplan.dimensioning import demand_matrix, min_bs_density
+from mbsplan.dimensioning import demand_matrix
 from mbsplan.pipeline import run_pipeline, sweep_cost_ratio
 from mbsplan.qosmodel import (QuadratureSpec, delay_given_utilization, evaluate_qos,
                               mc_delay_oracle, overlap_area)
@@ -33,9 +33,9 @@ SPOTS_PER_KM2 = ((10.0, 100.0), (30.0, 1000.0), (100.0, 10000.0))
 def default_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_run")
     started = time.perf_counter()
-    artifacts = run_pipeline(None, out)
+    run_pipeline(None, out)
     elapsed = time.perf_counter() - started
-    return artifacts, elapsed
+    return out, elapsed
 
 
 def _solved_bundle(scenario):
@@ -139,7 +139,7 @@ def test_criterion_05_bisection_matches_grid_search():
              for lam in grid])
         assert feasible.any()
         k = int(np.argmax(feasible))
-        solved = min_bs_density(lam_u, PARAMS, QUAD)
+        solved = demand_matrix([[lam_u]], PARAMS, QUAD)[0][0, 0]
         assert grid[max(k - 1, 0)] * (1.0 - 1e-9) <= solved
         assert solved <= grid[min(k + 1, grid.size - 1)] * (1.0 + 1e-9)
 
@@ -189,8 +189,8 @@ def test_criterion_07_equal_cost_objective_is_peak_aggregate_demand(density_rati
 
 
 def test_criterion_08_fleet_is_closed_and_plans_verify(default_artifacts, density_ratio_points):
-    artifacts, _ = default_artifacts
-    plan_doc = json.loads(artifacts.plan_json_path.read_text())
+    out, _ = default_artifacts
+    plan_doc = json.loads((out / "plan.json").read_text())
     schedule = np.array(plan_doc["mbs_schedule_per_km2"])
     areas_km2 = np.array([1.0, 10.0])
     totals = schedule @ areas_km2
@@ -221,8 +221,8 @@ def test_criterion_09b_static_saving_non_increasing_in_density_ratio(density_rat
 
 
 def test_criterion_09c_fleet_concentrates_at_residential_peak(default_artifacts):
-    artifacts, _ = default_artifacts
-    report = json.loads(artifacts.savings_json_path.read_text())
+    out, _ = default_artifacts
+    report = json.loads((out / "savings.json").read_text())
     fraction = np.array(report["mbs_fraction"])[:, 1]
     residential_load = user_density_matrix(default_scenario())[:, 1]
     peak_slots = residential_load >= 0.98 * residential_load.max()
@@ -253,7 +253,7 @@ def test_criterion_11_default_pipeline_under_two_minutes(default_artifacts):
 
 
 def test_criterion_12_reruns_are_byte_identical(default_artifacts, tmp_path):
-    artifacts, _ = default_artifacts
-    again = run_pipeline(None, tmp_path / "rerun")
-    assert again.plan_json_path.read_bytes() == artifacts.plan_json_path.read_bytes()
-    assert again.savings_json_path.read_bytes() == artifacts.savings_json_path.read_bytes()
+    out, _ = default_artifacts
+    run_pipeline(None, tmp_path)
+    for name in ("plan.json", "savings.json"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()

@@ -7,12 +7,17 @@ import pytest
 
 from mbsplan import dimensioning
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
-                                  InfeasibleDemand, demand_matrix, min_bs_density)
+                                  InfeasibleDemand, demand_matrix)
 from mbsplan.qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec,
                               delay_given_utilization, evaluate_qos)
 from mbsplan.scenario import M2_PER_KM2, RadioParams, default_scenario, user_density_matrix
 
 PARAMS = RadioParams()
+
+
+def _min_density(lambda_u, params, quad=QuadratureSpec()):
+    """The minimum station density of one load: its 1 x 1 demand matrix."""
+    return float(demand_matrix([[lambda_u]], params, quad)[0][0, 0])
 
 
 def _noiseless_threshold(params, lambda_u):
@@ -39,12 +44,12 @@ def _beyond_cap(factor, params=PARAMS):
 
 
 def test_zero_user_density_needs_no_stations():
-    assert min_bs_density(0.0, PARAMS) == 0.0
+    assert _min_density(0.0, PARAMS) == 0.0
 
 
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
-        min_bs_density(-1.0, PARAMS)
+        _min_density(-1.0, PARAMS)
 
 
 def test_bisection_matches_closed_form_threshold():
@@ -55,7 +60,7 @@ def test_bisection_matches_closed_form_threshold():
     params = dataclasses.replace(noiseless, target_delay_s_per_bit=0.1 * unit_sum)
     lam_star = _noiseless_threshold(params, lambda_u)
     assert lam_star > 5.0 * lambda_u
-    got = min_bs_density(lambda_u, params)
+    got = _min_density(lambda_u, params)
     assert lam_star * (1.0 - 1e-12) <= got <= lam_star * (1.0 + 2.0 * BISECTION_REL_TOL)
 
 
@@ -66,7 +71,7 @@ def test_bisection_halves_downward_when_start_is_feasible():
     unit_sum = delay_given_utilization(1.0, 1.0, 1.0, noiseless)
     params = dataclasses.replace(noiseless, target_delay_s_per_bit=1e3 * unit_sum)
     lam_star = _noiseless_threshold(params, lambda_u)
-    got = min_bs_density(lambda_u, params)
+    got = _min_density(lambda_u, params)
     assert got < lambda_u / 100.0
     assert lam_star * (1.0 - 1e-12) <= got <= lam_star * (1.0 + 2.0 * BISECTION_REL_TOL)
 
@@ -78,7 +83,8 @@ def test_infeasible_at_cap_raises():
     for params in (PARAMS, _threshold_radio(0.11)):
         lam_u = _beyond_cap(1.01, params)
         with pytest.raises(InfeasibleDemand) as excinfo:
-            min_bs_density(lam_u, params)
+            _min_density(lam_u, params)
+        assert str(excinfo.value).startswith("slot 0, region index 0: ")
         assert (f"density cap 100000 per km^2 (user density {lam_u * M2_PER_KM2:.6g} "
                 "per km^2)" in str(excinfo.value))
 
@@ -108,22 +114,25 @@ def test_inverted_function_is_strictly_increasing(noise_scale):
 
 
 def test_min_density_is_bit_equal_to_its_matrix_cell():
-    # On the default radio every bracket spans a factor 2. On a noiseless
-    # radio with threshold 0.11 * lambda_u and lam = cap / 0.12, lam's
-    # bracket is [0.1, 0.12] * lam, clipped at the cap, and needs fewer
-    # bisection steps than the smaller loads' factor-2 brackets.
+    # A load's 1 x 1 demand matrix equals its cell in a larger one: the
+    # inversion does not depend on the other loads. On the default radio
+    # every bracket spans a factor 2. On a noiseless radio with threshold
+    # 0.11 * lambda_u and lam = cap / 0.12, lam's bracket is [0.1, 0.12] *
+    # lam, clipped at the cap, and needs fewer bisection steps than the
+    # smaller loads' factor-2 brackets.
     for params, lam in ((PARAMS, 1234.5 / M2_PER_KM2),
                         (_threshold_radio(0.11), DEFAULT_DENSITY_CAP_PER_M2 / 0.12)):
-        alone = min_bs_density(lam, params)
-        for others in ([], [0.0], [0.5], [0.2, 0.9], list(np.linspace(0.1, 1.0, 7))):
+        alone = _min_density(lam, params)
+        for others in ([0.0], [0.5], [0.2, 0.9], list(np.linspace(0.1, 1.0, 7))):
             loads = lam * np.array([1.0] + others)
             assert demand_matrix(loads[:, None], params)[0][0, 0] == alone
+            assert demand_matrix(loads[::-1, None], params)[0][-1, 0] == alone
 
 
 def test_min_density_increases_with_user_density():
     quad = QuadratureSpec()
     lams = np.array([50.0, 200.0, 1000.0, 5000.0]) / M2_PER_KM2
-    got = [min_bs_density(lam, PARAMS, quad) for lam in lams]
+    got = [_min_density(lam, PARAMS, quad) for lam in lams]
     assert all(b > a for a, b in zip(got, got[1:]))
 
 
@@ -131,7 +140,7 @@ def test_solved_density_is_feasible_and_nearly_minimal():
     quad = QuadratureSpec()
     for lam_u_km2 in (100.0, 3000.0):
         lam_u = lam_u_km2 / M2_PER_KM2
-        lam_b = min_bs_density(lam_u, PARAMS, quad)
+        lam_b = _min_density(lam_u, PARAMS, quad)
         at = evaluate_qos(lam_b, lam_u, PARAMS, quad)
         below = evaluate_qos(lam_b * (1.0 - 10.0 * BISECTION_REL_TOL), lam_u, PARAMS, quad)
         assert at.delay_s_per_bit <= PARAMS.target_delay_s_per_bit

@@ -38,7 +38,8 @@ HAND_AREAS = np.array([M2_PER_KM2, M2_PER_KM2])
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("default_run")
-    return run_pipeline(None, out)
+    run_pipeline(None, out)
+    return out
 
 
 def _read_csv(path):
@@ -47,14 +48,14 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
 def test_run_emits_complete_artifact_set(default_run):
-    for path in (default_run.demand_csv_path, default_run.plan_json_path,
-                 default_run.savings_json_path, default_run.series_csv_path):
-        assert path.exists()
-    manifest_path = default_run.demand_csv_path.parent / "manifest.json"
-    assert manifest_path.exists()
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest == default_run.manifest
+    assert sorted(p.name for p in default_run.iterdir()) == [
+        "demand.csv", "manifest.json", "plan.json", "savings.json", "series.csv"]
+    manifest = _manifest(default_run)
     assert set(manifest) == {"config_sha256", "dimensioning", "numpy_version",
                              "scipy_version", "tool_version", "wall_time_s"}
     expected = hashlib.sha256(
@@ -78,7 +79,7 @@ def test_run_emits_complete_artifact_set(default_run):
 
 
 def test_demand_csv_schema(default_run):
-    header, rows = _read_csv(default_run.demand_csv_path)
+    header, rows = _read_csv(default_run / "demand.csv")
     assert ",".join(header) == DEMAND_HEADER
     assert len(rows) == 60 * 2
     users = user_density_matrix(default_scenario())
@@ -96,7 +97,7 @@ def test_demand_csv_round_trip(default_run):
     scenario = default_scenario()
     users = user_density_matrix(scenario)
     demand, achieved, _ = demand_matrix(users, scenario.radio, scenario.quadrature)
-    lines = default_run.demand_csv_path.read_text().strip().split("\n")
+    lines = (default_run / "demand.csv").read_text().strip().split("\n")
     assert lines[0] == DEMAND_HEADER
     assert len(lines) == 1 + demand.size
     for line in lines[1:]:
@@ -135,13 +136,14 @@ def test_savings_json_schema():
     assert out["mbs_fraction"][1][1] == pytest.approx(1.0, rel=1e-9)
 
 
-def test_run_returns_the_written_savings_report(default_run):
-    report = json.loads(default_run.savings_json_path.read_text())
-    assert report == pipeline._savings_dict(default_run.report, ("office", "residential"))
+def test_run_returns_the_written_savings_report(tmp_path):
+    report = run_pipeline(None, tmp_path)
+    written = json.loads((tmp_path / "savings.json").read_text())
+    assert written == pipeline._savings_dict(report, ("office", "residential"))
 
 
 def test_series_csv_identities(default_run):
-    header, rows = _read_csv(default_run.series_csv_path)
+    header, rows = _read_csv(default_run / "series.csv")
     assert ",".join(header) == SERIES_HEADER
     assert len(rows) == 60 * 2
     static_only = {}
@@ -162,8 +164,8 @@ def test_series_csv_identities(default_run):
 
 
 def test_plan_and_savings_json_consistency(default_run):
-    plan = json.loads(default_run.plan_json_path.read_text())
-    report = json.loads(default_run.savings_json_path.read_text())
+    plan = json.loads((default_run / "plan.json").read_text())
+    report = json.loads((default_run / "savings.json").read_text())
     areas = {"office": 1.0, "residential": 10.0}
     hybrid = plan["fleet_size"] + sum(
         plan["static_density_per_km2"][rid] * areas[rid] for rid in areas)
@@ -179,25 +181,22 @@ def test_plan_and_savings_json_consistency(default_run):
 
 
 def test_rerun_is_byte_identical(default_run, tmp_path):
-    again = run_pipeline(None, tmp_path / "again")
-    pairs = [(default_run.demand_csv_path, again.demand_csv_path),
-             (default_run.plan_json_path, again.plan_json_path),
-             (default_run.savings_json_path, again.savings_json_path),
-             (default_run.series_csv_path, again.series_csv_path)]
-    for first, second in pairs:
-        assert first.read_bytes() == second.read_bytes()
+    run_pipeline(None, tmp_path)
+    for name in ("demand.csv", "plan.json", "savings.json", "series.csv"):
+        assert (tmp_path / name).read_bytes() == (default_run / name).read_bytes()
     # wall time differs; everything else in the manifest must not
-    first_manifest = dict(default_run.manifest, wall_time_s=None)
-    assert dict(again.manifest, wall_time_s=None) == first_manifest
+    first_manifest = dict(_manifest(default_run), wall_time_s=None)
+    assert dict(_manifest(tmp_path), wall_time_s=None) == first_manifest
 
 
 def test_explicit_default_config_file_reproduces_builtin_run(default_run, tmp_path):
     config = tmp_path / "config.json"
     config.write_bytes(json.dumps(default_config(), sort_keys=True).encode())
-    artifacts = run_pipeline(config, tmp_path / "out")
-    assert artifacts.manifest["config_sha256"] == default_run.manifest["config_sha256"]
-    assert artifacts.plan_json_path.read_bytes() == default_run.plan_json_path.read_bytes()
-    assert artifacts.savings_json_path.read_bytes() == default_run.savings_json_path.read_bytes()
+    out = tmp_path / "out"
+    run_pipeline(config, out)
+    assert _manifest(out)["config_sha256"] == _manifest(default_run)["config_sha256"]
+    for name in ("plan.json", "savings.json"):
+        assert (out / name).read_bytes() == (default_run / name).read_bytes()
 
 
 def test_explicit_default_quadrature_reproduces_builtin_run(default_run, tmp_path):
@@ -205,7 +204,7 @@ def test_explicit_default_quadrature_reproduces_builtin_run(default_run, tmp_pat
     path = Path(__file__).parent / "data" / "explicit_quadrature.json"
     assert json.loads(path.read_text())["quadrature"] == dataclasses.asdict(QuadratureSpec())
     run_pipeline(path, tmp_path)
-    builtin = default_run.plan_json_path.parent
+    builtin = default_run
     names = sorted(p.name for p in builtin.iterdir() if p.name != "manifest.json")
     assert names == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
     for name in names:
@@ -226,11 +225,11 @@ def test_csv_profiles_reproduce_builtin_run(default_run, tmp_path, case):
         path = Path(__file__).parent / "data" / "csv_profiles" / "config.json"
     users = user_density_matrix(load_scenario(path.read_text(), base_dir=path.parent))
     assert users.tobytes() == user_density_matrix(default_scenario()).tobytes()
-    artifacts = run_pipeline(path, tmp_path / "out")
+    out = tmp_path / "out"
+    run_pipeline(path, out)
     for name in ("demand.csv", "plan.json", "savings.json", "series.csv"):
-        assert (tmp_path / "out" / name).read_bytes() == \
-            (default_run.demand_csv_path.parent / name).read_bytes()
-    assert artifacts.manifest["dimensioning"] == default_run.manifest["dimensioning"]
+        assert (out / name).read_bytes() == (default_run / name).read_bytes()
+    assert _manifest(out)["dimensioning"] == _manifest(default_run)["dimensioning"]
 
 
 def _failing_series_writer(staged_before):
@@ -271,8 +270,8 @@ def test_failed_rerun_leaves_previous_artifacts_untouched(tmp_path, monkeypatch)
 def test_density_sweep_identity_point_matches_run(default_run):
     result = sweep_density_ratio(None, [10.0])
     assert result.failures == []
-    plan = json.loads(default_run.plan_json_path.read_text())
-    report = json.loads(default_run.savings_json_path.read_text())
+    plan = json.loads((default_run / "plan.json").read_text())
+    report = json.loads((default_run / "savings.json").read_text())
     assert float(result.total_saving_fraction[0]) == report["total_saving_fraction"]
     assert float(result.fleet_size[0]) == plan["fleet_size"]
     assert float(result.objective[0]) == plan["objective_value"]
@@ -285,7 +284,7 @@ def test_density_sweep_identity_point_matches_run(default_run):
 def test_cost_sweep_unit_ratio_matches_equal_cost_run(default_run):
     result = sweep_cost_ratio(None, [1.0])
     assert result.failures == []
-    report = json.loads(default_run.savings_json_path.read_text())
+    report = json.loads((default_run / "savings.json").read_text())
     assert float(result.total_saving_fraction[0]) == report["total_saving_fraction"]
 
 
@@ -458,6 +457,17 @@ def test_cli_non_finite_ratios_exit_2(tmp_path, capsys, command, ratios):
     assert not any(tmp_path.iterdir())
 
 
+def test_cli_out_of_range_density_ratio_exits_2_before_solving(monkeypatch, tmp_path, capsys):
+    # This once exited 1 after solving ratio 1 and writing a one-point CSV.
+    solved = []
+    monkeypatch.setattr(pipeline, "_solve_scenario", lambda *args: solved.append(args))
+    assert cli.main(["sweep-density", "--ratios", "1:1e9:2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: density ratio 1e+09: area_km2 must be "
+                                       "<= 510000000.0, got 1000000000.0\n")
+    assert solved == []
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("field,token", [("target_delay_s_per_bit", "Infinity"),
                                          ("bandwidth_hz", "NaN")])
 def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
@@ -549,7 +559,7 @@ def test_cli_tiny_tail_mass_epsilon_runs(default_run, tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     # The wider radial cut reaches the dimensioning.
     assert (tmp_path / "out" / "demand.csv").read_bytes() != \
-        default_run.demand_csv_path.read_bytes()
+        (default_run / "demand.csv").read_bytes()
 
 
 @pytest.mark.parametrize("gain", [0, -5.0])

@@ -12,7 +12,7 @@ import mc_reference
 import picard_reference
 from kernel_reference import doubled, pair_distance, shared_load_kernel
 from mbsplan import qosmodel
-from mbsplan.dimensioning import min_bs_density
+from mbsplan.dimensioning import demand_matrix
 from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2,
                               GRID_SPOT_USER_DENSITIES_PER_KM2, MC_SPOT_DENSITIES_PER_KM2)
 from mbsplan.qosmodel import (QuadratureSpec, _cell_areas, _serving_cells, capacity,
@@ -283,7 +283,7 @@ def test_secant_fixed_point_matches_picard(log_b, log_u, noise_scale, at_boundar
     lam_u = 10.0 ** log_u * PER_KM2
     lam_b = 10.0 ** log_b * PER_KM2
     if at_boundary:
-        lam_b = min_bs_density(lam_u, params, QUAD) * (1.0 + 0.01 * (log_b % 1.0))
+        lam_b = demand_matrix([[lam_u]], params, QUAD)[0][0, 0] * (1.0 + 0.01 * (log_b % 1.0))
     fast = evaluate_qos(lam_b, lam_u, params, QUAD)
     slow = picard_reference.evaluate_qos(lam_b, lam_u, params, QUAD)
     assert fast.converged == slow.converged

@@ -76,6 +76,14 @@ def test_profile_normalizes_to_unit_peak():
     assert region.profile == ((0.0, 0.5), (12.0, 1.0))
 
 
+@pytest.mark.parametrize("peak", [1.0 - 1e-13, 1.0 + 1e-13, np.nextafter(1.0, 2.0)])
+def test_profile_peak_near_one_is_rescaled_to_exactly_one(peak):
+    # A peak within 1e-12 of 1 was kept as it was.
+    region = Region(id="r", area_km2=1.0, peak_user_density_per_km2=1.0,
+                    profile=((0.0, 0.5), (12.0, peak)))
+    assert region.profile == ((0.0, 0.5 / peak), (12.0, 1.0))
+
+
 def test_profile_rejects_bad_samples():
     region = Region(id="r", area_km2=1.0, peak_user_density_per_km2=1.0, profile=FLAT)
     for profile in (((0.0, 1.0),),                       # single point
