@@ -22,14 +22,35 @@ fleet then follows in closed form from lambda_s, and the schedule is
 rebuilt in a solver-independent, reproducible way that meets the equality
 above.
 
-When static stations are strictly dearer, c_s > c_m, no solver runs: the
-peak slot forces M >= P - sum_z A_z lambda_s[z], P the peak aggregate
-demand, so the cost is at least c_m P + (c_s - c_m) sum_z A_z lambda_s[z],
-uniquely smallest at lambda_s = 0 with M = P. HiGHS runs only when static
-is not dearer. With equal unit costs the optimum value is pinned but the
-static/mobile split is not; inside the solver a tiny surcharge on the
-fleet, c_m (1 + TIE_BREAK_EPSILON), makes it prefer static capacity
-deterministically.
+Three paths find the static densities; two of them are closed forms.
+
+* Static strictly dearer, c_s > c_m: the peak slot forces
+  M >= P - sum_z A_z lambda_s[z], P the peak aggregate demand, so the cost
+  is at least c_m P + (c_s - c_m) sum_z A_z lambda_s[z], uniquely smallest
+  at lambda_s = 0 with M = P.
+* Equal costs, c_s = c_m = c, with at most two regions. Write
+  x_z = A_z lambda_s[z], D[j, z] = A_z demand[j, z] and P(U) for the peak
+  over slots of sum_{z in U} D[j, z], so P = P(V) for the region set V.
+  The smallest fleet is M = max_j sum_z max(0, D[j, z] - x_z), so a plan
+  costs c (M + sum_z x_z) = c max_j sum_z max(D[j, z], x_z) >= c P, and
+  all-mobile attains c P. Since sum_z max(D[j, z], x_z) is the largest
+  over region sets T of sum_{z in T} x_z + sum_{z not in T} D[j, z], a
+  plan is optimal exactly when sum_{z in T} x_z <= P - P(V - T) for every
+  T. Among these
+  optima the fleet surcharge below picks the smallest fleet, M = P - sum_z
+  x_z, that is the most static capacity. With Z <= 2 the region bounds
+  x_z <= P - P(V - {z}) can all be met at once: at Z = 2 their sum
+  2P - P_1 - P_2, with P_z = P({z}), is at most P, the bound for T = V,
+  since P <= P_1 + P_2. So the unique answer is x_z = P - P(V - {z}):
+  all-static at Z = 1, and x_1 = P - P_2, x_2 = P - P_1 at Z = 2. From
+  Z = 3 on the region bounds can clash (slots (1, 1, 0) and (0, 0, 1.5)
+  allow x_z <= 0.5 in both of the first two regions but only 0.5 for the
+  pair), so the LP stays.
+* Everything else, c_s < c_m or equal costs with Z >= 3: HiGHS solves the
+  reduced LP. With equal unit costs the optimum value is pinned but the
+  static/mobile split is not; inside the solver a tiny surcharge on the
+  fleet, c_m (1 + TIE_BREAK_EPSILON), makes it prefer static capacity
+  deterministically, which is the point the equal-cost closed form returns.
 """
 
 from __future__ import annotations
@@ -188,8 +209,16 @@ def _canonical_schedule(values, areas, static, fleet) -> np.ndarray:
 
 
 def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> DeploymentPlan:
-    """Return the canonicalized optimum: all-mobile in closed form when
-    static stations are strictly dearer, otherwise solved by HiGHS."""
+    """Return the canonicalized optimum.
+
+    Static densities come in closed form on two paths: all-mobile when
+    static stations are strictly dearer, and x_z = P - P(V - {z}) station
+    counts at equal costs with one or two regions, P the peak aggregate
+    demand and P(V - {z}) the peak of the other region's (or nothing's)
+    demand; see the module docstring for both derivations. Otherwise, with
+    static cheaper or with three or more regions at equal costs, HiGHS
+    solves the reduced LP under the fleet surcharge.
+    """
     values = _demand_values(demand)
     areas = _areas(areas_m2, values.shape[1])
 
@@ -197,6 +226,12 @@ def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> Deployment
         # M >= P - sum_z A_z s_z (the peak slot), so the cost is at least
         # c_m P + (c_s - c_m) sum_z A_z s_z: uniquely smallest at s = 0.
         static = np.zeros(values.shape[1])
+    elif costs.static_unit_cost == costs.mobile_unit_cost and values.shape[1] <= 2:
+        # The most static capacity among the equal-cost optima:
+        # x_z = P - P(V - {z}), the other region's peak at Z = 2, none at Z = 1.
+        counts = values * areas
+        others = counts[:, ::-1].max(axis=0) if values.shape[1] == 2 else 0.0
+        static = np.clip((counts.sum(axis=1).max() - others) / areas, 0.0, values.max(axis=0))
     else:
         biased = CostModel(static_unit_cost=costs.static_unit_cost,
                            mobile_unit_cost=costs.mobile_unit_cost * (1.0 + TIE_BREAK_EPSILON))
@@ -221,7 +256,8 @@ def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
     1 + Z + j*Z + z holds the slot-j mobile density region z needs. Rows:
     one fleet row per slot, then one coverage row per cell, slot-major.
     """
-    # Imported on first use: scipy.optimize adds ~0.2 s to every start-up.
+    # Imported on first use: scipy.optimize with scipy.sparse adds about
+    # 0.6 s to a fresh process, which the closed-form paths never pay.
     from scipy import sparse
     from scipy.optimize import linprog
 

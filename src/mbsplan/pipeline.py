@@ -304,8 +304,10 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
     prices static stations at the ratio (mobile cost 1) and reports the cost
     saving against an all-static build priced at the same static cost. A
     ratio above 1 makes static strictly dearer, so its optimum is the
-    all-mobile fleet at the peak aggregate demand in closed form; only the
-    points where static is not dearer solve the deployment LP with HiGHS.
+    all-mobile fleet at the peak aggregate demand in closed form. Ratio 1
+    prices both station types equally, which is closed form too with one
+    or two regions; only ratio 1 with three or more regions solves the
+    deployment LP with HiGHS.
     """
     scenario, _ = _load(config_path)
     ratios = np.asarray(cost_ratios, dtype=float)

@@ -184,17 +184,29 @@ def test_dearer_static_is_all_mobile_without_a_solver(monkeypatch):
     assert verify_plan(plan, demand, areas) == []
 
 
-@pytest.mark.parametrize("static_cost, calls", [
-    (2.0, 0),
-    (np.nextafter(1.0 + TIE_BREAK_EPSILON, math.inf), 0),
+# Three regions, each busy in its own slot: at equal costs the closed form
+# does not apply, so HiGHS still solves this instance.
+THREE_DEMAND = np.array([[10.0, 2.0, 1.0], [2.0, 10.0, 1.0], [1.0, 2.0, 10.0]]) / KM2
+THREE_AREAS = np.full(3, KM2)
+_LINPROG_CASES = [
+    (2.0, HAND_DEMAND, HAND_AREAS, 0),
+    (np.nextafter(1.0 + TIE_BREAK_EPSILON, math.inf), HAND_DEMAND, HAND_AREAS, 0),
     # Exact tie with the surcharged fleet: all-static and all-mobile cost
     # the same to the solver, but mobile is cheaper at the true costs.
-    (1.0 + TIE_BREAK_EPSILON, 0),
-    (np.nextafter(1.0, math.inf), 0),
-    (1.0, 1),
-    (0.5, 1),
-])
-def test_linprog_runs_only_when_static_is_not_dearer(monkeypatch, static_cost, calls):
+    (1.0 + TIE_BREAK_EPSILON, HAND_DEMAND, HAND_AREAS, 0),
+    (np.nextafter(1.0, math.inf), HAND_DEMAND, HAND_AREAS, 0),
+    # Equal costs: closed form with two regions, HiGHS with three.
+    (1.0, HAND_DEMAND, HAND_AREAS, 0),
+    (1.0, THREE_DEMAND, THREE_AREAS, 1),
+    (0.5, HAND_DEMAND, HAND_AREAS, 1),
+]
+
+
+@pytest.mark.parametrize("static_cost, demand, areas, calls", _LINPROG_CASES,
+                         ids=[f"{case[0]}-{case[-1]}" for case in _LINPROG_CASES])
+def test_linprog_runs_only_when_static_is_not_dearer(monkeypatch, static_cost, demand, areas,
+                                                     calls):
+    # Despite its name, equal costs with at most two regions skip the LP too.
     real = scipy.optimize.linprog
     seen = []
 
@@ -203,10 +215,10 @@ def test_linprog_runs_only_when_static_is_not_dearer(monkeypatch, static_cost, c
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    plan = optimal_plan(HAND_DEMAND, HAND_AREAS, CostModel(static_unit_cost=static_cost,
-                                                           mobile_unit_cost=1.0))
+    plan = optimal_plan(demand, areas, CostModel(static_unit_cost=static_cost,
+                                                 mobile_unit_cost=1.0))
     assert len(seen) == calls
-    assert verify_plan(plan, HAND_DEMAND, HAND_AREAS) == []
+    assert verify_plan(plan, demand, areas) == []
 
 
 def test_fleet_grows_as_static_stations_get_pricier():

@@ -1,5 +1,6 @@
 """Allocation LP solve tests: the reduced LP on HiGHS against hand cases,
-solver failures, LP invariances and the brute-force vertex oracle."""
+solver failures, LP invariances and the brute-force vertex oracle, and the
+equal-cost closed form against both HiGHS and the oracle."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mbsplan.allocation import TIE_BREAK_EPSILON, CostModel, optimal_plan, verify_plan
+from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, _solve_static, optimal_plan,
+                                verify_plan)
+from mbsplan.dimensioning import demand_matrix
+from mbsplan.scenario import default_scenario, user_density_matrix
 
 from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
 
@@ -50,19 +54,21 @@ def _failing_solver(status, message):
 def test_empty_feasible_set(monkeypatch):
     # The deployment LP is feasible by construction; a solver that says
     # otherwise is broken, and the plan must not be built from its output.
+    # Three regions at equal costs still go to the solver.
     monkeypatch.setattr(scipy.optimize, "linprog",
                         _failing_solver(2, "The problem is infeasible."))
     with pytest.raises(RuntimeError, match="infeasible"):
-        optimal_plan(np.array([[1.0, 2.0]]), np.array([1.0, 1.0]))
+        optimal_plan(np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 1.0, 1.0]))
 
 
 def test_unbounded_ray(monkeypatch):
     # Every variable is boxed or priced positively, so "unbounded" is
-    # likewise a solver fault.
+    # likewise a solver fault. Cheaper static stations still go to the solver.
     monkeypatch.setattr(scipy.optimize, "linprog",
                         _failing_solver(3, "The problem is unbounded."))
     with pytest.raises(RuntimeError, match="unbounded"):
-        optimal_plan(np.array([[1.0, 2.0]]), np.array([1.0, 1.0]))
+        optimal_plan(np.array([[1.0, 2.0]]), np.array([1.0, 1.0]),
+                     CostModel(static_unit_cost=0.5, mobile_unit_cost=1.0))
 
 
 def test_equality_with_redundant_row():
@@ -186,3 +192,67 @@ def test_solution_feasibility_tolerances():
         for x in (plan.static_density, plan.mbs_schedule):
             assert np.all(x >= -1e-10) and np.all(x <= caps + 1e-10)
         assert verify_plan(plan, demand, areas) == []
+
+
+def _built_in_instance():
+    """The built-in scenario's demand (stations/m^2), areas (m^2) and mobile
+    unit cost, as ``mbsplan run`` allocates them."""
+    scenario = default_scenario()
+    demand, _, _ = demand_matrix(user_density_matrix(scenario), scenario.radio,
+                                 scenario.quadrature)
+    return demand, scenario.areas_m2(), 1.0
+
+
+BUILT_IN = _built_in_instance()
+
+
+@st.composite
+def _equal_cost_instances(draw):
+    """One or two regions at equal unit costs, some cells idle. Nonzero
+    cells stay at or above 1e-3 of the largest possible one: HiGHS meets
+    constraints only to an absolute 1e-7, so it would be no reference for
+    a closed form held to 1e-12 of the peak."""
+    n_slots = draw(st.integers(1, 6))
+    n_regions = draw(st.integers(1, 2))
+    cell = st.one_of(st.just(0.0), st.floats(0.02, 20.0))
+    demand = np.array(draw(st.lists(cell, min_size=n_slots * n_regions,
+                                    max_size=n_slots * n_regions))).reshape(n_slots, n_regions)
+    areas = np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=n_regions,
+                                   max_size=n_regions)))
+    return demand, areas, draw(st.floats(0.5, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equal_cost_instances())
+@example(BUILT_IN)
+def test_equal_cost_closed_form_matches_highs_and_vertex_enumeration(instance):
+    # With at most two regions at equal costs optimal_plan solves no LP; its
+    # static stations must be the ones HiGHS picks under the fleet surcharge,
+    # and the vertex oracle must find nothing cheaper under that surcharge.
+    demand, areas, cost = instance
+    plan = optimal_plan(demand, areas, CostModel(cost, cost))
+    peak = float((demand @ areas).max())
+    tol = 1e-12 * peak
+    biased = CostModel(cost, cost * (1.0 + TIE_BREAK_EPSILON))
+    highs = _solve_static(demand, areas, biased)
+    assert np.max(np.abs((plan.static_density - highs) * areas)) <= tol
+    assert plan.objective_value == pytest.approx(cost * peak, rel=1e-12, abs=0.0)
+    assert verify_plan(plan, demand, areas) == []
+    if demand.size <= 4:  # enumeration stays fast
+        status, best = enumerate_optimum(*allocation_lp(demand, areas, cost,
+                                                        biased.mobile_unit_cost))
+        assert status == "optimal"
+        surcharged = (biased.mobile_unit_cost * plan.fleet_size
+                      + cost * float(plan.static_density @ areas))
+        assert abs(surcharged - best) <= cost * tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equal_cost_instances())
+@example(BUILT_IN)
+def test_equal_cost_closed_form_follows_the_regions_when_swapped(instance):
+    demand, areas, cost = instance
+    costs = CostModel(cost, cost)
+    plan = optimal_plan(demand, areas, costs)
+    swapped = optimal_plan(demand[:, ::-1], areas[::-1], costs)
+    assert np.array_equal(swapped.static_density, plan.static_density[::-1])

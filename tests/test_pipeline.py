@@ -593,17 +593,41 @@ def test_cli_version(capsys):
     assert f"mbsplan {mbsplan.__version__}" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # Only the LP solve needs scipy.optimize and scipy.sparse, and nothing
-    # needs scipy.spatial; each would add a share of a second to every start.
-    heavy = ("scipy.spatial", "scipy.optimize", "scipy.sparse")
+# Only the LP solve needs scipy.optimize and scipy.sparse, and nothing needs
+# scipy.spatial; each would add a share of a second to every start.
+_HEAVY_SCIPY = ("scipy.spatial", "scipy.optimize", "scipy.sparse")
+
+
+def _heavy_scipy_loaded_after(script, cwd=None) -> str:
+    """Run ``script`` in a fresh interpreter and return the printed list of
+    the heavy scipy modules loaded by then."""
     src = str(Path(mbsplan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = f"import sys, mbsplan.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    probe = f"{script}\nimport sys; print([m for m in {_HEAVY_SCIPY!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True, cwd=cwd,
                           capture_output=True, text=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    assert _heavy_scipy_loaded_after("import mbsplan.cli") == "[]"
+
+
+def test_quick_start_and_validate_leave_heavy_scipy_modules_unloaded(tmp_path):
+    # The built-in scenario has two regions and every README quick-start
+    # point that is not all-mobile prices both station types equally, so
+    # no command here solves an LP.
+    commands = [["run", "--out", "out"],
+                ["sweep-density", "--ratios", "1:10:10", "--out", "out"],
+                ["sweep-cost", "--ratios", "1:3:9", "--out", "out"],
+                ["validate", "--trials", "1000", "--seed", "5"]]
+    script = ("import contextlib, io\n"
+              "from mbsplan import cli\n"
+              f"for argv in {commands!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv")
+    assert _heavy_scipy_loaded_after(script, cwd=tmp_path) == "[]"
 
 
 def test_cli_validate_quick_pass(capsys):
