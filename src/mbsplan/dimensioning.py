@@ -15,6 +15,15 @@ space to ``BISECTION_REL_TOL`` and return the feasible end. S comes from
 the achieved delay never exceeds T; one array fixed point over the distinct
 loads reports that delay, in about three delay evaluations per load.
 
+h does not depend on the load, so one table of h on a log grid seeds every
+load: it predicts the root, and three exact probes around the prediction
+leave each load a bracket about 2e-6 wide. The bracket-and-bisect sequence
+is then replayed unchanged, probing only the candidates inside that
+bracket; every other candidate lies on a known side of the root, and h is
+strictly increasing, so its probe would decide it the same way. The
+densities are bit-equal to probing every candidate, from 4.6 delay
+evaluations per load on the default scenario instead of 17.
+
 Cells are independent: the objective sums per-cell densities and every
 constraint touches exactly one (slot, region) pair, so the cell-wise
 minimum is the global one.
@@ -29,39 +38,121 @@ from .qosmodel import FixedPointDiverged, NonFinite, delay_given_utilization, ev
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
+_TABLE_POINTS = 64  # log grid of h that seeds every load's bracket
+_SEED_OFFSET = 1e-6  # relative offset of the two probes around a Newton root
 
 
 class InfeasibleDemand(RuntimeError):
     """No density up to the cap meets the delay target."""
 
 
+def _h_table(lo, hi, params, quad):
+    """log lambda_b on a ``_TABLE_POINTS``-point log grid from lo to hi, and
+    log h there: with lambda_u = lambda_b the u = 1 delay is S itself."""
+    grid = np.geomspace(lo, hi, _TABLE_POINTS)
+    s = delay_given_utilization(grid, grid, 1.0, params, quad)
+    with np.errstate(all="ignore"):
+        return np.log(grid), np.log(grid / s)
+
+
+def _seed_probes(lam_u, c0, tau0, delay, params, quad):
+    """Exact probes near every load's root, as (points, delays), two lists
+    of arrays shaped like ``lam_u``. Both are empty when the loads' brackets
+    span no interval, when the table of h over them is not finite and
+    strictly increasing, or when a seeding probe is not finite.
+
+    Each root lies between the first probe c0 and c0 * tau0 / T: S falls as
+    lambda_b rises and the root r solves r = (lambda_u / T) * S(r). One
+    table over the union of those brackets predicts every root by
+    interpolating log lambda_b against log h. A probe at the prediction,
+    one Newton step from it with the table's slope, and two probes
+    ``_SEED_OFFSET`` either side of the step's result follow.
+    """
+    target = params.target_delay_s_per_bit
+    with np.errstate(all="ignore"):
+        ends = np.concatenate([c0, c0 * tau0 / target])
+    lo, hi = ends.min(), min(ends.max(), DEFAULT_DENSITY_CAP_PER_M2)
+    if not 0.0 < lo < hi:
+        return [], []
+    n = lam_u.size
+    every = np.arange(n)
+    try:
+        log_g, log_h = _h_table(lo, hi, params, quad)
+        if not (np.all(np.isfinite(log_h)) and np.all(np.diff(log_h) > 0.0)):
+            return [], []
+        log_y = np.log(lam_u) - np.log(target)  # the root solves log h = log y
+        log_p = np.interp(log_y, log_h, log_g)
+        slope = np.interp(log_p, log_g, np.gradient(log_h, log_g))
+        p = np.exp(log_p)
+        tau_p = delay(every, p)
+        # log h(p) = log(lambda_u / tau_p), so the step is (log tau_p - log T) / slope.
+        r = np.exp(np.clip(log_p + (np.log(tau_p) - np.log(target)) / slope,
+                           log_g[0], log_g[-1]))
+        pair = np.concatenate([r * (1.0 - _SEED_OFFSET), r * (1.0 + _SEED_OFFSET)])
+        tau_pair = delay(np.concatenate([every, every]), pair)
+    except NonFinite:  # seeding only saves probes; the replay then makes them all
+        return [], []
+    return [p, pair[:n], pair[n:]], [tau_p, tau_pair[:n], tau_pair[n:]]
+
+
 def _min_densities(loads, params, quad) -> np.ndarray:
     """Smallest feasible station density for every user density in the 1-D
     array ``loads``: 0 for a zero load, inf where even the cap misses.
 
-    Every step is elementwise and stops on the load's own bracket, so a
-    load's answer does not depend on the other loads in the array. A
-    ``NonFinite`` probe carries the index of its load in ``loads``.
+    The result is bit-equal to bracketing from lambda_u / 10 and bisecting
+    with one exact u = 1 probe per candidate, but most candidates are
+    decided without one. After the first probe, three seeding probes per
+    load (``_seed_probes``) leave it a bracket about 2e-6 wide: the largest
+    density known to miss the target and the smallest known to meet it.
+    The candidate sequence is then replayed unchanged. A candidate at or
+    above the known meet is feasible, one at or below the known miss is
+    not, and only one strictly inside is probed. h is strictly increasing,
+    so every decision equals the probe's. Without a usable table every
+    candidate is probed.
+
+    Every step of the replay is elementwise and stops on the load's own
+    bracket, so a load's answer does not depend on the other loads in the
+    array; they only move the seeding probes, which decide nothing a probe
+    would decide otherwise. A ``NonFinite`` probe carries the index of its
+    load in ``loads``.
     """
     loads = np.asarray(loads, dtype=float)
     if not np.all(np.isfinite(loads)) or np.any(loads < 0):
         raise ValueError(f"user densities must be finite and >= 0, got {loads}")
     target = params.target_delay_s_per_bit
     positive = loads > 0
+    density = np.zeros(loads.shape)
     lam_u = loads[positive]
-    # hi: smallest density known to meet the target (inf: none yet);
-    # lo: largest density known to miss it (0: none yet).
+    if not lam_u.size:
+        return density
+
+    def delay(k, lam_b):
+        """u = 1 delay of loads k at densities lam_b; a non-finite one names its load."""
+        try:
+            return delay_given_utilization(lam_b, lam_u[k], 1.0, params, quad)
+        except NonFinite as exc:
+            raise NonFinite(str(exc), int(np.flatnonzero(positive)[k[exc.index]])) from None
+
+    cand = np.minimum(lam_u / 10.0, DEFAULT_DENSITY_CAP_PER_M2)
+    tau0 = delay(np.arange(lam_u.size), cand)
+    seeds, taus = _seed_probes(lam_u, cand, tau0, delay, params, quad)
+    points = np.array([cand] + seeds)
+    ok = np.array([tau0] + taus) <= target
+    known_meet = np.min(np.where(ok, points, np.inf), axis=0)
+    known_miss = np.max(np.where(ok, 0.0, points), axis=0)
+    # hi: smallest candidate found to meet the target (inf: none yet);
+    # lo: largest candidate found to miss it (0: none yet).
     hi = np.full(lam_u.shape, np.inf)
     lo = np.zeros(lam_u.shape)
-    cand = np.minimum(lam_u / 10.0, DEFAULT_DENSITY_CAP_PER_M2)
     idx = np.arange(lam_u.size)
     while idx.size:
-        try:
-            ok = delay_given_utilization(cand[idx], lam_u[idx], 1.0, params, quad) <= target
-        except NonFinite as exc:
-            raise NonFinite(str(exc), int(np.flatnonzero(positive)[idx[exc.index]])) from None
-        hi[idx[ok]] = cand[idx[ok]]
-        lo[idx[~ok]] = cand[idx[~ok]]
+        c = cand[idx]
+        ok = c >= known_meet[idx]
+        inside = ~ok & (c > known_miss[idx])
+        if inside.any():
+            ok[inside] = delay(idx[inside], c[inside]) <= target
+        hi[idx[ok]] = c[ok]
+        lo[idx[~ok]] = c[~ok]
         halve = lo == 0.0
         double = (hi == np.inf) & (lo < DEFAULT_DENSITY_CAP_PER_M2)
         bisect = (lo > 0.0) & (hi < np.inf) & (hi - lo > BISECTION_REL_TOL * hi)
@@ -69,7 +160,6 @@ def _min_densities(loads, params, quad) -> np.ndarray:
         cand[double] = np.minimum(2.0 * lo[double], DEFAULT_DENSITY_CAP_PER_M2)
         cand[bisect] = lo[bisect] * np.sqrt(hi[bisect] / lo[bisect])
         idx = np.flatnonzero(halve | double | bisect)
-    density = np.zeros(loads.shape)
     density[positive] = hi
     return density
 

@@ -1,10 +1,15 @@
 """Demand dimensioning tests: the u = 1 inversion, shared loads, cell errors."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bisection_reference
 from mbsplan import dimensioning
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                                   InfeasibleDemand, demand_matrix)
@@ -233,3 +238,95 @@ def test_demand_matrix_names_the_cell_of_a_non_finite_probe():
     with pytest.raises(NonFinite, match=r"^slot 2, region index 0: delay: non-finite result at "
                        r"lambda_b=1e-308, lambda_u=1e-307$"):
         demand_matrix(users, PARAMS)
+
+
+def _counted(monkeypatch, module):
+    """Record the element count of every ``delay_given_utilization`` call
+    made through ``module``'s binding."""
+    sizes = []
+    delay = module.delay_given_utilization
+
+    def counting(lambda_b, *args):
+        sizes.append(np.size(lambda_b))
+        return delay(lambda_b, *args)
+
+    monkeypatch.setattr(module, "delay_given_utilization", counting)
+    return sizes
+
+
+DEFAULT_LOADS = np.unique(user_density_matrix(default_scenario()))
+BENCH_LOADS = np.unique(json.loads((Path(__file__).parent / "data" / "bench_scenario_204_7.json")
+                                   .read_text())["user_density_per_m2"])
+
+
+@st.composite
+def _inversions(draw):
+    """Loads, radio and quadrature for one inversion: log-uniform loads with
+    zeros, repeats, loads beyond the cap and, now and then, a load so small
+    that its first probe underflows the rate; noise on or off, the target
+    scaled by up to 1e3 either way and path-loss exponents 2.5 to 5."""
+    nodes = draw(st.integers(8, 16))
+    quad = QuadratureSpec(nodes_r=nodes, nodes_x=nodes, nodes_theta=nodes)
+    params = dataclasses.replace(
+        PARAMS,
+        noise_psd_w_per_hz=draw(st.sampled_from((0.0, PARAMS.noise_psd_w_per_hz))),
+        target_delay_s_per_bit=PARAMS.target_delay_s_per_bit * 10.0 ** draw(st.floats(-3.0, 3.0)),
+        path_loss_exponent=draw(st.floats(2.5, 5.0)))
+    at_cap = delay_given_utilization(DEFAULT_DENSITY_CAP_PER_M2, 1.0, 1.0, params, quad)
+    loads = [10.0 ** e for e in draw(st.lists(st.floats(-9.0, -1.0), min_size=1, max_size=24))]
+    loads += [0.0] * draw(st.integers(0, 2))
+    loads += [f * params.target_delay_s_per_bit / at_cap
+              for f in draw(st.lists(st.floats(1.001, 100.0), max_size=2))]
+    if draw(st.integers(0, 9)) == 9:
+        loads.append(10.0 ** draw(st.floats(-302.0, -298.0)))
+    loads += draw(st.lists(st.sampled_from(loads), max_size=4))
+    return np.array(draw(st.permutations(loads))), params, quad
+
+
+@settings(max_examples=150, deadline=None)
+@given(_inversions())
+@example((DEFAULT_LOADS, PARAMS, QuadratureSpec()))
+@example((BENCH_LOADS, PARAMS, QuadratureSpec()))
+def test_seeded_inversion_is_bit_equal_to_plain_bisection(instance):
+    # Seeding only decides candidates outside a bracket that exact probes
+    # established, so the densities are the plain bisection's bit for bit,
+    # and a probe that fails there fails here with the same message.
+    loads, params, quad = instance
+    try:
+        want = bisection_reference.min_densities(loads, params, quad)
+    except Exception as exc:  # noqa: BLE001 -- any failure must be reproduced exactly
+        with pytest.raises(type(exc)) as got:
+            dimensioning._min_densities(loads, params, quad)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "index", None) == getattr(exc, "index", None)
+        return
+    assert np.array_equal(dimensioning._min_densities(loads, params, quad), want)
+
+
+def test_inversion_makes_few_delay_evaluations(monkeypatch):
+    # Plain bisection spends 17 u = 1 delay evaluations per distinct load
+    # here, in 17 calls; the seeded inversion spends about 4.6 in 5.
+    sizes = _counted(monkeypatch, dimensioning)
+    scenario = default_scenario()
+    demand_matrix(user_density_matrix(scenario), scenario.radio, scenario.quadrature)
+    assert sum(sizes) <= 6 * np.count_nonzero(DEFAULT_LOADS)
+    assert len(sizes) <= 10
+
+
+@pytest.mark.parametrize("spoil", ["flat", "nan"])
+def test_unusable_table_falls_back_to_plain_probing(monkeypatch, spoil):
+    # A table of h that is not strictly increasing, or not finite, seeds
+    # nothing: every candidate is probed, in the calls plain bisection makes.
+    def spoiled(lo, hi, params, quad):
+        log_g = np.linspace(np.log(lo), np.log(hi), 64)
+        log_h = 2.0 * log_g
+        log_h[5] = log_h[4] if spoil == "flat" else np.nan
+        return log_g, log_h
+
+    monkeypatch.setattr(dimensioning, "_h_table", spoiled)
+    seeded = _counted(monkeypatch, dimensioning)
+    plain = _counted(monkeypatch, bisection_reference)
+    got = dimensioning._min_densities(DEFAULT_LOADS, PARAMS, QuadratureSpec())
+    assert np.array_equal(got, bisection_reference.min_densities(DEFAULT_LOADS, PARAMS,
+                                                                 QuadratureSpec()))
+    assert seeded == plain
