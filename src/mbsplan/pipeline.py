@@ -31,7 +31,7 @@ from . import __version__
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          optimal_plan, savings, verify_plan)
 from .dimensioning import _min_densities, demand_matrix
-from .qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
+from .qosmodel import NonFinite, delay_given_utilization, evaluate_qos, mc_delay_oracle
 from .scenario import (M2_PER_KM2, Scenario, ValidationError, default_config, load_scenario,
                        slot_midpoints_h, user_density_matrix)
 
@@ -407,27 +407,38 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     grid = np.logspace(np.log10(_GRID_LO_PER_KM2), np.log10(_GRID_HI_PER_KM2),
                        _GRID_POINTS) / M2_PER_KM2
     tau0 = params.target_delay_s_per_bit
-    for users_km2 in GRID_SPOT_USER_DENSITIES_PER_KM2:
-        lam_u = users_km2 / M2_PER_KM2
-        feasible = evaluate_qos(grid, lam_u, params, quad).delay_s_per_bit <= tau0
-        if not feasible.any():
-            checks.append(ValidationCheck(
-                f"grid-scan users={users_km2:g}/km2", False,
-                "no feasible grid point up to the density cap"))
-            continue
+    lam_u = np.array(GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
+    feasible = evaluate_qos(grid, lam_u[:, None], params, quad).delay_s_per_bit <= tau0
+    # One inversion for every spot the scan found feasible: a load's answer
+    # does not depend on the other loads, and a non-finite probe names the
+    # load whose spot it fails, so the others are inverted again without it.
+    pending = np.flatnonzero(feasible.any(axis=1)).tolist()
+    solved = {}  # spot -> density (inf past the cap) or the exception it raised
+    while pending:
         try:
-            solved = float(_min_densities([lam_u], params, quad)[0])  # inf past the cap
+            solved.update(zip(pending, _min_densities(lam_u[pending], params, quad).tolist()))
+            break
+        except NonFinite as exc:
+            solved[pending.pop(exc.index)] = exc
         except Exception as exc:
-            checks.append(ValidationCheck(
-                f"grid-scan users={users_km2:g}/km2", False,
-                f"inversion failed where the grid scan succeeded: {exc}"))
+            solved.update(dict.fromkeys(pending, exc))
+            break
+    for i, users_km2 in enumerate(GRID_SPOT_USER_DENSITIES_PER_KM2):
+        name = f"grid-scan users={users_km2:g}/km2"
+        if i not in solved:
+            checks.append(ValidationCheck(name, False,
+                                          "no feasible grid point up to the density cap"))
             continue
-        k = int(np.argmax(feasible))
+        if isinstance(solved[i], Exception):
+            checks.append(ValidationCheck(
+                name, False, f"inversion failed where the grid scan succeeded: {solved[i]}"))
+            continue
+        k = int(np.argmax(feasible[i]))
         lo = grid[max(k - 1, 0)] * (1.0 - 1e-9)
         hi = grid[min(k + 1, grid.size - 1)] * (1.0 + 1e-9)
         checks.append(ValidationCheck(
-            f"grid-scan users={users_km2:g}/km2", lo <= solved <= hi,
-            f"inversion {solved * M2_PER_KM2:.6g}/km2, grid first-feasible "
+            name, lo <= solved[i] <= hi,
+            f"inversion {solved[i] * M2_PER_KM2:.6g}/km2, grid first-feasible "
             f"{grid[k] * M2_PER_KM2:.6g}/km2 "
             f"(cell width {100 * (grid[1] / grid[0] - 1):.2f}%)"))
 

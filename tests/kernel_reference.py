@@ -6,6 +6,9 @@ evaluates that integral directly at one density and one serving distance,
 so tests can assemble the delay the long way and compare. ``pair_distance``
 is the plain law-of-cosines distance the overlap geometry is built on, and
 ``doubled`` is the refined quadrature the stability checks compare against.
+``delay_r_form`` is the delay as it was computed before the unit vectors:
+the serving distances rescaled per density and two powers per node, through
+``mean_interference`` and ``capacity``.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import math
 
 import numpy as np
 
-from mbsplan.qosmodel import (TWO_PI, NonFinite, QuadratureSpec, _gauss_unit,
-                              _truncation_radius, overlap_area)
+from mbsplan.qosmodel import (TWO_PI, NonFinite, QuadratureSpec, _check_utilization,
+                              _gauss_unit, _truncation_radius, _unit_kernel, capacity,
+                              mean_interference, overlap_area)
+from mbsplan.scenario import RadioParams
 
 
 def pair_distance(r, x, theta):
@@ -62,3 +67,41 @@ def doubled(quad: QuadratureSpec) -> QuadratureSpec:
     """``quad`` with every node count doubled."""
     return dataclasses.replace(quad, nodes_r=2 * quad.nodes_r, nodes_x=2 * quad.nodes_x,
                                nodes_theta=2 * quad.nodes_theta)
+
+
+def delay_r_form(
+    lambda_b,
+    lambda_u,
+    utilization,
+    params: RadioParams,
+    quad: QuadratureSpec = QuadratureSpec(),
+):
+    """Mean per-bit delay when every station is busy a fixed fraction
+    ``utilization`` of the time. Exactly linear in lambda_u.
+
+    The interference is taken in busy x u form: the interference of an
+    always-busy field, ``mean_interference(r, params, lambda_b, 1.0)``,
+    times u (at u = 1 the factor is an exact 1.0). Densities and
+    utilizations may be arrays that broadcast against each other; each
+    element is bit-equal to its scalar call.
+    """
+    lambda_b = np.asarray(lambda_b, dtype=float)
+    lambda_u = np.asarray(lambda_u, dtype=float)
+    utilization = np.asarray(utilization, dtype=float)
+    if np.any(lambda_b <= 0):
+        raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
+    if np.any(lambda_u < 0):
+        raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
+    _check_utilization(utilization)
+    r1, kernel = _unit_kernel(quad)
+    r = r1 / np.sqrt(lambda_b)[..., None]
+    busy = mean_interference(r, params, lambda_b[..., None], 1.0)
+    rate = capacity(r, params, busy * utilization[..., None])
+    with np.errstate(all="ignore"):  # a rate that underflows to 0 is reported below
+        tau = (lambda_u / lambda_b) * np.sum(kernel / rate, axis=-1)
+    finite = np.isfinite(tau)
+    if not np.all(finite):
+        first = int(np.argmin(finite))  # flat index of the first non-finite element
+        b, u = (float(np.broadcast_to(x, tau.shape).flat[first]) for x in (lambda_b, lambda_u))
+        raise NonFinite(f"delay: non-finite result at lambda_b={b!r}, lambda_u={u!r}", first)
+    return float(tau) if tau.ndim == 0 else tau

@@ -19,6 +19,7 @@ import mbsplan
 from mbsplan import cli, pipeline
 from mbsplan.allocation import TIE_BREAK_EPSILON, optimal_plan, savings
 from mbsplan.dimensioning import demand_matrix
+from mbsplan.qosmodel import NonFinite
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
 from mbsplan.scenario import (M2_PER_KM2, QuadratureSpec, default_config, default_scenario,
@@ -655,3 +656,39 @@ def test_cli_validate_fails_on_unreachable_target(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "no feasible grid point" in out
+
+
+def test_validate_inverts_every_grid_scan_spot_in_one_call(monkeypatch):
+    # A load's inverted density does not depend on the other loads in its
+    # call, so the three spots share one inversion.
+    calls = []
+    real = pipeline._min_densities
+
+    def recording(loads, params, quad):
+        calls.append(np.asarray(loads))
+        return real(loads, params, quad)
+
+    monkeypatch.setattr(pipeline, "_min_densities", recording)
+    report = pipeline.validate(None, mc_trials=1000, seed=5)
+    assert [c.size for c in calls] == [len(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2)]
+    assert all(check.passed for check in report.checks)
+
+
+def test_validate_non_finite_inversion_fails_only_its_spot(monkeypatch):
+    # A probe that is not finite names its load; that spot fails with the
+    # message and the other spots are inverted again without it.
+    fine = pipeline.validate(None, mc_trials=1000, seed=5).lines()
+    real = pipeline._min_densities
+    bad = pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2[1] / M2_PER_KM2
+
+    def failing(loads, params, quad):
+        hit = np.flatnonzero(np.asarray(loads) == bad)
+        if hit.size:
+            raise NonFinite("delay: non-finite result at lambda_b=0.0", int(hit[0]))
+        return real(loads, params, quad)
+
+    monkeypatch.setattr(pipeline, "_min_densities", failing)
+    lines = pipeline.validate(None, mc_trials=1000, seed=5).lines()
+    assert lines[-2] == ("FAIL grid-scan users=1000/km2: inversion failed where the grid scan "
+                         "succeeded: delay: non-finite result at lambda_b=0.0")
+    assert lines[:-2] + lines[-1:] == fine[:-2] + fine[-1:]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mc_reference
 import picard_reference
-from kernel_reference import doubled, pair_distance, shared_load_kernel
+from kernel_reference import delay_r_form, doubled, pair_distance, shared_load_kernel
 from mbsplan import qosmodel
 from mbsplan.dimensioning import demand_matrix
 from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2,
@@ -179,6 +179,29 @@ def test_delay_given_utilization_arrays_match_scalar_calls():
         delay_given_utilization(lam_b[:2], lam_u[:2], np.array([0.5, 1.0 + 1e-6]), PARAMS, QUAD)
 
 
+def test_delay_blocks_match_scalar_calls():
+    # Long arrays are evaluated in blocks of densities; every element,
+    # on either side of a block boundary, equals its scalar call.
+    rows = qosmodel._BLOCK_ELEMENTS // QUAD.nodes_r
+    n = 2 * rows + 100
+    rng = np.random.default_rng(11)
+    lam_b = 10.0 ** rng.uniform(-1.0, 4.0, n) * PER_KM2
+    u = rng.uniform(0.0, 1.0, n)
+    picks = [0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1]
+    for batch, scalar in (
+            (delay_given_utilization(lam_b, 1e-3, u, PARAMS, QUAD),
+             lambda k: delay_given_utilization(lam_b[k], 1e-3, u[k], PARAMS, QUAD)),
+            (delay_given_utilization(lam_b, 1e-3, 1.0, PARAMS, QUAD),
+             lambda k: delay_given_utilization(lam_b[k], 1e-3, 1.0, PARAMS, QUAD)),
+            (delay_given_utilization(lam_b[0], 1e-3, u, PARAMS, QUAD),
+             lambda k: delay_given_utilization(lam_b[0], 1e-3, u[k], PARAMS, QUAD))):
+        assert [batch[k] for k in picks] == [scalar(k) for k in picks]
+    lam_b[2 * rows + 5] = 1e-300
+    with pytest.raises(qosmodel.NonFinite) as excinfo:
+        delay_given_utilization(lam_b, 1e-3, u, PARAMS, QUAD)
+    assert excinfo.value.index == 2 * rows + 5
+
+
 def test_delay_decreasing_in_bs_density():
     lam_u = 1000.0 * PER_KM2
     grid = np.logspace(np.log10(0.1), np.log10(1000.0), 10) * PER_KM2
@@ -203,6 +226,67 @@ def test_delay_matches_literal_kernel_route():
         rate = capacity(ri, PARAMS, mean_interference(ri, PARAMS, lam_b, u))
         total += wi * g * np.exp(-lam_b * np.pi * ri ** 2) * lam_b * 2.0 * np.pi * ri / rate
     assert fast == pytest.approx(lam_u * total, rel=1e-10)
+
+
+# Radios across the model's range: path loss just above 2, urban and
+# steep; no noise, thermal noise and noise strong enough to dominate at the
+# low densities; unit and threefold reuse.
+RADIOS = [RadioParams(path_loss_exponent=alpha, noise_psd_w_per_hz=noise, reuse_factor=reuse)
+          for alpha in (2.2, 3.5, 6.0) for noise in (0.0, PARAMS.noise_psd_w_per_hz, 1e-16)
+          for reuse in (1, 3)]
+RADIO_IDS = [f"alpha={p.path_loss_exponent}-noise={p.noise_psd_w_per_hz}-reuse={p.reuse_factor}"
+             for p in RADIOS]
+
+
+@pytest.mark.parametrize("params", RADIOS, ids=RADIO_IDS)
+def test_delay_matches_r_form_reference(params):
+    # The unit vectors scale signal and interference by lambda_b^(alpha/2)
+    # instead of rescaling every node's distance; both routes agree.
+    lam_b = np.geomspace(1e-9, 1e-1, 161)
+    for u in (0.01, 0.37, 1.0):
+        fast = delay_given_utilization(lam_b, 1e-3, u, params, QUAD)
+        np.testing.assert_allclose(fast, delay_r_form(lam_b, 1e-3, u, params, QUAD),
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("params", RADIOS, ids=RADIO_IDS)
+def test_delay_monotone_bit_for_bit(params):
+    # The seeded inversion decides candidates from neighbouring probes, so
+    # its bit-equality with plain bisection needs the computed u = 1 delay
+    # never to rise with the station density, not even by one ulp; the
+    # fixed point needs it never to fall as the utilization rises.
+    lam_b = np.geomspace(1e-9, 1e-1, 20001)
+    for u in (0.01, 0.37, 1.0):
+        assert np.all(np.diff(delay_given_utilization(lam_b, 1e-3, u, params, QUAD)) <= 0.0)
+    u = np.linspace(0.0, 1.0, 5001)
+    for b in (1e-9, 1e-5, 1e-1):
+        assert np.all(np.diff(delay_given_utilization(b, 1e-3, u, params, QUAD)) >= 0.0)
+
+
+NOISELESS = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
+
+
+@pytest.mark.parametrize("params, lambda_b, outcomes", [
+    # outcomes at u = 0, 0.5, 1: "raises" NonFinite, 0.0, or "finite" and > 0
+    (PARAMS, 1e-300, ("raises", "raises", "raises")),
+    (PARAMS, 1e-200, ("raises", "raises", "raises")),
+    (PARAMS, 1e200, (0.0, "finite", "finite")),
+    (PARAMS, 1e300, (0.0, "finite", "finite")),
+    (NOISELESS, 1e-300, (0.0, "finite", "finite")),
+    (NOISELESS, 1e-200, (0.0, "finite", "finite")),
+    (NOISELESS, 1e200, (0.0, "finite", "finite")),
+    (NOISELESS, 1e300, (0.0, "finite", "finite")),
+])
+def test_extreme_densities_return_or_raise_without_warnings(params, lambda_b, outcomes):
+    # RuntimeWarning is an error under pytest, so a leaked overflow or
+    # divide-by-zero fails here; the docstring states this table.
+    for u, outcome in zip((0.0, 0.5, 1.0), outcomes):
+        if outcome == "raises":
+            with pytest.raises(qosmodel.NonFinite):
+                delay_given_utilization(lambda_b, 1e-3, u, params, QUAD)
+            continue
+        tau = delay_given_utilization(lambda_b, 1e-3, u, params, QUAD)
+        assert tau == 0.0 if outcome == 0.0 else 0.0 < tau < math.inf
 
 
 def test_evaluate_qos_zero_traffic():
