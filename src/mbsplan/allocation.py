@@ -47,7 +47,8 @@ Three paths find the static densities; two of them are closed forms.
   allow x_z <= 0.5 in both of the first two regions but only 0.5 for the
   pair), so the LP stays.
 * Everything else, c_s < c_m or equal costs with Z >= 3: HiGHS solves the
-  reduced LP. With equal unit costs the optimum value is pinned but the
+  reduced LP, handed over by ``scipy.optimize.milp`` with no integer
+  variables. With equal unit costs the optimum value is pinned but the
   static/mobile split is not; inside the solver a tiny surcharge on the
   fleet, c_m (1 + TIE_BREAK_EPSILON), makes it prefer static capacity
   deterministically, which is the point the equal-cost closed form returns.
@@ -248,9 +249,10 @@ def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> Deployment
 def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
     """Static densities of the reduced LP's optimum under the biased costs.
 
-    The LP goes to ``scipy.optimize.linprog`` as
+    The LP goes to HiGHS through ``scipy.optimize.milp``, with no integer
+    variables, as
 
-        minimize  objective @ x  s.t.  a_ub @ x <= b_ub,  bounds[:, 0] <= x <= bounds[:, 1]
+        minimize  objective @ x  s.t.  a_ub @ x <= b_ub,  0 <= x <= upper
 
     Variable order: [M, static per region, t slot-major], i.e. index
     1 + Z + j*Z + z holds the slot-j mobile density region z needs. Rows:
@@ -259,7 +261,7 @@ def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
     # Imported on first use: scipy.optimize with scipy.sparse adds about
     # 0.6 s to a fresh process, which the closed-form paths never pay.
     from scipy import sparse
-    from scipy.optimize import linprog
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     n_slots, n_regions = values.shape
     caps = values.max(axis=0)
@@ -275,11 +277,11 @@ def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
     rows = np.concatenate((np.arange(n_slots), slot, n_slots + cells, n_slots + cells))
     cols = np.concatenate((np.zeros(n_slots, dtype=int), t_col, 1 + region, t_col))
     data = np.concatenate((-np.ones(n_slots), np.tile(areas, n_slots), -np.ones(2 * n_cells)))
-    a_ub = sparse.csr_array((data, (rows, cols)), shape=(n_slots + n_cells, objective.size))
+    a_ub = sparse.csc_array((data, (rows, cols)), shape=(n_slots + n_cells, objective.size))
     b_ub = np.concatenate((np.zeros(n_slots), -values.ravel()))
     upper = np.concatenate(([math.inf], caps, np.tile(caps, n_slots)))
-    bounds = np.column_stack((np.zeros(upper.size), upper))
-    result = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    result = milp(objective, constraints=LinearConstraint(a_ub, -math.inf, b_ub),
+                  bounds=Bounds(0.0, upper))
     if result.status != 0:
         # A fleet of zero with static densities at each region's peak is
         # always feasible, so any other status means the solver broke.

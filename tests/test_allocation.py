@@ -28,20 +28,26 @@ HAND_AREAS = np.array([KM2, KM2])
 
 
 def test_lp_assembly_shapes_and_entries(monkeypatch):
-    # The reduced LP as optimal_plan hands it to linprog.
-    real = scipy.optimize.linprog
+    # The reduced LP as optimal_plan hands it to milp.
+    real = scipy.optimize.milp
     seen = []
 
     def spy(objective, **kwargs):
-        seen.append(SimpleNamespace(objective=objective, a_ub=kwargs["A_ub"],
-                                    b_ub=kwargs["b_ub"], bounds=kwargs["bounds"]))
+        constraints = kwargs["constraints"]
+        seen.append(SimpleNamespace(objective=objective, a_ub=constraints.A,
+                                    b_lb=constraints.lb, b_ub=constraints.ub,
+                                    bounds=kwargs["bounds"],
+                                    integrality=kwargs.get("integrality")))
         return real(objective, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
     demand = np.array([[3.0, 1.0], [2.0, 5.0]]) / KM2
     areas = np.array([2.0 * KM2, 0.5 * KM2])
     optimal_plan(demand, areas, CostModel(2.0, 3.0))
     [lp] = seen
+    # A plain LP: no integer variables, and every row is one-sided.
+    assert lp.integrality is None
+    assert np.all(lp.b_lb == -math.inf)
 
     # Variables: [M, static per region, t slot-major].
     assert lp.objective.shape == (7,)
@@ -63,12 +69,12 @@ def test_lp_assembly_shapes_and_entries(monkeypatch):
     assert lp.a_ub.nnz == 2 * 3 + 4 * 2
 
     caps = demand.max(axis=0)
-    assert lp.bounds.shape == (7, 2)
-    assert np.all(lp.bounds[:, 0] == 0.0)
-    assert lp.bounds[0, 1] == math.inf
-    np.testing.assert_array_equal(lp.bounds[1:3, 1], caps)
+    assert lp.bounds.lb.shape == lp.bounds.ub.shape == (7,)
+    assert np.all(lp.bounds.lb == 0.0)
+    assert lp.bounds.ub[0] == math.inf
+    np.testing.assert_array_equal(lp.bounds.ub[1:3], caps)
     # Mobile needs inherit the same per-region caps in every slot.
-    np.testing.assert_array_equal(lp.bounds[3:, 1], np.tile(caps, 2))
+    np.testing.assert_array_equal(lp.bounds.ub[3:], np.tile(caps, 2))
 
 
 def test_hand_instance_optimum():
@@ -168,10 +174,10 @@ def test_bench_scenario_204_7_optimum_is_peak_aggregate_demand():
 def test_dearer_static_is_all_mobile_without_a_solver(monkeypatch):
     # Static strictly dearer than mobile: the optimum is s = 0, M = P in
     # closed form, and no LP may be solved to get it.
-    def linprog(*args, **kwargs):
-        raise AssertionError("linprog called where the optimum is closed-form")
+    def milp(*args, **kwargs):
+        raise AssertionError("milp called where the optimum is closed-form")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
     rng = np.random.default_rng(2718)
     demand = rng.uniform(0.0, 15.0, size=(6, 3)) / KM2
     areas = rng.uniform(1.0, 3.0, size=3) * KM2
@@ -188,7 +194,7 @@ def test_dearer_static_is_all_mobile_without_a_solver(monkeypatch):
 # does not apply, so HiGHS still solves this instance.
 THREE_DEMAND = np.array([[10.0, 2.0, 1.0], [2.0, 10.0, 1.0], [1.0, 2.0, 10.0]]) / KM2
 THREE_AREAS = np.full(3, KM2)
-_LINPROG_CASES = [
+_SOLVER_CASES = [
     (2.0, HAND_DEMAND, HAND_AREAS, 0),
     (np.nextafter(1.0 + TIE_BREAK_EPSILON, math.inf), HAND_DEMAND, HAND_AREAS, 0),
     # Exact tie with the surcharged fleet: all-static and all-mobile cost
@@ -202,19 +208,19 @@ _LINPROG_CASES = [
 ]
 
 
-@pytest.mark.parametrize("static_cost, demand, areas, calls", _LINPROG_CASES,
-                         ids=[f"{case[0]}-{case[-1]}" for case in _LINPROG_CASES])
-def test_linprog_runs_only_when_static_is_not_dearer(monkeypatch, static_cost, demand, areas,
-                                                     calls):
+@pytest.mark.parametrize("static_cost, demand, areas, calls", _SOLVER_CASES,
+                         ids=[f"{case[0]}-{case[-1]}" for case in _SOLVER_CASES])
+def test_milp_runs_only_when_static_is_not_dearer(monkeypatch, static_cost, demand, areas,
+                                                  calls):
     # Despite its name, equal costs with at most two regions skip the LP too.
-    real = scipy.optimize.linprog
+    real = scipy.optimize.milp
     seen = []
 
     def spy(*args, **kwargs):
         seen.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
     plan = optimal_plan(demand, areas, CostModel(static_unit_cost=static_cost,
                                                  mobile_unit_cost=1.0))
     assert len(seen) == calls

@@ -1,18 +1,24 @@
 """Allocation LP solve tests: the reduced LP on HiGHS against hand cases,
-solver failures, LP invariances and the brute-force vertex oracle, and the
-equal-cost closed form against both HiGHS and the oracle."""
+solver failures, LP invariances, the brute-force vertex oracle and the
+``linprog`` call it replaced, and the equal-cost closed form against both
+HiGHS and the oracle."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, _solve_static, optimal_plan,
                                 verify_plan)
 from mbsplan.dimensioning import demand_matrix
 from mbsplan.scenario import default_scenario, user_density_matrix
 
+import linprog_reference
 from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
 
 
@@ -46,16 +52,16 @@ def test_degenerate_face_is_deterministic():
 
 
 def _failing_solver(status, message):
-    def linprog(*args, **kwargs):
+    def milp(*args, **kwargs):
         return scipy.optimize.OptimizeResult(status=status, message=message, x=None)
-    return linprog
+    return milp
 
 
 def test_empty_feasible_set(monkeypatch):
     # The deployment LP is feasible by construction; a solver that says
     # otherwise is broken, and the plan must not be built from its output.
     # Three regions at equal costs still go to the solver.
-    monkeypatch.setattr(scipy.optimize, "linprog",
+    monkeypatch.setattr(scipy.optimize, "milp",
                         _failing_solver(2, "The problem is infeasible."))
     with pytest.raises(RuntimeError, match="infeasible"):
         optimal_plan(np.array([[1.0, 2.0, 3.0]]), np.array([1.0, 1.0, 1.0]))
@@ -64,7 +70,7 @@ def test_empty_feasible_set(monkeypatch):
 def test_unbounded_ray(monkeypatch):
     # Every variable is boxed or priced positively, so "unbounded" is
     # likewise a solver fault. Cheaper static stations still go to the solver.
-    monkeypatch.setattr(scipy.optimize, "linprog",
+    monkeypatch.setattr(scipy.optimize, "milp",
                         _failing_solver(3, "The problem is unbounded."))
     with pytest.raises(RuntimeError, match="unbounded"):
         optimal_plan(np.array([[1.0, 2.0]]), np.array([1.0, 1.0]),
@@ -175,6 +181,42 @@ def test_dearer_static_matches_vertex_enumeration(instance):
     plan = optimal_plan(demand, areas, CostModel(static_cost, mobile_cost))
     assert plan.objective_value == pytest.approx(best, rel=1e-7, abs=1e-7)
     assert verify_plan(plan, demand, areas) == []
+
+
+@st.composite
+def _solver_instances(draw):
+    """Allocation LPs as ``optimal_plan`` hands them to the solver: 2-79
+    slots, 3-7 regions, some cells idle, areas in km^2 or m^2 (densities
+    scaled to match), static priced at 1, 0.9, 0.5 or 0.2 of the mobile
+    station before the fleet surcharge."""
+    n_slots = draw(st.integers(2, 79))
+    n_regions = draw(st.integers(3, 7))
+    cell = st.one_of(st.just(0.0), st.floats(0.02, 20.0))
+    demand = draw(arrays(float, (n_slots, n_regions), elements=cell))
+    areas = draw(arrays(float, n_regions, elements=st.floats(0.5, 8.0)))
+    scale = draw(st.sampled_from((1.0, 1e6)))
+    return demand / scale, areas * scale, draw(st.sampled_from((1.0, 0.9, 0.5, 0.2)))
+
+
+def _bench_instance():
+    doc = json.loads((Path(__file__).parent / "data" / "bench_scenario_204_7.json").read_text())
+    return np.array(doc["min_bs_density_per_m2"]), np.array(doc["areas_m2"]), 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_solver_instances())
+# At c_s = c_m (1 + eps) the solver sees static and mobile priced exactly
+# alike, so any vertex of the face is optimal to it.
+@example((np.array([[10.0, 2.0, 1.0], [2.0, 10.0, 1.0], [1.0, 2.0, 10.0]]), np.ones(3),
+          1.0 + TIE_BREAK_EPSILON))
+@example(_bench_instance())
+def test_milp_solve_is_bit_equal_to_linprog(instance):
+    # milp and linprog(method="highs") hand HiGHS the same model, so the
+    # static densities agree bit for bit.
+    demand, areas, static_cost = instance
+    biased = CostModel(static_cost, 1.0 + TIE_BREAK_EPSILON)
+    assert np.array_equal(_solve_static(demand, areas, biased),
+                          linprog_reference.solve_static(demand, areas, biased))
 
 
 def test_solution_feasibility_tolerances():
