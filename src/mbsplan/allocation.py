@@ -15,43 +15,46 @@ where cap[z] is the worst-slot demand of region z (deploying more than the
 peak is never useful). M is the fleet size: the same pool of mobile
 stations serves every slot, redistributed between regions as traffic moves.
 
-Only the static densities are real decisions. The solver sees a reduced
-LP over [M, lambda_s, t] with t[j, z] >= demand[j, z] - lambda_s[z] the
-mobile density slot j needs in region z and sum_z A[z] t[j, z] <= M; the
-fleet then follows in closed form from lambda_s, and the schedule is
-rebuilt in a solver-independent, reproducible way that meets the equality
-above.
+Only the static stations are real decisions. The solver sees them in
+station counts D[j, z] = A_z demand[j, z] as shares of the peak aggregate
+demand P = max_j sum_z D[j, z]: a reduced LP over [M, s, t] with s[z] =
+A_z lambda_s[z] / P, t[j, z] >= D[j, z] / P - s[z] the share of the fleet
+slot j needs in region z and sum_z t[j, z] <= M. Every matrix entry is
++-1 and every datum a share in [0, 1], so neither the units nor the scale
+of demand and areas reach the solver. The fleet then follows in closed
+form from lambda_s, and the schedule is rebuilt in a solver-independent,
+reproducible way that meets the equality above.
 
 Three paths find the static densities; two of them are closed forms.
 
-* Static strictly dearer, c_s > c_m: the peak slot forces
-  M >= P - sum_z A_z lambda_s[z], P the peak aggregate demand, so the cost
-  is at least c_m P + (c_s - c_m) sum_z A_z lambda_s[z], uniquely smallest
-  at lambda_s = 0 with M = P.
+* Static strictly dearer, c_s > c_m, or no demand, P = 0: the peak slot
+  forces M >= P - sum_z A_z lambda_s[z], so the cost is at least
+  c_m P + (c_s - c_m) sum_z A_z lambda_s[z], uniquely smallest at
+  lambda_s = 0 with M = P.
 * Equal costs, c_s = c_m = c, with at most two regions. Write
-  x_z = A_z lambda_s[z], D[j, z] = A_z demand[j, z] and P(U) for the peak
-  over slots of sum_{z in U} D[j, z], so P = P(V) for the region set V.
-  The smallest fleet is M = max_j sum_z max(0, D[j, z] - x_z), so a plan
-  costs c (M + sum_z x_z) = c max_j sum_z max(D[j, z], x_z) >= c P, and
+  x_z = A_z lambda_s[z] and P(U) for the peak over slots of
+  sum_{z in U} D[j, z], so P = P(V) for the region set V. The smallest
+  fleet is M = max_j sum_z max(0, D[j, z] - x_z), so a plan costs
+  c (M + sum_z x_z) = c max_j sum_z max(D[j, z], x_z) >= c P, and
   all-mobile attains c P. Since sum_z max(D[j, z], x_z) is the largest
   over region sets T of sum_{z in T} x_z + sum_{z not in T} D[j, z], a
   plan is optimal exactly when sum_{z in T} x_z <= P - P(V - T) for every
-  T. Among these
-  optima the fleet surcharge below picks the smallest fleet, M = P - sum_z
-  x_z, that is the most static capacity. With Z <= 2 the region bounds
-  x_z <= P - P(V - {z}) can all be met at once: at Z = 2 their sum
-  2P - P_1 - P_2, with P_z = P({z}), is at most P, the bound for T = V,
-  since P <= P_1 + P_2. So the unique answer is x_z = P - P(V - {z}):
-  all-static at Z = 1, and x_1 = P - P_2, x_2 = P - P_1 at Z = 2. From
-  Z = 3 on the region bounds can clash (slots (1, 1, 0) and (0, 0, 1.5)
-  allow x_z <= 0.5 in both of the first two regions but only 0.5 for the
-  pair), so the LP stays.
+  T. Among these optima the fleet surcharge below picks the smallest
+  fleet, M = P - sum_z x_z, that is the most static capacity. With
+  Z <= 2 the region bounds x_z <= P - P(V - {z}) can all be met at once:
+  at Z = 2 their sum 2P - P_1 - P_2, with P_z = P({z}), is at most P,
+  the bound for T = V, since P <= P_1 + P_2. So the unique answer is
+  x_z = P - P(V - {z}): all-static at Z = 1, and x_1 = P - P_2,
+  x_2 = P - P_1 at Z = 2. From Z = 3 on the region bounds can clash
+  (slots (1, 1, 0) and (0, 0, 1.5) allow x_z <= 0.5 in both of the first
+  two regions but only 0.5 for the pair), so the LP stays.
 * Everything else, c_s < c_m or equal costs with Z >= 3: HiGHS solves the
-  reduced LP, handed over by ``scipy.optimize.milp`` with no integer
-  variables. With equal unit costs the optimum value is pinned but the
-  static/mobile split is not; inside the solver a tiny surcharge on the
-  fleet, c_m (1 + TIE_BREAK_EPSILON), makes it prefer static capacity
-  deterministically, which is the point the equal-cost closed form returns.
+  reduced LP in shares of P, handed over by ``scipy.optimize.milp`` with
+  no integer variables. With equal unit costs the optimum value is pinned
+  but the static/mobile split is not; inside the solver a tiny surcharge
+  on the fleet, c_m (1 + TIE_BREAK_EPSILON), makes it prefer static
+  capacity deterministically, which is the point the equal-cost closed
+  form returns.
 """
 
 from __future__ import annotations
@@ -213,30 +216,33 @@ def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> Deployment
     """Return the canonicalized optimum.
 
     Static densities come in closed form on two paths: all-mobile when
-    static stations are strictly dearer, and x_z = P - P(V - {z}) station
-    counts at equal costs with one or two regions, P the peak aggregate
-    demand and P(V - {z}) the peak of the other region's (or nothing's)
-    demand; see the module docstring for both derivations. Otherwise, with
-    static cheaper or with three or more regions at equal costs, HiGHS
-    solves the reduced LP under the fleet surcharge.
+    static stations are strictly dearer or there is no demand, and
+    x_z = P - P(V - {z}) station counts at equal costs with one or two
+    regions, P the peak aggregate demand and P(V - {z}) the peak of the
+    other region's (or nothing's) demand; see the module docstring for both
+    derivations. Otherwise, with static cheaper or with three or more
+    regions at equal costs, HiGHS solves the reduced LP in station counts
+    as shares of P, and its static shares are scaled back to densities.
     """
     values = _demand_values(demand)
     areas = _areas(areas_m2, values.shape[1])
+    caps = values.max(axis=0)
+    counts = values * areas
+    peak = counts.sum(axis=1).max()
 
-    if costs.static_unit_cost > costs.mobile_unit_cost:
+    if costs.static_unit_cost > costs.mobile_unit_cost or peak == 0.0:
         # M >= P - sum_z A_z s_z (the peak slot), so the cost is at least
         # c_m P + (c_s - c_m) sum_z A_z s_z: uniquely smallest at s = 0.
+        # With P = 0 there are no shares to pose an LP in, and s = 0 too.
         static = np.zeros(values.shape[1])
     elif costs.static_unit_cost == costs.mobile_unit_cost and values.shape[1] <= 2:
         # The most static capacity among the equal-cost optima:
         # x_z = P - P(V - {z}), the other region's peak at Z = 2, none at Z = 1.
-        counts = values * areas
         others = counts[:, ::-1].max(axis=0) if values.shape[1] == 2 else 0.0
-        static = np.clip((counts.sum(axis=1).max() - others) / areas, 0.0, values.max(axis=0))
+        static = np.clip((peak - others) / areas, 0.0, caps)
     else:
-        biased = CostModel(static_unit_cost=costs.static_unit_cost,
-                           mobile_unit_cost=costs.mobile_unit_cost * (1.0 + TIE_BREAK_EPSILON))
-        static = _solve_static(values, areas, biased)
+        # Shares back to densities, clipped into their box against solver dust.
+        static = np.clip(_solve_static(counts / peak, costs) * peak / areas, 0.0, caps)
     # The smallest fleet that tops the static densities up to every slot's
     # demand follows in closed form.
     fleet = float((np.maximum(0.0, values - static) @ areas).max())
@@ -246,50 +252,50 @@ def optimal_plan(demand, areas_m2, costs: CostModel = CostModel()) -> Deployment
                           fleet_size=fleet, objective_value=objective, cost_model=costs)
 
 
-def _solve_static(values, areas, biased: CostModel) -> np.ndarray:
-    """Static densities of the reduced LP's optimum under the biased costs.
+def _solve_static(shares, costs: CostModel) -> np.ndarray:
+    """Static shares of the reduced LP's optimum under the fleet surcharge.
 
-    The LP goes to HiGHS through ``scipy.optimize.milp``, with no integer
-    variables, as
+    ``shares`` is the slots x regions station counts divided by their peak
+    aggregate demand, so no slot sums to more than 1. The LP goes to HiGHS
+    through ``scipy.optimize.milp``, with no integer variables, as
 
         minimize  objective @ x  s.t.  a_ub @ x <= b_ub,  0 <= x <= upper
 
     Variable order: [M, static per region, t slot-major], i.e. index
-    1 + Z + j*Z + z holds the slot-j mobile density region z needs. Rows:
-    one fleet row per slot, then one coverage row per cell, slot-major.
+    1 + Z + j*Z + z holds the share of the fleet slot j needs in region z,
+    all as shares of the peak. Rows: one fleet row per slot, then one
+    coverage row per cell, slot-major. Returns the static shares, unclipped.
     """
     # Imported on first use: scipy.optimize with scipy.sparse adds about
     # 0.6 s to a fresh process, which the closed-form paths never pay.
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    n_slots, n_regions = values.shape
-    caps = values.max(axis=0)
+    n_slots, n_regions = shares.shape
+    caps = shares.max(axis=0)
     n_cells = n_slots * n_regions
 
-    objective = np.concatenate(([biased.mobile_unit_cost], biased.static_unit_cost * areas,
-                                np.zeros(n_cells)))
-    # Fleet row j: sum_z A_z * t[j, z] - M <= 0. Coverage row of cell (j, z):
-    # -static[z] - t[j, z] <= -demand[j, z].
+    objective = np.concatenate(([costs.mobile_unit_cost * (1.0 + TIE_BREAK_EPSILON)],
+                                np.full(n_regions, costs.static_unit_cost), np.zeros(n_cells)))
+    # Fleet row j: sum_z t[j, z] - M <= 0. Coverage row of cell (j, z):
+    # -static[z] - t[j, z] <= -shares[j, z].
     cells = np.arange(n_cells)
     slot, region = np.divmod(cells, n_regions)
     t_col = 1 + n_regions + cells
     rows = np.concatenate((np.arange(n_slots), slot, n_slots + cells, n_slots + cells))
     cols = np.concatenate((np.zeros(n_slots, dtype=int), t_col, 1 + region, t_col))
-    data = np.concatenate((-np.ones(n_slots), np.tile(areas, n_slots), -np.ones(2 * n_cells)))
+    data = np.concatenate((-np.ones(n_slots), np.ones(n_cells), -np.ones(2 * n_cells)))
     a_ub = sparse.csc_array((data, (rows, cols)), shape=(n_slots + n_cells, objective.size))
-    b_ub = np.concatenate((np.zeros(n_slots), -values.ravel()))
+    b_ub = np.concatenate((np.zeros(n_slots), -shares.ravel()))
     upper = np.concatenate(([math.inf], caps, np.tile(caps, n_slots)))
     result = milp(objective, constraints=LinearConstraint(a_ub, -math.inf, b_ub),
                   bounds=Bounds(0.0, upper))
     if result.status != 0:
-        # A fleet of zero with static densities at each region's peak is
+        # A fleet of zero with static shares at each region's peak is
         # always feasible, so any other status means the solver broke.
         raise RuntimeError(f"allocation LP failed on a feasible-by-construction "
                            f"instance: {result.message}")
-    # Keep only the static densities, clipped into their box against solver
-    # dust.
-    return np.clip(result.x[1:1 + n_regions], 0.0, caps)
+    return result.x[1:1 + n_regions]
 
 
 def peak_aggregate_demand(demand, areas_m2) -> float:

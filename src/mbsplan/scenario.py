@@ -186,7 +186,8 @@ class Region:
     """
 
     id: str
-    # At most the Earth's surface: the LP solver rejects m^2 areas from 1e15 on.
+    # At most the Earth's surface, a physical check on the input: the
+    # allocation LP sees station counts as shares of the peak, not areas.
     area_km2: float = field(metadata={">": 0, "<=": 5.1e8})
     peak_user_density_per_km2: float = field(metadata={">=": 0})
     profile: tuple

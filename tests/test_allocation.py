@@ -3,6 +3,7 @@ savings accounting and feasibility audits."""
 
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -49,32 +50,37 @@ def test_lp_assembly_shapes_and_entries(monkeypatch):
     assert lp.integrality is None
     assert np.all(lp.b_lb == -math.inf)
 
-    # Variables: [M, static per region, t slot-major].
+    # Variables: [M, static per region, t slot-major], all in station
+    # counts as shares of the peak aggregate demand.
+    counts = demand * areas
+    peak = counts.sum(axis=1).max()
     assert lp.objective.shape == (7,)
     assert lp.objective[0] == 3.0 * (1.0 + TIE_BREAK_EPSILON)  # the surcharged fleet
-    np.testing.assert_allclose(lp.objective[1:3], 2.0 * areas)
+    np.testing.assert_array_equal(lp.objective[1:3], [2.0, 2.0])  # no area terms
     assert np.all(lp.objective[3:] == 0.0)
 
     a_ub = lp.a_ub.toarray()
     assert a_ub.shape == (6, 7)
-    # One fleet row per slot: area-weighted need in, fleet out.
-    np.testing.assert_array_equal(a_ub[0], [-1.0, 0, 0, areas[0], areas[1], 0, 0])
-    np.testing.assert_array_equal(a_ub[1], [-1.0, 0, 0, 0, 0, areas[0], areas[1]])
+    # Every entry is +-1: no units or scale in the matrix.
+    assert set(np.unique(a_ub)) == {-1.0, 0.0, 1.0}
+    # One fleet row per slot: every region's share in, fleet out.
+    np.testing.assert_array_equal(a_ub[0], [-1.0, 0, 0, 1.0, 1.0, 0, 0])
+    np.testing.assert_array_equal(a_ub[1], [-1.0, 0, 0, 0, 0, 1.0, 1.0])
     assert np.all(lp.b_ub[:2] == 0.0)
 
     # Coverage rows follow, slot-major; row 4 is (slot 1, region 0).
     np.testing.assert_array_equal(a_ub[4], [0, -1.0, 0, 0, 0, -1.0, 0])
-    np.testing.assert_array_equal(lp.b_ub[2:], -demand.ravel())
+    np.testing.assert_array_equal(lp.b_ub[2:], -(counts / peak).ravel())
     # Every row has its two or three structural entries and nothing else.
     assert lp.a_ub.nnz == 2 * 3 + 4 * 2
 
-    caps = demand.max(axis=0)
+    caps = counts.max(axis=0) / peak
     assert lp.bounds.lb.shape == lp.bounds.ub.shape == (7,)
     assert np.all(lp.bounds.lb == 0.0)
     assert lp.bounds.ub[0] == math.inf
     np.testing.assert_array_equal(lp.bounds.ub[1:3], caps)
     # Mobile needs inherit the same per-region caps in every slot.
-    np.testing.assert_array_equal(lp.bounds.ub[3:], np.tile(caps, 2))
+    np.testing.assert_array_equal(lp.bounds.ub[3:], np.tile(lp.bounds.ub[1:3], 2))
 
 
 def test_hand_instance_optimum():
@@ -117,6 +123,26 @@ def test_zero_demand_yields_empty_plan():
     assert report.total_saving_fraction == 0.0  # 0/0 convention
     assert np.all(report.per_region_static_saving_fraction == 0.0)
     assert np.all(report.mbs_fraction_series == 0.0)
+
+
+@pytest.mark.parametrize("static_cost", [1.0, 0.5])
+def test_zero_demand_with_three_regions_needs_no_solver(monkeypatch, static_cost):
+    # The LP is posed in shares of the peak, which is 0 here: the empty plan
+    # comes in closed form, with no division by zero and no milp call.
+    def milp(*args, **kwargs):
+        raise AssertionError("milp called on zero demand")
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    demand = np.zeros((4, 3))
+    areas = np.array([KM2, 2.0 * KM2, 0.5 * KM2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        plan = optimal_plan(demand, areas, CostModel(static_cost, 1.0))
+    assert plan.fleet_size == 0.0
+    assert np.all(plan.static_density == 0.0)
+    assert np.all(plan.mbs_schedule == 0.0)
+    assert plan.objective_value == 0.0
+    assert verify_plan(plan, demand, areas) == []
 
 
 def test_constant_demand_needs_no_fleet():

@@ -9,14 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, _solve_static, optimal_plan,
                                 verify_plan)
 from mbsplan.dimensioning import demand_matrix
-from mbsplan.scenario import default_scenario, user_density_matrix
+from mbsplan.scenario import M2_PER_KM2, default_scenario, user_density_matrix
 
 import linprog_reference
 from lp_oracle import allocation_lp, enumerate_optimum, random_allocation
@@ -131,6 +131,29 @@ def test_objective_scaling():
         assert scaled.fleet_size == pytest.approx(base.fleet_size, rel=1e-7, abs=1e-7)
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e6, 1e10])
+def test_units_cannot_move_the_plan(scale):
+    # The same network in other units, densities / s over areas * s: the LP
+    # sees station counts as shares of the peak, so the static counts, the
+    # fleet and the objective agree to 1e-12 of the peak, though the optimal
+    # face is not unique.
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        n_slots, n_regions = int(rng.integers(2, 30)), int(rng.integers(3, 7))
+        demand = rng.uniform(0.0, 20.0, size=(n_slots, n_regions)) / M2_PER_KM2
+        demand[rng.random(demand.shape) < 0.1] = 0.0
+        areas = rng.uniform(0.5, 8.0, size=n_regions) * M2_PER_KM2
+        tol = 1e-12 * (demand * areas).sum(axis=1).max()
+        for static_cost in (1.0, 0.9, 0.5):
+            costs = CostModel(static_cost, 1.0)
+            plan = optimal_plan(demand, areas, costs)
+            other = optimal_plan(demand / scale, areas * scale, costs)
+            assert np.max(np.abs(other.static_density * (areas * scale)
+                                 - plan.static_density * areas)) <= tol
+            assert abs(other.fleet_size - plan.fleet_size) <= tol
+            assert abs(other.objective_value - plan.objective_value) <= tol
+
+
 def test_matches_vertex_enumeration():
     rng = np.random.default_rng(424242)
     for _ in range(200):
@@ -211,12 +234,15 @@ def _bench_instance():
           1.0 + TIE_BREAK_EPSILON))
 @example(_bench_instance())
 def test_milp_solve_is_bit_equal_to_linprog(instance):
-    # milp and linprog(method="highs") hand HiGHS the same model, so the
-    # static densities agree bit for bit.
+    # milp and linprog(method="highs") hand HiGHS the same share model, so
+    # the static shares agree bit for bit.
     demand, areas, static_cost = instance
-    biased = CostModel(static_cost, 1.0 + TIE_BREAK_EPSILON)
-    assert np.array_equal(_solve_static(demand, areas, biased),
-                          linprog_reference.solve_static(demand, areas, biased))
+    counts = demand * areas
+    peak = counts.sum(axis=1).max()
+    assume(peak > 0.0)  # optimal_plan never poses an LP for an empty network
+    shares, costs = counts / peak, CostModel(static_cost, 1.0)
+    assert np.array_equal(_solve_static(shares, costs),
+                          linprog_reference.solve_static(shares, costs))
 
 
 def test_solution_feasibility_tolerances():
@@ -273,18 +299,19 @@ def test_equal_cost_closed_form_matches_highs_and_vertex_enumeration(instance):
     # and the vertex oracle must find nothing cheaper under that surcharge.
     demand, areas, cost = instance
     plan = optimal_plan(demand, areas, CostModel(cost, cost))
-    peak = float((demand @ areas).max())
+    counts = demand * areas
+    peak = counts.sum(axis=1).max()
     tol = 1e-12 * peak
-    biased = CostModel(cost, cost * (1.0 + TIE_BREAK_EPSILON))
-    highs = _solve_static(demand, areas, biased)
-    assert np.max(np.abs((plan.static_density - highs) * areas)) <= tol
+    # HiGHS's static station counts; with no demand there is no LP to pose.
+    highs = _solve_static(counts / peak, CostModel(cost, cost)) * peak if peak > 0.0 else 0.0
+    assert np.max(np.abs(plan.static_density * areas - highs)) <= tol
     assert plan.objective_value == pytest.approx(cost * peak, rel=1e-12, abs=0.0)
     assert verify_plan(plan, demand, areas) == []
     if demand.size <= 4:  # enumeration stays fast
-        status, best = enumerate_optimum(*allocation_lp(demand, areas, cost,
-                                                        biased.mobile_unit_cost))
+        surcharged_cost = cost * (1.0 + TIE_BREAK_EPSILON)
+        status, best = enumerate_optimum(*allocation_lp(demand, areas, cost, surcharged_cost))
         assert status == "optimal"
-        surcharged = (biased.mobile_unit_cost * plan.fleet_size
+        surcharged = (surcharged_cost * plan.fleet_size
                       + cost * float(plan.static_density @ areas))
         assert abs(surcharged - best) <= cost * tol
 

@@ -445,6 +445,13 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     assert excinfo.value.code == 2
     capsys.readouterr()
 
+    for ratios, message in (("1:x:3", "expected numeric start:stop:count, got '1:x:3'"),
+                            ("1:3:0", "count must be at least 1, got 0")):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep-cost", "--ratios", ratios, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert f"argument --ratios: {message}" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command,ratios", [("sweep-cost", "nan:3:3"),
                                             ("sweep-cost", "1:inf:2"),
@@ -508,6 +515,19 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
     pytest.param("json", ('"area_km2": 1.0', '"area_km2": 1e9'),
                  "regions[0]: area_km2 must be <= 510000000.0, got 1000000000.0",
                  id="area-beyond-earth"),
+    pytest.param("profile", "0,0.5,1", "profile.csv, line 3: expected 2 fields, got 3",
+                 id="profile-three-fields"),
+    pytest.param("profile", "0,abc", "profile.csv, line 3: could not convert string to float",
+                 id="profile-not-a-number"),
+    pytest.param("json", ('"builtin:residential"', '"missing.csv"'),
+                 "regions[1]: profile: cannot read ", id="profile-missing"),
+    pytest.param("json", ('"builtin:residential"', "3"),
+                 "regions[1]: profile must be a builtin name or a path, got 3",
+                 id="profile-number"),
+    pytest.param("text", json.dumps(dict(default_config(), regions=[])),
+                 "error: regions must be a non-empty array", id="no-regions"),
+    pytest.param("text", json.dumps(dict(default_config(), radio=[])),
+                 "error: radio: expected an object, got list", id="radio-list"),
     # the parser's RecursionError is a RuntimeError, so this once exited 1
     pytest.param("text", "[" * 100_000 + "]" * 100_000,
                  "error: config is nested too deeply to parse", id="deeply-nested"),
@@ -548,6 +568,29 @@ def test_cli_out_of_range_quadrature_exits_2(tmp_path, capsys, key, value, messa
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_tiny_areas_save_what_unit_areas_save(tmp_path):
+    # Three regions reach the allocation LP. At 1e-16 km^2 each, HiGHS once
+    # saw coefficients below its tolerances and returned an all-static plan
+    # that saved 0.0, with exit 0; the saving cannot depend on the units.
+    (tmp_path / "campus.csv").write_text("time_h,normalized_load\n0,0.3\n6,0.2\n15,1\n20,0.5\n")
+    saved = []
+    for area in (1.0, 1e-16):
+        config = default_config()
+        config["regions"][1]["peak_user_density_per_km2"] = 3000.0
+        config["regions"].append({"id": "campus", "area_km2": 1.0,
+                                  "peak_user_density_per_km2": 5000.0,
+                                  "profile": "campus.csv"})
+        for region in config["regions"]:
+            region["area_km2"] = area
+        path = tmp_path / f"config_{area:g}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"out_{area:g}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        saved.append(json.loads((out / "savings.json").read_text())["total_saving_fraction"])
+    assert saved[0] == pytest.approx(0.137601, abs=1e-6)
+    assert saved[1] == pytest.approx(saved[0], rel=1e-12)
 
 
 def test_cli_tiny_tail_mass_epsilon_runs(default_run, tmp_path):
@@ -658,25 +701,9 @@ def test_cli_validate_fails_on_unreachable_target(tmp_path, capsys):
     assert "no feasible grid point" in out
 
 
-def test_validate_inverts_every_grid_scan_spot_in_one_call(monkeypatch):
-    # A load's inverted density does not depend on the other loads in its
-    # call, so the three spots share one inversion.
-    calls = []
-    real = pipeline._min_densities
-
-    def recording(loads, params, quad):
-        calls.append(np.asarray(loads))
-        return real(loads, params, quad)
-
-    monkeypatch.setattr(pipeline, "_min_densities", recording)
-    report = pipeline.validate(None, mc_trials=1000, seed=5)
-    assert [c.size for c in calls] == [len(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2)]
-    assert all(check.passed for check in report.checks)
-
-
 def test_validate_non_finite_inversion_fails_only_its_spot(monkeypatch):
-    # A probe that is not finite names its load; that spot fails with the
-    # message and the other spots are inverted again without it.
+    # A probe that is not finite fails its own spot with the message; the
+    # other spots are inverted on their own and pass as before.
     fine = pipeline.validate(None, mc_trials=1000, seed=5).lines()
     real = pipeline._min_densities
     bad = pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2[1] / M2_PER_KM2
