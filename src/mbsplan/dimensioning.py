@@ -8,9 +8,7 @@ tau(lambda_b, lambda_u, 1) = (lambda_u / lambda_b) * S(lambda_b) <= T, with
 S the unit-kernel sum of kernel / rate at u = 1. That reads lambda_u / T <=
 h(lambda_b) = lambda_b / S(lambda_b), and h is strictly increasing: the SIR
 at the scaled radius does not depend on lambda_b and the SNR grows with it.
-All loads of a scenario are inverted at once: bracket from lambda_u / 10 by
-halving or doubling up to ``DEFAULT_DENSITY_CAP_PER_M2``, bisect in log
-space to ``BISECTION_REL_TOL`` and return the feasible end. S comes from
+All loads of a scenario are inverted at once. S comes from
 ``delay_given_utilization`` at u = 1, the fixed point's own first step, so
 the achieved delay never exceeds T; one array fixed point over the distinct
 loads reports that delay, in about three delay evaluations per load. Each
@@ -18,17 +16,18 @@ evaluation is S(lambda_b) = sum_i w_i / log1p(a_i / (N0 B_eff
 lambda_b^(-alpha/2) + b_i)) over cached unit vectors, one power per
 density, so a probe costs little more than its log1p per node.
 
-h does not depend on the load, so one table of h on a log grid seeds every
-load: it predicts the root, and three exact probes around the prediction
-usually leave a load a bracket about 2e-6 wide. The bracket-and-bisect
-sequence is then replayed unchanged, probing only the candidates inside the
-load's known bracket; every other candidate lies on a known side of the
-root, and h is strictly increasing, so its probe would decide it the same
-way. The densities are bit-equal to probing every candidate, from 4.6
-delay evaluations per load on the default scenario instead of 17 (0.6 of
-them the table's). That needs the computed u = 1 delay, not only the
-exact one, to be non-increasing in lambda_b bit for bit; the tests check
-it on a 20 001-point grid for a range of radios.
+h does not depend on the load, and one ``delay_given_utilization`` call
+returns exact u = 1 delays for every (load, density) pair of a grid at the
+cost of one node sum per density. So one table on the fixed lattice cap *
+2^(-k/8) brackets every load exactly between two neighbouring lattice
+points, and a secant of log tau against log lambda_b, with probes
+``BISECTION_REL_TOL`` / 4 either side of its root, closes each bracket to
+``BISECTION_REL_TOL``, usually in one round. That is 3.6 delay evaluations
+per load on the default scenario, counting each lattice point once, where
+bisection from lambda_u / 10 took 17. The result meets the target and
+misses it at (1 - ``BISECTION_REL_TOL``) times itself, by exact delays; the
+tests check the computed u = 1 delay to be non-increasing in lambda_b bit
+for bit on a 20 001-point grid for a range of radios.
 
 Cells are independent: the objective sums per-cell densities and every
 constraint touches exactly one (slot, region) pair, so the cell-wise
@@ -40,138 +39,110 @@ from __future__ import annotations
 import numpy as np
 
 from .scenario import M2_PER_KM2, QuadratureSpec, RadioParams
-from .qosmodel import FixedPointDiverged, NonFinite, delay_given_utilization, evaluate_qos
+from .qosmodel import (_BLOCK_ELEMENTS, FixedPointDiverged, NonFinite, delay_given_utilization,
+                       evaluate_qos)
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
-_TABLE_POINTS = 64  # log grid of h that seeds every load's bracket
-_SEED_OFFSET = 1e-6  # relative offset of the two probes around a Newton root
 
 
 class InfeasibleDemand(RuntimeError):
     """No density up to the cap meets the delay target."""
 
 
-def _h_table(lo, hi, params, quad):
-    """log lambda_b on a ``_TABLE_POINTS``-point log grid from lo to hi, and
-    log h there: with lambda_u = lambda_b the u = 1 delay is S itself."""
-    grid = np.geomspace(lo, hi, _TABLE_POINTS)
-    s = delay_given_utilization(grid, grid, 1.0, params, quad)
-    with np.errstate(all="ignore"):
-        return np.log(grid), np.log(grid / s)
-
-
-def _seed_probes(lam_u, c0, tau0, delay, params, quad):
-    """Exact probes near every load's root, as (points, delays), two lists
-    of arrays shaped like ``lam_u``. Both are empty when the loads' brackets
-    span no interval, when the table of h over them is not finite and
-    strictly increasing, or when a seeding probe is not finite.
-
-    Each root lies between the first probe c0 and c0 * tau0 / T: S falls as
-    lambda_b rises and the root r solves r = (lambda_u / T) * S(r). One
-    table over the union of those brackets predicts every root by
-    interpolating log lambda_b against log h. A probe at the prediction,
-    one Newton step from it with the table's slope, and two probes
-    ``_SEED_OFFSET`` either side of the step's result follow.
-    """
-    target = params.target_delay_s_per_bit
-    with np.errstate(all="ignore"):
-        ends = np.concatenate([c0, c0 * tau0 / target])
-    lo, hi = ends.min(), min(ends.max(), DEFAULT_DENSITY_CAP_PER_M2)
-    if not 0.0 < lo < hi:
-        return [], []
-    n = lam_u.size
-    every = np.arange(n)
-    try:
-        log_g, log_h = _h_table(lo, hi, params, quad)
-        if not (np.all(np.isfinite(log_h)) and np.all(np.diff(log_h) > 0.0)):
-            return [], []
-        log_y = np.log(lam_u) - np.log(target)  # the root solves log h = log y
-        log_p = np.interp(log_y, log_h, log_g)
-        slope = np.interp(log_p, log_g, np.gradient(log_h, log_g))
-        p = np.exp(log_p)
-        tau_p = delay(every, p)
-        # log h(p) = log(lambda_u / tau_p), so the step is (log tau_p - log T) / slope.
-        r = np.exp(np.clip(log_p + (np.log(tau_p) - np.log(target)) / slope,
-                           log_g[0], log_g[-1]))
-        pair = np.concatenate([r * (1.0 - _SEED_OFFSET), r * (1.0 + _SEED_OFFSET)])
-        tau_pair = delay(np.concatenate([every, every]), pair)
-    except NonFinite:  # seeding only saves probes; the replay then makes them all
-        return [], []
-    return [p, pair[:n], pair[n:]], [tau_p, tau_pair[:n], tau_pair[n:]]
-
-
 def _min_densities(loads, params, quad) -> np.ndarray:
     """Smallest feasible station density for every user density in the 1-D
     array ``loads``: 0 for a zero load, inf where even the cap misses.
 
-    The result is bit-equal to bracketing from lambda_u / 10 and bisecting
-    with one exact u = 1 probe per candidate, but most candidates are
-    decided without one. After the first probe, three seeding probes per
-    load (``_seed_probes``) leave it a bracket: the largest density known
-    to miss the target and the smallest known to meet it. The bracket is
-    about 2e-6 wide for every load of the default scenario and of synthetic
-    days with peaks of 1e3 to 1e4 users per km^2. Where the Newton step
-    misses the root by more than ``_SEED_OFFSET``, both offset probes land
-    on one side of it, the bracket stays wide and the replay probes about
-    six more candidates for that load; on loads spread over eight decades
-    that is roughly three loads in ten. The candidate sequence is then
-    replayed unchanged. A candidate at or above the known meet is
-    feasible, one at or below the known miss is not, and only one strictly
-    inside is probed. h is strictly increasing, so every decision equals
-    the probe's. Without a usable table every candidate is probed.
+    S is non-increasing in lambda_b, so a load's root below the cap lies
+    above lambda_u S(cap) / T, twice the load's floor: every density up to
+    the floor misses the target. A table of exact u = 1 delays on the fixed
+    lattice cap * 2^(-k/8), k = 0..K, which reaches down to the smallest
+    floor, brackets every load between its first lattice point that meets
+    the target and the point below it; a load that misses at the cap, the
+    lattice's top, is past it. Each load is evaluated only on its own part
+    of the lattice: from the last point at or below its floor up to the
+    first point that met for the smallest of the larger loads, where its
+    own root, no larger, has met too. So the table runs in blocks from the
+    largest loads down, each block of at most ``_BLOCK_ELEMENTS`` (load,
+    point) pairs.
 
-    Every step of the replay is elementwise and stops on the load's own
-    bracket, so a load's answer does not depend on the other loads in the
-    array; they only move the seeding probes, which decide nothing a probe
-    would decide otherwise. A ``NonFinite`` probe carries the index of its
-    load in ``loads``.
+    Each open bracket then takes the secant of log tau against log
+    lambda_b across it and probes ``BISECTION_REL_TOL`` / 4 either side of
+    the secant's root, clipped into the bracket. The last probe or end that
+    misses and the first that meets are the new bracket, until hi - lo <=
+    ``BISECTION_REL_TOL`` * hi. hi is returned: it meets the target, and
+    hi * (1 - ``BISECTION_REL_TOL``) misses it, h being strictly increasing.
+
+    The lattice points do not depend on the loads, the other loads only
+    narrow the part of the lattice a load is evaluated on, and every later
+    step is elementwise, so a load's answer does not depend on the other
+    loads in the array. A non-finite delay on a load's own part of the
+    lattice, or in a probe, raises ``NonFinite`` carrying the index of its
+    load in ``loads``; within a block the smallest load comes first, so a
+    density at which every delay is non-finite names the smallest load of
+    the first block that reaches it. So does a smallest load whose lattice
+    would need a density that underflows to 0.
     """
     loads = np.asarray(loads, dtype=float)
     if not np.all(np.isfinite(loads)) or np.any(loads < 0):
         raise ValueError(f"user densities must be finite and >= 0, got {loads}")
-    target = params.target_delay_s_per_bit
-    positive = loads > 0
+    target, tol, cap = params.target_delay_s_per_bit, BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2
+    where = np.flatnonzero(loads > 0)
     density = np.zeros(loads.shape)
-    lam_u = loads[positive]
+    lam_u = loads[where]
     if not lam_u.size:
         return density
 
-    def delay(k, lam_b):
-        """u = 1 delay of loads k at densities lam_b; a non-finite one names its load."""
+    def delay(k, lam_b, needed=True):
+        """u = 1 delays of loads k at densities lam_b, which broadcast
+        against each other, and 0 where not ``needed``; a non-finite one
+        names its load."""
         try:
-            return delay_given_utilization(lam_b, lam_u[k], 1.0, params, quad)
+            return delay_given_utilization(lam_b, np.where(needed, lam_u[k], 0.0), 1.0, params,
+                                           quad)
         except NonFinite as exc:
-            raise NonFinite(str(exc), int(np.flatnonzero(positive)[k[exc.index]])) from None
+            k = np.broadcast_to(k, np.broadcast_shapes(np.shape(k), np.shape(lam_b)))
+            raise NonFinite(str(exc), int(where[k.flat[exc.index]])) from None
 
-    cand = np.minimum(lam_u / 10.0, DEFAULT_DENSITY_CAP_PER_M2)
-    tau0 = delay(np.arange(lam_u.size), cand)
-    seeds, taus = _seed_probes(lam_u, cand, tau0, delay, params, quad)
-    points = np.array([cand] + seeds)
-    ok = np.array([tau0] + taus) <= target
-    known_meet = np.min(np.where(ok, points, np.inf), axis=0)
-    known_miss = np.max(np.where(ok, 0.0, points), axis=0)
-    # hi: smallest candidate found to meet the target (inf: none yet);
-    # lo: largest candidate found to miss it (0: none yet).
-    hi = np.full(lam_u.shape, np.inf)
-    lo = np.zeros(lam_u.shape)
-    idx = np.arange(lam_u.size)
+    def still_open(k):
+        return k[bracket[k, 1] - bracket[k, 0] > tol * bracket[k, 1]]
+
+    floor = 0.5 * cap * delay(np.arange(lam_u.size), cap) / target
+    order = np.argsort(lam_u, kind="stable")
+    with np.errstate(divide="ignore"):  # a floor of 0 needs infinitely many steps
+        steps = max(np.ceil(8.0 * (np.log2(cap) - np.log2(floor[order[0]]))), 1.0)
+    if not cap * np.exp2(-steps / 8.0) > 0.0:
+        raise NonFinite(f"inversion: lambda_u={float(lam_u[order[0]])!r} is so small that its "
+                        "density lattice would underflow to 0", int(where[order[0]]))
+    grid = cap * np.exp2(np.arange(-steps, 1.0) / 8.0)
+    start = np.maximum(np.searchsorted(grid, floor, side="right") - 1, 0)
+    bracket, taus = np.empty((lam_u.size, 2)), np.empty((lam_u.size, 2))
+    rows, top = max(1, _BLOCK_ELEMENTS // grid.size), grid.size - 1
+    for last in range(lam_u.size, 0, -rows):  # from the largest loads down
+        k = order[max(last - rows, 0):last]
+        low = start[k[0]]
+        needed = np.arange(low, top + 1) >= start[k, None]
+        tau = delay(k[:, None], grid[low:top + 1], needed)
+        pick = low + np.count_nonzero(~needed | (tau > target), axis=1)[:, None] + [-1, 0]
+        bracket[k] = np.append(grid, np.inf)[pick]  # past the cap: hi = inf, never open
+        taus[k] = np.take_along_axis(tau, np.minimum(pick - low, top - low), axis=1)
+        top = min(top, pick[0, 1])  # smaller loads meet from here up
+    idx = still_open(np.arange(lam_u.size))
     while idx.size:
-        c = cand[idx]
-        ok = c >= known_meet[idx]
-        inside = ~ok & (c > known_miss[idx])
-        if inside.any():
-            ok[inside] = delay(idx[inside], c[inside]) <= target
-        hi[idx[ok]] = c[ok]
-        lo[idx[~ok]] = c[~ok]
-        halve = lo == 0.0
-        double = (hi == np.inf) & (lo < DEFAULT_DENSITY_CAP_PER_M2)
-        bisect = (lo > 0.0) & (hi < np.inf) & (hi - lo > BISECTION_REL_TOL * hi)
-        cand[halve] = 0.5 * hi[halve]
-        cand[double] = np.minimum(2.0 * lo[double], DEFAULT_DENSITY_CAP_PER_M2)
-        cand[bisect] = lo[bisect] * np.sqrt(hi[bisect] / lo[bisect])
-        idx = np.flatnonzero(halve | double | bisect)
-    density[positive] = hi
+        (lo, hi), (tau_lo, tau_hi) = bracket[idx].T, taus[idx].T
+        root = lo * (hi / lo) ** (np.log(target / tau_lo) / np.log(tau_hi / tau_lo))
+        probes = np.clip(root[:, None] * [1.0 - 0.25 * tol, 1.0 + 0.25 * tol],
+                         lo[:, None], hi[:, None])
+        # the points ascend and their delays descend: the new bracket is
+        # the last point that misses and the first that meets
+        points = np.column_stack([lo, probes, hi])
+        delays = np.column_stack([tau_lo, delay(idx[:, None], probes), tau_hi])
+        pick = np.count_nonzero(delays > target, axis=1)[:, None] + [-1, 0]
+        bracket[idx] = np.take_along_axis(points, pick, axis=1)
+        taus[idx] = np.take_along_axis(delays, pick, axis=1)
+        idx = still_open(idx)
+    density[where] = bracket[:, 1]
     return density
 
 

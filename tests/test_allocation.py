@@ -181,11 +181,11 @@ def test_equal_cost_objective_equals_peak_aggregate_demand():
 
 
 def test_bench_scenario_204_7_optimum_is_peak_aggregate_demand():
-    # A four-region, 36-slot instance on which a generic simplex once
-    # returned an infeasible "optimum" at cost ratio 1 and feasible plans
-    # 1.98x and 2.79x too dear at ratios 2 and 3. For any static:mobile
-    # cost ratio >= 1 an all-mobile fleet sized for the peak slot is
-    # optimal, so the objective is the peak aggregate demand.
+    # A four-region, 36-slot scenario; on an older dimensioning of it a
+    # generic simplex once returned an infeasible "optimum" at cost ratio 1
+    # and feasible plans 1.98x and 2.79x too dear at ratios 2 and 3. For
+    # any static:mobile cost ratio >= 1 an all-mobile fleet sized for the
+    # peak slot is optimal, so the objective is the peak aggregate demand.
     doc = json.loads((Path(__file__).parent / "data" / "bench_scenario_204_7.json").read_text())
     demand = np.array(doc["min_bs_density_per_m2"])
     areas = np.array(doc["areas_m2"])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bisection_reference
-from mbsplan import dimensioning
+from mbsplan import dimensioning, qosmodel
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                                   InfeasibleDemand, demand_matrix)
 from mbsplan.qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec,
@@ -120,11 +120,11 @@ def test_inverted_function_is_strictly_increasing(noise_scale):
 
 def test_min_density_is_bit_equal_to_its_matrix_cell():
     # A load's 1 x 1 demand matrix equals its cell in a larger one: the
-    # inversion does not depend on the other loads. On the default radio
-    # every bracket spans a factor 2. On a noiseless radio with threshold
-    # 0.11 * lambda_u and lam = cap / 0.12, lam's bracket is [0.1, 0.12] *
-    # lam, clipped at the cap, and needs fewer bisection steps than the
-    # smaller loads' factor-2 brackets.
+    # inversion does not depend on the other loads. The lattice points are
+    # fixed; smaller loads only extend the lattice downward, and larger ones
+    # only narrow the part of it a load is evaluated on. On a noiseless
+    # radio with threshold 0.11 * lambda_u, lam = cap / 0.12 has its root
+    # within two lattice steps of the cap, the lattice's top.
     for params, lam in ((PARAMS, 1234.5 / M2_PER_KM2),
                         (_threshold_radio(0.11), DEFAULT_DENSITY_CAP_PER_M2 / 0.12)):
         alone = _min_density(lam, params)
@@ -155,14 +155,16 @@ def test_solved_density_is_feasible_and_nearly_minimal():
 def test_demand_matrix_memoizes_repeated_loads():
     # Equal loads share one density and one fixed-point element, hence
     # equal entries in every array; a load that differs in its last bit is
-    # a load of its own, with its own density and its own fixed point.
+    # a load of its own, with its own fixed point. Its density may equal
+    # its neighbour's, but at that density the neighbour's load gives
+    # another delay.
     lam = 800.0 / M2_PER_KM2
     users = np.array([[lam], [np.nextafter(lam, 1.0)], [2.0 * lam], [lam]])
     demand, delay, iterations = demand_matrix(users, PARAMS)
     assert demand[3, 0] == demand[0, 0]
     assert delay[3, 0] == delay[0, 0]
     assert iterations[3, 0] == iterations[0, 0] > 0
-    assert demand[1, 0] != demand[0, 0]
+    assert delay[1, 0] != evaluate_qos(float(demand[1, 0]), lam, PARAMS).delay_s_per_bit
     assert demand[2, 0] > demand[0, 0]
     assert delay[2, 0] != delay[0, 0]
     for j in range(4):
@@ -230,14 +232,56 @@ def test_demand_matrix_rejects_bad_user_arrays():
 
 
 def test_demand_matrix_names_the_cell_of_a_non_finite_probe():
-    # The first probe of the two smallest positive loads, lambda_u / 10, is
-    # so small that the rate underflows to 0. The message names the smallest
-    # such load's first cell and the probe made for it; the zero load is
+    # The lattice reaches down to where the smallest load misses the
+    # target, so low that the rate underflows to 0. The message names that
+    # load's first cell and the lattice's bottom point; the zero load is
     # never probed.
     users = np.array([[1e-4, 0.0], [1e-4, 1e-306], [1e-307, 1e-306]])
     with pytest.raises(NonFinite, match=r"^slot 2, region index 0: delay: non-finite result at "
-                       r"lambda_b=1e-308, lambda_u=1e-307$"):
+                       r"lambda_b=8\.57883247980507e-310, lambda_u=1e-307$"):
         demand_matrix(users, PARAMS)
+
+
+def test_non_finite_lattice_point_names_the_smallest_load_in_any_order():
+    # Within a table block the smallest load comes first, so a density at
+    # which every load's delay is non-finite names the smallest load,
+    # wherever it sits in the array.
+    loads = np.array([1e-4, 1e-306, 1e-307, 1e-306])
+    message = r"lambda_b=8\.57883247980507e-310, lambda_u=1e-307$"
+    with pytest.raises(NonFinite, match=message) as got:
+        dimensioning._min_densities(loads, PARAMS, QuadratureSpec())
+    assert got.value.index == 2
+
+
+def test_lattice_that_would_underflow_names_its_load():
+    # At 1e-320 users per m^2 the floor lambda_u S(cap) / (2 T) underflows
+    # to 0, and no lattice point may be 0.
+    users = np.array([[1e-4], [1e-320]])
+    with pytest.raises(NonFinite, match=r"^slot 1, region index 0: inversion: lambda_u=1e-320 is "
+                       r"so small that its density lattice would underflow to 0$"):
+        demand_matrix(users, PARAMS)
+
+
+def test_table_runs_in_blocks_of_bounded_size(monkeypatch):
+    # 3000 loads over three decades need several table blocks, none over
+    # _BLOCK_ELEMENTS (load, density) pairs, and a load's density is the
+    # same whichever block it falls in.
+    loads = np.geomspace(1e-5, 1e-2, 3000)
+    blocks = []
+    delay = dimensioning.delay_given_utilization
+
+    def counting(lambda_b, lambda_u, *args):
+        if np.ndim(lambda_b) == 1:  # the lattice against a block of loads
+            blocks.append(np.size(lambda_u))
+        return delay(lambda_b, lambda_u, *args)
+
+    monkeypatch.setattr(dimensioning, "delay_given_utilization", counting)
+    got = dimensioning._min_densities(loads, PARAMS, QuadratureSpec())
+    assert len(blocks) >= 2
+    assert max(blocks) <= qosmodel._BLOCK_ELEMENTS
+    parts = [dimensioning._min_densities(part, PARAMS, QuadratureSpec())
+             for part in np.array_split(loads, 7)]
+    assert np.array_equal(got, np.concatenate(parts))
 
 
 def _counted(monkeypatch, module):
@@ -287,46 +331,41 @@ def _inversions(draw):
 @given(_inversions())
 @example((DEFAULT_LOADS, PARAMS, QuadratureSpec()))
 @example((BENCH_LOADS, PARAMS, QuadratureSpec()))
-def test_seeded_inversion_is_bit_equal_to_plain_bisection(instance):
-    # Seeding only decides candidates outside a bracket that exact probes
-    # established, so the densities are the plain bisection's bit for bit,
-    # and a probe that fails there fails here with the same message.
+@example((np.array([0.1, 802.228853288561, 1e-302]),  # overflows below its own lattice
+          dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0, path_loss_exponent=3.0,
+                              target_delay_s_per_bit=1e-3),
+          QuadratureSpec(nodes_r=8, nodes_x=8, nodes_theta=8)))
+def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
+    # Every density d is certified by exact u = 1 delays: the target is met
+    # at d and missed at d (1 - tol). Zero loads, loads past the cap and
+    # non-finite delays come out as in plain bisection, and both results
+    # lie within tol of the same root.
     loads, params, quad = instance
     try:
         want = bisection_reference.min_densities(loads, params, quad)
-    except Exception as exc:  # noqa: BLE001 -- any failure must be reproduced exactly
-        with pytest.raises(type(exc)) as got:
+    except NonFinite:
+        with pytest.raises(NonFinite):
             dimensioning._min_densities(loads, params, quad)
-        assert str(got.value) == str(exc)
-        assert getattr(got.value, "index", None) == getattr(exc, "index", None)
         return
-    assert np.array_equal(dimensioning._min_densities(loads, params, quad), want)
+    got = dimensioning._min_densities(loads, params, quad)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.array_equal(got == np.inf, want == np.inf)
+    solved = (got > 0.0) & (got < np.inf)
+    d, lam, target = got[solved], loads[solved], params.target_delay_s_per_bit
+    assert np.all(delay_given_utilization(d, lam, 1.0, params, quad) <= target)
+    assert np.all(delay_given_utilization(d * (1.0 - BISECTION_REL_TOL), lam, 1.0, params, quad)
+                  > target)
+    ratio = d / want[solved]
+    assert np.all((1.0 - BISECTION_REL_TOL <= ratio) & (ratio <= 1.0 / (1.0 - BISECTION_REL_TOL)))
 
 
 def test_inversion_makes_few_delay_evaluations(monkeypatch):
     # Plain bisection spends 17 u = 1 delay evaluations per distinct load
-    # here, in 17 calls; the seeded inversion spends about 4.6 in 5.
+    # here, in 17 calls; the lattice inversion spends about 3.6 in 4: one
+    # probe at the cap, the lattice's 128 points and two probes per open
+    # bracket and round.
     sizes = _counted(monkeypatch, dimensioning)
     scenario = default_scenario()
     demand_matrix(user_density_matrix(scenario), scenario.radio, scenario.quadrature)
-    assert sum(sizes) <= 6 * np.count_nonzero(DEFAULT_LOADS)
-    assert len(sizes) <= 10
-
-
-@pytest.mark.parametrize("spoil", ["flat", "nan"])
-def test_unusable_table_falls_back_to_plain_probing(monkeypatch, spoil):
-    # A table of h that is not strictly increasing, or not finite, seeds
-    # nothing: every candidate is probed, in the calls plain bisection makes.
-    def spoiled(lo, hi, params, quad):
-        log_g = np.linspace(np.log(lo), np.log(hi), 64)
-        log_h = 2.0 * log_g
-        log_h[5] = log_h[4] if spoil == "flat" else np.nan
-        return log_g, log_h
-
-    monkeypatch.setattr(dimensioning, "_h_table", spoiled)
-    seeded = _counted(monkeypatch, dimensioning)
-    plain = _counted(monkeypatch, bisection_reference)
-    got = dimensioning._min_densities(DEFAULT_LOADS, PARAMS, QuadratureSpec())
-    assert np.array_equal(got, bisection_reference.min_densities(DEFAULT_LOADS, PARAMS,
-                                                                 QuadratureSpec()))
-    assert seeded == plain
+    assert sum(sizes) <= 4 * np.count_nonzero(DEFAULT_LOADS)
+    assert len(sizes) <= 6

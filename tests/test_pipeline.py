@@ -589,7 +589,7 @@ def test_cli_tiny_areas_save_what_unit_areas_save(tmp_path):
         out = tmp_path / f"out_{area:g}"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         saved.append(json.loads((out / "savings.json").read_text())["total_saving_fraction"])
-    assert saved[0] == pytest.approx(0.137601, abs=1e-6)
+    assert saved[0] == pytest.approx(0.137630, abs=1e-6)
     assert saved[1] == pytest.approx(saved[0], rel=1e-12)
 
 
