@@ -328,16 +328,21 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
 
 def write_sweep_csv(path, result: SweepResult) -> None:
     """``parameter,total_saving_fraction,fleet_size,objective`` plus one
-    ``static_saving_<region>`` column per region; failed points are skipped."""
+    ``static_saving_<region>`` column per region; failed points are skipped.
+    The file is staged beside ``path`` and moved into place once written, so
+    a failed write leaves the previous file untouched."""
     ok = np.isfinite(result.fleet_size)  # failed points are in result.failures
-    _write_csv(path, {
-        "parameter": result.parameter_values[ok],
-        "total_saving_fraction": result.total_saving_fraction[ok],
-        "fleet_size": result.fleet_size[ok],
-        "objective": result.objective[ok],
-        **{f"static_saving_{rid}": result.per_region_static_saving[ok, z]
-           for z, rid in enumerate(result.region_ids)},
-    })
+    with tempfile.TemporaryDirectory(dir=Path(path).parent) as tmp:
+        staged = Path(tmp) / "sweep.csv"
+        _write_csv(staged, {
+            "parameter": result.parameter_values[ok],
+            "total_saving_fraction": result.total_saving_fraction[ok],
+            "fleet_size": result.fleet_size[ok],
+            "objective": result.objective[ok],
+            **{f"static_saving_{rid}": result.per_region_static_saving[ok, z]
+               for z, rid in enumerate(result.region_ids)},
+        })
+        os.replace(staged, path)
 
 
 # ---------------------------------------------------------------------------

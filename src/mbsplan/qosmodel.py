@@ -230,6 +230,32 @@ def _unit_vectors(params: RadioParams, quad: QuadratureSpec):
     return a, b, w
 
 
+def _unit_sums(lambda_b, utilization, params: RadioParams, quad: QuadratureSpec):
+    """S = sum_i w_i / log1p(a_i / (N0 B_eff lambda_b^(-alpha/2) + b_i u)) over
+    the unit vectors of ``_unit_vectors``, for every element of the broadcast
+    of lambda_b and u, in blocks of ``_BLOCK_ELEMENTS`` node terms; each is
+    bit-equal to its scalar call. Unchecked, and +inf where a rate underflows
+    to 0, with no floating-point warning."""
+    a, b, w = _unit_vectors(params, quad)
+    noise_w = params.noise_psd_w_per_hz * (params.bandwidth_hz / params.reuse_factor)
+    exponent = -0.5 * params.path_loss_exponent
+    # one row per element of the broadcast of lambda_b and u; a scalar u
+    # scales b once
+    shape = np.broadcast_shapes(np.shape(lambda_b), np.shape(utilization))
+    rows_b = np.broadcast_to(lambda_b, shape).reshape(-1, 1)
+    rows_u = np.broadcast_to(utilization, shape).reshape(-1, 1) if np.ndim(utilization) else None
+    unit_sum = np.empty(rows_b.shape[0])
+    step = _BLOCK_ELEMENTS // a.size
+    with np.errstate(all="ignore"):
+        for start in range(0, unit_sum.size, step):
+            block = slice(start, start + step)
+            # a noiseless radio skips the power: 0 * inf is NaN where it overflows
+            noise = noise_w * rows_b[block] ** exponent if noise_w else 0.0
+            busy = b * (utilization if rows_u is None else rows_u[block])
+            unit_sum[block] = np.sum(w / np.log1p(a / (noise + busy)), axis=-1)
+    return unit_sum.reshape(shape)
+
+
 def delay_given_utilization(
     lambda_b,
     lambda_u,
@@ -242,16 +268,10 @@ def delay_given_utilization(
 
     Signal and interference at the scaled radius both carry the factor
     lambda_b^(alpha/2), so dividing it out leaves the noise power as the
-    only term that depends on the density:
-
-        tau = (lambda_u / lambda_b) sum_i w_i / log1p(a_i / (N0 B_eff
-              lambda_b^(-alpha/2) + b_i u))
-
-    with the unit vectors of ``_unit_vectors``: one power per density and
-    none per quadrature node. Densities and utilizations may be arrays that
-    broadcast against each other, evaluated in blocks of
-    ``_BLOCK_ELEMENTS`` node terms; each element is bit-equal to its scalar
-    call.
+    only term that depends on the density: tau = (lambda_u / lambda_b) S,
+    with S the node sum of ``_unit_sums``. Densities and utilizations may
+    be arrays that broadcast against each other; each element is bit-equal
+    to its scalar call.
 
     No floating-point warning escapes for any lambda_b > 0 and u in [0, 1];
     a delay that is not finite raises ``NonFinite`` naming its first
@@ -273,24 +293,8 @@ def delay_given_utilization(
     if np.any(lambda_u < 0):
         raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
     _check_utilization(utilization)
-    a, b, w = _unit_vectors(params, quad)
-    noise_w = params.noise_psd_w_per_hz * (params.bandwidth_hz / params.reuse_factor)
-    exponent = -0.5 * params.path_loss_exponent
-    # one row per element of the broadcast of lambda_b and u; a scalar u
-    # scales b once
-    shape = np.broadcast_shapes(lambda_b.shape, utilization.shape)
-    rows_b = np.broadcast_to(lambda_b, shape).reshape(-1, 1)
-    rows_u = np.broadcast_to(utilization, shape).reshape(-1, 1) if utilization.ndim else None
-    unit_sum = np.empty(rows_b.shape[0])
-    step = _BLOCK_ELEMENTS // a.size
     with np.errstate(all="ignore"):  # a rate that underflows to 0 is reported below
-        for start in range(0, unit_sum.size, step):
-            block = slice(start, start + step)
-            # a noiseless radio skips the power: 0 * inf is NaN where it overflows
-            noise = noise_w * rows_b[block] ** exponent if noise_w else 0.0
-            busy = b * (utilization if rows_u is None else rows_u[block])
-            unit_sum[block] = np.sum(w / np.log1p(a / (noise + busy)), axis=-1)
-        tau = (lambda_u / lambda_b) * unit_sum.reshape(shape)
+        tau = (lambda_u / lambda_b) * _unit_sums(lambda_b, utilization, params, quad)
     finite = np.isfinite(tau)
     if not np.all(finite):
         first = int(np.argmin(finite))  # flat index of the first non-finite element

@@ -2,14 +2,18 @@
 
 Bracket every load from lambda_u / 10 by halving or doubling up to the
 density cap, bisect in log space to ``BISECTION_REL_TOL`` and return the
-feasible end, probing every candidate with one exact u = 1 delay
-evaluation. ``dimensioning._min_densities`` inverts the same function
-another way, from a table on a fixed lattice and a secant; both results
-lie within ``BISECTION_REL_TOL`` of the same root, so they differ by at
-most that factor. Both give 0 and inf for the same loads, and
-``NonFinite`` too, except for loads so small that the lattice reaches a
-density whose rate underflows and bisection never probes that low
-(7.2e-176 to 8.5e-175 per m^2 on the default radio).
+feasible end, probing every candidate with one exact u = 1 delay,
+(lambda_u / lambda_b) S with S from ``qosmodel._unit_sums``. A delay of
++inf, where the rate underflows to 0, is a miss. A load that still meets
+the target below ``LOWEST``, where floats stop resolving a relative step
+of ``BISECTION_REL_TOL`` / 4, raises ``NonFinite``.
+
+``dimensioning._min_densities`` inverts the same function another way,
+from a table on a fixed lattice and a secant; both results lie within
+``BISECTION_REL_TOL`` of the same root, so they differ by at most that
+factor. Both give 0 and inf for the same loads, and ``NonFinite`` too,
+except for roots between ``LOWEST`` and the lattice's lowest point, less
+than one lattice step 2^(1/8) above it, which no test draws.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from mbsplan.dimensioning import BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2
-from mbsplan.qosmodel import NonFinite, delay_given_utilization
+from mbsplan.qosmodel import NonFinite, _unit_sums
+
+LOWEST = np.nextafter(0.0, 1.0) / (0.25 * BISECTION_REL_TOL)
 
 
 def min_densities(loads, params, quad) -> np.ndarray:
@@ -34,12 +40,16 @@ def min_densities(loads, params, quad) -> np.ndarray:
     cand = np.minimum(lam_u / 10.0, DEFAULT_DENSITY_CAP_PER_M2)
     idx = np.arange(lam_u.size)
     while idx.size:
-        try:
-            ok = delay_given_utilization(cand[idx], lam_u[idx], 1.0, params, quad) <= target
-        except NonFinite as exc:
-            raise NonFinite(str(exc), int(np.flatnonzero(positive)[idx[exc.index]])) from None
+        with np.errstate(all="ignore"):
+            tau = (lam_u[idx] / cand[idx]) * _unit_sums(cand[idx], 1.0, params, quad)
+        ok = tau <= target
         hi[idx[ok]] = cand[idx[ok]]
         lo[idx[~ok]] = cand[idx[~ok]]
+        unresolved = np.flatnonzero(hi < LOWEST)
+        if unresolved.size:
+            k = unresolved[0]
+            raise NonFinite(f"reference: lambda_u={float(lam_u[k])!r} meets the target at "
+                            f"lambda_b={float(hi[k])!r}", int(np.flatnonzero(positive)[k]))
         halve = lo == 0.0
         double = (hi == np.inf) & (lo < DEFAULT_DENSITY_CAP_PER_M2)
         bisect = (lo > 0.0) & (hi < np.inf) & (hi - lo > BISECTION_REL_TOL * hi)

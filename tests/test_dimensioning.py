@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bisection_reference
+import mbsplan
 from mbsplan import dimensioning, qosmodel
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                                   InfeasibleDemand, demand_matrix)
 from mbsplan.qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec,
                               delay_given_utilization, evaluate_qos)
+from mbsplan.pipeline import sweep_density_ratio
 from mbsplan.scenario import M2_PER_KM2, RadioParams, default_scenario, user_density_matrix
 
 PARAMS = RadioParams()
@@ -231,70 +236,102 @@ def test_demand_matrix_rejects_bad_user_arrays():
             demand_matrix(np.array([[1e-4], [bad]]), PARAMS)
 
 
-def test_demand_matrix_names_the_cell_of_a_non_finite_probe():
-    # The lattice reaches down to where the smallest load misses the
-    # target, so low that the rate underflows to 0. The message names that
-    # load's first cell and the lattice's bottom point; the zero load is
-    # never probed.
-    users = np.array([[1e-4, 0.0], [1e-4, 1e-306], [1e-307, 1e-306]])
-    with pytest.raises(NonFinite, match=r"^slot 2, region index 0: delay: non-finite result at "
-                       r"lambda_b=8\.57883247980507e-310, lambda_u=1e-307$"):
-        demand_matrix(users, PARAMS)
+def _exact_delay(lam_b, lam_u, params, quad=QuadratureSpec()):
+    """The inversion's u = 1 delay (lambda_u / lambda_b) S, +inf where the
+    rate underflows to 0."""
+    with np.errstate(all="ignore"):
+        return (lam_u / lam_b) * qosmodel._unit_sums(lam_b, 1.0, params, quad)
 
 
-def test_non_finite_lattice_point_names_the_smallest_load_in_any_order():
-    # Within a table block the smallest load comes first, so a density at
-    # which every load's delay is non-finite names the smallest load,
+def _assert_certified(got, loads, params, quad=QuadratureSpec()):
+    """Every density meets the target by its exact u = 1 delay and misses
+    it at (1 - tol) times itself; a delay of +inf is a miss."""
+    target = params.target_delay_s_per_bit
+    assert np.all(_exact_delay(got, loads, params, quad) <= target)
+    assert not np.any(_exact_delay(got * (1.0 - BISECTION_REL_TOL), loads, params, quad)
+                      <= target)
+
+
+def _within_tol(got, want):
+    ratio = got / want
+    return np.all((1.0 - BISECTION_REL_TOL <= ratio) & (ratio <= 1.0 / (1.0 - BISECTION_REL_TOL)))
+
+
+NOISELESS = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
+
+
+def test_demand_matrix_names_the_cell_of_a_root_below_the_lattice():
+    # On a noiseless radio the root of 1e-318 users per m^2 is about
+    # 1.8e-320 per m^2, below the lattice's lowest point 1.9974e-319, where
+    # floats cannot resolve the tolerance. The message names that load's
+    # first cell; the zero load is never probed.
+    users = np.array([[1e-4, 0.0], [1e-4, 1e-300], [1e-318, 1e-300], [1e-318, 1e-318]])
+    with pytest.raises(NonFinite, match=r"^slot 2, region index 0: inversion: lambda_u=1e-318 "
+                       r"meets the target at the lattice's lowest density 1\.9974e-319, so its "
+                       r"root is not resolved$"):
+        demand_matrix(users, NOISELESS)
+
+
+def test_root_below_the_lattice_names_the_smallest_load_in_any_order():
+    # Every load below the lattice fails; the smallest one is named,
     # wherever it sits in the array.
-    loads = np.array([1e-4, 1e-306, 1e-307, 1e-306])
-    message = r"lambda_b=8\.57883247980507e-310, lambda_u=1e-307$"
-    with pytest.raises(NonFinite, match=message) as got:
-        dimensioning._min_densities(loads, PARAMS, QuadratureSpec())
-    assert got.value.index == 2
+    loads = np.array([1e-4, 1e-318, 1e-319, 1e-318])
+    for order in (np.arange(4), np.array([2, 3, 0, 1]), np.arange(4)[::-1]):
+        with pytest.raises(NonFinite, match=r"lambda_u=1e-319 meets") as got:
+            dimensioning._min_densities(loads[order], NOISELESS, QuadratureSpec())
+        assert order[got.value.index] == 2
 
 
-def test_lattice_that_would_underflow_names_its_load():
-    # At 1e-320 users per m^2 the floor lambda_u S(cap) / (2 T) underflows
-    # to 0, and no lattice point may be 0.
+def test_tiny_loads_get_certified_densities():
+    # Below about 7e-177 per m^2 the default radio's rate underflows to 0
+    # and the delay is +inf, a miss. The lattice reaches far below that,
+    # but these loads' roots lie far above it: each density is certified
+    # by exact delays, also next to the larger loads of a demand matrix.
+    # The first three loads raised NonFinite when the lattice began at
+    # each load's floor, and a 1e-320 load could not form one.
+    loads = np.array([7.2e-176, 1e-175, 8.5e-175, 1e-200, 1e-300, 1e-320])
+    for lam in loads:
+        got = dimensioning._min_densities(np.array([lam]), PARAMS, QuadratureSpec())
+        _assert_certified(got, lam, PARAMS)
+        assert _within_tol(got, bisection_reference.min_densities([lam], PARAMS,
+                                                                  QuadratureSpec()))
+    assert np.isclose(dimensioning._min_densities(loads[:1], PARAMS, QuadratureSpec())[0],
+                      4.694e-69, rtol=1e-3)
     users = np.array([[1e-4], [1e-320]])
-    with pytest.raises(NonFinite, match=r"^slot 1, region index 0: inversion: lambda_u=1e-320 is "
-                       r"so small that its density lattice would underflow to 0$"):
-        demand_matrix(users, PARAMS)
+    demand = demand_matrix(users, PARAMS)[0]
+    assert demand[1, 0] == _min_density(1e-320, PARAMS)
+    # A target so lax that the root sits where the rate underflows: the
+    # bracket's low end has delay +inf, so its first probes straddle the
+    # geometric midpoint instead of a secant's root.
+    lax = dataclasses.replace(PARAMS, target_delay_s_per_bit=1e150)
+    grid, unit_sum = dimensioning._lattice(lax, QuadratureSpec())
+    got = dimensioning._min_densities(np.array([1e-322]), lax, QuadratureSpec())
+    below = np.searchsorted(grid, got[0]) - 1
+    assert np.isinf(unit_sum[below])
+    _assert_certified(got, 1e-322, lax)
+    assert _within_tol(got, bisection_reference.min_densities([1e-322], lax, QuadratureSpec()))
 
 
-def test_table_runs_in_blocks_of_bounded_size(monkeypatch):
-    # 3000 loads over three decades need several table blocks, none over
-    # _BLOCK_ELEMENTS (load, density) pairs, and a load's density is the
-    # same whichever block it falls in.
+def test_inversion_is_bit_equal_over_split_arrays():
+    # A load's density does not depend on the other loads of its array.
     loads = np.geomspace(1e-5, 1e-2, 3000)
-    blocks = []
-    delay = dimensioning.delay_given_utilization
-
-    def counting(lambda_b, lambda_u, *args):
-        if np.ndim(lambda_b) == 1:  # the lattice against a block of loads
-            blocks.append(np.size(lambda_u))
-        return delay(lambda_b, lambda_u, *args)
-
-    monkeypatch.setattr(dimensioning, "delay_given_utilization", counting)
     got = dimensioning._min_densities(loads, PARAMS, QuadratureSpec())
-    assert len(blocks) >= 2
-    assert max(blocks) <= qosmodel._BLOCK_ELEMENTS
     parts = [dimensioning._min_densities(part, PARAMS, QuadratureSpec())
              for part in np.array_split(loads, 7)]
     assert np.array_equal(got, np.concatenate(parts))
 
 
-def _counted(monkeypatch, module):
-    """Record the element count of every ``delay_given_utilization`` call
-    made through ``module``'s binding."""
+def _counted(monkeypatch):
+    """Record the element count of every node-sum call the inversion
+    makes, the lattice table's included."""
     sizes = []
-    delay = module.delay_given_utilization
+    unit_sums = dimensioning._unit_sums
 
     def counting(lambda_b, *args):
         sizes.append(np.size(lambda_b))
-        return delay(lambda_b, *args)
+        return unit_sums(lambda_b, *args)
 
-    monkeypatch.setattr(module, "delay_given_utilization", counting)
+    monkeypatch.setattr(dimensioning, "_unit_sums", counting)
     return sizes
 
 
@@ -331,15 +368,17 @@ def _inversions(draw):
 @given(_inversions())
 @example((DEFAULT_LOADS, PARAMS, QuadratureSpec()))
 @example((BENCH_LOADS, PARAMS, QuadratureSpec()))
-@example((np.array([0.1, 802.228853288561, 1e-302]),  # overflows below its own lattice
+@example((np.array([7.2e-176, 1e-175, 8.5e-175]), PARAMS, QuadratureSpec()))
+@example((np.array([0.1, 802.228853288561, 1e-302]),  # lambda_u / lambda_b overflows
           dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0, path_loss_exponent=3.0,
                               target_delay_s_per_bit=1e-3),
           QuadratureSpec(nodes_r=8, nodes_x=8, nodes_theta=8)))
 def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
     # Every density d is certified by exact u = 1 delays: the target is met
-    # at d and missed at d (1 - tol). Zero loads, loads past the cap and
-    # non-finite delays come out as in plain bisection, and both results
-    # lie within tol of the same root.
+    # at d and missed at d (1 - tol), a delay of +inf being a miss. Zero
+    # loads, loads past the cap and roots below the resolved densities come
+    # out as in plain bisection, and both results lie within tol of the
+    # same root.
     loads, params, quad = instance
     try:
         want = bisection_reference.min_densities(loads, params, quad)
@@ -351,21 +390,42 @@ def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.array_equal(got == np.inf, want == np.inf)
     solved = (got > 0.0) & (got < np.inf)
-    d, lam, target = got[solved], loads[solved], params.target_delay_s_per_bit
-    assert np.all(delay_given_utilization(d, lam, 1.0, params, quad) <= target)
-    assert np.all(delay_given_utilization(d * (1.0 - BISECTION_REL_TOL), lam, 1.0, params, quad)
-                  > target)
-    ratio = d / want[solved]
-    assert np.all((1.0 - BISECTION_REL_TOL <= ratio) & (ratio <= 1.0 / (1.0 - BISECTION_REL_TOL)))
+    _assert_certified(got[solved], loads[solved], params, quad)
+    assert _within_tol(got[solved], want[solved])
 
 
 def test_inversion_makes_few_delay_evaluations(monkeypatch):
     # Plain bisection spends 17 u = 1 delay evaluations per distinct load
-    # here, in 17 calls; the lattice inversion spends about 3.6 in 4: one
-    # probe at the cap, the lattice's 128 points and two probes per open
-    # bracket and round.
-    sizes = _counted(monkeypatch, dimensioning)
+    # here, in 17 calls. With the lattice table built, the inversion spends
+    # about 2.45 per call, in 2 calls: two probes per open bracket and
+    # round.
+    scenario = default_scenario()
+    users = user_density_matrix(scenario)
+    demand_matrix(users, scenario.radio, scenario.quadrature)
+    sizes = _counted(monkeypatch)
+    demand_matrix(users, scenario.radio, scenario.quadrature)
+    assert sum(sizes) <= 3 * np.count_nonzero(DEFAULT_LOADS)
+    assert len(sizes) <= 6
+
+
+def test_lattice_table_is_built_once_per_radio_and_quadrature(monkeypatch):
+    # The table is built neither at import nor by evaluate_qos, but on the
+    # first inversion, and reused by later ones, by every point of a sweep
+    # among them; another radio gets its own.
+    fresh = subprocess.run([sys.executable, "-c", "import mbsplan.cli\n"
+                            "print(mbsplan.dimensioning._lattice.cache_info().currsize)"],
+                           check=True, capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(Path(mbsplan.__file__).parents[1])))
+    assert fresh.stdout == "0\n"
+    dimensioning._lattice.cache_clear()
+    sizes = _counted(monkeypatch)
+    evaluate_qos(1e-5, 1e-3, PARAMS)
+    assert dimensioning._lattice.cache_info().currsize == 0
+    lattice = dimensioning._lattice(PARAMS, QuadratureSpec())[0].size
+    assert sizes == [lattice]
     scenario = default_scenario()
     demand_matrix(user_density_matrix(scenario), scenario.radio, scenario.quadrature)
-    assert sum(sizes) <= 4 * np.count_nonzero(DEFAULT_LOADS)
-    assert len(sizes) <= 6
+    sweep_density_ratio(None, [1.0, 4.0, 10.0])
+    assert sizes[0] == lattice and max(sizes[1:]) < lattice
+    _min_density(1e-3, NOISELESS)
+    assert sizes.count(lattice) == 2

@@ -353,6 +353,24 @@ def test_sweep_keeps_region_columns_when_every_point_fails(monkeypatch, tmp_path
     assert rows == []
 
 
+def test_failed_sweep_csv_write_keeps_the_previous_file(monkeypatch, tmp_path):
+    # The CSV is staged beside its path and moved into place once written:
+    # a write that fails part-way leaves the previous bytes and no stray file.
+    path = tmp_path / "sweep_cost.csv"
+    write_sweep_csv(path, sweep_cost_ratio(None, [1.0, 2.0]))
+    before = path.read_bytes()
+
+    def failing(staged, columns):
+        Path(staged).write_text("parameter,total")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline, "_write_csv", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_sweep_csv(path, sweep_cost_ratio(None, [3.0]))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_cost.csv"]
+
+
 def test_sweep_csv_schema(tmp_path):
     result = sweep_cost_ratio(None, np.linspace(1.0, 2.0, 3))
     path = tmp_path / "sweep_cost.csv"
@@ -404,20 +422,32 @@ def test_cli_sweep_reports_failed_points(monkeypatch, tmp_path, capsys):
     assert (tmp_path / "sweep_density.csv").exists()
 
 
-@pytest.mark.parametrize("density", [1e-200, 1e-300])
-def test_cli_tiny_load_names_its_cell(tmp_path, capsys, density):
-    # The first probe's rate underflowed to 0: the error named no cell and
-    # NumPy printed a divide-by-zero warning.
+@pytest.mark.parametrize("density, noise", [(1e-200, None), (1e-300, None), (1e-312, 0.0)],
+                         ids=["1e-200", "1e-300", "noiseless-1e-312"])
+def test_cli_tiny_load_names_its_cell(tmp_path, capsys, density, noise):
+    # On the default radio these loads' roots lie far above the densities
+    # where the rate underflows to 0, a miss, and the run succeeds. On a
+    # noiseless radio a peak of 1e-312 per km^2 puts every root of its
+    # region below the density lattice, and the error names the first
+    # cell of the smallest load. Neither prints a NumPy warning.
     config = default_config()
     config["regions"][0]["peak_user_density_per_km2"] = density
+    if noise is not None:
+        config["radio"]["noise_psd_w_per_hz"] = noise
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert caught == []
-    assert re.fullmatch(r"error: slot \d+, region index 0: delay: non-finite result at "
-                        r"lambda_b=\S+, lambda_u=\S+\n", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    if noise is None:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert re.fullmatch(r"error: slot \d+, region index 0: inversion: lambda_u=\S+ meets the "
+                            r"target at the lattice's lowest density \S+, so its root is not "
+                            r"resolved\n", err)
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):
