@@ -8,18 +8,19 @@ tau(lambda_b, lambda_u, 1) = (lambda_u / lambda_b) * S(lambda_b) <= T, with
 S the unit-kernel sum of kernel / rate at u = 1. That reads lambda_u / T <=
 h(lambda_b) = lambda_b / S(lambda_b), and h is strictly increasing: the SIR
 at the scaled radius does not depend on lambda_b and the SNR grows with it.
-All loads of a scenario are inverted at once. S comes from
+All cells of a scenario are inverted at once. S comes from
 ``qosmodel._unit_sums``, which the fixed point's own first step uses too, so
-the achieved delay never exceeds T; one array fixed point over the distinct
-loads reports that delay, in about three delay evaluations per load.
+the achieved delay never exceeds T; one array fixed point over the positive
+cells reports that delay, in at most three delay evaluations per cell on
+the default scenario (358 over its 120 cells).
 
 h does not depend on the load, so S is tabulated once per radio and
 quadrature on a fixed lattice, and ``_min_densities`` brackets every load
-in that table and closes each bracket with a secant: 2.45 delay
-evaluations per load and call on the default scenario, where bisection
-from lambda_u / 10 took 17. The tests check the computed u = 1 delay to be
-non-increasing in lambda_b bit for bit on a 20 001-point grid for a range
-of radios.
+in that table and closes each bracket with a secant: 2.43 delay
+evaluations per cell and call on the default scenario (292 in 2 calls over
+120 cells), where bisection from lambda_u / 10 took 17. The tests check the
+computed u = 1 delay to be non-increasing in lambda_b bit for bit on a
+20 001-point grid for a range of radios.
 
 Cells are independent: the objective sums per-cell densities and every
 constraint touches exactly one (slot, region) pair, so the cell-wise
@@ -142,42 +143,39 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
     self-consistent delay meets the target, to relative tolerance
     ``BISECTION_REL_TOL``; ``demand_matrix([[lambda_u]], ...)`` inverts one load.
 
-    Densities come from one inversion over the distinct loads, and the
-    achieved delays from one array fixed point over the distinct positive
-    loads, so cells with equal loads share their density and diagnostics.
+    Densities come from one inversion over all cells and the achieved
+    delays from one array fixed point over the positive cells; both are
+    elementwise, so equal loads get equal entries.
     """
     users = np.asarray(users, dtype=float)
     if users.ndim != 2:
         raise ValueError(f"user densities must be a J x Z array, got shape {users.shape}")
-    loads, first, inverse = np.unique(users, return_index=True, return_inverse=True)
+    loads = users.ravel()
 
-    def first_cell(ks):
-        k = ks[np.argmin(first[ks])]
-        j, z = divmod(int(first[k]), users.shape[1])
-        return k, f"slot {j}, region index {z}"
+    def cell(k):
+        return "slot {}, region index {}".format(*divmod(int(k), users.shape[1]))
 
     try:
         densities = _min_densities(loads, params, quad)
     except NonFinite as exc:
-        raise NonFinite(f"{first_cell([exc.index])[1]}: {exc}") from None
+        raise NonFinite(f"{cell(exc.index)}: {exc}") from None
     unmet = np.flatnonzero(densities == np.inf)
     if unmet.size:
-        k, cell = first_cell(unmet)
+        k = unmet[0]
         raise InfeasibleDemand(
-            f"{cell}: delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the "
+            f"{cell(k)}: delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the "
             f"density cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user "
             f"density {loads[k] * M2_PER_KM2:.6g} per km^2)")
     positive = np.flatnonzero(loads > 0)
     result = evaluate_qos(densities[positive], loads[positive], params, quad)
     diverged = positive[~result.converged]
     if diverged.size:
-        k, cell = first_cell(diverged)
+        k = diverged[0]
         raise FixedPointDiverged(
-            f"{cell}: utilization fixed point did not converge at "
+            f"{cell(k)}: utilization fixed point did not converge at "
             f"lambda_b={densities[k]:.6e}, lambda_u={loads[k]:.6e}")
     delay = np.zeros(loads.shape)
     delay[positive] = result.delay_s_per_bit
     iterations = np.zeros(loads.shape, dtype=int)
     iterations[positive] = result.fixed_point_iterations
-    inverse = inverse.reshape(users.shape)
-    return densities[inverse], delay[inverse], iterations[inverse]
+    return tuple(v.reshape(users.shape) for v in (densities, delay, iterations))

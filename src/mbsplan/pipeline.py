@@ -68,7 +68,11 @@ def _load(config_path) -> tuple[Scenario, bytes]:
     else:
         path = Path(config_path)
         raw, base_dir = path.read_bytes(), path.parent
-    return load_scenario(raw.decode("utf-8"), base_dir=base_dir), raw
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config: cannot read {config_path}: {exc}") from exc
+    return load_scenario(text, base_dir=base_dir), raw
 
 
 @dataclass(frozen=True)
@@ -193,12 +197,9 @@ def _savings_dict(report: SavingsReport, region_ids) -> dict:
 
 
 def _dimensioning_counters(solved: _Solved) -> dict:
-    """Cells, distinct loads, and the fixed-point iterations spent reporting
-    the achieved delays (summed over the distinct loads)."""
-    _, first = np.unique(solved.users, return_index=True)
-    iterations = solved.iterations.ravel()
-    return {"cells": int(iterations.size), "distinct_loads": int(first.size),
-            "fixed_point_iterations": int(iterations[first].sum())}
+    """Cells, distinct loads, and the fixed-point iterations summed over the cells."""
+    return {"cells": int(solved.users.size), "distinct_loads": int(np.unique(solved.users).size),
+            "fixed_point_iterations": int(solved.iterations.sum())}
 
 
 def run_pipeline(config_path, out_dir) -> SavingsReport:

@@ -305,7 +305,7 @@ def _read_profile(spec, base_dir: Path) -> tuple:
     path = base_dir / spec
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"profile: cannot read {path}: {exc}") from exc
     lines = [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not lines or lines[0][1].strip() != _PROFILE_HEADER:

@@ -1,4 +1,4 @@
-"""Demand dimensioning tests: the u = 1 inversion, shared loads, cell errors."""
+"""Demand dimensioning tests: the u = 1 inversion, equal loads, cell errors."""
 
 import dataclasses
 import json
@@ -157,12 +157,12 @@ def test_solved_density_is_feasible_and_nearly_minimal():
         assert below.delay_s_per_bit > PARAMS.target_delay_s_per_bit
 
 
-def test_demand_matrix_memoizes_repeated_loads():
-    # Equal loads share one density and one fixed-point element, hence
-    # equal entries in every array; a load that differs in its last bit is
-    # a load of its own, with its own fixed point. Its density may equal
-    # its neighbour's, but at that density the neighbour's load gives
-    # another delay.
+def test_demand_matrix_gives_equal_loads_equal_cells():
+    # Every cell is solved on its own, elementwise, so equal loads get
+    # equal entries in every array; a load one bit larger is a cell of its
+    # own, with its own fixed point. Its density may equal its
+    # neighbour's, but at that density the neighbour's load gives another
+    # delay.
     lam = 800.0 / M2_PER_KM2
     users = np.array([[lam], [np.nextafter(lam, 1.0)], [2.0 * lam], [lam]])
     demand, delay, iterations = demand_matrix(users, PARAMS)
@@ -213,19 +213,35 @@ def test_demand_matrix_error_names_the_cell():
     assert message.startswith("slot 1, region index 1: ")
     assert "density cap 100000 per km^2" in message
     assert f"user density {heavy * M2_PER_KM2:.6g} per km^2" in message
+    # Two loads beyond the cap, each in two cells: the first failing cell
+    # in row-major order is named, though it holds the larger load.
+    heavier = _beyond_cap(4.0)
+    with pytest.raises(InfeasibleDemand) as excinfo:
+        demand_matrix(np.array([[1e-4, heavier], [heavy, heavier], [heavy, 1e-4]]), PARAMS)
+    assert str(excinfo.value) == (
+        "slot 0, region index 1: delay target 1.000e-05 s/bit unmet at the density cap "
+        f"100000 per km^2 (user density {heavier * M2_PER_KM2:.6g} per km^2)")
 
 
 def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
-    light, heavy = 1e-4, 5e-3
+    light, heavy, heavier = 1e-4, 5e-3, 1e-2
     users = np.array([[light, light], [heavy, light], [light, heavy]])
+    lam_b = _min_density(heavier, PARAMS)
 
     def heavy_diverges(lambda_b, lambda_u, params, quad):
         result = evaluate_qos(lambda_b, lambda_u, params, quad)
-        return dataclasses.replace(result, converged=result.converged & (lambda_u != heavy))
+        return dataclasses.replace(result, converged=result.converged & (lambda_u < heavy))
 
     monkeypatch.setattr(dimensioning, "evaluate_qos", heavy_diverges)
     with pytest.raises(FixedPointDiverged, match=r"^slot 1, region index 0: "):
         demand_matrix(users, PARAMS)
+    # Two diverging loads, each in two cells: the first diverging cell in
+    # row-major order is named, though it holds the larger load.
+    users = np.array([[light, heavier], [heavy, heavier], [heavy, light]])
+    with pytest.raises(FixedPointDiverged) as excinfo:
+        demand_matrix(users, PARAMS)
+    assert str(excinfo.value) == ("slot 0, region index 1: utilization fixed point did not "
+                                  f"converge at lambda_b={lam_b:.6e}, lambda_u=1.000000e-02")
 
 
 def test_demand_matrix_rejects_bad_user_arrays():
@@ -267,6 +283,13 @@ def test_demand_matrix_names_the_cell_of_a_root_below_the_lattice():
     # first cell; the zero load is never probed.
     users = np.array([[1e-4, 0.0], [1e-4, 1e-300], [1e-318, 1e-300], [1e-318, 1e-318]])
     with pytest.raises(NonFinite, match=r"^slot 2, region index 0: inversion: lambda_u=1e-318 "
+                       r"meets the target at the lattice's lowest density 1\.9974e-319, so its "
+                       r"root is not resolved$"):
+        demand_matrix(users, NOISELESS)
+    # Two loads below the lattice, each in two cells, the larger one first:
+    # the smallest load is named, by its first cell in row-major order.
+    users = np.array([[1e-4, 1e-318], [1e-319, 1e-318], [1e-319, 0.0]])
+    with pytest.raises(NonFinite, match=r"^slot 1, region index 0: inversion: lambda_u=1e-319 "
                        r"meets the target at the lattice's lowest density 1\.9974e-319, so its "
                        r"root is not resolved$"):
         demand_matrix(users, NOISELESS)
@@ -397,8 +420,9 @@ def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
 def test_inversion_makes_few_delay_evaluations(monkeypatch):
     # Plain bisection spends 17 u = 1 delay evaluations per distinct load
     # here, in 17 calls. With the lattice table built, the inversion spends
-    # about 2.45 per call, in 2 calls: two probes per open bracket and
-    # round.
+    # 2.43 per positive cell and call, 292 in 2 calls over 120 cells: two
+    # probes per open bracket and round. The bound counts distinct loads,
+    # 3 * 111 = 333, and holds though every cell is inverted.
     scenario = default_scenario()
     users = user_density_matrix(scenario)
     demand_matrix(users, scenario.radio, scenario.quadrature)

@@ -73,10 +73,11 @@ def test_run_emits_complete_artifact_set(default_run):
     assert set(counters) == {"cells", "distinct_loads", "fixed_point_iterations"}
     assert counters["cells"] == users.size
     assert counters["distinct_loads"] == np.unique(users).size
-    # one fixed point per distinct load, each at least one iteration
-    assert counters["fixed_point_iterations"] >= counters["distinct_loads"]
-    # and, with the secant step, about three (plain iteration took 17)
-    assert counters["fixed_point_iterations"] <= 3 * counters["distinct_loads"]
+    # one fixed point per positive cell, each at least one iteration
+    cells = np.count_nonzero(users)
+    assert counters["fixed_point_iterations"] >= cells
+    # and, with the secant step, at most three (plain iteration took 17)
+    assert counters["fixed_point_iterations"] <= 3 * cells
 
 
 def test_demand_csv_schema(default_run):
@@ -188,6 +189,18 @@ def test_rerun_is_byte_identical(default_run, tmp_path):
     # wall time differs; everything else in the manifest must not
     first_manifest = dict(_manifest(default_run), wall_time_s=None)
     assert dict(_manifest(tmp_path), wall_time_s=None) == first_manifest
+    # Three regions at equal cost take the HiGHS path, in the run and at
+    # the sweep's ratio-1 point; CI runs the same comparison through the CLI.
+    config = str(Path(__file__).parent / "data" / "three_regions.json")
+    runs = [tmp_path / "three_first", tmp_path / "three_second"]
+    for out in runs:
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        assert cli.main(["sweep-cost", "--config", config, "--ratios", "1:3:3",
+                         "--out", str(out)]) == 0
+    for name in ("demand.csv", "plan.json", "savings.json", "series.csv", "sweep_cost.csv"):
+        assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes()
+    first, second = (dict(_manifest(out), wall_time_s=None) for out in runs)
+    assert second == first
 
 
 def test_explicit_default_config_file_reproduces_builtin_run(default_run, tmp_path):
@@ -561,23 +574,33 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
     # the parser's RecursionError is a RuntimeError, so this once exited 1
     pytest.param("text", "[" * 100_000 + "]" * 100_000,
                  "error: config is nested too deeply to parse", id="deeply-nested"),
+    # bytes that are not UTF-8 (written from surrogate escapes) once exited 2
+    # naming neither the file nor the region
+    pytest.param("profile", "\udcff\udcfe bad",
+                 "error: regions[1]: profile: cannot read profile.csv: 'utf-8' codec can't "
+                 "decode byte 0xff in position 27: invalid start byte", id="profile-not-utf-8"),
+    pytest.param("text", "\udcff\udcfe bad",
+                 "error: config: cannot read config.json: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte", id="config-not-utf-8"),
 ])
-def test_cli_meaningless_config_exits_2(tmp_path, capsys, edit, value, message):
+def test_cli_meaningless_config_exits_2(tmp_path, monkeypatch, capsys, edit, value, message):
+    # run from tmp_path, so that messages name the files as the config does
+    monkeypatch.chdir(tmp_path)
     config = default_config()
     if edit == "id":
         config["regions"][0]["id"] = value
     elif edit == "profile":
-        (tmp_path / "profile.csv").write_text(f"time_h,normalized_load\n0,1\n{value}\n")
+        Path("profile.csv").write_bytes(
+            f"time_h,normalized_load\n0,1\n{value}\n".encode("utf-8", "surrogateescape"))
         config["regions"][1]["profile"] = "profile.csv"
     text = json.dumps(config)
     if edit == "json":
         text = text.replace(*value)
     elif edit == "text":
         text = value
-    path = tmp_path / "config.json"
-    path.write_text(text)
+    Path("config.json").write_bytes(text.encode("utf-8", "surrogateescape"))
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert cli.main(["run", "--config", "config.json", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
