@@ -34,7 +34,8 @@ import functools
 import numpy as np
 
 from .scenario import M2_PER_KM2, QuadratureSpec, RadioParams
-from .qosmodel import FixedPointDiverged, NonFinite, _unit_sums, evaluate_qos
+from .qosmodel import (BadElement, FixedPointDiverged, NonFinite, _check_elements, _unit_sums,
+                       evaluate_qos)
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
@@ -85,8 +86,7 @@ def _min_densities(loads, params, quad) -> np.ndarray:
     depend on the other loads in the array.
     """
     loads = np.asarray(loads, dtype=float)
-    if not np.all(np.isfinite(loads)) or np.any(loads < 0):
-        raise ValueError(f"user densities must be finite and >= 0, got {loads}")
+    _check_elements("user density", loads, np.isfinite(loads) & (loads >= 0), "finite and >= 0")
     target, tol = params.target_delay_s_per_bit, BISECTION_REL_TOL
     where = np.flatnonzero(loads > 0)
     density = np.zeros(loads.shape)
@@ -157,8 +157,8 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
 
     try:
         densities = _min_densities(loads, params, quad)
-    except NonFinite as exc:
-        raise NonFinite(f"{cell(exc.index)}: {exc}") from None
+    except (BadElement, NonFinite) as exc:
+        raise type(exc)(f"{cell(exc.index)}: {exc}", exc.index) from None
     unmet = np.flatnonzero(densities == np.inf)
     if unmet.size:
         k = unmet[0]

@@ -8,7 +8,9 @@ user at distance x from that same station (planar angle theta) shares it
 exactly when no station sits closer to the second user. The region that must
 be empty of stations for that to happen is the disc of radius x around the
 second user minus its overlap with the disc of radius r around the tagged
-user, which is already known to be empty; its area is ``overlap_area``.
+user, which is already known to be empty; its area is ``overlap_area``,
+pi x^2 minus the lens of the two discs, whose half-angles are atan2s of
+sides the law of cosines gives without a square root.
 
 Averaging the shared-user count over both point processes and dividing by
 the Shannon rate at distance r gives the mean per-bit delay as a triple
@@ -45,18 +47,32 @@ from .scenario import QuadratureSpec, RadioParams
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 
-# acos arguments may stray outside [-1, 1] by rounding at tangency
-# configurations; anything beyond this slack is treated as a bug.
-_ACOS_SLACK = 1e-9
-
 
 class NonFinite(ArithmeticError):
-    """An integrand produced NaN/inf, or geometry inputs left their domain;
-    ``index`` is the flat index of the delay the message names, where known."""
+    """An integrand produced NaN or inf; ``index`` is the flat index of the
+    delay the message names, where known."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+class BadElement(ValueError):
+    """An input array holds a value outside its domain; ``index`` is the
+    flat index of the first such element, which the message names."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _check_elements(name: str, values, ok, rule: str) -> None:
+    """Raise ``BadElement`` at the first element of ``values`` where the
+    boolean array ``ok``, of the same shape, is False."""
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        where = f" at index {k}" if np.ndim(ok) else ""
+        raise BadElement(f"{name} must be {rule}, got {float(np.ravel(values)[k])!r}{where}", k)
 
 
 class FixedPointDiverged(RuntimeError):
@@ -93,38 +109,20 @@ def overlap_area(r, x, theta):
     """Area of the disc of radius x around a neighboring user that is not
     covered by the known-empty disc of radius r around the tagged user.
 
-    Computed as pi x^2 minus the two-circle lens area at center distance
-    d(r, x, theta). By construction d always lies in [|r - x|, r + x], so the
-    discs intersect or touch; acos and sqrt arguments are clamped against
-    floating-point noise and the result is clamped to [0, pi x^2]. The
-    concentric limit d -> 0 (only reachable with r == x) returns the exact
-    nested-circle value pi x^2 - pi min(r, x)^2.
+    Computed as pi x^2 minus the two-circle lens. The centers lie d apart
+    with d^2 = r^2 + x^2 + 2 r x sin(theta), so d^2 - (r + x s)^2 = x^2 c^2
+    for s = sin(theta), c = |cos(theta)|: the lens's half-angles at the two
+    centers are atan2(x c, r + x s) and atan2(r c, x + r s), and its kite is
+    r x c. No division or square root enters, so tangent, nested and
+    concentric discs (d = 0, where both half-angles are pi/2) need no
+    special case; the result is clipped to [0, pi x^2]. sin and cos are
+    taken of theta before it broadcasts with r and x.
     """
-    r, x, theta = np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
-    )
-    sin_t = np.sin(theta)
-    d = np.sqrt(x * x + r * r + 2.0 * x * r * sin_t)
-    safe_d = np.where(d > 0.0, d, 1.0)
-    a1 = (r + x * sin_t) / safe_d
-    a2 = (x + r * sin_t) / safe_d
-    worst = max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2)))) - 1.0
-    if worst > _ACOS_SLACK:
-        raise NonFinite(
-            f"overlap_area: acos argument outside [-1, 1] by {worst:.3e}; "
-            "inputs are not a valid (r, x, theta) geometry"
-        )
-    lens = r * r * np.arccos(np.clip(a1, -1.0, 1.0)) + x * x * np.arccos(np.clip(a2, -1.0, 1.0))
-    s1 = np.maximum(r * r - (d - x) ** 2, 0.0)
-    s2 = np.maximum((d + x) ** 2 - r * r, 0.0)
-    lens = lens - 0.5 * np.sqrt(s1 * s2)
-    area = math.pi * x * x - lens
-    nested = math.pi * x * x - math.pi * np.minimum(r, x) ** 2
-    area = np.where(d > 0.0, area, nested)
-    area = np.clip(area, 0.0, math.pi * x * x)
-    if area.ndim == 0:
-        return float(area)
-    return area
+    r, x, theta = (np.asarray(v, dtype=float) for v in (r, x, theta))
+    s, c = np.sin(theta), np.abs(np.cos(theta))
+    lens = r * r * np.arctan2(x * c, r + x * s) + x * x * np.arctan2(r * c, x + r * s) - r * x * c
+    area = np.clip(math.pi * x * x - lens, 0.0, math.pi * x * x)
+    return float(area) if area.ndim == 0 else area
 
 
 def _truncation_radius(lambda_b: float, eps: float) -> float:
@@ -170,8 +168,7 @@ def _unit_kernel(quad: QuadratureSpec):
 
 def _check_utilization(utilization) -> None:
     u = np.asarray(utilization, dtype=float)
-    if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):
-        raise ValueError(f"utilization must lie in [0, 1], got {utilization}")
+    _check_elements("utilization", u, (u >= -1e-12) & (u <= 1.0 + 1e-12), "in [0, 1]")
 
 
 def mean_interference(r, params: RadioParams, lambda_b: float, utilization: float):
@@ -288,10 +285,8 @@ def delay_given_utilization(
     lambda_b = np.asarray(lambda_b, dtype=float)
     lambda_u = np.asarray(lambda_u, dtype=float)
     utilization = np.asarray(utilization, dtype=float)
-    if np.any(lambda_b <= 0):
-        raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
-    if np.any(lambda_u < 0):
-        raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
+    _check_elements("lambda_b", lambda_b, lambda_b > 0, "> 0")
+    _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
     _check_utilization(utilization)
     with np.errstate(all="ignore"):  # a rate that underflows to 0 is reported below
         tau = (lambda_u / lambda_b) * _unit_sums(lambda_b, utilization, params, quad)
@@ -534,7 +529,9 @@ def mc_delay_oracle(
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    lambda_u = np.asarray(lambda_u, dtype=float)
+    _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
     r, areas = _serving_cells(lambda_b, trials, np.random.default_rng(rng_seed))
     rate = capacity(r, params, mean_interference(r, params, lambda_b, utilization))
-    tau = np.asarray(lambda_u, dtype=float) * float(np.sum(areas / rate)) / trials
+    tau = lambda_u * float(np.sum(areas / rate)) / trials
     return float(tau) if tau.ndim == 0 else tau

@@ -4,8 +4,10 @@
 unit station density and rescales it to every density. ``shared_load_kernel``
 evaluates that integral directly at one density and one serving distance,
 so tests can assemble the delay the long way and compare. ``pair_distance``
-is the plain law-of-cosines distance the overlap geometry is built on, and
-``doubled`` is the refined quadrature the stability checks compare against.
+is the plain law-of-cosines distance between the two discs' centers, which
+the acos/Heron lens references of ``overlap_area`` take (the function
+itself never forms it), and ``doubled`` is the refined quadrature the
+stability checks compare against.
 ``delay_r_form`` is the delay as it was computed before the unit vectors:
 the serving distances rescaled per density and two powers per node, through
 ``mean_interference`` and ``capacity``.

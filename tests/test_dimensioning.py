@@ -252,6 +252,17 @@ def test_demand_matrix_rejects_bad_user_arrays():
             demand_matrix(np.array([[1e-4], [bad]]), PARAMS)
 
 
+def test_demand_matrix_names_the_cell_of_a_bad_user_density():
+    users = np.full((60, 2), 1e-4)
+    users[7, 1] = np.nan
+    users[9, 0] = -1.0
+    with pytest.raises(ValueError) as excinfo:
+        demand_matrix(users, PARAMS)
+    assert str(excinfo.value) == ("slot 7, region index 1: user density must be finite and "
+                                  ">= 0, got nan at index 15")
+    assert excinfo.value.index == 15
+
+
 def _exact_delay(lam_b, lam_u, params, quad=QuadratureSpec()):
     """The inversion's u = 1 delay (lambda_u / lambda_b) S, +inf where the
     rate underflows to 0."""

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,34 @@ def test_overlap_area_range_and_nested_limit():
     assert overlap_area(2.0, 2.0, -np.pi / 2.0) == pytest.approx(0.0, abs=1e-12)
     # fully nested: small disc inside the large circle contributes nothing new
     assert overlap_area(10.0, 0.5, -np.pi / 2.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def _lens_complement_50_digits(r, x, theta):
+    """pi x^2 minus the acos/Heron two-circle lens at center distance
+    pair_distance(r, x, theta), evaluated at 50 digits from the float inputs."""
+    with mpmath.workdps(50):
+        r, x, theta = mpmath.mpf(r), mpmath.mpf(x), mpmath.mpf(theta)
+        d = mpmath.sqrt(r * r + x * x + 2 * r * x * mpmath.sin(theta))
+        heron = (-d + r + x) * (d + r - x) * (d - r + x) * (d + r + x)
+        lens = (r * r * mpmath.acos((d * d + r * r - x * x) / (2 * d * r))
+                + x * x * mpmath.acos((d * d + x * x - r * r) / (2 * d * x))
+                - mpmath.sqrt(heron) / 2)
+        return float(mpmath.pi * x * x - lens)
+
+
+def test_overlap_area_near_tangency_matches_50_digit_lens():
+    # theta within 1e-9..1e-1 of +-pi/2: the discs nearly touch from
+    # outside (+) or nearly nest (-), where an acos argument sits next to
+    # +-1 and loses half its digits
+    rng = np.random.default_rng(23)
+    n = 400
+    r = rng.uniform(0.01, 10.0, n)
+    x = rng.uniform(0.01, 10.0, n)
+    theta = (rng.choice([-1.0, 1.0], n) * np.pi / 2.0
+             + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9.0, -1.0, n))
+    got = overlap_area(r, x, theta)
+    want = np.array([_lens_complement_50_digits(*v) for v in zip(r, x, theta)])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.pi * x * x)
 
 
 def test_capacity_unit_snr():
@@ -155,6 +184,39 @@ def test_non_finite_delay_names_its_first_element():
         delay_given_utilization([20.0 * PER_KM2, 9e-309, 8e-309], 1e-4, 1.0, PARAMS, QUAD)
     assert str(excinfo.value) == "delay: non-finite result at lambda_b=9e-309, lambda_u=0.0001"
     assert excinfo.value.index == 1
+
+
+def test_bad_station_density_names_its_first_element():
+    with pytest.raises(ValueError) as excinfo:
+        delay_given_utilization([20.0 * PER_KM2, 0.0, -1.0], 1e-4, 1.0, PARAMS, QUAD)
+    assert str(excinfo.value) == "lambda_b must be > 0, got 0.0 at index 1"
+    assert excinfo.value.index == 1
+
+
+def test_bad_user_density_names_its_first_element():
+    with pytest.raises(ValueError) as excinfo:
+        delay_given_utilization(20.0 * PER_KM2, [1e-4, 2e-4, -3e-4, np.nan], 1.0, PARAMS, QUAD)
+    assert str(excinfo.value) == "lambda_u must be >= 0, got -0.0003 at index 2"
+    assert excinfo.value.index == 2
+
+
+def test_bad_utilization_names_its_first_element():
+    with pytest.raises(ValueError) as excinfo:
+        delay_given_utilization(20.0 * PER_KM2, 1e-4, [[0.5, 1.0], [np.nan, 1.5]], PARAMS, QUAD)
+    assert str(excinfo.value) == "utilization must be in [0, 1], got nan at index 2"
+    assert excinfo.value.index == 2
+    with pytest.raises(ValueError, match=r"^utilization must be in \[0, 1\], got 1.000001$"):
+        mean_interference(100.0, PARAMS, 10.0 * PER_KM2, 1.000001)
+
+
+def test_mc_oracle_rejects_a_negative_user_density():
+    lam_b = 50.0 * PER_KM2
+    with pytest.raises(ValueError) as excinfo:
+        mc_delay_oracle(lam_b, (1e-4, -1e-4), 1.0, PARAMS, trials=10, rng_seed=0)
+    assert str(excinfo.value) == "lambda_u must be >= 0, got -0.0001 at index 1"
+    assert excinfo.value.index == 1
+    with pytest.raises(ValueError, match=r"^lambda_u must be >= 0, got -0\.0001$"):
+        mc_delay_oracle(lam_b, -1e-4, 1.0, PARAMS, trials=10, rng_seed=0)
 
 
 def test_delay_given_utilization_arrays_match_scalar_calls():
