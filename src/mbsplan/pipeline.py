@@ -10,7 +10,9 @@ model against its Monte Carlo and grid-scan oracles.
 
 All outputs are deterministic for a fixed config: floats are written with
 ``repr`` (shortest round-trip form), JSON keys are sorted, and nothing on
-the optimization path draws random numbers.
+the optimization path draws random numbers. CSV and JSON floats are the
+same strings: each array of a run is formatted once, and the CSV columns
+and the JSON matrices that hold it are built from its strings.
 """
 
 from __future__ import annotations
@@ -109,63 +111,93 @@ def _dimension(scenario: Scenario) -> tuple:
     return (users, *demand_matrix(users, scenario.radio, scenario.quadrature))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _reprs(values) -> list:
+    """The floats of ``values``, flattened in C order, each as ``repr``
+    writes it: the shortest string that parses back to the same float."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _write_json(path: Path, payload: dict, matrices: dict | None = None) -> None:
+    """``payload`` as ``json.dumps(payload, sort_keys=True, indent=2)``
+    writes it, and a newline.
+
+    ``matrices`` maps top-level keys to a row-major matrix of ``_reprs``
+    strings and its column count; each replaces its key's value. Their text
+    is laid out here as ``indent=2`` lays out a list of lists at that depth:
+    ``indent`` makes ``json`` use its pure-Python encoder, which is slow on
+    large arrays.
+    """
+    matrices = matrices or {}
+    text = json.dumps({**payload, **dict.fromkeys(matrices)}, sort_keys=True, indent=2)
+    for key, (cells, columns) in matrices.items():
+        rows = ",\n    ".join("[\n      " + ",\n      ".join(cells[i:i + columns]) + "\n    ]"
+                               for i in range(0, len(cells), columns))
+        # no finite float's repr holds an "n": respell nan, inf, -inf as json does
+        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+        text = text.replace(f'\n  "{key}": null', f'\n  "{key}": [\n    {rows}\n  ]', 1)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path, columns: dict) -> None:
     """The column names, then one comma-joined line per row, each line
-    ending in a newline. A column is a list of ints or strings, written as
-    they are, or an array of floats, each written as ``repr(float(v))``:
-    the shortest form that parses back to the same float."""
-    cells = [map(str, c) if isinstance(c, list)
-             else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells))]
+    ending in a newline. Every column is a list of strings."""
+    lines = [",".join(columns), *map(",".join, zip(*columns.values()))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_cell_csv(path: Path, solved: _Solved, columns: dict) -> None:
-    """One row per (slot, region), slot-major: ``slot,time_h,region_id``
-    and then ``columns``, each a J x Z array or one that broadcasts to it."""
-    num_slots, num_regions = shape = solved.demand.shape
-    _write_csv(path, {
-        "slot": [j for j in range(num_slots) for _ in range(num_regions)],
-        "time_h": np.repeat(slot_midpoints_h(num_slots), num_regions),
-        "region_id": list(solved.scenario.region_ids) * num_slots,
-        **{name: np.broadcast_to(a, shape).ravel() for name, a in columns.items()},
-    })
+# The first three columns of both per-cell CSVs, as one column of strings.
+_CELL_KEY = "slot,time_h,region_id"
 
 
-def _write_demand_csv(path: Path, solved: _Solved) -> None:
-    """The dimensioning result: user density, required station density and
-    the delay achieved at it."""
-    _write_cell_csv(path, solved, {
-        "user_density_per_km2": solved.users * M2_PER_KM2,
-        "min_bs_density_per_km2": solved.demand * M2_PER_KM2,
-        "achieved_delay_s_per_bit": solved.delay,
-    })
-
-
-def _write_series_csv(path: Path, solved: _Solved) -> None:
-    """Wide per-(slot, region) series used for the daily-profile figures.
+def _cell_strings(solved: _Solved) -> dict:
+    """Every float column of ``demand.csv`` and ``series.csv`` as ``_reprs``
+    strings, one per (slot, region), slot-major, and under ``_CELL_KEY``
+    each row's leading columns. Each distinct array is formatted once: the
+    baseline is the required station density, the slot times and the two
+    static columns are formatted per slot or per region and repeated, and
+    ``plan.json`` and ``savings.json`` take their matrices from here.
 
     Derived columns are computed on the already-converted per-km^2 values,
     so total = static + mbs and excess = total - baseline hold bit-exactly
     on re-parse.
     """
+    num_slots, _ = solved.demand.shape
+    ids = solved.scenario.region_ids
     baseline = solved.demand * M2_PER_KM2
     static = solved.plan.static_density * M2_PER_KM2
     mbs = solved.plan.mbs_schedule * M2_PER_KM2
     total = static + mbs
-    _write_cell_csv(path, solved, {
-        "baseline_per_km2": baseline,
-        "static_only_per_km2": baseline.max(axis=0),
-        "static_per_km2": static,
-        "mbs_per_km2": mbs,
-        "total_per_km2": total,
-        "excess_per_km2": total - baseline,
-        "mbs_fraction": solved.report.mbs_fraction_series,
+    return {
+        _CELL_KEY: [f"{j},{t},{rid}" for j, t in enumerate(_reprs(slot_midpoints_h(num_slots)))
+                    for rid in ids],
+        "user_density_per_km2": _reprs(solved.users * M2_PER_KM2),
+        "baseline_per_km2": _reprs(baseline),
+        "achieved_delay_s_per_bit": _reprs(solved.delay),
+        "static_only_per_km2": _reprs(baseline.max(axis=0)) * num_slots,
+        "static_per_km2": _reprs(static) * num_slots,
+        "mbs_per_km2": _reprs(mbs),
+        "total_per_km2": _reprs(total),
+        "excess_per_km2": _reprs(total - baseline),
+        "mbs_fraction": _reprs(solved.report.mbs_fraction_series),
+    }
+
+
+def _write_demand_csv(path: Path, cells: dict) -> None:
+    """The dimensioning result: user density, required station density and
+    the delay achieved at it."""
+    _write_csv(path, {
+        _CELL_KEY: cells[_CELL_KEY],
+        "user_density_per_km2": cells["user_density_per_km2"],
+        "min_bs_density_per_km2": cells["baseline_per_km2"],
+        "achieved_delay_s_per_bit": cells["achieved_delay_s_per_bit"],
     })
+
+
+def _write_series_csv(path: Path, cells: dict) -> None:
+    """Wide per-(slot, region) series used for the daily-profile figures."""
+    _write_csv(path, {name: cells[name] for name in (
+        _CELL_KEY, "baseline_per_km2", "static_only_per_km2", "static_per_km2", "mbs_per_km2",
+        "total_per_km2", "excess_per_km2", "mbs_fraction")})
 
 
 def _plan_dict(plan: DeploymentPlan, region_ids) -> dict:
@@ -219,11 +251,17 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
     with tempfile.TemporaryDirectory(dir=out) as tmp:
         staged = Path(tmp)
         solved = _solve_scenario(scenario)
-        ids = scenario.region_ids
-        _write_demand_csv(staged / "demand.csv", solved)
-        _write_json(staged / "plan.json", _plan_dict(solved.plan, ids))
-        _write_json(staged / "savings.json", _savings_dict(solved.report, ids))
-        _write_series_csv(staged / "series.csv", solved)
+        ids, report = scenario.region_ids, solved.report
+        cells = _cell_strings(solved)
+        _write_demand_csv(staged / "demand.csv", cells)
+        _write_json(staged / "plan.json", _plan_dict(solved.plan, ids),
+                    {"mbs_schedule_per_km2": (cells["mbs_per_km2"], len(ids))})
+        _write_json(staged / "savings.json", _savings_dict(report, ids), {
+            "excess_capacity_per_km2": (_reprs(report.excess_capacity_series * M2_PER_KM2),
+                                        len(ids)),
+            "mbs_fraction": (cells["mbs_fraction"], len(ids)),
+        })
+        _write_series_csv(staged / "series.csv", cells)
         _write_json(staged / "manifest.json", {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
             "dimensioning": _dimensioning_counters(solved),
@@ -336,11 +374,11 @@ def write_sweep_csv(path, result: SweepResult) -> None:
     with tempfile.TemporaryDirectory(dir=Path(path).parent) as tmp:
         staged = Path(tmp) / "sweep.csv"
         _write_csv(staged, {
-            "parameter": result.parameter_values[ok],
-            "total_saving_fraction": result.total_saving_fraction[ok],
-            "fleet_size": result.fleet_size[ok],
-            "objective": result.objective[ok],
-            **{f"static_saving_{rid}": result.per_region_static_saving[ok, z]
+            "parameter": _reprs(result.parameter_values[ok]),
+            "total_saving_fraction": _reprs(result.total_saving_fraction[ok]),
+            "fleet_size": _reprs(result.fleet_size[ok]),
+            "objective": _reprs(result.objective[ok]),
+            **{f"static_saving_{rid}": _reprs(result.per_region_static_saving[ok, z])
                for z, rid in enumerate(result.region_ids)},
         })
         os.replace(staged, path)

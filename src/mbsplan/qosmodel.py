@@ -525,10 +525,10 @@ def mc_delay_oracle(
     The estimate is linear in lambda_u, so one set of draws scores an array
     of user densities at once; each element is bit-equal to its scalar call.
     """
-    if lambda_b <= 0:
-        raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 < lambda_b < math.inf:
+        raise ValueError(f"lambda_b must be finite and > 0, got {lambda_b}")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     lambda_u = np.asarray(lambda_u, dtype=float)
     _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
     r, areas = _serving_cells(lambda_b, trials, np.random.default_rng(rng_seed))

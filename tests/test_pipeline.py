@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 import scipy
 
+import artifact_reference
 import mbsplan
 from mbsplan import cli, pipeline
-from mbsplan.allocation import TIE_BREAK_EPSILON, optimal_plan, savings
+from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
+                                optimal_plan, savings)
 from mbsplan.dimensioning import demand_matrix
 from mbsplan.qosmodel import NonFinite
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
@@ -279,6 +281,108 @@ def test_failed_rerun_leaves_previous_artifacts_untouched(tmp_path, monkeypatch)
     assert staged == ["demand.csv", "plan.json", "savings.json"]
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
     assert {name: (out / name).read_bytes() for name in names} == before
+
+
+DATA = Path(__file__).parent / "data"
+
+
+RUN_FILES = ("demand.csv", "plan.json", "savings.json", "series.csv", "manifest.json")
+
+
+def _assert_run_matches_reference_writers(out, reference, config, solved):
+    """The five files ``run_pipeline(config, out)`` wrote for ``solved`` are
+    the bytes the reference writers write for it into ``reference``."""
+    raw = pipeline._load(config)[1]
+    reference.mkdir()
+    artifact_reference.write_run(reference, solved, {
+        "config_sha256": hashlib.sha256(raw).hexdigest(),
+        "dimensioning": {"cells": int(solved.users.size),
+                         "distinct_loads": int(np.unique(solved.users).size),
+                         "fixed_point_iterations": int(solved.iterations.sum())},
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "tool_version": mbsplan.__version__,
+        "wall_time_s": _manifest(out)["wall_time_s"],
+    })
+    for name in RUN_FILES:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def _assert_sweep_csv_matches_reference_writer(tmp_path, result):
+    write_sweep_csv(tmp_path / "sweep.csv", result)
+    artifact_reference.write_sweep_csv(tmp_path / "reference_sweep.csv", result)
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", [None, DATA / "three_regions.json",
+                                    DATA / "csv_profiles" / "config.json",
+                                    DATA / "explicit_quadrature.json"],
+                         ids=["builtin", "three_regions", "csv_profiles", "explicit_quadrature"])
+def test_artifacts_are_byte_equal_to_the_reference_writers(tmp_path, config):
+    # test_golden compares floats to 1e-12 only: this pins every byte,
+    # repr form and JSON layout included, against the per-file writers.
+    run_pipeline(config, tmp_path / "out")
+    scenario = pipeline._load(config)[0]
+    solved = pipeline._solve_scenario(scenario)
+    _assert_run_matches_reference_writers(tmp_path / "out", tmp_path / "reference", config,
+                                          solved)
+    _assert_sweep_csv_matches_reference_writer(tmp_path, sweep_cost_ratio(config, [1.0, 2.0, 3.0]))
+    if len(scenario.regions) == 2:
+        _assert_sweep_csv_matches_reference_writer(
+            tmp_path, sweep_density_ratio(config, [1.0, 4.0, 10.0]))
+
+
+def _odd_floats(rng, shape):
+    """Floats over the whole double range in every repr form, with zeros of
+    both signs and non-finite values mixed in."""
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-320.0, 308.0, shape)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 1e-5, 0.1, 5e-324])
+    mask = rng.random(shape) < 0.3
+    values[mask] = rng.choice(specials, int(mask.sum()))
+    return values
+
+
+def test_synthetic_artifacts_are_byte_equal_to_the_reference_writers(tmp_path, monkeypatch):
+    # A four-region, seven-slot solve with a zero fleet and no static build
+    # in two regions (-0.0 among the zeros), and non-finite values in every
+    # array that may hold them.
+    config = json.loads((DATA / "three_regions.json").read_text())
+    config["regions"].append(dict(config["regions"][0], id="harbour"))
+    config["num_slots"] = 7
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rng = np.random.default_rng(11)
+    shape = (7, 4)
+    schedule = np.zeros(shape)
+    schedule[::2, 1] = -0.0
+    plan = DeploymentPlan(static_density=[0.0, -0.0, 3e-5, 1.0 / 3.0], mbs_schedule=schedule,
+                          fleet_size=0.0, objective_value=-0.0, cost_model=CostModel(2.0, 1.0))
+    report = SavingsReport(static_only_total=0.0, hybrid_total=-0.0,
+                           total_saving_fraction=np.nan,
+                           per_region_static_saving_fraction=[np.inf, -0.0, 0.5, np.nan],
+                           peak_aggregate_demand=np.inf,
+                           excess_capacity_series=_odd_floats(rng, shape),
+                           mbs_fraction_series=_odd_floats(rng, shape))
+    solved = []
+
+    def synthetic(scenario):
+        solved.append(pipeline._Solved(
+            scenario, np.abs(_odd_floats(rng, shape)), np.abs(_odd_floats(rng, shape)),
+            _odd_floats(rng, shape), np.zeros(shape, dtype=int), plan, report))
+        return solved[0]
+
+    monkeypatch.setattr(pipeline, "_solve_scenario", synthetic)
+    run_pipeline(path, tmp_path / "out")
+    _assert_run_matches_reference_writers(tmp_path / "out", tmp_path / "reference", path,
+                                          solved[0])
+    assert "-Infinity" in (tmp_path / "out" / "savings.json").read_text()
+
+    fleet = np.array([1.0, np.nan, 2.0, 0.0, np.inf])  # the NaN is a failed point
+    _assert_sweep_csv_matches_reference_writer(tmp_path, pipeline.SweepResult(
+        parameter_values=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+        total_saving_fraction=np.array([-0.0, 0.25, np.nan, 1e-300, -np.inf]),
+        per_region_static_saving=_odd_floats(rng, (5, 4)), fleet_size=fleet,
+        objective=-fleet, region_ids=solved[0].scenario.region_ids, failures=[]))
 
 
 def test_density_sweep_identity_point_matches_run(default_run):

@@ -219,6 +219,18 @@ def test_mc_oracle_rejects_a_negative_user_density():
         mc_delay_oracle(lam_b, -1e-4, 1.0, PARAMS, trials=10, rng_seed=0)
 
 
+@pytest.mark.parametrize("lam_b", [math.nan, math.inf, -math.inf])
+def test_mc_oracle_rejects_a_non_finite_station_density(lam_b):
+    with pytest.raises(ValueError, match=rf"^lambda_b must be finite and > 0, got {lam_b}$"):
+        mc_delay_oracle(lam_b, 1e-4, 1.0, PARAMS, trials=10, rng_seed=0)
+
+
+@pytest.mark.parametrize("trials", [10.5, 10.0, "10"])
+def test_mc_oracle_rejects_a_non_integer_trial_count(trials):
+    with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
+        mc_delay_oracle(50.0 * PER_KM2, 1e-4, 1.0, PARAMS, trials=trials, rng_seed=0)
+
+
 def test_delay_given_utilization_arrays_match_scalar_calls():
     rng = np.random.default_rng(7)
     lam_b = 10.0 ** rng.uniform(-1.0, 4.0, 50) * PER_KM2
