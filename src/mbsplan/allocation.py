@@ -71,9 +71,10 @@ from .scenario import _check_numbers
 # stations. Reported objectives always use the caller's true costs.
 TIE_BREAK_EPSILON = 1e-6
 
-_CLOSED_TOL = 1e-8
-_COVERAGE_TOL = 1e-8
-_CAP_TOL = 1e-10
+# The slack of ``verify_plan``, as a share of the peak aggregate demand;
+# never below the smallest normal float, where shares lose precision.
+_REL_TOL = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ class DeploymentPlan:
 class SavingsReport:
     """Comparison of the hybrid optimum against a static-only deployment.
 
-    Totals are absolute station counts; the series are slots x regions with
-    excess capacity in stations/m^2 and the fleet fraction dimensionless.
+    Totals are absolute station counts; the fleet fraction series is slots
+    x regions. ``pipeline`` derives the excess capacity from the densities.
     """
 
     static_only_total: float
@@ -141,17 +142,14 @@ class SavingsReport:
     total_saving_fraction: float
     per_region_static_saving_fraction: np.ndarray
     peak_aggregate_demand: float
-    excess_capacity_series: np.ndarray
     mbs_fraction_series: np.ndarray
 
     def __post_init__(self):
         per_region = np.array(self.per_region_static_saving_fraction, dtype=float)
-        excess = np.array(self.excess_capacity_series, dtype=float)
         fraction = np.array(self.mbs_fraction_series, dtype=float)
-        for arr in (per_region, excess, fraction):
+        for arr in (per_region, fraction):
             arr.setflags(write=False)
         object.__setattr__(self, "per_region_static_saving_fraction", per_region)
-        object.__setattr__(self, "excess_capacity_series", excess)
         object.__setattr__(self, "mbs_fraction_series", fraction)
 
 
@@ -207,8 +205,12 @@ def _canonical_schedule(values, areas, static, fleet) -> np.ndarray:
     total = (headroom * areas).sum(axis=1)
     spread = (leftover > 0.0) & (total > 0.0)
     schedule = required.copy()
-    # share_z / A_z <= headroom_z because leftover <= total.
-    schedule[spread] += leftover[spread, None] * headroom[spread] / total[spread, None]
+    # share_z / A_z <= headroom_z because leftover <= total. Scaling both by
+    # 2**-exponent keeps leftover * headroom from underflowing on tiny demand
+    # and leaves the quotient as it was wherever it did not underflow.
+    _, exponent = np.frexp(total[spread])
+    schedule[spread] += (np.ldexp(leftover[spread], -exponent)[:, None] * headroom[spread]
+                         / np.ldexp(total[spread], -exponent)[:, None])
     return schedule
 
 
@@ -319,7 +321,6 @@ def savings(plan: DeploymentPlan, demand, areas_m2) -> SavingsReport:
         total_saving = 0.0  # empty network saves nothing by convention
 
     per_region = np.where(caps > 0.0, 1.0 - plan.static_density / np.where(caps > 0.0, caps, 1.0), 0.0)
-    excess = plan.static_density[np.newaxis, :] + plan.mbs_schedule - values
     if plan.fleet_size > 0.0:
         fraction = plan.mbs_schedule * areas[np.newaxis, :] / plan.fleet_size
     else:
@@ -329,33 +330,39 @@ def savings(plan: DeploymentPlan, demand, areas_m2) -> SavingsReport:
                          total_saving_fraction=float(total_saving),
                          per_region_static_saving_fraction=per_region,
                          peak_aggregate_demand=peak_aggregate_demand(values, areas),
-                         excess_capacity_series=excess,
                          mbs_fraction_series=fraction)
 
 
 def verify_plan(plan: DeploymentPlan, demand, areas_m2) -> list[Violation]:
-    """Check every plan invariant; an empty list means the plan is feasible."""
+    """Check every plan invariant; an empty list means the plan is feasible.
+
+    Each check forgives ``_REL_TOL`` of the peak aggregate demand P in
+    station counts (P / A_z per m^2 in region z), never less than ``_TINY``:
+    neither the units nor the fleet's rounding, of the order of P, can move
+    the verdict.
+    """
     values = _demand_values(demand)
     areas = _areas(areas_m2, values.shape[1])
     caps = values.max(axis=0)
+    peak = _row_dots(values, areas).max()
+    tol = np.maximum(_REL_TOL * peak / areas, _TINY)
     out: list[Violation] = []
 
-    closed_tol = _CLOSED_TOL * (1.0 + plan.fleet_size)
     err = np.abs(_row_dots(plan.mbs_schedule, areas) - plan.fleet_size)
-    for j in np.flatnonzero(err > closed_tol):
+    for j in np.flatnonzero(err > max(_REL_TOL * peak, _TINY)):
         out.append(Violation("closed_system", slot=int(j), region=None, magnitude=float(err[j])))
 
     # Per cell in row-major order, coverage before mbs_cap.
     schedule = plan.mbs_schedule
     found = np.stack((
-        values - (plan.static_density + schedule) - _COVERAGE_TOL * (1.0 + values),
-        np.maximum(-schedule, schedule - caps) - _CAP_TOL,
+        values - (plan.static_density + schedule) - tol,
+        np.maximum(-schedule, schedule - caps) - tol,
     ), axis=-1)
     for j, z, kind in zip(*np.nonzero(found > 0.0)):
         out.append(Violation(("coverage", "mbs_cap")[kind], slot=int(j), region=int(z),
                              magnitude=float(found[j, z, kind])))
 
-    over = np.maximum(-plan.static_density, plan.static_density - caps) - _CAP_TOL
+    over = np.maximum(-plan.static_density, plan.static_density - caps) - tol
     for z in np.flatnonzero(over > 0.0):
         out.append(Violation("static_cap", slot=None, region=int(z), magnitude=float(over[z])))
     return out

@@ -3,16 +3,17 @@
 ``run_pipeline`` chains the stages (traffic profiles -> user densities ->
 minimum station densities -> deployment LP -> savings report) and writes
 CSV/JSON artifacts suitable for plotting. This module alone knows the
-artifact formats; the stages only compute. The two parameter sweeps rerun
-that chain while varying either the office/residential user-density ratio
-or the static/mobile unit-cost ratio. ``validate`` replays the analytic
-model against its Monte Carlo and grid-scan oracles.
+artifact formats and derives their per-cell values; the stages only
+compute. The two parameter sweeps rerun that chain through one loop while
+varying the office/residential user-density ratio or the static/mobile
+unit-cost ratio. ``validate`` replays the analytic model against its Monte
+Carlo and grid-scan oracles.
 
 All outputs are deterministic for a fixed config: floats are written with
 ``repr`` (shortest round-trip form), JSON keys are sorted, and nothing on
-the optimization path draws random numbers. CSV and JSON floats are the
-same strings: each array of a run is formatted once, and the CSV columns
-and the JSON matrices that hold it are built from its strings.
+the optimization path draws random numbers. Each array of a run is derived
+and formatted once, and the CSV columns and JSON matrices that hold it are
+its strings: ``savings.json``'s excess capacity is ``series.csv``'s.
 """
 
 from __future__ import annotations
@@ -100,7 +101,15 @@ def _solve_scenario(scenario: Scenario, costs: CostModel = CostModel(),
     plan = optimal_plan(demand, areas, costs)
     violations = verify_plan(plan, demand, areas)
     if violations:
-        raise RuntimeError(f"optimizer emitted an infeasible plan: {violations[:3]}")
+        v = violations[0]
+        where = [f"slot {v.slot}"] if v.slot is not None else []
+        if v.region is None:  # a fleet row, off by stations
+            size = f"{v.magnitude:.6g} stations"
+        else:
+            where.append(f"region {scenario.region_ids[v.region]}")
+            size = f"{v.magnitude * M2_PER_KM2:.6g} stations/km^2"
+        raise RuntimeError(f"allocation: infeasible plan: {v.constraint} at {', '.join(where)} "
+                           f"is off by {size} (and {len(violations) - 1} more)")
     report = savings(plan, demand, areas)
     return _Solved(scenario, users, demand, delay, iterations, plan, report)
 
@@ -200,34 +209,6 @@ def _write_series_csv(path: Path, cells: dict) -> None:
         "total_per_km2", "excess_per_km2", "mbs_fraction")})
 
 
-def _plan_dict(plan: DeploymentPlan, region_ids) -> dict:
-    """``plan.json``: the plan with densities in stations/km^2."""
-    return {
-        "fleet_size": plan.fleet_size,
-        "fleet_size_ceil": plan.fleet_size_ceil,
-        "static_density_per_km2": dict(zip(region_ids,
-                                           (plan.static_density * M2_PER_KM2).tolist())),
-        "mbs_schedule_per_km2": (plan.mbs_schedule * M2_PER_KM2).tolist(),
-        "objective_value": plan.objective_value,
-        "cost_model": dataclasses.asdict(plan.cost_model),
-        "tie_break_epsilon": TIE_BREAK_EPSILON,
-    }
-
-
-def _savings_dict(report: SavingsReport, region_ids) -> dict:
-    """``savings.json``: the report with the excess series in stations/km^2."""
-    return {
-        "static_only_total": report.static_only_total,
-        "hybrid_total": report.hybrid_total,
-        "total_saving_fraction": report.total_saving_fraction,
-        "per_region_static_saving_fraction": dict(
-            zip(region_ids, report.per_region_static_saving_fraction.tolist())),
-        "peak_aggregate_demand": report.peak_aggregate_demand,
-        "excess_capacity_per_km2": (report.excess_capacity_series * M2_PER_KM2).tolist(),
-        "mbs_fraction": report.mbs_fraction_series.tolist(),
-    }
-
-
 def _dimensioning_counters(solved: _Solved) -> dict:
     """Cells, distinct loads, and the fixed-point iterations summed over the cells."""
     return {"cells": int(solved.users.size), "distinct_loads": int(np.unique(solved.users).size),
@@ -237,7 +218,8 @@ def _dimensioning_counters(solved: _Solved) -> dict:
 def run_pipeline(config_path, out_dir) -> SavingsReport:
     """Run the full chain on one scenario, write ``demand.csv``,
     ``plan.json``, ``savings.json``, ``series.csv`` and ``manifest.json``
-    into ``out_dir``, and return the report that ``savings.json`` holds.
+    into ``out_dir``, and return the report that ``savings.json`` holds
+    beside the excess matrix.
 
     ``config_path`` may be None to use the built-in two-district scenario.
     The files are written into a temporary directory inside ``out_dir`` and
@@ -251,14 +233,27 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
     with tempfile.TemporaryDirectory(dir=out) as tmp:
         staged = Path(tmp)
         solved = _solve_scenario(scenario)
-        ids, report = scenario.region_ids, solved.report
+        plan, report, ids = solved.plan, solved.report, scenario.region_ids
         cells = _cell_strings(solved)
         _write_demand_csv(staged / "demand.csv", cells)
-        _write_json(staged / "plan.json", _plan_dict(solved.plan, ids),
-                    {"mbs_schedule_per_km2": (cells["mbs_per_km2"], len(ids))})
-        _write_json(staged / "savings.json", _savings_dict(report, ids), {
-            "excess_capacity_per_km2": (_reprs(report.excess_capacity_series * M2_PER_KM2),
-                                        len(ids)),
+        # densities in stations/km^2; every J x Z matrix is series.csv's strings
+        _write_json(staged / "plan.json", {
+            "fleet_size": plan.fleet_size,
+            "fleet_size_ceil": plan.fleet_size_ceil,
+            "static_density_per_km2": dict(zip(ids, (plan.static_density * M2_PER_KM2).tolist())),
+            "objective_value": plan.objective_value,
+            "cost_model": dataclasses.asdict(plan.cost_model),
+            "tie_break_epsilon": TIE_BREAK_EPSILON,
+        }, {"mbs_schedule_per_km2": (cells["mbs_per_km2"], len(ids))})
+        _write_json(staged / "savings.json", {
+            "static_only_total": report.static_only_total,
+            "hybrid_total": report.hybrid_total,
+            "total_saving_fraction": report.total_saving_fraction,
+            "per_region_static_saving_fraction": dict(
+                zip(ids, report.per_region_static_saving_fraction.tolist())),
+            "peak_aggregate_demand": report.peak_aggregate_demand,
+        }, {
+            "excess_capacity_per_km2": (cells["excess_per_km2"], len(ids)),
             "mbs_fraction": (cells["mbs_fraction"], len(ids)),
         })
         _write_series_csv(staged / "series.csv", cells)
@@ -272,12 +267,17 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
         })
         for path in staged.iterdir():
             os.replace(path, out / path.name)
-    return solved.report
+    return report
 
 
-def _sweep_collect(values, solve_one, region_ids) -> SweepResult:
-    """Run one solver callable per parameter value, in order, tolerating
-    per-point failures."""
+def _sweep(values, point, region_ids) -> SweepResult:
+    """Solve ``_solve_scenario(*point(value))`` for each parameter value, in
+    order. A point that fails, building its costs included, is collected.
+
+    Each saving is against an all-static build at the point's static unit
+    cost c_s: 1 - objective / (c_s * static-only total), or 0 when that
+    cost is <= 0. At unit costs it is the report's total saving bit for bit.
+    """
     values = np.asarray(values, dtype=float)
     n = values.size
     saving = np.full(n, np.nan)
@@ -288,11 +288,14 @@ def _sweep_collect(values, solve_one, region_ids) -> SweepResult:
 
     for i, value in enumerate(values):
         try:
-            saving_i, solved = solve_one(float(value))
+            scenario, costs, dimensioned = point(float(value))
+            solved = _solve_scenario(scenario, costs, dimensioned)
         except Exception as exc:
             failures.append((float(value), f"{type(exc).__name__}: {exc}"))
             continue
-        saving[i] = saving_i
+        static_only_cost = costs.static_unit_cost * solved.report.static_only_total
+        saving[i] = 0.0 if static_only_cost <= 0.0 else \
+            1.0 - solved.plan.objective_value / static_only_cost
         per_region[i] = solved.report.per_region_static_saving_fraction
         fleet[i] = solved.plan.fleet_size
         objective[i] = solved.plan.objective_value
@@ -328,12 +331,7 @@ def sweep_density_ratio(config_path, ratios) -> SweepResult:
         except ValidationError as exc:
             raise ValidationError(f"density ratio {rho:g}: {exc}") from None
         scenarios[rho] = dataclasses.replace(base, regions=(office, residential))
-
-    def solve_one(rho):
-        solved = _solve_scenario(scenarios[rho])
-        return solved.report.total_saving_fraction, solved
-
-    return _sweep_collect(ratios, solve_one, base.region_ids)
+    return _sweep(ratios, lambda rho: (scenarios[rho], CostModel(), None), base.region_ids)
 
 
 def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
@@ -353,16 +351,8 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
     if np.any(ratios < 1.0):
         raise ValueError("cost ratios must be >= 1")
     dimensioned = _dimension(scenario)
-
-    def solve_one(ratio):
-        costs = CostModel(static_unit_cost=ratio, mobile_unit_cost=1.0)
-        solved = _solve_scenario(scenario, costs=costs, dimensioned=dimensioned)
-        static_only_cost = ratio * solved.report.static_only_total
-        saving = 0.0 if static_only_cost <= 0.0 else \
-            1.0 - solved.plan.objective_value / static_only_cost
-        return saving, solved
-
-    return _sweep_collect(ratios, solve_one, scenario.region_ids)
+    return _sweep(ratios, lambda ratio: (scenario, CostModel(ratio, 1.0), dimensioned),
+                  scenario.region_ids)
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:

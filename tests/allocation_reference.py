@@ -9,9 +9,11 @@ the same violations, in the same order, with equal magnitudes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from mbsplan.allocation import _CAP_TOL, _CLOSED_TOL, _COVERAGE_TOL
+from mbsplan.allocation import _REL_TOL, _TINY
 
 
 def canonical_schedule(static, fleet, values, areas) -> np.ndarray:
@@ -24,18 +26,25 @@ def canonical_schedule(static, fleet, values, areas) -> np.ndarray:
         weights = headroom * areas
         total = float(weights.sum())
         if leftover > 0.0 and total > 0.0:
-            schedule[j] = required + leftover * headroom / total
+            # scaled by 2**-exponent, the product cannot underflow
+            exponent = math.frexp(total)[1]
+            schedule[j] = (required + math.ldexp(leftover, -exponent) * headroom
+                           / math.ldexp(total, -exponent))
         else:
             schedule[j] = required
     return schedule
 
 
 def violations(plan, values, areas) -> list[tuple]:
-    """(constraint, slot, region, magnitude) per failed check."""
+    """(constraint, slot, region, magnitude) per failed check. Each check
+    forgives ``_REL_TOL`` of the peak aggregate demand in station counts,
+    and never less than ``_TINY``."""
     n_slots, n_regions = values.shape
     caps = values.max(axis=0)
+    peak = max(float(values[j] @ areas) for j in range(n_slots))
+    tol = [max(_REL_TOL * peak / area, _TINY) for area in areas]
+    closed_tol = max(_REL_TOL * peak, _TINY)
     out = []
-    closed_tol = _CLOSED_TOL * (1.0 + plan.fleet_size)
     for j in range(n_slots):
         err = abs(float(plan.mbs_schedule[j] @ areas) - plan.fleet_size)
         if err > closed_tol:
@@ -43,14 +52,14 @@ def violations(plan, values, areas) -> list[tuple]:
     total = plan.static_density[np.newaxis, :] + plan.mbs_schedule
     for j in range(n_slots):
         for z in range(n_regions):
-            shortfall = values[j, z] - total[j, z] - _COVERAGE_TOL * (1.0 + values[j, z])
+            shortfall = values[j, z] - total[j, z] - tol[z]
             if shortfall > 0.0:
                 out.append(("coverage", j, z, shortfall))
-            over = max(-plan.mbs_schedule[j, z], plan.mbs_schedule[j, z] - caps[z]) - _CAP_TOL
+            over = max(-plan.mbs_schedule[j, z], plan.mbs_schedule[j, z] - caps[z]) - tol[z]
             if over > 0.0:
                 out.append(("mbs_cap", j, z, over))
     for z in range(n_regions):
-        over = max(-plan.static_density[z], plan.static_density[z] - caps[z]) - _CAP_TOL
+        over = max(-plan.static_density[z], plan.static_density[z] - caps[z]) - tol[z]
         if over > 0.0:
             out.append(("static_cap", None, z, over))
     return out

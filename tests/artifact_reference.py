@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mbsplan.allocation import TIE_BREAK_EPSILON, DeploymentPlan, SavingsReport
+from mbsplan.allocation import TIE_BREAK_EPSILON, DeploymentPlan
 from mbsplan.scenario import M2_PER_KM2, slot_midpoints_h
 
 
@@ -59,8 +59,8 @@ def write_demand_csv(path: Path, solved) -> None:
     })
 
 
-def write_series_csv(path: Path, solved) -> None:
-    """Wide per-(slot, region) series used for the daily-profile figures.
+def per_km2(solved) -> tuple:
+    """Baseline, static, mobile and total densities in stations/km^2.
 
     Derived columns are computed on the already-converted per-km^2 values,
     so total = static + mbs and excess = total - baseline hold bit-exactly
@@ -69,7 +69,12 @@ def write_series_csv(path: Path, solved) -> None:
     baseline = solved.demand * M2_PER_KM2
     static = solved.plan.static_density * M2_PER_KM2
     mbs = solved.plan.mbs_schedule * M2_PER_KM2
-    total = static + mbs
+    return baseline, static, mbs, static + mbs
+
+
+def write_series_csv(path: Path, solved) -> None:
+    """Wide per-(slot, region) series used for the daily-profile figures."""
+    baseline, static, mbs, total = per_km2(solved)
     write_cell_csv(path, solved, {
         "baseline_per_km2": baseline,
         "static_only_per_km2": baseline.max(axis=0),
@@ -95,8 +100,11 @@ def plan_dict(plan: DeploymentPlan, region_ids) -> dict:
     }
 
 
-def savings_dict(report: SavingsReport, region_ids) -> dict:
-    """``savings.json``: the report with the excess series in stations/km^2."""
+def savings_dict(solved, region_ids) -> dict:
+    """``savings.json``: the report, and the excess in stations/km^2 by the
+    arithmetic of ``series.csv``."""
+    baseline, _, _, total = per_km2(solved)
+    report = solved.report
     return {
         "static_only_total": report.static_only_total,
         "hybrid_total": report.hybrid_total,
@@ -104,7 +112,7 @@ def savings_dict(report: SavingsReport, region_ids) -> dict:
         "per_region_static_saving_fraction": dict(
             zip(region_ids, report.per_region_static_saving_fraction.tolist())),
         "peak_aggregate_demand": report.peak_aggregate_demand,
-        "excess_capacity_per_km2": (report.excess_capacity_series * M2_PER_KM2).tolist(),
+        "excess_capacity_per_km2": (total - baseline).tolist(),
         "mbs_fraction": report.mbs_fraction_series.tolist(),
     }
 
@@ -114,7 +122,7 @@ def write_run(out: Path, solved, manifest: dict) -> None:
     ids = solved.scenario.region_ids
     write_demand_csv(out / "demand.csv", solved)
     write_json(out / "plan.json", plan_dict(solved.plan, ids))
-    write_json(out / "savings.json", savings_dict(solved.report, ids))
+    write_json(out / "savings.json", savings_dict(solved, ids))
     write_series_csv(out / "series.csv", solved)
     write_json(out / "manifest.json", manifest)
 

@@ -104,8 +104,9 @@ def test_hand_instance_savings():
                                [0.8, 0.8], rtol=1e-9)
     assert report.peak_aggregate_demand == pytest.approx(12.0, rel=1e-12)
     # Every cell is covered exactly, so no excess capacity anywhere...
-    assert np.all(report.excess_capacity_series >= -1e-15)
-    assert np.all(report.excess_capacity_series <= 1e-12 / KM2)
+    excess = plan.static_density + plan.mbs_schedule - HAND_DEMAND
+    assert np.all(excess >= -1e-15)
+    assert np.all(excess <= 1e-12 / KM2)
     # ...and the whole fleet sits in whichever region is peaking.
     np.testing.assert_allclose(report.mbs_fraction_series, [[1.0, 0.0], [0.0, 1.0]],
                                atol=1e-9)
@@ -177,7 +178,7 @@ def test_equal_cost_objective_equals_peak_aggregate_demand():
         assert verify_plan(plan, demand, areas) == []
         report = savings(plan, demand, areas)
         assert -1e-12 <= report.total_saving_fraction <= 1.0
-        assert np.all(report.excess_capacity_series >= -1e-13)
+        assert np.all(plan.static_density + plan.mbs_schedule - demand >= -1e-13)
 
 
 def test_bench_scenario_204_7_optimum_is_peak_aggregate_demand():
@@ -312,6 +313,52 @@ def test_verify_plan_flags_broken_invariants():
     coverage = [v for v in violations if v.constraint == "coverage"]
     assert len(coverage) == 4
     assert all(v.magnitude > 0.0 for v in coverage)
+
+
+def _replan(plan, static=None, schedule=None, scale=1.0):
+    """``plan`` with its densities replaced and then scaled by ``scale``."""
+    static = plan.static_density if static is None else static
+    schedule = plan.mbs_schedule if schedule is None else schedule
+    return DeploymentPlan(static_density=static * scale, mbs_schedule=schedule * scale,
+                          fleet_size=plan.fleet_size, objective_value=plan.objective_value,
+                          cost_model=plan.cost_model)
+
+
+def test_verify_plan_slack_is_relative_to_the_demand():
+    # Both plans once passed under absolute slack of 1e-8 stations per m^2:
+    # static densities 0.1 % short on the hand instance, and no stations
+    # at all on demand of 1e-3 to 2e-3 stations/km^2.
+    every_cell = [("coverage", j, z) for j in range(2) for z in range(2)]
+    good = optimal_plan(HAND_DEMAND, HAND_AREAS)
+    short = _replan(good, static=good.static_density * 0.999)
+    assert [(v.constraint, v.slot, v.region)
+            for v in verify_plan(short, HAND_DEMAND, HAND_AREAS)] == every_cell
+    faint = np.array([[1e-3, 2e-3], [2e-3, 1e-3]]) / KM2
+    empty = DeploymentPlan(static_density=np.zeros(2), mbs_schedule=np.zeros((2, 2)),
+                           fleet_size=0.0, objective_value=0.0, cost_model=CostModel())
+    assert [(v.constraint, v.slot, v.region)
+            for v in verify_plan(empty, faint, HAND_AREAS)] == every_cell
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e6])
+def test_verify_plan_verdict_does_not_depend_on_the_units(k):
+    # Densities times k over areas divided by k are the same station counts.
+    good = optimal_plan(HAND_DEMAND, HAND_AREAS)
+    demand = np.array([[10.0, 2.0], [2.0, 10.0], [5.0, 5.0]]) / KM2
+    plans = [
+        (HAND_DEMAND, good),
+        (HAND_DEMAND, _replan(good, static=good.static_density * 0.999)),
+        (demand, _replan(good, static=np.array([-1.0, 12.0]) / KM2,
+                         schedule=np.array([[12.0, -1.0], [-2.0, 10.0], [6.0, 0.0]]) / KM2)),
+    ]
+    for values, plan in plans:
+        found = verify_plan(plan, values, HAND_AREAS)
+        scaled = verify_plan(_replan(plan, scale=k), values * k, HAND_AREAS / k)
+        assert [(v.constraint, v.slot, v.region) for v in scaled] == \
+            [(v.constraint, v.slot, v.region) for v in found]
+        for a, b in zip(found, scaled):
+            unit = 1.0 if a.constraint == "closed_system" else k
+            assert b.magnitude == pytest.approx(a.magnitude * unit, rel=1e-9)
 
 
 def test_fleet_size_ceil_forgives_float_dust():

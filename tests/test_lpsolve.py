@@ -195,6 +195,17 @@ def _cost_ratio_instances(draw):
 # feasibility tolerance, which let an uncovered vertex through.
 @example((np.array([[0.0, 0.0], [0.0, 2.0 ** -23]]), np.array([2.0, 1.0]),
           1.0000010000000001, 1.0))
+# The leftover fleet times the headroom once underflowed to 0 here, leaving
+# slot 0 without its fleet.
+@example((np.array([[0.0], [2.1607111549074552e-274]]), np.array([1.0]),
+          1.0000000000000002, 1.0))
+# The fleet's rounding, of the order of the peak aggregate demand, is 1e-9
+# relative in the first region, whose peak is 1e-7 of the aggregate.
+@example((np.array([[5e-324, 1.9], [2.0 ** -23, 1.9]]),
+          np.array([4.092844509758342, 4.25810186155829]), 2.0, 1.0))
+# In subnormal floats the schedule is off by a step of 5e-324, which only
+# the smallest-normal floor of the slack forgives.
+@example((np.array([[5e-324], [1e-323]]), np.array([4.349]), 2.0, 1.0))
 def test_dearer_static_matches_vertex_enumeration(instance):
     # Despite its name, this covers every cost ratio: static cheaper,
     # equal and dearer.

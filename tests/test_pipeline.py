@@ -19,7 +19,7 @@ import artifact_reference
 import mbsplan
 from mbsplan import cli, pipeline
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
-                                optimal_plan, savings)
+                                Violation, optimal_plan, savings)
 from mbsplan.dimensioning import demand_matrix
 from mbsplan.qosmodel import NonFinite
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
@@ -115,35 +115,61 @@ def test_demand_csv_round_trip(default_run):
         assert float(delay) == achieved[j, z]
 
 
-def test_plan_json_schema():
+@pytest.fixture
+def hand_run(tmp_path, monkeypatch):
+    """The directory ``run`` writes for a two-slot scenario whose solve is
+    the hand instance."""
+    config = default_config()
+    config["num_slots"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     plan = optimal_plan(HAND_DEMAND, HAND_AREAS)
-    out = pipeline._plan_dict(plan, ["office", "residential"])
+    zeros = np.zeros((2, 2))
+    monkeypatch.setattr(pipeline, "_solve_scenario", lambda scenario: pipeline._Solved(
+        scenario, zeros, HAND_DEMAND, zeros, zeros.astype(int), plan,
+        savings(plan, HAND_DEMAND, HAND_AREAS)))
+    run_pipeline(path, tmp_path / "out")
+    return tmp_path / "out"
+
+
+def test_plan_json_schema(hand_run):
+    out = json.loads((hand_run / "plan.json").read_text())
     assert set(out) == {"fleet_size", "fleet_size_ceil", "static_density_per_km2",
                         "mbs_schedule_per_km2", "objective_value", "cost_model",
                         "tie_break_epsilon"}
     assert out["fleet_size"] == pytest.approx(8.0, rel=1e-9)
     assert out["fleet_size_ceil"] == 8
     assert out["static_density_per_km2"]["office"] == pytest.approx(2.0, rel=1e-9)
-    assert out["mbs_schedule_per_km2"][0][0] == pytest.approx(8.0, rel=1e-9)
+    np.testing.assert_allclose(out["mbs_schedule_per_km2"], [[8.0, 0.0], [0.0, 8.0]],
+                               rtol=1e-9, atol=1e-9)
     assert out["cost_model"] == {"static_unit_cost": 1.0, "mobile_unit_cost": 1.0}
     assert out["tie_break_epsilon"] == TIE_BREAK_EPSILON
 
 
-def test_savings_json_schema():
-    plan = optimal_plan(HAND_DEMAND, HAND_AREAS)
-    out = pipeline._savings_dict(savings(plan, HAND_DEMAND, HAND_AREAS), ["a", "b"])
+def test_savings_json_schema(hand_run):
+    out = json.loads((hand_run / "savings.json").read_text())
     assert set(out) == {"static_only_total", "hybrid_total", "total_saving_fraction",
                         "per_region_static_saving_fraction", "peak_aggregate_demand",
                         "excess_capacity_per_km2", "mbs_fraction"}
-    assert out["per_region_static_saving_fraction"]["b"] == pytest.approx(0.8, rel=1e-9)
-    assert len(out["excess_capacity_per_km2"]) == 2
-    assert out["mbs_fraction"][1][1] == pytest.approx(1.0, rel=1e-9)
+    assert out["per_region_static_saving_fraction"]["residential"] == \
+        pytest.approx(0.8, rel=1e-9)
+    # every cell is covered exactly, and the whole fleet sits where demand peaks
+    np.testing.assert_allclose(out["excess_capacity_per_km2"], np.zeros((2, 2)), atol=1e-9)
+    np.testing.assert_allclose(out["mbs_fraction"], [[1.0, 0.0], [0.0, 1.0]], atol=1e-9)
 
 
 def test_run_returns_the_written_savings_report(tmp_path):
     report = run_pipeline(None, tmp_path)
     written = json.loads((tmp_path / "savings.json").read_text())
-    assert written == pipeline._savings_dict(report, ("office", "residential"))
+    for key in ("static_only_total", "hybrid_total", "total_saving_fraction",
+                "peak_aggregate_demand"):
+        assert written[key] == getattr(report, key), key
+    assert written["per_region_static_saving_fraction"] == dict(
+        zip(("office", "residential"), report.per_region_static_saving_fraction.tolist()))
+    assert written["mbs_fraction"] == report.mbs_fraction_series.tolist()
+    # the report holds no excess: the written one is series.csv's
+    _, rows = _read_csv(tmp_path / "series.csv")
+    assert sum(written["excess_capacity_per_km2"], []) == [float(row[8]) for row in rows]
 
 
 def test_series_csv_identities(default_run):
@@ -314,10 +340,13 @@ def _assert_sweep_csv_matches_reference_writer(tmp_path, result):
     assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference_sweep.csv").read_bytes()
 
 
-@pytest.mark.parametrize("config", [None, DATA / "three_regions.json",
-                                    DATA / "csv_profiles" / "config.json",
-                                    DATA / "explicit_quadrature.json"],
-                         ids=["builtin", "three_regions", "csv_profiles", "explicit_quadrature"])
+BYTE_EQUAL_CONFIGS = pytest.mark.parametrize(
+    "config", [None, DATA / "three_regions.json", DATA / "csv_profiles" / "config.json",
+               DATA / "explicit_quadrature.json"],
+    ids=["builtin", "three_regions", "csv_profiles", "explicit_quadrature"])
+
+
+@BYTE_EQUAL_CONFIGS
 def test_artifacts_are_byte_equal_to_the_reference_writers(tmp_path, config):
     # test_golden compares floats to 1e-12 only: this pins every byte,
     # repr form and JSON layout included, against the per-file writers.
@@ -330,6 +359,17 @@ def test_artifacts_are_byte_equal_to_the_reference_writers(tmp_path, config):
     if len(scenario.regions) == 2:
         _assert_sweep_csv_matches_reference_writer(
             tmp_path, sweep_density_ratio(config, [1.0, 4.0, 10.0]))
+
+
+@BYTE_EQUAL_CONFIGS
+def test_savings_excess_is_the_series_strings(tmp_path, config):
+    # One derivation: savings.json's excess matrix holds series.csv's
+    # excess_per_km2 strings, slot-major, not a second computation of them.
+    run_pipeline(config, tmp_path)
+    text = (tmp_path / "savings.json").read_text()
+    matrix = text.split('\n  "excess_capacity_per_km2": [')[1].split("\n  ]")[0]
+    _, rows = _read_csv(tmp_path / "series.csv")
+    assert re.findall(r"[^\s\[\],]+", matrix) == [row[8] for row in rows]
 
 
 def _odd_floats(rng, shape):
@@ -357,11 +397,14 @@ def test_synthetic_artifacts_are_byte_equal_to_the_reference_writers(tmp_path, m
     schedule[::2, 1] = -0.0
     plan = DeploymentPlan(static_density=[0.0, -0.0, 3e-5, 1.0 / 3.0], mbs_schedule=schedule,
                           fleet_size=0.0, objective_value=-0.0, cost_model=CostModel(2.0, 1.0))
+    # A dropped draw keeps the arrays below as seed 11 has always given them:
+    # other draws may hold user or demand densities past 1.8e302 per m^2,
+    # whose per-km^2 values overflow.
+    _odd_floats(rng, shape)
     report = SavingsReport(static_only_total=0.0, hybrid_total=-0.0,
                            total_saving_fraction=np.nan,
                            per_region_static_saving_fraction=[np.inf, -0.0, 0.5, np.nan],
                            peak_aggregate_demand=np.inf,
-                           excess_capacity_series=_odd_floats(rng, shape),
                            mbs_fraction_series=_odd_floats(rng, shape))
     solved = []
 
@@ -399,11 +442,23 @@ def test_density_sweep_identity_point_matches_run(default_run):
     assert float(result.per_region_static_saving[0][1]) == per_region["residential"]
 
 
-def test_cost_sweep_unit_ratio_matches_equal_cost_run(default_run):
-    result = sweep_cost_ratio(None, [1.0])
-    assert result.failures == []
-    report = json.loads((default_run / "savings.json").read_text())
-    assert float(result.total_saving_fraction[0]) == report["total_saving_fraction"]
+def test_cost_sweep_unit_ratio_matches_equal_cost_run(tmp_path):
+    # At unit costs the sweep's saving, 1 - objective / static-only total,
+    # is the run's bit for bit: in closed form with two regions, and through
+    # HiGHS with three.
+    for config in (None, DATA / "three_regions.json"):
+        out = tmp_path / ("builtin" if config is None else config.stem)
+        run_pipeline(config, out)
+        result = sweep_cost_ratio(config, [1.0])
+        assert result.failures == []
+        plan = json.loads((out / "plan.json").read_text())
+        report = json.loads((out / "savings.json").read_text())
+        assert float(result.total_saving_fraction[0]) == report["total_saving_fraction"]
+        assert float(result.fleet_size[0]) == plan["fleet_size"]
+        assert float(result.objective[0]) == plan["objective_value"]
+        per_region = report["per_region_static_saving_fraction"]
+        assert result.per_region_static_saving[0].tolist() == \
+            [per_region[rid] for rid in result.region_ids]
 
 
 def test_cost_sweep_computes_user_densities_once(monkeypatch):
@@ -453,6 +508,16 @@ def test_sweep_tolerates_failed_points(monkeypatch, tmp_path):
     header, rows = _read_csv(path)
     assert len(rows) == 2  # the failed point is skipped, not written as NaN
     assert [float(r[0]) for r in rows] == [1.0, 3.0]
+
+
+def test_cost_sweep_collects_a_ratio_the_cost_model_rejects():
+    # A point's costs are built inside its own try: a NaN ratio fails alone.
+    result = sweep_cost_ratio(None, [1.0, np.nan, 2.0])
+    [(value, message)] = result.failures
+    assert np.isnan(value)
+    assert message == "ValidationError: static_unit_cost must be a finite number, got nan"
+    assert np.isnan(result.fleet_size[1])
+    assert np.all(np.isfinite(result.fleet_size[[0, 2]]))
 
 
 def test_sweep_keeps_region_columns_when_every_point_fails(monkeypatch, tmp_path):
@@ -565,6 +630,23 @@ def test_cli_tiny_load_names_its_cell(tmp_path, capsys, density, noise):
         assert re.fullmatch(r"error: slot \d+, region index 0: inversion: lambda_u=\S+ meets the "
                             r"target at the lattice's lowest density \S+, so its root is not "
                             r"resolved\n", err)
+
+
+@pytest.mark.parametrize("violations,message", [
+    ([Violation("coverage", 3, 1, 1.5e-9), Violation("static_cap", None, 0, 1e-9)],
+     "coverage at slot 3, region residential is off by 0.0015 stations/km^2 (and 1 more)"),
+    ([Violation("closed_system", 2, None, 0.25)],
+     "closed_system at slot 2 is off by 0.25 stations (and 0 more)"),
+], ids=["coverage", "closed_system"])
+def test_cli_infeasible_plan_names_stage_slot_and_region(monkeypatch, tmp_path, capsys,
+                                                         violations, message):
+    # This once printed the Violation list: a region index and a per-m^2
+    # magnitude, naming no stage.
+    monkeypatch.setattr(pipeline, "verify_plan", lambda *args: violations)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: allocation: infeasible plan: {message}\n"
+    assert not any(out.iterdir())
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):
