@@ -42,7 +42,12 @@ BISECTION_REL_TOL = 1e-4
 
 
 class InfeasibleDemand(RuntimeError):
-    """No density up to the cap meets the delay target."""
+    """No density up to the cap meets the delay target; ``index`` is the
+    flat index of the cell the message names."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @functools.lru_cache(maxsize=64)
@@ -143,6 +148,10 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
     self-consistent delay meets the target, to relative tolerance
     ``BISECTION_REL_TOL``; ``demand_matrix([[lambda_u]], ...)`` inverts one load.
 
+    A failure names its cell as ``slot j, region index z: `` before the
+    reason; the exception keeps the cell's flat index as ``index`` and the
+    reason alone as ``reason``.
+
     Densities come from one inversion over all cells and the achieved
     delays from one array fixed point over the positive cells; both are
     elementwise, so equal loads get equal entries.
@@ -152,28 +161,31 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
         raise ValueError(f"user densities must be a J x Z array, got shape {users.shape}")
     loads = users.ravel()
 
-    def cell(k):
-        return "slot {}, region index {}".format(*divmod(int(k), users.shape[1]))
+    def at_cell(error, k, reason):
+        k = int(k)
+        exc = error("slot {}, region index {}: {}".format(*divmod(k, users.shape[1]), reason), k)
+        exc.reason = reason
+        return exc
 
     try:
         densities = _min_densities(loads, params, quad)
     except (BadElement, NonFinite) as exc:
-        raise type(exc)(f"{cell(exc.index)}: {exc}", exc.index) from None
+        raise at_cell(type(exc), exc.index, str(exc)) from None
     unmet = np.flatnonzero(densities == np.inf)
     if unmet.size:
         k = unmet[0]
-        raise InfeasibleDemand(
-            f"{cell(k)}: delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the "
-            f"density cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user "
-            f"density {loads[k] * M2_PER_KM2:.6g} per km^2)")
+        raise at_cell(InfeasibleDemand, k,
+                      f"delay target {params.target_delay_s_per_bit:.3e} s/bit unmet at the "
+                      f"density cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user "
+                      f"density {loads[k] * M2_PER_KM2:.6g} per km^2)")
     positive = np.flatnonzero(loads > 0)
     result = evaluate_qos(densities[positive], loads[positive], params, quad)
     diverged = positive[~result.converged]
     if diverged.size:
         k = diverged[0]
-        raise FixedPointDiverged(
-            f"{cell(k)}: utilization fixed point did not converge at "
-            f"lambda_b={densities[k]:.6e}, lambda_u={loads[k]:.6e}")
+        raise at_cell(FixedPointDiverged, k,
+                      "utilization fixed point did not converge at "
+                      f"lambda_b={densities[k]:.6e}, lambda_u={loads[k]:.6e}")
     delay = np.zeros(loads.shape)
     delay[positive] = result.delay_s_per_bit
     iterations = np.zeros(loads.shape, dtype=int)

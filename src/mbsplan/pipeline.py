@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          optimal_plan, savings, verify_plan)
-from .dimensioning import _min_densities, demand_matrix
-from .qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
+from .dimensioning import InfeasibleDemand, _min_densities, demand_matrix
+from .qosmodel import (FixedPointDiverged, NonFinite, delay_given_utilization, evaluate_qos,
+                       mc_delay_oracle)
 from .scenario import (M2_PER_KM2, Scenario, ValidationError, default_config, load_scenario,
                        slot_midpoints_h, user_density_matrix)
 
@@ -115,9 +115,15 @@ def _solve_scenario(scenario: Scenario, costs: CostModel = CostModel(),
 
 
 def _dimension(scenario: Scenario) -> tuple:
-    """User densities, then demand_matrix's (density, delay, iterations)."""
+    """User densities, then demand_matrix's (density, delay, iterations).
+    A failure names its stage and its cell by slot and region id."""
     users = user_density_matrix(scenario)
-    return (users, *demand_matrix(users, scenario.radio, scenario.quadrature))
+    try:
+        return (users, *demand_matrix(users, scenario.radio, scenario.quadrature))
+    except (InfeasibleDemand, FixedPointDiverged, NonFinite) as exc:
+        slot, region = divmod(exc.index, users.shape[1])
+        raise type(exc)(f"dimensioning: slot {slot}, region {scenario.region_ids[region]}: "
+                        f"{exc.reason}", exc.index) from None
 
 
 def _reprs(values) -> list:
@@ -257,6 +263,7 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
             "mbs_fraction": (cells["mbs_fraction"], len(ids)),
         })
         _write_series_csv(staged / "series.csv", cells)
+        import scipy  # for its version only; importing the CLI and validate never load it
         _write_json(staged / "manifest.json", {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
             "dimensioning": _dimensioning_counters(solved),

@@ -76,7 +76,13 @@ def _check_elements(name: str, values, ok, rule: str) -> None:
 
 
 class FixedPointDiverged(RuntimeError):
-    """The utilization fixed point failed to converge within the iteration cap."""
+    """The utilization fixed point failed to converge within the iteration
+    cap; ``index`` is the flat index of the cell the message names, where
+    known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 # Stopping rule of the utilization fixed point in ``evaluate_qos``.
@@ -144,6 +150,12 @@ def _unit_kernel(quad: QuadratureSpec):
     sqrt(lambda_b)). This is exact for the Gauss-Legendre rule because the
     overlap area is homogeneous of degree 2 and every truncation radius
     scales with 1 / sqrt(lambda_b).
+
+    The overlap area depends on theta only through sin(theta) and
+    |cos(theta)|, so it is symmetric about theta = pi/2, where it has a
+    kink, as at -pi/2. The theta integral over the full turn is therefore
+    twice that over [-pi/2, pi/2], whose ends are the two kinks: the rule
+    takes ``nodes_theta`` nodes there, with doubled weights.
     """
     r_max = _truncation_radius(1.0, quad.tail_mass_epsilon)
     xi_r, w_r = _gauss_unit(quad.nodes_r)
@@ -154,7 +166,7 @@ def _unit_kernel(quad: QuadratureSpec):
     x_max = r_max + r1
     x = xi_x[None, :] * x_max[:, None]
     wx = w_x[None, :] * x_max[:, None]
-    t = xi_t * TWO_PI
+    t = (xi_t - 0.5) * math.pi
     wt = w_t * TWO_PI
     area = overlap_area(r1[:, None, None], x[:, :, None], t[None, None, :])
     g1 = np.einsum("ij,ijk,k->i", wx * x, np.exp(-area), wt)
@@ -199,9 +211,9 @@ def capacity(r, params: RadioParams, interference):
     return b_eff * np.log1p(signal / (noise_w + interference)) / _LN2
 
 
-# Delay evaluations run over blocks of densities whose per-node temporaries
-# hold this many floats, 0.5 MB, so they stay in a core's L2 cache: at
-# 144 000 densities one unblocked pass ran over twice as slow per density.
+# Delay evaluations run over blocks of densities whose per-node terms hold
+# this many floats, 0.5 MB, so they stay in a core's L2 cache: at 144 000
+# densities one unblocked pass ran over twice as slow per density.
 _BLOCK_ELEMENTS = 65536
 
 
@@ -243,13 +255,22 @@ def _unit_sums(lambda_b, utilization, params: RadioParams, quad: QuadratureSpec)
     rows_u = np.broadcast_to(utilization, shape).reshape(-1, 1) if np.ndim(utilization) else None
     unit_sum = np.empty(rows_b.shape[0])
     step = _BLOCK_ELEMENTS // a.size
+    # every block's node terms are computed in place in one buffer: a fresh
+    # 0.5 MB temporary per operation can cost a page fault per page, since
+    # malloc may serve it from mmap
+    work = np.empty((min(step, unit_sum.size), a.size))
     with np.errstate(all="ignore"):
         for start in range(0, unit_sum.size, step):
             block = slice(start, start + step)
+            lam = rows_b[block]
+            terms = work[:lam.shape[0]]
+            np.multiply(b, utilization if rows_u is None else rows_u[block], out=terms)
             # a noiseless radio skips the power: 0 * inf is NaN where it overflows
-            noise = noise_w * rows_b[block] ** exponent if noise_w else 0.0
-            busy = b * (utilization if rows_u is None else rows_u[block])
-            unit_sum[block] = np.sum(w / np.log1p(a / (noise + busy)), axis=-1)
+            np.add(terms, noise_w * lam ** exponent if noise_w else 0.0, out=terms)
+            np.divide(a, terms, out=terms)
+            np.log1p(terms, out=terms)
+            np.divide(w, terms, out=terms)
+            unit_sum[block] = terms.sum(axis=-1)
     return unit_sum.reshape(shape)
 
 

@@ -164,12 +164,14 @@ class QuadratureSpec:
 
     ``tail_mass_epsilon`` sets where the radial integrals are cut: at the
     radius where the void probability exp(-lambda_b * pi * t^2) drops below
-    it. The fields are the config's ``quadrature`` keys, all optional.
+    it. ``nodes_theta`` counts nodes on the half turn [-pi/2, pi/2], which
+    the integrand's symmetry makes the whole angular integral. The fields
+    are the config's ``quadrature`` keys, all optional.
     """
 
     nodes_r: int = field(default=64, metadata={">=": 8, "<=": 256})
     nodes_x: int = field(default=64, metadata={">=": 8, "<=": 256})
-    nodes_theta: int = field(default=64, metadata={">=": 8, "<=": 256})
+    nodes_theta: int = field(default=16, metadata={">=": 8, "<=": 256})
     tail_mass_epsilon: float = field(default=1e-12, metadata={">": 0, "<=": 1e-6})
 
     def __post_init__(self):

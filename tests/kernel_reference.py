@@ -38,13 +38,18 @@ def pair_distance(r, x, theta):
     return d
 
 
-def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = QuadratureSpec(),
+                       half_turn: bool = True) -> float:
     """Expected-shared-user integral at serving distance r, per unit user
     density: g(lambda_b, r) = int_0^xmax int_0^2pi exp(-lambda_b A) x dtheta dx.
 
     Multiplying by lambda_u gives the mean number of other users attached to
     the tagged user's station. The x integral is truncated at the void-mass
-    radius plus r.
+    radius plus r. A depends on theta only through sin(theta) and
+    |cos(theta)|, so the theta integral is taken on [-pi/2, pi/2] with
+    doubled weights (``quad.nodes_theta`` nodes there), as the unit kernel
+    takes it; ``half_turn=False`` spreads the nodes over the full turn
+    instead, which converges more slowly but does not rest on the symmetry.
     """
     if lambda_b <= 0:
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
@@ -55,7 +60,7 @@ def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = Quadrat
     xi_t, w_t = _gauss_unit(quad.nodes_theta)
     x = xi_x * x_max
     wx = w_x * x_max
-    t = xi_t * TWO_PI
+    t = (xi_t - 0.5) * math.pi if half_turn else xi_t * TWO_PI
     wt = w_t * TWO_PI
     area = overlap_area(r, x[:, None], t[None, :])
     integrand = np.exp(-lambda_b * area) * x[:, None]

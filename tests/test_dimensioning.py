@@ -221,6 +221,9 @@ def test_demand_matrix_error_names_the_cell():
     assert str(excinfo.value) == (
         "slot 0, region index 1: delay target 1.000e-05 s/bit unmet at the density cap "
         f"100000 per km^2 (user density {heavier * M2_PER_KM2:.6g} per km^2)")
+    # the cell's flat index and the reason alone, for callers that name the region
+    assert excinfo.value.index == 1
+    assert str(excinfo.value) == "slot 0, region index 1: " + excinfo.value.reason
 
 
 def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
@@ -242,6 +245,8 @@ def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
         demand_matrix(users, PARAMS)
     assert str(excinfo.value) == ("slot 0, region index 1: utilization fixed point did not "
                                   f"converge at lambda_b={lam_b:.6e}, lambda_u=1.000000e-02")
+    assert excinfo.value.index == 1
+    assert str(excinfo.value) == "slot 0, region index 1: " + excinfo.value.reason
 
 
 def test_demand_matrix_rejects_bad_user_arrays():

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -17,11 +18,11 @@ import scipy
 
 import artifact_reference
 import mbsplan
-from mbsplan import cli, pipeline
+from mbsplan import cli, dimensioning, pipeline
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                                 Violation, optimal_plan, savings)
 from mbsplan.dimensioning import demand_matrix
-from mbsplan.qosmodel import NonFinite
+from mbsplan.qosmodel import NonFinite, evaluate_qos
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
 from mbsplan.scenario import (M2_PER_KM2, QuadratureSpec, default_config, default_scenario,
@@ -627,9 +628,34 @@ def test_cli_tiny_load_names_its_cell(tmp_path, capsys, density, noise):
         assert (code, err) == (0, "")
     else:
         assert code == 1
-        assert re.fullmatch(r"error: slot \d+, region index 0: inversion: lambda_u=\S+ meets the "
+        assert re.fullmatch(r"error: dimensioning: slot \d+, region office: inversion: "
+                            r"lambda_u=\S+ meets the "
                             r"target at the lattice's lowest density \S+, so its root is not "
                             r"resolved\n", err)
+
+
+def test_cli_dimensioning_failure_names_stage_slot_and_region(monkeypatch, tmp_path, capsys):
+    # These once named the region by its index and no stage.
+    config = default_config()
+    config["regions"][1]["peak_user_density_per_km2"] = 1e9
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: dimensioning: slot 0, region residential: delay target 1.000e-05 s/bit unmet "
+        "at the density cap 100000 per km^2 (user density 4.02e+08 per km^2)\n")
+    assert not any(out.iterdir())
+
+    def office_diverges(lambda_b, lambda_u, params, quad):
+        result = evaluate_qos(lambda_b, lambda_u, params, quad)
+        return dataclasses.replace(result, converged=result.converged & (lambda_u < 5e-3))
+
+    monkeypatch.setattr(dimensioning, "evaluate_qos", office_diverges)
+    assert cli.main(["sweep-cost", "--ratios", "1:2:2", "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: dimensioning: slot 19, region office: utilization fixed point "
+                        r"did not converge at lambda_b=\S+, lambda_u=5\.680000e-03\n",
+                        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("violations,message", [
@@ -881,16 +907,21 @@ def test_cli_version(capsys):
 _HEAVY_SCIPY = ("scipy.spatial", "scipy.optimize", "scipy.sparse")
 
 
-def _heavy_scipy_loaded_after(script, cwd=None) -> str:
-    """Run ``script`` in a fresh interpreter and return the printed list of
-    the heavy scipy modules loaded by then."""
+def _fresh_python(script, cwd=None) -> str:
+    """Run ``script`` in a fresh interpreter; return its last printed line."""
     src = str(Path(mbsplan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = f"{script}\nimport sys; print([m for m in {_HEAVY_SCIPY!r} if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True, cwd=cwd,
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True, cwd=cwd,
                           capture_output=True, text=True)
     return done.stdout.strip().splitlines()[-1]
+
+
+def _heavy_scipy_loaded_after(script, cwd=None, modules=_HEAVY_SCIPY) -> str:
+    """Run ``script`` in a fresh interpreter and return the printed list of
+    the ``modules`` loaded by then, the heavy scipy modules by default."""
+    return _fresh_python(
+        f"{script}\nimport sys; print([m for m in {modules!r} if m in sys.modules])", cwd)
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -911,6 +942,44 @@ def test_quick_start_and_validate_leave_heavy_scipy_modules_unloaded(tmp_path):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert cli.main(argv) == 0, argv")
     assert _heavy_scipy_loaded_after(script, cwd=tmp_path) == "[]"
+
+
+def test_cli_import_and_validate_leave_scipy_unloaded(tmp_path):
+    # pipeline imports scipy only for the version that run's manifest
+    # records, which a fresh run still writes.
+    assert _heavy_scipy_loaded_after("import mbsplan.cli", modules=("scipy",)) == "[]"
+    script = ("import contextlib, io\n"
+              "from mbsplan import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main({!r}) == 0")
+    validate = ["validate", "--trials", "1000"]
+    assert _heavy_scipy_loaded_after(script.format(validate), modules=("scipy",)) == "[]"
+    run = ["run", "--out", "out"]
+    assert _heavy_scipy_loaded_after(script.format(run), tmp_path, ("scipy",)) == "['scipy']"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["scipy_version"] == scipy.__version__
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_cli_repeats_commands_without_fresh_page_faults():
+    # With glibc's own moving thresholds a repeated validate took 4400 to
+    # 6800 minor faults on some seeds and none on others, depending on
+    # what had been freed before; the fixed thresholds reuse the heap.
+    script = ("import contextlib, io, resource\n"
+              "from mbsplan import cli\n"
+              "def faults(argv):\n"
+              "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+              "repeats = []\n"
+              "for seed in (1, 2, 3):\n"
+              "    argv = ['validate', '--trials', '1000', '--seed', str(seed)]\n"
+              "    faults(argv)\n"
+              "    repeats.append(faults(argv))\n"
+              "print(repeats)")
+    repeats = json.loads(_fresh_python(script))
+    assert max(repeats) < 200, repeats
 
 
 def test_cli_validate_quick_pass(capsys):
