@@ -11,8 +11,10 @@ at the scaled radius does not depend on lambda_b and the SNR grows with it.
 All cells of a scenario are inverted at once. S comes from
 ``qosmodel._unit_sums``, which the fixed point's own first step uses too, so
 the achieved delay never exceeds T; one array fixed point over the positive
-cells reports that delay, in at most three delay evaluations per cell on
-the default scenario (358 over its 120 cells).
+cells reports that delay, in at most three iterations per cell on the
+default scenario (358 over its 120 cells). The first iteration of each cell
+takes the u = 1 delay the inversion ended on, bit-equal to evaluating it
+again, so the fixed point evaluates the delay 238 times there.
 
 h does not depend on the load, so S is tabulated once per radio and
 quadrature on a fixed lattice, and ``_min_densities`` brackets every load
@@ -66,9 +68,10 @@ def _lattice(params: RadioParams, quad: QuadratureSpec):
     return grid, unit_sum
 
 
-def _min_densities(loads, params, quad) -> np.ndarray:
+def _min_densities(loads, params, quad):
     """Smallest feasible station density for every user density in the 1-D
-    array ``loads``: 0 for a zero load, inf where even the cap misses.
+    array ``loads``: 0 for a zero load, inf where even the cap misses; and
+    the u = 1 delay at each density: 0 for a zero load, NaN past the cap.
 
     A load meets the target at lambda_b when its exact u = 1 delay
     (lambda_u / lambda_b) S(lambda_b) is at most T; a delay of +inf, where
@@ -87,17 +90,19 @@ def _min_densities(loads, params, quad) -> np.ndarray:
     the first that meets are the new bracket, until hi - lo <=
     ``BISECTION_REL_TOL`` * hi. hi is returned: it meets the target, and
     hi * (1 - ``BISECTION_REL_TOL``) misses it, h being strictly increasing.
-    Every step is elementwise over the loads, so a load's answer does not
-    depend on the other loads in the array.
+    Its delay is the one the last step compared, the same expression
+    ``delay_given_utilization`` evaluates. Every step is elementwise over
+    the loads, so a load's answer does not depend on the other loads in the
+    array.
     """
     loads = np.asarray(loads, dtype=float)
     _check_elements("user density", loads, np.isfinite(loads) & (loads >= 0), "finite and >= 0")
     target, tol = params.target_delay_s_per_bit, BISECTION_REL_TOL
     where = np.flatnonzero(loads > 0)
-    density = np.zeros(loads.shape)
+    density, delay = np.zeros(loads.shape), np.zeros(loads.shape)
     lam_u = loads[where]
     if not lam_u.size:
-        return density
+        return density, delay
     grid, unit_sum = _lattice(params, quad)
 
     def still_open(k):
@@ -136,8 +141,8 @@ def _min_densities(loads, params, quad) -> np.ndarray:
             bracket[idx] = np.take_along_axis(points, pick, axis=1)
             taus[idx] = np.take_along_axis(delays, pick, axis=1)
             idx = still_open(idx)
-    density[where] = bracket[:, 1]
-    return density
+    density[where], delay[where] = bracket[:, 1], taus[:, 1]
+    return density, delay
 
 
 def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureSpec()):
@@ -168,7 +173,7 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
         return exc
 
     try:
-        densities = _min_densities(loads, params, quad)
+        densities, busy_delays = _min_densities(loads, params, quad)
     except (BadElement, NonFinite) as exc:
         raise at_cell(type(exc), exc.index, str(exc)) from None
     unmet = np.flatnonzero(densities == np.inf)
@@ -179,7 +184,8 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
                       f"density cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user "
                       f"density {loads[k] * M2_PER_KM2:.6g} per km^2)")
     positive = np.flatnonzero(loads > 0)
-    result = evaluate_qos(densities[positive], loads[positive], params, quad)
+    result = evaluate_qos(densities[positive], loads[positive], params, quad,
+                          _busy_delay=busy_delays[positive])
     diverged = positive[~result.converged]
     if diverged.size:
         k = diverged[0]

@@ -365,11 +365,13 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
 def write_sweep_csv(path, result: SweepResult) -> None:
     """``parameter,total_saving_fraction,fleet_size,objective`` plus one
     ``static_saving_<region>`` column per region; failed points are skipped.
-    The file is staged beside ``path`` and moved into place once written, so
-    a failed write leaves the previous file untouched."""
+    The file is staged beside ``path`` under a random name and moved into
+    place once written, so a failed write leaves the previous file untouched
+    and no staged file behind."""
     ok = np.isfinite(result.fleet_size)  # failed points are in result.failures
-    with tempfile.TemporaryDirectory(dir=Path(path).parent) as tmp:
-        staged = Path(tmp) / "sweep.csv"
+    path = Path(path)
+    staged = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    try:
         _write_csv(staged, {
             "parameter": _reprs(result.parameter_values[ok]),
             "total_saving_fraction": _reprs(result.total_saving_fraction[ok]),
@@ -379,6 +381,9 @@ def write_sweep_csv(path, result: SweepResult) -> None:
                for z, rid in enumerate(result.region_ids)},
         })
         os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +462,7 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
                                           "no feasible grid point up to the density cap"))
             continue
         try:
-            solved = float(_min_densities(lam_u[i:i + 1], params, quad)[0])  # inf past the cap
+            solved = float(_min_densities(lam_u[i:i + 1], params, quad)[0][0])  # inf past the cap
         except Exception as exc:
             checks.append(ValidationCheck(
                 name, False, f"inversion failed where the grid scan succeeded: {exc}"))

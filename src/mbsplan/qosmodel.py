@@ -326,6 +326,8 @@ def evaluate_qos(
     lambda_u,
     params: RadioParams,
     quad: QuadratureSpec = QuadratureSpec(),
+    *,
+    _busy_delay=None,
 ) -> QosEvaluation:
     """Self-consistent delay and utilization at the given densities.
 
@@ -351,8 +353,14 @@ def evaluate_qos(
                                              np.asarray(lambda_u, dtype=float))
     shape = lambda_b.shape
     lambda_b, lambda_u = lambda_b.ravel(), lambda_u.ravel()
-    tau = np.zeros(lambda_b.shape)
     u = np.ones(lambda_b.shape)
+    # the delay at each element's current iterate, the first at u = 1;
+    # demand_matrix passes the one its inversion ended on, bit-equal to it,
+    # as the private _busy_delay (one per element, unchecked)
+    if _busy_delay is None:
+        tau = delay_given_utilization(lambda_b, lambda_u, u, params, quad)
+    else:
+        tau = np.array(_busy_delay, dtype=float).reshape(lambda_b.shape)
     # the previous iterate and its residual; NaN makes the first step g(1)
     u_prev = np.full(lambda_b.shape, np.nan)
     f_prev = np.full(lambda_b.shape, np.nan)
@@ -361,7 +369,6 @@ def evaluate_qos(
     idx = np.arange(lambda_b.size)
     while idx.size:
         u_now = u[idx]
-        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u_now, params, quad)
         iterations[idx] += 1
         target = np.clip(tau[idx] / params.target_delay_s_per_bit, 0.0, 1.0)
         f = target - u_now
@@ -374,6 +381,8 @@ def evaluate_qos(
         u[idx] = np.where(secant & ~done, step, target)
         u_prev[idx], f_prev[idx] = u_now, f
         idx = idx[~done & (iterations[idx] < FIXED_POINT_MAX_ITERATIONS)]
+        if idx.size:
+            tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u[idx], params, quad)
     if not shape:
         return QosEvaluation(float(tau[0]), float(u[0]), int(iterations[0]), bool(converged[0]))
     return QosEvaluation(tau.reshape(shape), u.reshape(shape), iterations.reshape(shape),

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bisection_reference
+import demand_reference
 import mbsplan
 from mbsplan import dimensioning, qosmodel
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
@@ -20,7 +21,8 @@ from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
 from mbsplan.qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec,
                               delay_given_utilization, evaluate_qos)
 from mbsplan.pipeline import sweep_density_ratio
-from mbsplan.scenario import M2_PER_KM2, RadioParams, default_scenario, user_density_matrix
+from mbsplan.scenario import (M2_PER_KM2, RadioParams, default_scenario, load_scenario,
+                              user_density_matrix)
 
 PARAMS = RadioParams()
 
@@ -231,8 +233,8 @@ def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
     users = np.array([[light, light], [heavy, light], [light, heavy]])
     lam_b = _min_density(heavier, PARAMS)
 
-    def heavy_diverges(lambda_b, lambda_u, params, quad):
-        result = evaluate_qos(lambda_b, lambda_u, params, quad)
+    def heavy_diverges(lambda_b, lambda_u, params, quad, **kwargs):
+        result = evaluate_qos(lambda_b, lambda_u, params, quad, **kwargs)
         return dataclasses.replace(result, converged=result.converged & (lambda_u < heavy))
 
     monkeypatch.setattr(dimensioning, "evaluate_qos", heavy_diverges)
@@ -330,11 +332,11 @@ def test_tiny_loads_get_certified_densities():
     # each load's floor, and a 1e-320 load could not form one.
     loads = np.array([7.2e-176, 1e-175, 8.5e-175, 1e-200, 1e-300, 1e-320])
     for lam in loads:
-        got = dimensioning._min_densities(np.array([lam]), PARAMS, QuadratureSpec())
+        got = dimensioning._min_densities(np.array([lam]), PARAMS, QuadratureSpec())[0]
         _assert_certified(got, lam, PARAMS)
         assert _within_tol(got, bisection_reference.min_densities([lam], PARAMS,
                                                                   QuadratureSpec()))
-    assert np.isclose(dimensioning._min_densities(loads[:1], PARAMS, QuadratureSpec())[0],
+    assert np.isclose(dimensioning._min_densities(loads[:1], PARAMS, QuadratureSpec())[0][0],
                       4.694e-69, rtol=1e-3)
     users = np.array([[1e-4], [1e-320]])
     demand = demand_matrix(users, PARAMS)[0]
@@ -344,7 +346,7 @@ def test_tiny_loads_get_certified_densities():
     # geometric midpoint instead of a secant's root.
     lax = dataclasses.replace(PARAMS, target_delay_s_per_bit=1e150)
     grid, unit_sum = dimensioning._lattice(lax, QuadratureSpec())
-    got = dimensioning._min_densities(np.array([1e-322]), lax, QuadratureSpec())
+    got = dimensioning._min_densities(np.array([1e-322]), lax, QuadratureSpec())[0]
     below = np.searchsorted(grid, got[0]) - 1
     assert np.isinf(unit_sum[below])
     _assert_certified(got, 1e-322, lax)
@@ -357,7 +359,8 @@ def test_inversion_is_bit_equal_over_split_arrays():
     got = dimensioning._min_densities(loads, PARAMS, QuadratureSpec())
     parts = [dimensioning._min_densities(part, PARAMS, QuadratureSpec())
              for part in np.array_split(loads, 7)]
-    assert np.array_equal(got, np.concatenate(parts))
+    for k in range(2):  # the densities and their u = 1 delays
+        assert np.array_equal(got[k], np.concatenate([part[k] for part in parts]))
 
 
 def _counted(monkeypatch):
@@ -374,9 +377,22 @@ def _counted(monkeypatch):
     return sizes
 
 
-DEFAULT_LOADS = np.unique(user_density_matrix(default_scenario()))
-BENCH_LOADS = np.unique(json.loads((Path(__file__).parent / "data" / "bench_scenario_204_7.json")
-                                   .read_text())["user_density_per_m2"])
+DATA = Path(__file__).parent / "data"
+DEFAULT_USERS = user_density_matrix(default_scenario())
+BENCH_USERS = np.array(json.loads((DATA / "bench_scenario_204_7.json")
+                                  .read_text())["user_density_per_m2"])
+DEFAULT_LOADS = np.unique(DEFAULT_USERS)
+BENCH_LOADS = np.unique(BENCH_USERS)
+_THREE_REGIONS = load_scenario((DATA / "three_regions.json").read_text(), base_dir=DATA)
+# users, radio and quadrature; the bench scenario has the built-in radio
+# and quadrature
+SCENARIOS = {
+    "default": (DEFAULT_USERS, PARAMS, QuadratureSpec()),
+    "bench_204_7": (BENCH_USERS, PARAMS, QuadratureSpec()),
+    "three_regions": (user_density_matrix(_THREE_REGIONS), _THREE_REGIONS.radio,
+                      _THREE_REGIONS.quadrature),
+    "noiseless": (DEFAULT_USERS, NOISELESS, QuadratureSpec()),
+}
 
 
 @st.composite
@@ -407,6 +423,8 @@ def _inversions(draw):
 @given(_inversions())
 @example((DEFAULT_LOADS, PARAMS, QuadratureSpec()))
 @example((BENCH_LOADS, PARAMS, QuadratureSpec()))
+@example((np.unique(SCENARIOS["three_regions"][0]), *SCENARIOS["three_regions"][1:]))
+@example((DEFAULT_LOADS, NOISELESS, QuadratureSpec()))
 @example((np.array([7.2e-176, 1e-175, 8.5e-175]), PARAMS, QuadratureSpec()))
 @example((np.array([0.1, 802.228853288561, 1e-302]),  # lambda_u / lambda_b overflows
           dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0, path_loss_exponent=3.0,
@@ -417,7 +435,10 @@ def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
     # at d and missed at d (1 - tol), a delay of +inf being a miss. Zero
     # loads, loads past the cap and roots below the resolved densities come
     # out as in plain bisection, and both results lie within tol of the
-    # same root.
+    # same root. Beside each density comes the u = 1 delay the inversion
+    # ended on, which the fixed point takes as its first iterate instead of
+    # evaluating it again: bit-equal to delay_given_utilization's at that
+    # density, 0 for a zero load and NaN past the cap.
     loads, params, quad = instance
     try:
         want = bisection_reference.min_densities(loads, params, quad)
@@ -425,12 +446,15 @@ def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
         with pytest.raises(NonFinite):
             dimensioning._min_densities(loads, params, quad)
         return
-    got = dimensioning._min_densities(loads, params, quad)
+    got, delay = dimensioning._min_densities(loads, params, quad)
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.array_equal(got == np.inf, want == np.inf)
     solved = (got > 0.0) & (got < np.inf)
     _assert_certified(got[solved], loads[solved], params, quad)
     assert _within_tol(got[solved], want[solved])
+    assert np.array_equal(delay[solved], delay_given_utilization(got[solved], loads[solved], 1.0,
+                                                                 params, quad))
+    assert np.all(delay[got == 0.0] == 0.0) and np.all(np.isnan(delay[got == np.inf]))
 
 
 def test_inversion_makes_few_delay_evaluations(monkeypatch):
@@ -446,6 +470,29 @@ def test_inversion_makes_few_delay_evaluations(monkeypatch):
     demand_matrix(users, scenario.radio, scenario.quadrature)
     assert sum(sizes) <= 3 * np.count_nonzero(DEFAULT_LOADS)
     assert len(sizes) <= 6
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_demand_matrix_equals_the_route_that_evaluates_every_delay(monkeypatch, name):
+    # Reusing the inversion's u = 1 delays changes no density, delay or
+    # iteration count; it saves the first delay evaluation of every
+    # positive cell: 238 of 358 on the default scenario.
+    users, params, quad = SCENARIOS[name]
+    want = demand_reference.demand_matrix(users, params, quad)
+    evaluated = []
+    delay_at = qosmodel.delay_given_utilization
+
+    def counting(lambda_b, *args):
+        evaluated.append(np.size(lambda_b))
+        return delay_at(lambda_b, *args)
+
+    monkeypatch.setattr(qosmodel, "delay_given_utilization", counting)
+    got = demand_matrix(users, params, quad)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert sum(evaluated) == got[2].sum() - np.count_nonzero(users)
+    if name == "default":
+        assert (got[2].sum(), sum(evaluated)) == (358, 238)
 
 
 def test_lattice_table_is_built_once_per_radio_and_quadrature(monkeypatch):

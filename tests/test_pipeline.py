@@ -538,20 +538,27 @@ def test_sweep_keeps_region_columns_when_every_point_fails(monkeypatch, tmp_path
 
 def test_failed_sweep_csv_write_keeps_the_previous_file(monkeypatch, tmp_path):
     # The CSV is staged beside its path and moved into place once written:
-    # a write that fails part-way leaves the previous bytes and no stray file.
+    # a write that fails part-way, by an error or an interrupt, leaves the
+    # previous bytes and no stray file.
     path = tmp_path / "sweep_cost.csv"
     write_sweep_csv(path, sweep_cost_ratio(None, [1.0, 2.0]))
     before = path.read_bytes()
+    # the CSV gets the mode of any new file
+    fresh = tmp_path / "fresh"
+    fresh.write_text("")
+    assert path.stat().st_mode == fresh.stat().st_mode
+    fresh.unlink()
+    result = sweep_cost_ratio(None, [3.0])
+    for error in (OSError("disk full"), KeyboardInterrupt("disk full")):
+        def failing(staged, columns):
+            Path(staged).write_text("parameter,total")
+            raise error
 
-    def failing(staged, columns):
-        Path(staged).write_text("parameter,total")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(pipeline, "_write_csv", failing)
-    with pytest.raises(OSError, match="disk full"):
-        write_sweep_csv(path, sweep_cost_ratio(None, [3.0]))
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["sweep_cost.csv"]
+        monkeypatch.setattr(pipeline, "_write_csv", failing)
+        with pytest.raises(type(error), match="disk full"):
+            write_sweep_csv(path, result)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep_cost.csv"]
 
 
 def test_sweep_csv_schema(tmp_path):
@@ -647,8 +654,8 @@ def test_cli_dimensioning_failure_names_stage_slot_and_region(monkeypatch, tmp_p
         "at the density cap 100000 per km^2 (user density 4.02e+08 per km^2)\n")
     assert not any(out.iterdir())
 
-    def office_diverges(lambda_b, lambda_u, params, quad):
-        result = evaluate_qos(lambda_b, lambda_u, params, quad)
+    def office_diverges(lambda_b, lambda_u, params, quad, **kwargs):
+        result = evaluate_qos(lambda_b, lambda_u, params, quad, **kwargs)
         return dataclasses.replace(result, converged=result.converged & (lambda_u < 5e-3))
 
     monkeypatch.setattr(dimensioning, "evaluate_qos", office_diverges)
@@ -900,6 +907,42 @@ def test_cli_version(capsys):
         cli.main(["--version"])
     assert excinfo.value.code == 0
     assert f"mbsplan {mbsplan.__version__}" in capsys.readouterr().out
+
+
+def test_cli_commands_share_one_parser_and_leak_no_state(monkeypatch, tmp_path, capsys):
+    # The parser is built once per process. Each command still gets only
+    # its own arguments and defaults, whatever ran before it, and a bad
+    # command still exits 2 with argparse's message.
+    cli._build_parser()
+    built = cli._build_parser.cache_info()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "_cmd_sweep", lambda args, *rest: seen.append(vars(args)) or 0)
+    out = str(tmp_path)
+    assert cli.main(["sweep-cost", "--config", "x.json", "--ratios", "1:2:2", "--out", out]) == 0
+    assert cli.main(["run", "--out", out]) == 0
+    assert seen[1] == {"command": "run", "config": None, "out": out}
+    for argv, message in (
+            (["run", "--out", out, "--ratios", "1:2:2"],
+             "mbsplan: error: unrecognized arguments: --ratios 1:2:2"),
+            (["sweep-cost", "--ratios", "1:3:0"],
+             "mbsplan sweep-cost: error: argument --ratios: count must be at least 1, got 0"),
+            (["sweep-density"],
+             "mbsplan sweep-density: error: the following arguments are required: --ratios")):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"\n{message}\n")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == f"mbsplan {mbsplan.__version__}\n"
+    assert cli.main(["sweep-density", "--ratios", "2:4:3"]) == 0
+    assert seen[2].pop("ratios").tolist() == [2.0, 3.0, 4.0]
+    assert seen[2] == {"command": "sweep-density", "config": None, "out": "."}
+    assert len(seen) == 3
+    after = cli._build_parser.cache_info()
+    assert (after.misses, after.hits) == (built.misses, built.hits + 7)
 
 
 # Only the LP solve needs scipy.optimize and scipy.sparse, and nothing needs
