@@ -37,9 +37,9 @@ def _fix_malloc_thresholds() -> None:
     glibc serves a large block by mmap, and hands the free top of its heap
     back to the kernel, below thresholds it raises as the process frees
     mmapped blocks. Whether a command's temporaries came back as fresh,
-    page-faulted memory then hung on its input and on what ran before:
-    ``validate --trials 1000`` took 0 to 6800 minor faults per call, about
-    1900 per Monte Carlo spot. Fixed thresholds take that out. Off Linux,
+    page-faulted memory then hung on its input, on the process layout and
+    on what ran before: ``validate --trials 1000`` took 0 to about 300
+    minor faults per call. Fixed thresholds take that out. Off Linux,
     or where the C library has no ``mallopt``, nothing is set.
     """
     if sys.platform.startswith("linux"):

@@ -389,12 +389,6 @@ def evaluate_qos(
                          converged.reshape(shape))
 
 
-# Trials clipped together by ``_serving_cells``. A block's station arrays
-# are as wide as its busiest trial, so blocks keep memory flat in the trial
-# count while each numpy call still spans many trials.
-_CLIP_BLOCK = 1024
-
-
 def _clip(cx, cy, m, qx, qy, q2):
     """Clip polygon t by the perpendicular bisector to its station
     (qx[t], qy[t]), keeping the side p . q <= |q|^2 / 2, which holds the
@@ -451,86 +445,81 @@ def _shoelace(cx, cy, m):
     return 0.5 * total
 
 
-def _cell_areas(dx, dy, box):
-    """Area of the Voronoi cell of a station at the origin, one per row.
+def _cell_areas(next_points, box, trials: int):
+    """Area of the Voronoi cell of a station at the origin, one per trial.
 
-    Row t holds the offsets (dx[t], dy[t]) of the other stations, padded
-    with inf, and its cell is cut from the rectangle box = (x0, x1, y0, y1),
-    whose entries are scalars or per-row arrays. Each row clips its
-    rectangle (Sutherland-Hodgman) by the perpendicular bisector to each
-    station, nearest first, and retires once its next station is farther
-    than twice the cell's farthest vertex: that bisector and every later
-    one miss the cell, so the area is exact.
+    Each trial cuts its cell from the rectangle box = (x0, x1, y0, y1),
+    whose entries are scalars or per-trial arrays, by clipping
+    (Sutherland-Hodgman) with the perpendicular bisector to each of its
+    other stations, nearest first. next_points(live) returns the next
+    point of each trial in ``live``: its offsets qx, qy, its squared
+    distance d2, and q2, which is d2 for a station and inf for a point that
+    is not one (that bisector keeps every vertex). A trial retires at its
+    first point farther than twice the cell's farthest vertex: that
+    bisector and every later one miss the cell, so the area is exact.
 
-    All live rows take a step together, on polygons stored as in
-    ``_clip``. A row's arithmetic and vertex order do not depend on the
-    other rows (ties in distance keep their column order), so its area
-    equals that of its one-row call.
+    All live trials take a step together, on polygons stored as in
+    ``_clip``. A trial's arithmetic and vertex order do not depend on the
+    other trials, so its area equals that of its one-trial call.
     """
-    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
-    trials, stations = dx.shape
-    d2 = dx * dx + dy * dy
-    order = np.argsort(d2, axis=1, kind="stable")
     x0, x1, y0, y1 = (np.broadcast_to(np.asarray(b, dtype=float), (trials,)) for b in box)
     cx = np.stack((x0, x0, x1, x1, x0))
     cy = np.stack((y1, y0, y0, y1, y1))
     m = np.full(trials, 4)
     live = np.arange(trials)
     areas = np.empty(trials)
-    for k in range(stations):
+    while live.size:
+        qx, qy, d2, q2 = next_points(live)
         # neither the repeated vertex nor zero padding raises the maximum
-        reach2 = np.max(cx * cx + cy * cy, axis=0)
-        nearest = order[live, k]
-        q2 = d2[live, nearest]
-        done = q2 > 4.0 * reach2
+        done = d2 > 4.0 * np.max(cx * cx + cy * cy, axis=0)
         if done.any():
             areas[live[done]] = _shoelace(cx[:, done], cy[:, done], m[done])
             going = ~done
             live, cx, cy, m = live[going], cx[:, going], cy[:, going], m[going]
-            nearest, q2 = nearest[going], q2[going]
+            qx, qy, q2 = qx[going], qy[going], q2[going]
             if not live.size:
                 break
-        cx, cy, m = _clip(cx, cy, m, dx[live, nearest], dy[live, nearest], q2)
-    # trials that outlive their stations
-    areas[live] = _shoelace(cx, cy, m)
+        cx, cy, m = _clip(cx, cy, m, qx, qy, q2)
     return areas
 
 
 def _serving_cells(lambda_b: float, trials: int, rng: np.random.Generator):
     """Serving distance and serving-cell area of the station nearest to a
-    tagged user at the origin, one independent Poisson field per trial.
+    tagged user, one independent Poisson field per trial.
 
     r follows its void probability P(r > t) = exp(-lambda_b pi t^2), with
-    the uniform variate stratified over the trials; by isotropy the serving
-    station sits at (r, 0). The other stations are a Poisson field on the
-    annulus r < |y| < R, R holding 100 stations in expectation, and the
-    cell is cut from the square enclosing that disc.
+    the uniform variate stratified over the trials. Given r, the other
+    stations are a Poisson field on the plane minus the open disc of radius
+    r around the user, which must hold none. Around the serving station at
+    the origin, with the user at (-r, 0), a Poisson field of density
+    lambda_b is drawn nearest first: pi lambda_b d_k^2 is the sum of k
+    standard exponentials, each point at a uniform angle psi_k. A point
+    with d_k + 2 r cos psi_k < 0 lies in the user's empty disc and is
+    dropped; what is left is the field restricted to the allowed region,
+    exact and untruncated. The cell is cut from the square of half-width
+    10 / sqrt(pi lambda_b) around the station, which no cell reaches.
 
-    Trials are drawn and clipped in blocks of ``_CLIP_BLOCK``. A block
-    takes one draw of uniforms, in which trial t's n_t stations own 2 n_t
-    consecutive values: n_t radial variates, then n_t angular ones.
+    Each step draws one row of 2 * trials uniforms, and trial t takes
+    column t, so a trial's points do not depend on the other trials; a
+    trial stops drawing once its cell is final.
     """
-    radius = 10.0 / math.sqrt(lambda_b * math.pi)
+    half = 10.0 / math.sqrt(lambda_b * math.pi)
     u = (rng.permutation(trials) + rng.random(trials)) / trials
     r = np.sqrt(-np.log(u) / (math.pi * lambda_b))
-    counts = rng.poisson(lambda_b * math.pi * np.maximum(radius * radius - r * r, 0.0))
-    areas = np.empty(trials)
-    for start in range(0, trials, _CLIP_BLOCK):
-        block = slice(start, start + _CLIP_BLOCK)
-        r_b, n_b = r[block], counts[block]
-        draws = rng.random(2 * int(n_b.sum()))
-        # True on each trial's first n_t draws, False on its next n_t
-        radial = np.repeat(np.resize((True, False), 2 * n_b.size), np.repeat(n_b, 2))
-        r_s = np.repeat(r_b, n_b)
-        rho = np.sqrt(r_s * r_s + (radius * radius - r_s * r_s) * draws[radial])
-        phi = TWO_PI * draws[~radial]
-        present = np.arange(n_b.max()) < n_b[:, None]
-        dx = np.full(present.shape, np.inf)
-        dy = np.full(present.shape, np.inf)
-        dx[present] = rho * np.cos(phi) - r_s
-        dy[present] = rho * np.sin(phi)
-        areas[block] = _cell_areas(dx, dy, (-radius - r_b, radius - r_b, -radius, radius))
-    return r, areas
+    # pi lambda_b d^2 of each trial's latest point
+    mass = np.zeros(trials)
+
+    def next_points(live):
+        e, turn = rng.random((2, trials))[:, live]
+        mass[live] -= np.log1p(-e)
+        d2 = mass[live] / (math.pi * lambda_b)
+        d = np.sqrt(d2)
+        psi = TWO_PI * turn
+        cos_psi = np.cos(psi)
+        dropped = d + 2.0 * r[live] * cos_psi < 0.0
+        return d * cos_psi, d * np.sin(psi), d2, np.where(dropped, np.inf, d2)
+
+    return r, _cell_areas(next_points, (-half, half, -half, half), trials)
 
 
 def mc_delay_oracle(
@@ -547,10 +536,12 @@ def mc_delay_oracle(
     station is Poisson with mean lambda_u |V0|, |V0| the area of the serving
     station's Voronoi cell, so each trial of ``_serving_cells`` scores
     lambda_u |V0| / C(r) at its serving distance r instead of sampling
-    users. C(r) uses the analytic mean interference at the given
-    utilization: the simulation validates the geometry and load integrals,
-    not the interference average. It shares no code with the analytic
-    integrals. Deterministic for a fixed seed.
+    users. ``_serving_cells`` draws each trial's stations nearest first
+    around its serving station, on the whole plane outside the user's
+    empty disc, until the cell is final. C(r) uses the analytic mean
+    interference at the given utilization: the simulation validates the
+    geometry and load integrals, not the interference average. It shares
+    no code with the analytic integrals. Deterministic for a fixed seed.
 
     The estimate is linear in lambda_u, so one set of draws scores an array
     of user densities at once; each element is bit-equal to its scalar call.

@@ -1027,7 +1027,7 @@ def test_cli_repeats_commands_without_fresh_page_faults():
 
 def test_cli_validate_quick_pass(capsys):
     # 2000 trials keeps the Monte Carlo spot checks fast yet comfortably
-    # inside the 5% gate (worst observed error 2.3% at these seeds).
+    # inside the 5% gate (worst observed error 2.4% at these seeds).
     assert cli.main(["validate", "--trials", "2000", "--seed", "1234"]) == 0
     out = capsys.readouterr().out
     lines = [line for line in out.strip().split("\n") if line]

@@ -1,6 +1,7 @@
 """Delay-model tests: geometry, capacity, linearity, fixed point, kernels."""
 
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -505,9 +506,32 @@ def _lattice(a, b, spacing, reach=4):
 BOX = (-50.0, 50.0, -50.0, 50.0)
 
 
+def _nearest_first(stations):
+    """``_cell_areas``'s next_points for given stations: trial t's offsets
+    stations[t] = (dx, dy), nearest first (ties in their given order), then
+    points at infinity."""
+    width = max(x.size for x, _ in stations) + 1
+    dx = np.full((len(stations), width), np.inf)
+    dy = np.full((len(stations), width), np.inf)
+    for t, (x, y) in enumerate(stations):
+        dx[t, :x.size] = x
+        dy[t, :y.size] = y
+    d2 = dx * dx + dy * dy
+    order = np.argsort(d2, axis=1, kind="stable")
+    dx, dy, d2 = (np.take_along_axis(a, order, axis=1) for a in (dx, dy, d2))
+    steps = itertools.count()
+
+    def next_points(live):
+        k = next(steps)
+        return dx[live, k], dy[live, k], d2[live, k], d2[live, k]
+
+    return next_points
+
+
 def _cell_area(dx, dy, box):
-    """One cell through the batched clipper, as a batch of one row."""
-    return _cell_areas(np.atleast_2d(dx), np.atleast_2d(dy), box)[0]
+    """One cell through the batched clipper, as a batch of one trial."""
+    stations = (np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
+    return _cell_areas(_nearest_first([stations]), box, 1)[0]
 
 
 def test_cell_area_exact_on_square_and_hexagonal_lattices():
@@ -565,7 +589,7 @@ def test_serving_cell_mean_area_matches_gilbert():
 
 
 def test_cell_area_without_other_stations_is_the_box():
-    # A trial whose annulus holds no station keeps the whole square.
+    # A trial with no other station keeps the whole rectangle.
     empty = np.empty(0)
     assert _cell_area(empty, empty, (-3.0, 5.0, -4.0, 4.0)) == pytest.approx(64.0, abs=1e-12)
 
@@ -575,7 +599,7 @@ def test_cell_area_without_other_stations_is_the_box():
 SPOT_BS_PER_KM2 = sorted({10.0} | {bs for bs, _ in MC_SPOT_DENSITIES_PER_KM2})
 
 
-@pytest.mark.parametrize("trials", [1000, 2500])  # 2500 crosses a block boundary
+@pytest.mark.parametrize("trials", [1000, 2500])
 @pytest.mark.parametrize("bs_km2", SPOT_BS_PER_KM2)
 def test_serving_cells_bit_equal_to_scalar_reference(bs_km2, trials):
     for seed in (1234, 1235, 1236):
@@ -588,28 +612,52 @@ def test_serving_cells_bit_equal_to_scalar_reference(bs_km2, trials):
 
 def test_cell_areas_rows_equal_their_single_row_calls():
     # A lattice row, a row with no other station (the whole box) and the
-    # corner-cut row, padded with inf to a common width, each with its box.
+    # corner-cut row, each with its box.
     lattice = _lattice((1.0, 0.0), (0.5, np.sqrt(3.0) / 2.0), 2.0)
     corner = (np.array([2.0, -2.0, 0.0, 0.0, 1.6]), np.array([0.0, 0.0, 2.0, -2.0, 1.6]))
     empty = (np.empty(0), np.empty(0))
     stations = [lattice, empty, corner]
     boxes = [BOX, (-3.0, 5.0, -4.0, 4.0), BOX]
-    width = max(x.size for x, _ in stations)
-    dx = np.full((3, width), np.inf)
-    dy = np.full((3, width), np.inf)
-    for t, (x, y) in enumerate(stations):
-        dx[t, :x.size] = x
-        dy[t, :y.size] = y
-    areas = _cell_areas(dx, dy, tuple(np.array(b) for b in zip(*boxes)))
+    areas = _cell_areas(_nearest_first(stations), tuple(np.array(b) for b in zip(*boxes)), 3)
     for t, ((x, y), box) in enumerate(zip(stations, boxes)):
         assert areas[t] == _cell_area(x, y, box)
     # The lattice's equidistant stations may be clipped in another order by
     # the reference's unstable sort; the other rows have no ties.
     assert areas[0] == pytest.approx(np.sqrt(3.0) / 2.0 * 4.0, abs=1e-12)
     for t in (1, 2):
-        assert areas[t] == mc_reference.cell_area(*stations[t], boxes[t])
+        assert areas[t] == mc_reference.cell_area(mc_reference.given_points(*stations[t]),
+                                                  boxes[t])
     assert areas[1] == 64.0
     assert areas[2] == pytest.approx(4.0 - 0.08, abs=1e-12)
+
+
+def test_point_in_the_users_empty_disc_leaves_its_polygon_bit_identical():
+    # _serving_cells passes a point inside the tagged user's empty disc to
+    # _clip as a station at infinity (q2 = inf). Trial 0 is cut to the
+    # corner-cut cell while trial 1, the box, gets such points; then trial
+    # 0 gets them at several offsets while trial 1 is cut beside it as in
+    # its one-trial clip.
+    cx = np.repeat([[-50.0], [-50.0], [50.0], [50.0], [-50.0]], 2, axis=1)
+    cy = np.repeat([[50.0], [-50.0], [-50.0], [50.0], [50.0]], 2, axis=1)
+    m = np.full(2, 4)
+    for qx, qy in ((2.0, 0.0), (-2.0, 0.0), (0.0, 2.0), (0.0, -2.0), (1.6, 1.6)):
+        cx, cy, m = qosmodel._clip(cx, cy, m, np.array([qx, 0.0]), np.array([qy, 0.0]),
+                                   np.array([qx * qx + qy * qy, np.inf]))
+    assert list(m) == [5, 4]
+    assert np.array_equal(cx[:5, 1], [-50.0, -50.0, 50.0, 50.0, -50.0])
+    assert np.array_equal(cy[:5, 1], [50.0, -50.0, -50.0, 50.0, 50.0])
+    one_x, one_y, one_m = qosmodel._clip(cx[:, 1:], cy[:, 1:], m[1:], np.array([3.0]),
+                                         np.array([4.0]), np.array([25.0]))
+    with np.errstate(all="raise"):
+        for qx, qy in ((0.3, -0.2), (1e-300, 0.0), (0.0, 0.0), (-5.0, 7.0), (2.0, 1e3)):
+            nx, ny, nm = qosmodel._clip(cx, cy, m, np.array([qx, 3.0]), np.array([qy, 4.0]),
+                                        np.array([np.inf, 25.0]))
+            assert nm[0] == m[0]
+            assert np.array_equal(nx[:m[0] + 1, 0], cx[:m[0] + 1, 0])
+            assert np.array_equal(ny[:m[0] + 1, 0], cy[:m[0] + 1, 0])
+            assert nm[1] == one_m[0]
+            assert np.array_equal(nx[:nm[1] + 1, 1], one_x[:, 0])
+            assert np.array_equal(ny[:nm[1] + 1, 1], one_y[:, 0])
 
 
 def test_quadrature_spec_validation():
