@@ -17,6 +17,7 @@ import pytest
 import scipy
 
 import artifact_reference
+import validate_reference
 import mbsplan
 from mbsplan import cli, dimensioning, pipeline
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
@@ -1050,6 +1051,53 @@ def test_cli_validate_fails_on_unreachable_target(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "no feasible grid point" in out
+
+
+def _validate_config(name, tmp_path):
+    """A config path for ``validate``: a data file, or the built-in config
+    (None) with no receiver noise."""
+    if name == "builtin":
+        return None
+    if name == "noiseless":
+        config = default_config()
+        config["radio"]["noise_psd_w_per_hz"] = 0.0
+        path = tmp_path / "noiseless.json"
+        path.write_text(json.dumps(config))
+        return path
+    return {"three_regions": DATA / "three_regions.json",
+            "csv_profiles": DATA / "csv_profiles" / "config.json"}[name]
+
+
+VALIDATE_CONFIGS = ["builtin", "three_regions", "csv_profiles", "noiseless"]
+
+
+@pytest.mark.parametrize("config", VALIDATE_CONFIGS)
+def test_validate_matches_its_unbatched_reference(config, tmp_path):
+    # One oracle call per spot and the fixed point over the whole grid give
+    # the same report, line for line.
+    path = _validate_config(config, tmp_path)
+    for seed in (1, 2, 3):
+        assert (pipeline.validate(path, mc_trials=1000, seed=seed).lines()
+                == validate_reference.lines(path, 1000, seed))
+
+
+@pytest.mark.parametrize("config", VALIDATE_CONFIGS)
+def test_grid_scan_finds_the_full_grids_first_feasible_point(config, tmp_path):
+    # At the config's own target the rows stop in different chunks; at 1e-12
+    # s/bit no point is feasible and every row scans the whole grid, the last
+    # chunk a short one; at 1000 s/bit every row stops at index 0.
+    scenario, _ = pipeline._load(_validate_config(config, tmp_path))
+    grid = validate_reference.grid()
+    lam_u = np.array(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
+    for target in (None, 1e-12, 1e3):
+        params = scenario.radio if target is None else dataclasses.replace(
+            scenario.radio, target_delay_s_per_bit=target)
+        full = validate_reference.first_feasible(grid, lam_u, params, scenario.quadrature)
+        assert pipeline._first_feasible(grid, lam_u, params, scenario.quadrature) == full
+        if target is None:
+            assert len({k // pipeline._GRID_CHUNK for k in full}) == 3, full
+        else:
+            assert full == ([0, 0, 0] if target == 1e3 else [None, None, None])
 
 
 def test_validate_non_finite_inversion_fails_only_its_spot(monkeypatch):

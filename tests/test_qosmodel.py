@@ -220,6 +220,13 @@ def test_mc_oracle_rejects_a_negative_user_density():
         mc_delay_oracle(lam_b, -1e-4, 1.0, PARAMS, trials=10, rng_seed=0)
 
 
+def test_mc_oracle_rejects_spots_without_one_seed_each():
+    with pytest.raises(ValueError, match=r"^lambda_b and rng_seed must be scalars or 1-D of one "
+                                         r"length, got 2 densities and 1 seeds$"):
+        mc_delay_oracle([10.0 * PER_KM2, 30.0 * PER_KM2], 1e-4, 1.0, PARAMS, trials=10,
+                        rng_seed=[0])
+
+
 @pytest.mark.parametrize("lam_b", [math.nan, math.inf, -math.inf])
 def test_mc_oracle_rejects_a_non_finite_station_density(lam_b):
     with pytest.raises(ValueError, match=rf"^lambda_b must be finite and > 0, got {lam_b}$"):
@@ -581,7 +588,7 @@ def test_serving_cell_mean_area_matches_gilbert():
     # Gilbert (1962): the cell covering a fixed point has mean area
     # 1.2801 / lambda_b, against 1 / lambda_b for a typical cell.
     lam_b = 10.0 * PER_KM2
-    r, areas = _serving_cells(lam_b, 4000, np.random.default_rng(11))
+    (r,), (areas,) = _serving_cells([lam_b], 4000, [np.random.default_rng(11)])
     assert areas.mean() * lam_b == pytest.approx(1.2801, rel=0.03)
     assert np.all(areas > 0.0)
     # The stratified serving distance keeps its law P(r > t) = exp(-lambda pi t^2).
@@ -603,11 +610,36 @@ SPOT_BS_PER_KM2 = sorted({10.0} | {bs for bs, _ in MC_SPOT_DENSITIES_PER_KM2})
 @pytest.mark.parametrize("bs_km2", SPOT_BS_PER_KM2)
 def test_serving_cells_bit_equal_to_scalar_reference(bs_km2, trials):
     for seed in (1234, 1235, 1236):
-        r, areas = _serving_cells(bs_km2 * PER_KM2, trials, np.random.default_rng(seed))
+        (r,), (areas,) = _serving_cells([bs_km2 * PER_KM2], trials, [np.random.default_rng(seed)])
         r_ref, areas_ref = mc_reference.serving_cells(bs_km2 * PER_KM2, trials,
                                                       np.random.default_rng(seed))
         assert np.array_equal(r, r_ref)
         assert np.array_equal(areas, areas_ref)
+
+
+@pytest.mark.parametrize("trials, passes", [(1000, [2, 1]), (5000, [1, 1, 1])])
+def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, passes):
+    # validate's spots, each scoring its load and zero traffic: at 1000
+    # trials the first two share a clipping pass, at 5000 each has its own.
+    spots = np.array(MC_SPOT_DENSITIES_PER_KM2) * PER_KM2
+    users = np.stack((spots[:, 1], np.zeros(len(spots))), 1)
+    sizes = []
+
+    def counting(lambda_b, trials, rngs):
+        sizes.append(len(rngs))
+        return _serving_cells(lambda_b, trials, rngs)
+
+    monkeypatch.setattr(qosmodel, "_serving_cells", counting)
+    for seed in (1, 2, 3, 1234):
+        sizes.clear()
+        seeds = [seed + k for k in range(len(spots))]
+        batch = mc_delay_oracle(spots[:, 0], users, 1.0, PARAMS, trials=trials, rng_seed=seeds)
+        assert sizes == passes
+        assert batch.shape == users.shape
+        for (lam_b, _), lam_u, k_seed, value in zip(spots, users, seeds, batch):
+            one = mc_delay_oracle(lam_b, lam_u, 1.0, PARAMS, trials=trials, rng_seed=k_seed)
+            assert np.array_equal(one, value)
+            assert one[0] > 0.0 and one[1] == 0.0
 
 
 def test_cell_areas_rows_equal_their_single_row_calls():
@@ -727,3 +759,18 @@ def test_nodes_theta_error_across_the_accepted_range(reference_delays):
               for n in counts}
     assert [n for n in counts if errors[n] > QUADRATURE_BUDGET] == [8, 9], errors
     assert errors[32] < 3e-6
+
+
+def test_nodes_r_and_nodes_x_error_across_the_accepted_range(reference_delays):
+    # The other counts at their defaults. nodes_r meets the budget at 25-29,
+    # 37, 42, 45, 48 and every count from 50 up (8: 4.3e-3; 37: 9.9e-6; 47
+    # and 49: 1.01e-5 and 1.02e-5), nodes_x at 17-20 and every count from 22
+    # up (8: 9.5e-3; 21: 1.1e-5; 23: 9.5e-6). The accepted range, 8 to 256,
+    # also takes the counts that miss it.
+    misses = {name: [n for n in range(8, 257)
+                     if _budget_error(dataclasses.replace(QUAD, **{name: n}), reference_delays)
+                     > QUADRATURE_BUDGET]
+              for name in ("nodes_r", "nodes_x")}
+    assert misses == {"nodes_r": [*range(8, 25), *range(30, 37), 38, 39, 40, 41, 43, 44, 46, 47,
+                                  49],
+                      "nodes_x": [*range(8, 17), 21]}
