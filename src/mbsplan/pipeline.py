@@ -442,10 +442,14 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     inversion (pass when the answers land within one cell of a 2000-point
     log grid of fixed-point delays). Deterministic for a fixed seed.
 
-    One ``mc_delay_oracle`` call simulates the three spots, spot i from
-    seed + i, each bit-equal to its own call. The grid scan stops each user
-    density at the first chunk of the grid that holds a feasible point
-    (``_first_feasible``), since the report reads nothing past it.
+    One ``mc_delay_oracle`` call simulates the three spots in one clipping
+    loop, spot i from seed + i, each bit-equal to its own call. One
+    ``delay_given_utilization`` call gives the zero-traffic and the three
+    spot delays, and one ``_min_densities`` call inverts the three grid
+    loads; both are elementwise, so each value equals its own call. The
+    grid scan stops each user density at the first chunk of the grid that
+    holds a feasible point (``_first_feasible``), since the report reads
+    nothing past it.
     """
     if mc_trials < 1000:
         raise ValueError(f"mc_trials must be at least 1000, got {mc_trials}")
@@ -465,17 +469,17 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
 
     # Zero traffic: the analytic delay and the simulated delay (on the first
     # spot's draws) are both exactly zero (no users, nothing to transmit).
-    analytic_zero = delay_given_utilization(MC_SPOT_DENSITIES_PER_KM2[0][0] / M2_PER_KM2,
-                                            0.0, 1.0, params, quad)
+    analytic_zero, *analytic_spots = delay_given_utilization(
+        np.append(spots[0, 0], spots[:, 0]), np.append(0.0, spots[:, 1]), 1.0, params,
+        quad).tolist()
     mc_zero = simulated[0][1]
     ok = analytic_zero == 0.0 and mc_zero == 0.0
     checks.append(ValidationCheck(
         "zero-traffic identity", ok,
         f"analytic {analytic_zero!r}, simulated {mc_zero!r} (both must be 0.0)"))
 
-    for (bs_km2, users_km2), (mc, _) in zip(MC_SPOT_DENSITIES_PER_KM2, simulated):
-        analytic = delay_given_utilization(bs_km2 / M2_PER_KM2, users_km2 / M2_PER_KM2, 1.0,
-                                           params, quad)
+    for (bs_km2, users_km2), (mc, _), analytic in zip(MC_SPOT_DENSITIES_PER_KM2, simulated,
+                                                      analytic_spots):
         rel = abs(mc - analytic) / analytic
         checks.append(ValidationCheck(
             f"mc-delay bs={bs_km2:g}/km2 users={users_km2:g}/km2", rel < _MC_REL_TOL,
@@ -485,6 +489,12 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     grid = np.logspace(np.log10(_GRID_LO_PER_KM2), np.log10(_GRID_HI_PER_KM2),
                        _GRID_POINTS) / M2_PER_KM2
     lam_u = np.array(GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
+    # each load gets its own call only if the one call raises, so that a
+    # failure names its own load
+    try:
+        inverted = _min_densities(lam_u, params, quad)[0].tolist()  # inf past the cap
+    except Exception:
+        inverted = [None] * lam_u.size
     for i, (users_km2, k) in enumerate(zip(GRID_SPOT_USER_DENSITIES_PER_KM2,
                                            _first_feasible(grid, lam_u, params, quad))):
         name = f"grid-scan users={users_km2:g}/km2"
@@ -493,7 +503,9 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
                                           "no feasible grid point up to the density cap"))
             continue
         try:
-            solved = float(_min_densities(lam_u[i:i + 1], params, quad)[0][0])  # inf past the cap
+            solved = inverted[i]
+            if solved is None:
+                solved = float(_min_densities(lam_u[i:i + 1], params, quad)[0][0])
         except Exception as exc:
             checks.append(ValidationCheck(
                 name, False, f"inversion failed where the grid scan succeeded: {exc}"))

@@ -451,52 +451,125 @@ def _shoelace(cx, cy, m):
     return 0.5 * total
 
 
-def _cell_areas(next_points, box, trials: int):
-    """Area of the Voronoi cell of a station at the origin, one per trial.
+# A spot joins the clipping loop only while its trials and the live ones
+# number at most this many, or when none is live; a spot is never split.
+# One spot's cost per trial falls with the loop's width, from 17 us at 250
+# trials to 8.3 at 1000 and 7 at 2000 (2-vCPU Xeon VM). The bound keeps the
+# heap small: clipping validate's 3 x 10 000 default trials at once peaked
+# 15 MiB higher than one spot at a time, and its 3 x 1000 quick trials at
+# once left a repeated call 96-190 fresh page faults.
+_MC_PASS_TRIALS = 2048
 
-    Each trial cuts its cell from the rectangle box = (x0, x1, y0, y1),
-    whose entries are scalars or per-trial arrays, by clipping
+
+def _side_by_side(blocks):
+    """2-D arrays zero-padded to the tallest one's rows and set side by side."""
+    out = np.zeros((max(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    at = 0
+    for b in blocks:
+        out[:b.shape[0], at:at + b.shape[1]] = b
+        at += b.shape[1]
+    return out
+
+
+def _cell_areas(spots: int, trials: int, start, distances, offsets):
+    """Area of the Voronoi cell of a station at the origin, for ``trials``
+    trials at each of ``spots`` spots. Yields (k, areas of spot k) in spot
+    order, as soon as every cell of spot k and of the spots before it is
+    final.
+
+    Each trial cuts its cell from a rectangle by clipping
     (Sutherland-Hodgman) with the perpendicular bisector to each of its
-    other stations, nearest first. next_points(live) returns the next
-    point of each trial in ``live``: its offsets qx, qy, its squared
-    distance d2, and q2, which is d2 for a station and inf for a point that
-    is not one (that bisector keeps every vertex). A trial retires at its
-    first point farther than twice the cell's farthest vertex: that
-    bisector and every later one miss the cell, so the area is exact.
+    other stations, nearest first. A trial retires at its first point
+    farther than twice the cell's farthest vertex: that bisector and every
+    later one miss the cell, so the area is exact.
 
-    All live trials take a step together, on polygons stored as in
-    ``_clip``. A trial's arithmetic and vertex order do not depend on the
-    other trials, so its area equals that of its one-trial call.
+    Three callbacks supply the points. start(k) returns spot k's rectangles
+    (x0, x1, y0, y1), scalars or per-trial arrays, and the source's state
+    for its trials, a float array with one column per trial. Each step,
+    distances(index, state, drawing) returns the squared distance d2 of the
+    next point of every live trial: ``index`` holds their flat trial
+    numbers, ``state`` their columns, and ``drawing`` the range of spots
+    from the first to the last with live trials. offsets(index, state, d2)
+    then returns the offsets qx, qy and q2 of the trials that stay live: q2
+    is d2 for a station and inf for a point that is not one (that bisector
+    keeps every vertex).
+
+    A spot joins at the first step where its trials and the live ones
+    number at most ``_MC_PASS_TRIALS``, or where none is live. All live
+    trials take a step together, on polygons stored as in ``_clip``, and
+    the polygons, numbers and state are compacted together as trials
+    retire. Retired cells wait for ``_shoelace`` in batches of at most half
+    the bound, or of one step's retirements where more retire at once. A
+    trial's arithmetic and vertex order do not depend on the other trials,
+    so its area equals that of its one-trial call.
     """
-    x0, x1, y0, y1 = (np.broadcast_to(np.asarray(b, dtype=float), (trials,)) for b in box)
-    cx = np.stack((x0, x0, x1, x1, x0))
-    cy = np.stack((y1, y0, y0, y1, y1))
-    m = np.full(trials, 4)
-    live = np.arange(trials)
-    areas = np.empty(trials)
-    while live.size:
-        qx, qy, d2, q2 = next_points(live)
+    areas = {}  # each unfinished spot's areas
+    index = np.empty(0, dtype=np.intp)
+    m = np.empty(0, dtype=np.intp)
+    cx = cy = state = np.empty((0, 0))
+    retired, waiting, joined, finished = [], 0, 0, 0
+
+    def shoelace():
+        nonlocal waiting
+        x, y, k, at = zip(*retired)
+        value = _shoelace(_side_by_side(x), _side_by_side(y), np.concatenate(k))
+        spot, t = np.divmod(np.concatenate(at), trials)
+        for s in range(spot.min(), spot.max() + 1):
+            mine = spot == s
+            areas[s][t[mine]] = value[mine]
+        retired.clear()
+        waiting = 0
+
+    while joined < spots or index.size:
+        while joined < spots and (index.size + trials <= _MC_PASS_TRIALS or not index.size):
+            box, new = start(joined)
+            x0, x1, y0, y1 = (np.broadcast_to(np.asarray(b, dtype=float), (trials,)) for b in box)
+            cx = _side_by_side([cx, np.stack((x0, x0, x1, x1, x0))])
+            cy = _side_by_side([cy, np.stack((y1, y0, y0, y1, y1))])
+            state = _side_by_side([state, new])
+            m = np.concatenate((m, np.full(trials, 4)))
+            index = np.concatenate((index, np.arange(joined * trials, (joined + 1) * trials)))
+            areas[joined] = np.empty(trials)
+            joined += 1
+            del new  # copied into state, which is compacted as trials retire
+        d2 = distances(index, state, range(index[0] // trials, index[-1] // trials + 1))
         # neither the repeated vertex nor zero padding raises the maximum
         done = d2 > 4.0 * np.max(cx * cx + cy * cy, axis=0)
-        if done.any():
-            areas[live[done]] = _shoelace(cx[:, done], cy[:, done], m[done])
-            going = ~done
+        count = int(np.count_nonzero(done))
+        if count:
+            # batches of the full bound left a repeated validate --trials 1000
+            # 86-207 fresh page faults (8 checkout paths), half of it 0-15
+            if retired and waiting + count > _MC_PASS_TRIALS // 2:
+                shoelace()
+            retired.append((cx[:, done], cy[:, done], m[done], index[done]))
+            waiting += count
+            if waiting >= _MC_PASS_TRIALS // 2:
+                shoelace()
             # compress keeps the polygons C-contiguous, so _clip's ravels
             # are views, not copies
-            live, m = live[going], m[going]
+            going = ~done
+            index, m, d2 = index[going], m[going], d2[going]
             cx, cy = np.compress(going, cx, axis=1), np.compress(going, cy, axis=1)
-            qx, qy, q2 = qx[going], qy[going], q2[going]
-            if not live.size:
-                break
-        cx, cy, m = _clip(cx, cy, m, qx, qy, q2)
-    return areas
+            state = np.compress(going, state, axis=1)
+        if index.size:
+            cx, cy, m = _clip(cx, cy, m, *offsets(index, state, d2))
+        # the spots before the first live one are final once their waiting
+        # cells are summed
+        first = index[0] // trials if index.size else joined
+        if first > finished:
+            if retired:
+                shoelace()
+            for k in range(finished, first):
+                yield k, areas.pop(k)
+            finished = first
 
 
 def _serving_cells(lambda_b, trials: int, rngs):
     """Serving distance and serving-cell area of the station nearest to a
     tagged user, one independent Poisson field per trial, for ``trials``
     trials at each spot: station density lambda_b[k] and generator rngs[k].
-    Returns arrays of shape (spots, trials).
+    Yields (k, r, areas) for each spot k in order, as soon as its cells are
+    final, so that a finished spot's arrays need not outlive its scoring.
 
     r follows its void probability P(r > t) = exp(-lambda_b pi t^2), with
     the uniform variate stratified over the spot's trials. Given r, the
@@ -510,47 +583,52 @@ def _serving_cells(lambda_b, trials: int, rngs):
     exact and untruncated. The cell is cut from the square of half-width
     10 / sqrt(pi lambda_b) around the station, which no cell reaches.
 
-    The trials of every spot are clipped in one ``_cell_areas`` loop. Each
-    step draws one row of 2 * trials uniforms from every spot's generator,
-    and the spot's trial t takes column t, so a trial's points do not
-    depend on the other trials or spots, and each spot's results are
-    bit-equal to its one-spot call; a trial stops drawing once its cell is
-    final.
+    The trials of every spot are clipped in one ``_cell_areas`` loop. From
+    the step its trials join, a spot draws one row of 2 * trials uniforms
+    per step from its generator, into a buffer it reuses, and its trial t
+    takes column t, so a trial's points do not depend on the other trials
+    or spots, and each spot's results are bit-equal to its one-spot call; a
+    trial stops drawing once its cell is final. Each trial's state is its
+    running pi lambda_b d^2, its pi lambda_b and its 2 r.
     """
     lambda_b = np.asarray(lambda_b, dtype=float)
     spots = lambda_b.size
-    u = np.concatenate([(rng.permutation(trials) + rng.random(trials)) / trials
-                        for rng in rngs])
-    # pi lambda_b of each trial's spot
-    pi_lam = np.repeat(math.pi * lambda_b, trials)
-    r = np.sqrt(-np.log(u) / pi_lam)
-    half = np.repeat(10.0 / np.sqrt(lambda_b * math.pi), trials)
-    # pi lambda_b d^2 of each trial's latest point
-    mass = np.zeros(spots * trials)
+    pi_lam = math.pi * lambda_b
+    half = 10.0 / np.sqrt(lambda_b * math.pi)
+    r = {}  # each unfinished spot's serving distances
+    # the latest row of each drawing spot: its exponential variates in
+    # rows[0], its turns in rows[1]; base is the flat number of the first
+    # drawing spot's trial 0
+    rows, base = np.empty((2, 0, trials)), 0
 
-    def next_points(live):
-        # a spot whose trials are all done draws rows that nothing reads
-        e, turn = np.concatenate([rng.random((2, trials)) for rng in rngs], axis=1)[:, live]
-        mass[live] -= np.log1p(-e)
-        d2 = mass[live] / pi_lam[live]
+    def start(k):
+        rng = rngs[k]
+        u = (rng.permutation(trials) + rng.random(trials)) / trials
+        r[k] = np.sqrt(-np.log(u) / pi_lam[k])
+        state = np.stack((np.zeros(trials), np.full(trials, pi_lam[k]), 2.0 * r[k]))
+        return (-half[k], half[k], -half[k], half[k]), state
+
+    def distances(index, state, drawing):
+        nonlocal rows, base
+        if rows.shape[1] != len(drawing):
+            rows = np.empty((2, len(drawing), trials))
+        base = drawing.start * trials
+        # a spot whose trials are all done may draw rows that nothing reads
+        for slot, k in enumerate(drawing):
+            rngs[k].random(out=rows[0, slot])
+            rngs[k].random(out=rows[1, slot])
+        state[0] -= np.log1p(-np.take(rows[0], index - base))
+        return state[0] / state[1]
+
+    def offsets(index, state, d2):
         d = np.sqrt(d2)
-        psi = TWO_PI * turn
+        psi = TWO_PI * np.take(rows[1], index - base)
         cos_psi = np.cos(psi)
-        dropped = d + 2.0 * r[live] * cos_psi < 0.0
-        return d * cos_psi, d * np.sin(psi), d2, np.where(dropped, np.inf, d2)
+        d2[d + state[2] * cos_psi < 0.0] = np.inf  # in the user's empty disc
+        return d * cos_psi, d * np.sin(psi), d2
 
-    areas = _cell_areas(next_points, (-half, half, -half, half), spots * trials)
-    return r.reshape(spots, trials), areas.reshape(spots, trials)
-
-
-# Spots share a clipping pass up to this many trials in all; a spot is never
-# split. One spot's cost per trial falls with the pass, from 17 us at 250
-# trials to 8.3 at 1000 and 7 at 2000 (2-vCPU Xeon VM). The bound keeps the
-# heap small: one pass of validate's 3 x 10 000 default trials peaked 15 MiB
-# higher than three, and one pass of its 3 x 1000 quick trials left a
-# repeated call 96-190 fresh page faults, against 3-5 for passes of 2000
-# and 1000.
-_MC_PASS_TRIALS = 2048
+    for k, areas in _cell_areas(spots, trials, start, distances, offsets):
+        yield k, r.pop(k), areas
 
 
 def mc_delay_oracle(
@@ -580,8 +658,9 @@ def mc_delay_oracle(
     lambda_b and rng_seed may also be 1-D, one entry per spot: spot k draws
     ``trials`` trials from ``default_rng(rng_seed[k])``, lambda_u's first
     axis runs over the spots, and the result's entry k is bit-equal to the
-    one-spot call at (lambda_b[k], lambda_u[k], rng_seed[k]). Spots are
-    clipped together in passes of at most ``_MC_PASS_TRIALS`` trials.
+    one-spot call at (lambda_b[k], lambda_u[k], rng_seed[k]). The spots
+    share one clipping loop: a spot joins it as soon as the live trials and
+    its own number at most ``_MC_PASS_TRIALS``, or when none is live.
     """
     spot_b = np.atleast_1d(np.asarray(lambda_b, dtype=float))
     for b in spot_b.tolist():
@@ -596,14 +675,10 @@ def mc_delay_oracle(
     lambda_u = np.asarray(lambda_u, dtype=float)
     _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
     scores = np.empty(spot_b.size)
-    per_pass = max(1, _MC_PASS_TRIALS // trials)
-    for first in range(0, spot_b.size, per_pass):
-        group = spot_b[first:first + per_pass]
-        r, areas = _serving_cells(group, trials, [np.random.default_rng(s)
-                                                  for s in seeds[first:first + per_pass]])
-        for k, (lam_b, r_k, areas_k) in enumerate(zip(group.tolist(), r, areas), first):
-            rate = capacity(r_k, params, mean_interference(r_k, params, lam_b, utilization))
-            scores[k] = np.sum(areas_k / rate)
+    lam_b = spot_b.tolist()
+    for k, r, areas in _serving_cells(spot_b, trials, [np.random.default_rng(s) for s in seeds]):
+        rate = capacity(r, params, mean_interference(r, params, lam_b[k], utilization))
+        scores[k] = np.sum(areas / rate)
     scale = scores[0] if np.ndim(lambda_b) == 0 else scores.reshape(
         (-1,) + (1,) * max(lambda_u.ndim - 1, 0))
     tau = lambda_u * scale / trials

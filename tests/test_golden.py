@@ -15,7 +15,9 @@ and list every moved field in CHANGES.md.
 
 Text, layout and integers must match exactly; floats match to 1e-12
 relative, since numpy's SIMD math may differ in the last bits between
-CPUs.
+CPUs, or to 1e-12 of the file's largest float: a difference that is 0
+in exact arithmetic comes out as 0.0 on one SIMD path and as a rounding
+unit of its operands on another.
 """
 
 import contextlib
@@ -35,16 +37,19 @@ _INTEGER = re.compile(r"[-+]?\d+")
 
 
 def _assert_matches(fresh: str, golden: str, name: str) -> None:
-    """Equal text outside numbers, equal integers, floats to FLOAT_REL_TOL."""
+    """Equal text outside numbers, equal integers, floats to FLOAT_REL_TOL
+    relative or FLOAT_REL_TOL times the golden's largest |float|."""
     assert _NUMBER.split(fresh) == _NUMBER.split(golden), f"{name}: text differs"
     got, want = _NUMBER.findall(fresh), _NUMBER.findall(golden)
     assert len(got) == len(want), f"{name}: number count differs"
+    floor = FLOAT_REL_TOL * max((abs(float(b)) for b in want if not _INTEGER.fullmatch(b)),
+                                default=0.0)
     for k, (a, b) in enumerate(zip(got, want)):
         if _INTEGER.fullmatch(b):
             assert a == b, f"{name}: integer {k} is {a}, golden {b}"
         else:
             assert not _INTEGER.fullmatch(a), f"{name}: number {k} is {a}, golden float {b}"
-            assert math.isclose(float(a), float(b), rel_tol=FLOAT_REL_TOL, abs_tol=0.0), \
+            assert math.isclose(float(a), float(b), rel_tol=FLOAT_REL_TOL, abs_tol=floor), \
                 f"{name}: float {k} is {a}, golden {b}"
 
 
@@ -84,11 +89,14 @@ def test_output_matches_golden(fresh, name):
 
 def test_comparison_catches_moved_values():
     _assert_matches("a,1,0.5\n", "a,1,0.5000000000001\n", "within tolerance")
+    # dust below 1e-12 of the file's largest float, as a SIMD path leaves it
+    _assert_matches("a,0.0,300.0\n", "a,2.8e-14,300.0\n", "within the floor")
     for fresh, golden in (("a,1,0.5\n", "a,1,0.50000001\n"),   # float moved
                           ("a,2,0.5\n", "a,1,0.5\n"),          # integer moved
                           ("a,1.0,0.5\n", "a,1,0.5\n"),        # integer became a float
                           ("b,1,0.5\n", "a,1,0.5\n"),          # text moved
                           ("a,1,0.5", "a,1,0.5\n"),            # layout moved
-                          ("a,1,0.5,0\n", "a,1,0.5\n")):       # extra cell
+                          ("a,1,0.5,0\n", "a,1,0.5\n"),        # extra cell
+                          ("a,0.0,300.0\n", "a,1e-9,300.0\n")):  # above the floor
         with pytest.raises(AssertionError):
             _assert_matches(fresh, golden, "moved")

@@ -1100,6 +1100,35 @@ def test_grid_scan_finds_the_full_grids_first_feasible_point(config, tmp_path):
             assert full == ([0, 0, 0] if target == 1e3 else [None, None, None])
 
 
+@pytest.mark.parametrize("config", VALIDATE_CONFIGS)
+def test_validate_inverts_its_grid_loads_in_one_call_bit_equal_to_one_load_calls(
+        config, monkeypatch, tmp_path):
+    # _min_densities promises that a load's answer does not depend on the
+    # other loads in its array; validate leans on it to invert its three
+    # grid-scan loads at once.
+    path = _validate_config(config, tmp_path)
+    scenario, _ = pipeline._load(path)
+    real = pipeline._min_densities
+    calls = []
+
+    def recording(loads, params, quad):
+        density, delay = real(loads, params, quad)
+        calls.append((np.array(loads), density, delay, params, quad))
+        return density, delay
+
+    monkeypatch.setattr(pipeline, "_min_densities", recording)
+    pipeline.validate(path, mc_trials=1000, seed=5)
+    assert len(calls) == 1
+    loads, density, delay, params, quad = calls[0]
+    assert np.array_equal(loads,
+                          np.array(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2)
+    assert (params, quad) == (scenario.radio, scenario.quadrature)
+    for i in range(loads.size):
+        one_density, one_delay = real(loads[i:i + 1], params, quad)
+        assert np.array_equal(one_density, density[i:i + 1])
+        assert np.array_equal(one_delay, delay[i:i + 1])
+
+
 def test_validate_non_finite_inversion_fails_only_its_spot(monkeypatch):
     # A probe that is not finite fails its own spot with the message; the
     # other spots are inverted on their own and pass as before.

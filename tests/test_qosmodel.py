@@ -1,7 +1,6 @@
 """Delay-model tests: geometry, capacity, linearity, fixed point, kernels."""
 
 import dataclasses
-import itertools
 import math
 
 import mpmath
@@ -513,10 +512,10 @@ def _lattice(a, b, spacing, reach=4):
 BOX = (-50.0, 50.0, -50.0, 50.0)
 
 
-def _nearest_first(stations):
-    """``_cell_areas``'s next_points for given stations: trial t's offsets
-    stations[t] = (dx, dy), nearest first (ties in their given order), then
-    points at infinity."""
+def _nearest_first(stations, box):
+    """``_cell_areas``'s callbacks for one spot of given stations: trial t's
+    offsets stations[t] = (dx, dy), nearest first (ties in their given
+    order), then points at infinity, each trial in the rectangle box."""
     width = max(x.size for x, _ in stations) + 1
     dx = np.full((len(stations), width), np.inf)
     dy = np.full((len(stations), width), np.inf)
@@ -526,19 +525,27 @@ def _nearest_first(stations):
     d2 = dx * dx + dy * dy
     order = np.argsort(d2, axis=1, kind="stable")
     dx, dy, d2 = (np.take_along_axis(a, order, axis=1) for a in (dx, dy, d2))
-    steps = itertools.count()
+    step = -1
 
-    def next_points(live):
-        k = next(steps)
-        return dx[live, k], dy[live, k], d2[live, k], d2[live, k]
+    def start(k):
+        return box, np.empty((0, len(stations)))
 
-    return next_points
+    def distances(index, state, drawing):
+        nonlocal step
+        step += 1
+        return d2[index, step]
+
+    def offsets(index, state, d2_live):
+        return dx[index, step], dy[index, step], d2_live
+
+    return start, distances, offsets
 
 
 def _cell_area(dx, dy, box):
     """One cell through the batched clipper, as a batch of one trial."""
     stations = (np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
-    return _cell_areas(_nearest_first([stations]), box, 1)[0]
+    [(_, areas)] = _cell_areas(1, 1, *_nearest_first([stations], box))
+    return areas[0]
 
 
 def test_cell_area_exact_on_square_and_hexagonal_lattices():
@@ -588,7 +595,7 @@ def test_serving_cell_mean_area_matches_gilbert():
     # Gilbert (1962): the cell covering a fixed point has mean area
     # 1.2801 / lambda_b, against 1 / lambda_b for a typical cell.
     lam_b = 10.0 * PER_KM2
-    (r,), (areas,) = _serving_cells([lam_b], 4000, [np.random.default_rng(11)])
+    [(_, r, areas)] = _serving_cells([lam_b], 4000, [np.random.default_rng(11)])
     assert areas.mean() * lam_b == pytest.approx(1.2801, rel=0.03)
     assert np.all(areas > 0.0)
     # The stratified serving distance keeps its law P(r > t) = exp(-lambda pi t^2).
@@ -610,31 +617,51 @@ SPOT_BS_PER_KM2 = sorted({10.0} | {bs for bs, _ in MC_SPOT_DENSITIES_PER_KM2})
 @pytest.mark.parametrize("bs_km2", SPOT_BS_PER_KM2)
 def test_serving_cells_bit_equal_to_scalar_reference(bs_km2, trials):
     for seed in (1234, 1235, 1236):
-        (r,), (areas,) = _serving_cells([bs_km2 * PER_KM2], trials, [np.random.default_rng(seed)])
+        [(_, r, areas)] = _serving_cells([bs_km2 * PER_KM2], trials,
+                                         [np.random.default_rng(seed)])
         r_ref, areas_ref = mc_reference.serving_cells(bs_km2 * PER_KM2, trials,
                                                       np.random.default_rng(seed))
         assert np.array_equal(r, r_ref)
         assert np.array_equal(areas, areas_ref)
 
 
-@pytest.mark.parametrize("trials, passes", [(1000, [2, 1]), (5000, [1, 1, 1])])
-def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, passes):
-    # validate's spots, each scoring its load and zero traffic: at 1000
-    # trials the first two share a clipping pass, at 5000 each has its own.
+@pytest.mark.parametrize("trials, mid_loop", [(700, True), (1000, True), (5000, False)])
+def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, mid_loop):
+    # validate's spots, each scoring its load and zero traffic, share one
+    # clipping loop. At 700 and 1000 trials the first two spots start it and
+    # the third joins while their trials are still live; at 5000 a spot
+    # joins only once none is live. The loop never clips more trials than
+    # the bound, or than one spot where a spot alone is wider.
     spots = np.array(MC_SPOT_DENSITIES_PER_KM2) * PER_KM2
     users = np.stack((spots[:, 1], np.zeros(len(spots))), 1)
-    sizes = []
+    sizes, widths = [], []
+    clip = qosmodel._clip
 
     def counting(lambda_b, trials, rngs):
         sizes.append(len(rngs))
         return _serving_cells(lambda_b, trials, rngs)
 
+    def clipping(cx, cy, m, qx, qy, q2):
+        widths.append(m.size)
+        return clip(cx, cy, m, qx, qy, q2)
+
     monkeypatch.setattr(qosmodel, "_serving_cells", counting)
+    monkeypatch.setattr(qosmodel, "_clip", clipping)
     for seed in (1, 2, 3, 1234):
         sizes.clear()
+        widths.clear()
         seeds = [seed + k for k in range(len(spots))]
         batch = mc_delay_oracle(spots[:, 0], users, 1.0, PARAMS, trials=trials, rng_seed=seeds)
-        assert sizes == passes
+        assert sizes == [len(spots)]
+        assert max(widths) <= max(qosmodel._MC_PASS_TRIALS, trials)
+        # the loop's width at each step where a spot joined after the first
+        joins = [now for before, now in zip(widths, widths[1:]) if now > before]
+        if mid_loop:
+            assert widths[0] == 2 * trials
+            assert len(joins) == 1 and trials < joins[0] <= qosmodel._MC_PASS_TRIALS
+        else:
+            assert widths[0] == trials
+            assert joins == [trials] * (len(spots) - 1)
         assert batch.shape == users.shape
         for (lam_b, _), lam_u, k_seed, value in zip(spots, users, seeds, batch):
             one = mc_delay_oracle(lam_b, lam_u, 1.0, PARAMS, trials=trials, rng_seed=k_seed)
@@ -650,7 +677,8 @@ def test_cell_areas_rows_equal_their_single_row_calls():
     empty = (np.empty(0), np.empty(0))
     stations = [lattice, empty, corner]
     boxes = [BOX, (-3.0, 5.0, -4.0, 4.0), BOX]
-    areas = _cell_areas(_nearest_first(stations), tuple(np.array(b) for b in zip(*boxes)), 3)
+    [(_, areas)] = _cell_areas(1, 3, *_nearest_first(stations,
+                                                     tuple(np.array(b) for b in zip(*boxes))))
     for t, ((x, y), box) in enumerate(zip(stations, boxes)):
         assert areas[t] == _cell_area(x, y, box)
     # The lattice's equidistant stations may be clipped in another order by
