@@ -13,10 +13,10 @@ surface.
 # Set before the submodule imports: pipeline reads it at import time.
 __version__ = "0.1.0"
 
-from .scenario import (QuadratureSpec, RadioParams, Region, Scenario, ScenarioError,
-                       SchemaError, ValidationError, default_config, default_scenario,
-                       load_scenario, slot_midpoints_h, user_density_matrix)
-from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, capacity,
+from .scenario import (RadioParams, Region, Scenario, ScenarioError, SchemaError,
+                       ValidationError, default_config, default_scenario, load_scenario,
+                       slot_midpoints_h, user_density_matrix)
+from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, QuadratureSpec, capacity,
                        delay_given_utilization, evaluate_qos, mc_delay_oracle,
                        mean_interference, overlap_area)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
@@ -30,11 +30,11 @@ from .pipeline import (SweepResult, ValidationCheck, ValidationReport, run_pipel
 __all__ = [
     "__version__",
     # scenario
-    "QuadratureSpec", "RadioParams", "Region", "Scenario", "ScenarioError",
-    "SchemaError", "ValidationError", "default_config", "default_scenario",
-    "load_scenario", "slot_midpoints_h", "user_density_matrix",
+    "RadioParams", "Region", "Scenario", "ScenarioError", "SchemaError",
+    "ValidationError", "default_config", "default_scenario", "load_scenario",
+    "slot_midpoints_h", "user_density_matrix",
     # qos model
-    "FixedPointDiverged", "NonFinite", "QosEvaluation", "capacity",
+    "FixedPointDiverged", "NonFinite", "QosEvaluation", "QuadratureSpec", "capacity",
     "delay_given_utilization", "evaluate_qos", "mc_delay_oracle", "mean_interference",
     "overlap_area",
     # dimensioning

@@ -62,6 +62,8 @@ def _ratio_range(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"start and stop must be finite, got {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError(f"count must be at least 1, got {count}")
+    if count > 10_000:
+        raise argparse.ArgumentTypeError(f"count must be at most 10000, got {count}")
     if stop < start:
         raise argparse.ArgumentTypeError(f"stop {stop} is below start {start}")
     return np.linspace(start, stop, count)
@@ -101,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--config", default=None,
                        help="scenario config JSON (default: built-in scenario)")
     val_p.add_argument("--trials", type=int, default=10000,
-                       help="Monte Carlo trials per spot check (min 1000, default 10000)")
+                       help="Monte Carlo trials per spot check (1000 to 1000000, default 10000)")
     val_p.add_argument("--seed", type=int, default=1234, help="oracle RNG seed")
     return parser
 

@@ -35,9 +35,9 @@ import functools
 
 import numpy as np
 
-from .scenario import M2_PER_KM2, QuadratureSpec, RadioParams
-from .qosmodel import (BadElement, FixedPointDiverged, NonFinite, _check_elements, _unit_sums,
-                       evaluate_qos)
+from .scenario import M2_PER_KM2, RadioParams
+from .qosmodel import (BadElement, FixedPointDiverged, NonFinite, QuadratureSpec, _check_elements,
+                       _unit_sums, evaluate_qos)
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4

@@ -33,8 +33,8 @@ from . import __version__
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          optimal_plan, savings, verify_plan)
 from .dimensioning import InfeasibleDemand, _min_densities, demand_matrix
-from .qosmodel import (FixedPointDiverged, NonFinite, delay_given_utilization, evaluate_qos,
-                       mc_delay_oracle)
+from .qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec, delay_given_utilization,
+                       evaluate_qos, mc_delay_oracle)
 from .scenario import (M2_PER_KM2, Scenario, ValidationError, default_config, load_scenario,
                        slot_midpoints_h, user_density_matrix)
 
@@ -121,7 +121,7 @@ def _dimension(scenario: Scenario) -> tuple:
     A failure names its stage and its cell by slot and region id."""
     users = user_density_matrix(scenario)
     try:
-        return (users, *demand_matrix(users, scenario.radio, scenario.quadrature))
+        return (users, *demand_matrix(users, scenario.radio))
     except (InfeasibleDemand, FixedPointDiverged, NonFinite) as exc:
         slot, region = divmod(exc.index, users.shape[1])
         raise type(exc)(f"dimensioning: slot {slot}, region {scenario.region_ids[region]}: "
@@ -451,13 +451,14 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     holds a feasible point (``_first_feasible``), since the report reads
     nothing past it.
     """
-    if mc_trials < 1000:
-        raise ValueError(f"mc_trials must be at least 1000, got {mc_trials}")
+    # 100 000 trials per spot peak at 114 MiB, so the most take about 0.7 GiB
+    if not 1000 <= mc_trials <= 1_000_000:
+        raise ValueError(f"mc_trials (--trials) must be in [1000, 1000000], got {mc_trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     scenario, _ = _load(config_path)
     params = scenario.radio
-    quad = scenario.quadrature
+    quad = QuadratureSpec()
     checks: list[ValidationCheck] = []
 
     # Each spot's draws score its load and zero traffic: the estimate is

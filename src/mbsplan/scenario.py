@@ -1,10 +1,10 @@
 """Scenario ingestion and time discretization.
 
-A scenario bundles radio-layer constants and the quadrature that integrates
-the delay with a set of regions, each carrying a daily traffic profile
-sampled over a 24 h window. Profiles are normalized to a peak load of 1 and
-interpolated at slot midpoints to produce the per-slot, per-region
-active-user density matrix that drives dimensioning.
+A scenario bundles radio-layer constants with a set of regions, each
+carrying a daily traffic profile sampled over a 24 h window. Profiles are
+normalized to a peak load of 1 and interpolated at slot midpoints to
+produce the per-slot, per-region active-user density matrix that drives
+dimensioning.
 
 Every numeric parameter is checked in one place: a field's metadata holds
 its bounds, e.g. ``{">": 0, "<=": 1e-6}``, and ``_check_numbers`` rejects a
@@ -21,7 +21,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,24 +59,17 @@ def _json_object(pairs):
     return obj
 
 
-def _check_keys(mapping, allowed, required, where):
+def _check_keys(mapping, cls, where):
+    """Reject ``mapping`` unless its keys are the fields of ``cls``, none null."""
     if not isinstance(mapping, dict):
         raise SchemaError(f"{where}: expected an object, got {type(mapping).__name__}")
     if isinstance(mapping, _RepeatedKey):
         raise SchemaError(f"{where}: duplicate key {mapping.repeated!r}")
-    keys = set(mapping)  # no field takes null, and an optional field reads it as unset
-    for problem, bad in (("missing", required - keys), ("unknown", keys - allowed),
+    keys, names = set(mapping), {f.name for f in fields(cls)}
+    for problem, bad in (("missing", names - keys), ("unknown", keys - names),
                          ("null", {key for key in keys if mapping[key] is None})):
         if bad:
             raise SchemaError(f"{where}: {problem} keys {sorted(bad)}")
-
-
-def _config_keys(cls):
-    """Allowed and required keys of a dataclass: optional fields default to
-    None or to a whole parameter block."""
-    names = {f.name for f in fields(cls)}
-    return names, names - {f.name for f in fields(cls)
-                           if f.default is None or is_dataclass(f.default)}
 
 
 class _NonFiniteToken:
@@ -111,7 +104,7 @@ def _check_numbers(obj, prefix=""):
     and store it as a number."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.metadata and not (value is None and f.default is None):
+        if f.metadata:
             value = _number(value, prefix + f.name, integer=f.type in ("int", int))
             for op, bound in f.metadata.items():
                 if not _BOUNDS[op](value, bound):
@@ -127,12 +120,7 @@ class RadioParams:
     transmit power, urban path loss 3.5 and thermal noise -174 dBm/Hz. The
     path-loss exponent must exceed 2, or the interference integral diverges;
     zero noise is legal (interference-limited). The fields are the config's
-    ``radio`` keys, all required but ``reference_gain``.
-
-    ``reference_gain`` folds the antenna gain G and the 1 m free-space loss
-    into one received-power multiplier; left unset it is derived as
-    G (c / 4 pi f)^2. An explicit ``reference_gain`` already includes G, so
-    it cannot be combined with an ``antenna_gain`` other than 1.
+    ``radio`` keys, all required.
     """
 
     bandwidth_hz: float = field(default=1e7, metadata={">": 0})
@@ -143,39 +131,25 @@ class RadioParams:
     path_loss_exponent: float = field(default=3.5, metadata={">": 2})
     noise_psd_w_per_hz: float = field(default=3.98e-21, metadata={">=": 0})
     target_delay_s_per_bit: float = field(default=1e-5, metadata={">": 0})
-    reference_gain: float | None = field(default=None, metadata={">": 0})
 
     def __post_init__(self):
         _check_numbers(self, "radio: ")
-        if self.reference_gain is None:
-            gain = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * self.carrier_freq_hz)) ** 2
-            object.__setattr__(self, "reference_gain", self.antenna_gain * gain)
-            _check_numbers(self, "radio: ")  # the derived gain can underflow to 0
-        elif self.antenna_gain != 1.0:
+        try:  # a float's ** raises OverflowError where its * gives inf
+            gain = self.reference_gain
+        except OverflowError:
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
             raise ValidationError(
-                "radio: reference_gain already includes the antenna gain; give either "
-                f"reference_gain or antenna_gain, not both (antenna_gain {self.antenna_gain})"
-            )
+                f"radio: antenna_gain {self.antenna_gain!r} and carrier_freq_hz "
+                f"{self.carrier_freq_hz!r} give a received-power gain G (c / 4 pi f)^2 "
+                f"of {gain!r}; it must be finite and > 0")
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor-product Gauss-Legendre node counts and truncation control.
-
-    ``tail_mass_epsilon`` sets where the radial integrals are cut: at the
-    radius where the void probability exp(-lambda_b * pi * t^2) drops below
-    it. ``nodes_theta`` counts nodes on the half turn [-pi/2, pi/2], which
-    the integrand's symmetry makes the whole angular integral. The fields
-    are the config's ``quadrature`` keys, all optional.
-    """
-
-    nodes_r: int = field(default=64, metadata={">=": 8, "<=": 256})
-    nodes_x: int = field(default=64, metadata={">=": 8, "<=": 256})
-    nodes_theta: int = field(default=16, metadata={">=": 8, "<=": 256})
-    tail_mass_epsilon: float = field(default=1e-12, metadata={">": 0, "<=": 1e-6})
-
-    def __post_init__(self):
-        _check_numbers(self, "quadrature: ")
+    @property
+    def reference_gain(self) -> float:
+        """The received-power multiplier at 1 m: the antenna gain G times the
+        free-space loss, G (c / 4 pi f)^2."""
+        wavelength_term = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * self.carrier_freq_hz)
+        return self.antenna_gain * wavelength_term ** 2
 
 
 @dataclass(frozen=True)
@@ -229,9 +203,9 @@ class Region:
 @dataclass(frozen=True)
 class Scenario:
     regions: tuple
-    num_slots: int = field(metadata={">=": 1})
+    # At most one-minute slots, checked before any J x Z array is allocated.
+    num_slots: int = field(metadata={">=": 1, "<=": 1440})
     radio: RadioParams
-    quadrature: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
@@ -346,11 +320,11 @@ def load_scenario(document, base_dir=None) -> Scenario:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
         except RecursionError:
             raise SchemaError("config is nested too deeply to parse") from None
-    _check_keys(document, *_config_keys(Scenario), "config")
+    _check_keys(document, Scenario, "config")
     base = Path(base_dir) if base_dir is not None else Path(".")
 
     radio_doc = document["radio"]
-    _check_keys(radio_doc, *_config_keys(RadioParams), "radio")
+    _check_keys(radio_doc, RadioParams, "radio")
     radio = RadioParams(**radio_doc)
 
     regions_doc = document["regions"]
@@ -359,16 +333,12 @@ def load_scenario(document, base_dir=None) -> Scenario:
     regions = []
     for i, entry in enumerate(regions_doc):
         where = f"regions[{i}]"
-        _check_keys(entry, *_config_keys(Region), where)
+        _check_keys(entry, Region, where)
         try:
             regions.append(Region(**dict(entry, profile=_read_profile(entry["profile"], base))))
         except ScenarioError as exc:
             raise type(exc)(f"{where}: {exc}") from None
-
-    quad_doc = document.get("quadrature", {})
-    _check_keys(quad_doc, _config_keys(QuadratureSpec)[0], set(), "quadrature")
-    return Scenario(regions=tuple(regions), num_slots=document["num_slots"], radio=radio,
-                    quadrature=QuadratureSpec(**quad_doc))
+    return Scenario(regions=tuple(regions), num_slots=document["num_slots"], radio=radio)
 
 
 def default_config() -> dict:
@@ -391,7 +361,7 @@ def default_config() -> dict:
             },
         ],
         "num_slots": 60,
-        "radio": {f.name: f.default for f in fields(RadioParams) if f.default is not None},
+        "radio": {f.name: f.default for f in fields(RadioParams)},
     }
 
 

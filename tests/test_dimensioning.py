@@ -385,12 +385,11 @@ DEFAULT_LOADS = np.unique(DEFAULT_USERS)
 BENCH_LOADS = np.unique(BENCH_USERS)
 _THREE_REGIONS = load_scenario((DATA / "three_regions.json").read_text(), base_dir=DATA)
 # users, radio and quadrature; the bench scenario has the built-in radio
-# and quadrature
 SCENARIOS = {
     "default": (DEFAULT_USERS, PARAMS, QuadratureSpec()),
     "bench_204_7": (BENCH_USERS, PARAMS, QuadratureSpec()),
     "three_regions": (user_density_matrix(_THREE_REGIONS), _THREE_REGIONS.radio,
-                      _THREE_REGIONS.quadrature),
+                      QuadratureSpec()),
     "noiseless": (DEFAULT_USERS, NOISELESS, QuadratureSpec()),
 }
 
@@ -465,9 +464,9 @@ def test_inversion_makes_few_delay_evaluations(monkeypatch):
     # 3 * 111 = 333, and holds though every cell is inverted.
     scenario = default_scenario()
     users = user_density_matrix(scenario)
-    demand_matrix(users, scenario.radio, scenario.quadrature)
+    demand_matrix(users, scenario.radio)
     sizes = _counted(monkeypatch)
-    demand_matrix(users, scenario.radio, scenario.quadrature)
+    demand_matrix(users, scenario.radio)
     assert sum(sizes) <= 3 * np.count_nonzero(DEFAULT_LOADS)
     assert len(sizes) <= 6
 
@@ -511,7 +510,7 @@ def test_lattice_table_is_built_once_per_radio_and_quadrature(monkeypatch):
     lattice = dimensioning._lattice(PARAMS, QuadratureSpec())[0].size
     assert sizes == [lattice]
     scenario = default_scenario()
-    demand_matrix(user_density_matrix(scenario), scenario.radio, scenario.quadrature)
+    demand_matrix(user_density_matrix(scenario), scenario.radio)
     sweep_density_ratio(None, [1.0, 4.0, 10.0])
     assert sizes[0] == lattice and max(sizes[1:]) < lattice
     _min_density(1e-3, NOISELESS)

@@ -277,8 +277,7 @@ def _built_in_instance():
     """The built-in scenario's demand (stations/m^2), areas (m^2) and mobile
     unit cost, as ``mbsplan run`` allocates them."""
     scenario = default_scenario()
-    demand, _, _ = demand_matrix(user_density_matrix(scenario), scenario.radio,
-                                 scenario.quadrature)
+    demand, _, _ = demand_matrix(user_density_matrix(scenario), scenario.radio)
     return demand, scenario.areas_m2(), 1.0
 
 

@@ -23,11 +23,11 @@ from mbsplan import cli, dimensioning, pipeline
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                                 Violation, optimal_plan, savings)
 from mbsplan.dimensioning import demand_matrix
-from mbsplan.qosmodel import NonFinite, evaluate_qos
+from mbsplan.qosmodel import NonFinite, QuadratureSpec, evaluate_qos
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
-from mbsplan.scenario import (M2_PER_KM2, QuadratureSpec, default_config, default_scenario,
-                              load_scenario, slot_midpoints_h, user_density_matrix)
+from mbsplan.scenario import (M2_PER_KM2, default_config, default_scenario, load_scenario,
+                              slot_midpoints_h, user_density_matrix)
 
 SERIES_HEADER = ("slot,time_h,region_id,baseline_per_km2,static_only_per_km2,"
                  "static_per_km2,mbs_per_km2,total_per_km2,excess_per_km2,mbs_fraction")
@@ -102,7 +102,7 @@ def test_demand_csv_schema(default_run):
 def test_demand_csv_round_trip(default_run):
     scenario = default_scenario()
     users = user_density_matrix(scenario)
-    demand, achieved, _ = demand_matrix(users, scenario.radio, scenario.quadrature)
+    demand, achieved, _ = demand_matrix(users, scenario.radio)
     lines = (default_run / "demand.csv").read_text().strip().split("\n")
     assert lines[0] == DEMAND_HEADER
     assert len(lines) == 1 + demand.size
@@ -243,18 +243,6 @@ def test_explicit_default_config_file_reproduces_builtin_run(default_run, tmp_pa
         assert (out / name).read_bytes() == (default_run / name).read_bytes()
 
 
-def test_explicit_default_quadrature_reproduces_builtin_run(default_run, tmp_path):
-    # CI runs the same comparison through the CLI, sweeps included.
-    path = Path(__file__).parent / "data" / "explicit_quadrature.json"
-    assert json.loads(path.read_text())["quadrature"] == dataclasses.asdict(QuadratureSpec())
-    run_pipeline(path, tmp_path)
-    builtin = default_run
-    names = sorted(p.name for p in builtin.iterdir() if p.name != "manifest.json")
-    assert names == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
-    for name in names:
-        assert (tmp_path / name).read_bytes() == (builtin / name).read_bytes()
-
-
 @pytest.mark.parametrize("case", ["office_table_csv", "committed_percent_csvs"])
 def test_csv_profiles_reproduce_builtin_run(default_run, tmp_path, case):
     if case == "office_table_csv":
@@ -343,9 +331,8 @@ def _assert_sweep_csv_matches_reference_writer(tmp_path, result):
 
 
 BYTE_EQUAL_CONFIGS = pytest.mark.parametrize(
-    "config", [None, DATA / "three_regions.json", DATA / "csv_profiles" / "config.json",
-               DATA / "explicit_quadrature.json"],
-    ids=["builtin", "three_regions", "csv_profiles", "explicit_quadrature"])
+    "config", [None, DATA / "three_regions.json", DATA / "csv_profiles" / "config.json"],
+    ids=["builtin", "three_regions", "csv_profiles"])
 
 
 @BYTE_EQUAL_CONFIGS
@@ -825,24 +812,6 @@ def test_cli_meaningless_config_exits_2(tmp_path, monkeypatch, capsys, edit, val
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("nodes_r", 4, "quadrature: nodes_r must be >= 8, got 4"),
-    ("tail_mass_epsilon", 1e-3, "quadrature: tail_mass_epsilon must be <= 1e-06, got 0.001"),
-    # A typo once built 64 x 64 x 6400-node kernel arrays instead of exiting 2.
-    ("nodes_theta", 257, "quadrature: nodes_theta must be <= 256, got 257"),
-])
-def test_cli_out_of_range_quadrature_exits_2(tmp_path, capsys, key, value, message):
-    # These once exited 2 without the "quadrature:" prefix.
-    config = default_config()
-    config["quadrature"] = {key: value}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists() or not any(out.iterdir())
-
-
 def test_cli_tiny_areas_save_what_unit_areas_save(tmp_path):
     # Three regions reach the allocation LP. At 1e-16 km^2 each, HiGHS once
     # saw coefficients below its tolerances and returned an all-static plan
@@ -866,19 +835,6 @@ def test_cli_tiny_areas_save_what_unit_areas_save(tmp_path):
     assert saved[1] == pytest.approx(saved[0], rel=1e-12)
 
 
-def test_cli_tiny_tail_mass_epsilon_runs(default_run, tmp_path):
-    # 1 / 1e-310 overflows to inf: this in-range value once exited 1 with
-    # "unit kernel: non-finite entries".
-    config = default_config()
-    config["quadrature"] = {"tail_mass_epsilon": 1e-310}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    # The wider radial cut reaches the dimensioning.
-    assert (tmp_path / "out" / "demand.csv").read_bytes() != \
-        (default_run / "demand.csv").read_bytes()
-
-
 @pytest.mark.parametrize("gain", [0, -5.0])
 def test_cli_non_positive_antenna_gain_exits_2(tmp_path, capsys, gain):
     # Gains of 0 and -5 once exited 0 with the unchanged 27.40% plan.
@@ -892,15 +848,54 @@ def test_cli_non_positive_antenna_gain_exits_2(tmp_path, capsys, gain):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_cli_quadrature_block_exits_2(tmp_path, capsys):
+    # The block was a config key once; even the default spec spelled out is not.
+    config = dict(default_config(), quadrature=dataclasses.asdict(QuadratureSpec()))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: config: unknown keys ['quadrature']\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_antenna_gain_with_reference_gain_exits_2(tmp_path, capsys):
+    # reference_gain was a config key once, exclusive of antenna_gain; it
+    # is always derived from antenna_gain and carrier_freq_hz now.
     config = default_config()
     config["radio"]["antenna_gain"] = 4.0
     config["radio"]["reference_gain"] = 1e-3
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "radio: reference_gain" in err and "antenna_gain" in err
+    assert capsys.readouterr().err == "error: radio: unknown keys ['reference_gain']\n"
+
+
+_RUN = ["run", "--config", "{tmp}/config.json", "--out", "{tmp}/out"]
+
+
+@pytest.mark.parametrize("argv,config_edit,message", [
+    (_RUN, {"num_slots": 10 ** 13}, "error: num_slots must be <= 1440, got 10000000000000\n"),
+    (_RUN, {"radio": dict(default_config()["radio"], carrier_freq_hz=1e300)},
+     "error: radio: antenna_gain 1.0 and carrier_freq_hz 1e+300 give a received-power gain "
+     "G (c / 4 pi f)^2 of 0.0; it must be finite and > 0\n"),
+    (["validate", "--trials", str(10 ** 13)], {},
+     "error: mc_trials (--trials) must be in [1000, 1000000], got 10000000000000\n"),
+    (["sweep-cost", "--ratios", f"1:2:{10 ** 13}", "--out", "{tmp}/out"], {},
+     "argument --ratios: count must be at most 10000, got 10000000000000\n"),
+], ids=["num_slots", "carrier_freq_hz", "trials", "ratios"])
+def test_cli_input_past_its_bound_exits_2_naming_it(tmp_path, capsys, argv, config_edit, message):
+    # The three 10**13 inputs once exited 1 with numpy's _ArrayMemoryError;
+    # their bounds are checked before anything is allocated. A carrier of
+    # 1e300 Hz once failed naming reference_gain, a key the config lacked.
+    (tmp_path / "config.json").write_text(json.dumps({**default_config(), **config_edit}))
+    try:
+        code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse rejects a bad flag value itself
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.endswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_version(capsys):
@@ -1092,8 +1087,8 @@ def test_grid_scan_finds_the_full_grids_first_feasible_point(config, tmp_path):
     for target in (None, 1e-12, 1e3):
         params = scenario.radio if target is None else dataclasses.replace(
             scenario.radio, target_delay_s_per_bit=target)
-        full = validate_reference.first_feasible(grid, lam_u, params, scenario.quadrature)
-        assert pipeline._first_feasible(grid, lam_u, params, scenario.quadrature) == full
+        full = validate_reference.first_feasible(grid, lam_u, params, QuadratureSpec())
+        assert pipeline._first_feasible(grid, lam_u, params, QuadratureSpec()) == full
         if target is None:
             assert len({k // pipeline._GRID_CHUNK for k in full}) == 3, full
         else:
@@ -1122,7 +1117,7 @@ def test_validate_inverts_its_grid_loads_in_one_call_bit_equal_to_one_load_calls
     loads, density, delay, params, quad = calls[0]
     assert np.array_equal(loads,
                           np.array(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2)
-    assert (params, quad) == (scenario.radio, scenario.quadrature)
+    assert (params, quad) == (scenario.radio, QuadratureSpec())
     for i in range(loads.size):
         one_density, one_delay = real(loads[i:i + 1], params, quad)
         assert np.array_equal(one_density, density[i:i + 1])

@@ -730,6 +730,17 @@ def test_quadrature_spec_validation():
     assert fine.tail_mass_epsilon == QUAD.tail_mass_epsilon
 
 
+def test_tiny_tail_mass_epsilon_gives_a_finite_delay():
+    # 1 / 1e-310 overflows to inf: this in-range value once failed the
+    # kernel build with "unit kernel: non-finite entries".
+    lam_b = np.array([1e-8, 2e-5, 1e-2])
+    tiny = qosmodel.delay_given_utilization(lam_b, 1e-3, 1.0, PARAMS,
+                                            QuadratureSpec(tail_mass_epsilon=1e-310))
+    assert np.all(np.isfinite(tiny)) and np.all(tiny > 0.0)
+    # the wider radial cut reaches the delay
+    assert not np.array_equal(tiny, qosmodel.delay_given_utilization(lam_b, 1e-3, 1.0, PARAMS))
+
+
 # The quadrature's error budget: the delay within 1e-5 relative of a
 # high-order reference, ten times under the inversion's tolerance, over
 # station densities from 0.01 to 1e4 per km^2 at u = 0, 0.5 and 1.

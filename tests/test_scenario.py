@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from mbsplan.allocation import CostModel
-from mbsplan.scenario import (QuadratureSpec, RadioParams, Region, Scenario, SchemaError,
-                              ValidationError, default_config, default_scenario,
-                              load_scenario, slot_midpoints_h, user_density_matrix)
+from mbsplan.qosmodel import QuadratureSpec
+from mbsplan.scenario import (RadioParams, Region, Scenario, SchemaError, ValidationError,
+                              default_config, default_scenario, load_scenario,
+                              slot_midpoints_h, user_density_matrix)
 
 FLAT = ((0.0, 1.0), (12.0, 1.0))
 
@@ -26,17 +27,19 @@ def test_radio_defaults_and_derived_reference_gain():
     assert params.reference_gain == pytest.approx(expected, rel=1e-12)
 
 
-def test_radio_explicit_reference_gain_kept():
-    params = RadioParams(reference_gain=1e-3)
-    assert params.reference_gain == 1e-3
-
-
 def test_radio_antenna_gain_scales_the_derived_reference_gain():
     assert RadioParams(antenna_gain=4.0).reference_gain == 4.0 * RadioParams().reference_gain
-    # an explicit reference gain already includes the antenna gain
-    assert RadioParams(antenna_gain=1.0, reference_gain=1e-3).reference_gain == 1e-3
-    with pytest.raises(ValidationError, match="reference_gain.*antenna_gain"):
-        RadioParams(antenna_gain=4.0, reference_gain=1e-3)
+
+
+@pytest.mark.parametrize("carrier_freq_hz,gain", [(1e300, "0.0"), (1e-200, "inf")])
+def test_radio_gain_out_of_float_range_names_its_keys(carrier_freq_hz, gain):
+    # The gain underflowing to 0 once failed naming reference_gain, a key
+    # the config did not hold; its overflow raised OverflowError.
+    with pytest.raises(ValidationError) as excinfo:
+        RadioParams(carrier_freq_hz=carrier_freq_hz)
+    assert str(excinfo.value) == (
+        f"radio: antenna_gain 1.0 and carrier_freq_hz {carrier_freq_hz!r} give a received-power "
+        f"gain G (c / 4 pi f)^2 of {gain}; it must be finite and > 0")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -165,9 +168,15 @@ def test_unknown_keys_rejected_everywhere():
     config["regions"][0]["population"] = 5
     with pytest.raises(SchemaError):
         load_scenario(config)
+    # The quadrature block and radio.reference_gain are not config keys, whatever they hold.
+    for value in ({}, {"nodes_r": 64}, None):
+        config = default_config()
+        config["quadrature"] = value
+        with pytest.raises(SchemaError, match=r"^config: unknown keys \['quadrature'\]$"):
+            load_scenario(config)
     config = default_config()
-    config["quadrature"] = {"nodes_r": 32, "nodes_q": 16}
-    with pytest.raises(SchemaError):
+    config["radio"]["reference_gain"] = 1e-3
+    with pytest.raises(SchemaError, match=r"^radio: unknown keys \['reference_gain'\]$"):
         load_scenario(config)
     # JSON alone would keep a repeated key's last value; equal values are rejected too
     text = json.dumps(default_config())
@@ -176,10 +185,10 @@ def test_unknown_keys_rejected_everywhere():
         key = entry.split('"')[1]
         with pytest.raises(SchemaError, match=f"^{where}: duplicate key '{key}'$"):
             load_scenario(text.replace(entry, f"{entry}, {entry}"))
-    # no field takes null; the optional reference_gain would read it as unset
+    # no field takes null
     config = default_config()
-    config["radio"]["reference_gain"] = None
-    with pytest.raises(SchemaError, match=r"^radio: null keys \['reference_gain'\]$"):
+    config["radio"]["bandwidth_hz"] = None
+    with pytest.raises(SchemaError, match=r"^radio: null keys \['bandwidth_hz'\]$"):
         load_scenario(config)
 
 
@@ -243,31 +252,6 @@ def test_default_scenario_matches_default_config():
     assert [r.peak_user_density_per_km2 for r in scenario.regions] == [1e4, 1e3]
 
 
-def test_quadrature_block_accepted():
-    config = default_config()
-    config["quadrature"] = {"nodes_r": 32, "nodes_x": 32, "nodes_theta": 16,
-                            "tail_mass_epsilon": 1e-10}
-    scenario = load_scenario(config)
-    assert scenario.quadrature == QuadratureSpec(nodes_r=32, nodes_x=32, nodes_theta=16,
-                                                 tail_mass_epsilon=1e-10)
-    # A partial block keeps the other defaults; no block gives the default spec.
-    config["quadrature"] = {"nodes_theta": 128}
-    assert load_scenario(config).quadrature == QuadratureSpec(nodes_theta=128)
-    assert default_scenario().quadrature == QuadratureSpec()
-
-
-@pytest.mark.parametrize("key,value,message", [
-    ("nodes_r", 4, "quadrature: nodes_r must be >= 8, got 4"),
-    ("tail_mass_epsilon", 1e-3, "quadrature: tail_mass_epsilon must be <= 1e-06, got 0.001"),
-])
-def test_quadrature_out_of_range_rejected_at_load(key, value, message):
-    config = default_config()
-    config["quadrature"] = {key: value}
-    with pytest.raises(ValidationError) as excinfo:
-        load_scenario(config)
-    assert str(excinfo.value) == message
-
-
 # Every block whose fields carry bounds, and the prefix its messages use.
 _PREFIX = {RadioParams: "radio: ", Region: "regions[0]: ", Scenario: "",
            QuadratureSpec: "quadrature: ", CostModel: ""}
@@ -275,11 +259,10 @@ _PREFIX = {RadioParams: "radio: ", Region: "regions[0]: ", Scenario: "",
 
 def _build(cls, name, value):
     """``cls`` with field ``name`` set to ``value``; config blocks go through load_scenario."""
-    if cls is CostModel:
-        return CostModel(**{name: value})
+    if cls in (CostModel, QuadratureSpec):
+        return cls(**{name: value})
     config = default_config()
-    block = {RadioParams: config["radio"], Region: config["regions"][0], Scenario: config,
-             QuadratureSpec: config.setdefault("quadrature", {})}[cls]
+    block = {RadioParams: config["radio"], Region: config["regions"][0], Scenario: config}[cls]
     block[name] = value
     return load_scenario(config)
 

@@ -15,7 +15,7 @@ import numpy as np
 from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2, _GRID_POINTS, _MC_REL_TOL,
                               GRID_SPOT_USER_DENSITIES_PER_KM2, MC_SPOT_DENSITIES_PER_KM2,
                               _load, _min_densities)
-from mbsplan.qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
+from mbsplan.qosmodel import QuadratureSpec, delay_given_utilization, evaluate_qos, mc_delay_oracle
 from mbsplan.scenario import M2_PER_KM2
 
 
@@ -34,7 +34,7 @@ def first_feasible(densities, lambda_u, params, quad):
 
 def lines(config_path, mc_trials: int, seed: int) -> list[str]:
     scenario, _ = _load(config_path)
-    params, quad = scenario.radio, scenario.quadrature
+    params, quad = scenario.radio, QuadratureSpec()
     out = []
 
     simulated = [mc_delay_oracle(bs_km2 / M2_PER_KM2, (users_km2 / M2_PER_KM2, 0.0), 1.0,
