@@ -434,6 +434,14 @@ def _first_feasible(grid, lambda_u, params, quad):
     return first
 
 
+def _or_error(call):
+    """call(), or the ``NonFinite`` it raised."""
+    try:
+        return call()
+    except NonFinite as exc:
+        return exc
+
+
 def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> ValidationReport:
     """Replay the analytic model against its independent oracles.
 
@@ -449,9 +457,12 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     loads; both are elementwise, so each value equals its own call. The
     grid scan stops each user density at the first chunk of the grid that
     holds a feasible point (``_first_feasible``), since the report reads
-    nothing past it.
+    nothing past it. Where a delay is not finite (``NonFinite``), each
+    delay and each grid-scan user density gets its own call, and a check
+    whose own call fails reports FAIL with the message.
     """
-    # 100 000 trials per spot peak at 114 MiB, so the most take about 0.7 GiB
+    # 100 000 trials per spot peak at 120 MiB and 300 000 at 284 MiB, so the
+    # most take about 0.85 GiB
     if not 1000 <= mc_trials <= 1_000_000:
         raise ValueError(f"mc_trials (--trials) must be in [1000, 1000000], got {mc_trials}")
     if seed < 0:
@@ -470,20 +481,31 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
 
     # Zero traffic: the analytic delay and the simulated delay (on the first
     # spot's draws) are both exactly zero (no users, nothing to transmit).
-    analytic_zero, *analytic_spots = delay_given_utilization(
-        np.append(spots[0, 0], spots[:, 0]), np.append(0.0, spots[:, 1]), 1.0, params,
-        quad).tolist()
+    # Each delay gets its own call only if the one call raises, so that a
+    # check fails naming its own delay.
+    at_b, at_u = np.append(spots[0, 0], spots[:, 0]), np.append(0.0, spots[:, 1])
+    try:
+        analytic_zero, *analytic_spots = delay_given_utilization(at_b, at_u, 1.0, params,
+                                                                 quad).tolist()
+    except NonFinite:
+        analytic_zero, *analytic_spots = (
+            _or_error(lambda b=b, u=u: delay_given_utilization(b, u, 1.0, params, quad))
+            for b, u in zip(at_b, at_u))
     mc_zero = simulated[0][1]
-    ok = analytic_zero == 0.0 and mc_zero == 0.0
     checks.append(ValidationCheck(
-        "zero-traffic identity", ok,
-        f"analytic {analytic_zero!r}, simulated {mc_zero!r} (both must be 0.0)"))
+        "zero-traffic identity", analytic_zero == 0.0 and mc_zero == 0.0,
+        f"analytic delay failed: {analytic_zero}" if isinstance(analytic_zero, NonFinite)
+        else f"analytic {analytic_zero!r}, simulated {mc_zero!r} (both must be 0.0)"))
 
     for (bs_km2, users_km2), (mc, _), analytic in zip(MC_SPOT_DENSITIES_PER_KM2, simulated,
                                                       analytic_spots):
+        name = f"mc-delay bs={bs_km2:g}/km2 users={users_km2:g}/km2"
+        if isinstance(analytic, NonFinite):
+            checks.append(ValidationCheck(name, False, f"analytic delay failed: {analytic}"))
+            continue
         rel = abs(mc - analytic) / analytic
         checks.append(ValidationCheck(
-            f"mc-delay bs={bs_km2:g}/km2 users={users_km2:g}/km2", rel < _MC_REL_TOL,
+            name, rel < _MC_REL_TOL,
             f"analytic {analytic:.6e} s/bit, simulated {mc:.6e} s/bit, "
             f"rel err {100 * rel:.2f}% (limit {100 * _MC_REL_TOL:.0f}%)"))
 
@@ -496,9 +518,16 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
         inverted = _min_densities(lam_u, params, quad)[0].tolist()  # inf past the cap
     except Exception:
         inverted = [None] * lam_u.size
-    for i, (users_km2, k) in enumerate(zip(GRID_SPOT_USER_DENSITIES_PER_KM2,
-                                           _first_feasible(grid, lam_u, params, quad))):
+    try:
+        first = _first_feasible(grid, lam_u, params, quad)
+    except NonFinite:
+        first = [_or_error(lambda i=i: _first_feasible(grid, lam_u[i:i + 1], params, quad)[0])
+                 for i in range(lam_u.size)]
+    for i, (users_km2, k) in enumerate(zip(GRID_SPOT_USER_DENSITIES_PER_KM2, first)):
         name = f"grid-scan users={users_km2:g}/km2"
+        if isinstance(k, NonFinite):
+            checks.append(ValidationCheck(name, False, f"grid scan failed: {k}"))
+            continue
         if k is None:
             checks.append(ValidationCheck(name, False,
                                           "no feasible grid point up to the density cap"))

@@ -251,9 +251,10 @@ def _unit_vectors(params: RadioParams, quad: QuadratureSpec):
     node i's share of the delay per unit density ratio.
     """
     r1, kernel = _unit_kernel(quad)
-    a = params.reference_gain * params.tx_power_w * r1 ** -params.path_loss_exponent
-    b = mean_interference(r1, params, 1.0, 1.0)
-    w = kernel * _LN2 / (params.bandwidth_hz / params.reuse_factor)
+    with np.errstate(all="ignore"):  # an overflow gives a delay ``NonFinite`` reports
+        a = params.reference_gain * params.tx_power_w * r1 ** -params.path_loss_exponent
+        b = mean_interference(r1, params, 1.0, 1.0)
+        w = kernel * _LN2 / (params.bandwidth_hz / params.reuse_factor)
     for v in (a, b, w):
         v.setflags(write=False)
     return a, b, w
@@ -390,11 +391,11 @@ def evaluate_qos(
     while idx.size:
         u_now = u[idx]
         iterations[idx] += 1
-        target = np.clip(tau[idx] / params.target_delay_s_per_bit, 0.0, 1.0)
-        f = target - u_now
-        done = np.abs(f) <= FIXED_POINT_TOL
-        converged[idx] = done
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # tau / target may overflow to inf, clamped to 1
+            target = np.clip(tau[idx] / params.target_delay_s_per_bit, 0.0, 1.0)
+            f = target - u_now
+            done = np.abs(f) <= FIXED_POINT_TOL
+            converged[idx] = done
             slope = (f - f_prev[idx]) / (u_now - u_prev[idx])
             secant = np.isfinite(slope) & (slope < 0.0)
             step = np.clip(u_now - f / slope, 0.0, target)
@@ -493,9 +494,7 @@ def _side_by_side(blocks):
 
 def _cell_areas(spots: int, trials: int, start, distances, offsets):
     """Area of the Voronoi cell of a station at the origin, for ``trials``
-    trials at each of ``spots`` spots. Yields (k, areas of spot k) in spot
-    order, as soon as every cell of spot k and of the spots before it is
-    final.
+    trials at each of ``spots`` spots: a (spots, trials) array.
 
     Each trial cuts its cell from a rectangle by clipping
     (Sutherland-Hodgman) with the perpendicular bisector to each of its
@@ -506,13 +505,13 @@ def _cell_areas(spots: int, trials: int, start, distances, offsets):
     Three callbacks supply the points. start(k) returns spot k's rectangles
     (x0, x1, y0, y1), scalars or per-trial arrays, and the source's state
     for its trials, a float array with one column per trial. Each step,
-    distances(index, state, drawing) returns the squared distance d2 of the
-    next point of every live trial: ``index`` holds their flat trial
-    numbers, ``state`` their columns, and ``drawing`` the range of spots
-    from the first to the last with live trials. offsets(index, state, d2)
-    then returns the offsets qx, qy and q2 of the trials that stay live: q2
-    is d2 for a station and inf for a point that is not one (that bisector
-    keeps every vertex).
+    distances(index, state) returns the squared distance d2 of the next
+    point of every live trial: ``index`` holds their flat trial numbers,
+    spot k's trial t being k * trials + t, in ascending order, and
+    ``state`` their columns. offsets(index, state, d2) then returns the
+    offsets qx, qy and q2 of the trials that stay live: q2 is d2 for a
+    station and inf for a point that is not one (that bisector keeps every
+    vertex).
 
     A spot joins at the first step where its trials and the live ones
     number at most ``_MC_PASS_TRIALS``, or where none is live. All live
@@ -523,20 +522,17 @@ def _cell_areas(spots: int, trials: int, start, distances, offsets):
     trial's arithmetic and vertex order do not depend on the other trials,
     so its area equals that of its one-trial call.
     """
-    areas = {}  # each unfinished spot's areas
+    areas = np.empty(spots * trials)  # by flat trial number
     index = np.empty(0, dtype=np.intp)
     m = np.empty(0, dtype=np.intp)
     cx = cy = state = np.empty((0, 0))
-    retired, waiting, joined, finished = [], 0, 0, 0
+    retired, waiting, joined = [], 0, 0
 
     def shoelace():
         nonlocal waiting
         x, y, k, at = zip(*retired)
-        value = _shoelace(_side_by_side(x), _side_by_side(y), np.concatenate(k))
-        spot, t = np.divmod(np.concatenate(at), trials)
-        for s in range(spot.min(), spot.max() + 1):
-            mine = spot == s
-            areas[s][t[mine]] = value[mine]
+        areas[np.concatenate(at)] = _shoelace(_side_by_side(x), _side_by_side(y),
+                                              np.concatenate(k))
         retired.clear()
         waiting = 0
 
@@ -549,10 +545,9 @@ def _cell_areas(spots: int, trials: int, start, distances, offsets):
             state = _side_by_side([state, new])
             m = np.concatenate((m, np.full(trials, 4)))
             index = np.concatenate((index, np.arange(joined * trials, (joined + 1) * trials)))
-            areas[joined] = np.empty(trials)
             joined += 1
             del new  # copied into state, which is compacted as trials retire
-        d2 = distances(index, state, range(index[0] // trials, index[-1] // trials + 1))
+        d2 = distances(index, state)
         # neither the repeated vertex nor zero padding raises the maximum
         done = d2 > 4.0 * np.max(cx * cx + cy * cy, axis=0)
         count = int(np.count_nonzero(done))
@@ -573,23 +568,16 @@ def _cell_areas(spots: int, trials: int, start, distances, offsets):
             state = np.compress(going, state, axis=1)
         if index.size:
             cx, cy, m = _clip(cx, cy, m, *offsets(index, state, d2))
-        # the spots before the first live one are final once their waiting
-        # cells are summed
-        first = index[0] // trials if index.size else joined
-        if first > finished:
-            if retired:
-                shoelace()
-            for k in range(finished, first):
-                yield k, areas.pop(k)
-            finished = first
+    if retired:
+        shoelace()
+    return areas.reshape(spots, trials)
 
 
 def _serving_cells(lambda_b, trials: int, rngs):
     """Serving distance and serving-cell area of the station nearest to a
     tagged user, one independent Poisson field per trial, for ``trials``
     trials at each spot: station density lambda_b[k] and generator rngs[k].
-    Yields (k, r, areas) for each spot k in order, as soon as its cells are
-    final, so that a finished spot's arrays need not outlive its scoring.
+    Returns (r, areas), two (spots, trials) arrays.
 
     r follows its void probability P(r > t) = exp(-lambda_b pi t^2), with
     the uniform variate stratified over the spot's trials. Given r, the
@@ -603,23 +591,23 @@ def _serving_cells(lambda_b, trials: int, rngs):
     exact and untruncated. The cell is cut from the square of half-width
     10 / sqrt(pi lambda_b) around the station, which no cell reaches.
 
-    The trials of every spot are clipped in one ``_cell_areas`` loop. From
-    the step its trials join, a spot draws one row of 2 * trials uniforms
-    per step from its generator, into a buffer it reuses, and its trial t
-    takes column t, so a trial's points do not depend on the other trials
-    or spots, and each spot's results are bit-equal to its one-spot call; a
-    trial stops drawing once its cell is final. Each trial's state is its
-    running pi lambda_b d^2, its pi lambda_b and its 2 r.
+    The trials of every spot are clipped in one ``_cell_areas`` loop. Each
+    step, every spot from the first to the last with live trials draws one
+    row of 2 * trials uniforms from its generator into its own rows of one
+    buffer, and its trial t takes column t, so a trial's points do not
+    depend on the other trials or spots, and each spot's results are
+    bit-equal to its one-spot call; a trial stops drawing once its cell is
+    final. Each trial's state is its running pi lambda_b d^2, its
+    pi lambda_b and its 2 r.
     """
     lambda_b = np.asarray(lambda_b, dtype=float)
     spots = lambda_b.size
     pi_lam = math.pi * lambda_b
     half = 10.0 / np.sqrt(lambda_b * math.pi)
-    r = {}  # each unfinished spot's serving distances
-    # the latest row of each drawing spot: its exponential variates in
-    # rows[0], its turns in rows[1]; base is the flat number of the first
-    # drawing spot's trial 0
-    rows, base = np.empty((2, 0, trials)), 0
+    r = np.empty((spots, trials))
+    # each spot's latest row: its exponential variates in rows[0], its
+    # turns in rows[1]
+    rows = np.empty((2, spots, trials))
 
     def start(k):
         rng = rngs[k]
@@ -628,27 +616,22 @@ def _serving_cells(lambda_b, trials: int, rngs):
         state = np.stack((np.zeros(trials), np.full(trials, pi_lam[k]), 2.0 * r[k]))
         return (-half[k], half[k], -half[k], half[k]), state
 
-    def distances(index, state, drawing):
-        nonlocal rows, base
-        if rows.shape[1] != len(drawing):
-            rows = np.empty((2, len(drawing), trials))
-        base = drawing.start * trials
+    def distances(index, state):
         # a spot whose trials are all done may draw rows that nothing reads
-        for slot, k in enumerate(drawing):
-            rngs[k].random(out=rows[0, slot])
-            rngs[k].random(out=rows[1, slot])
-        state[0] -= np.log1p(-np.take(rows[0], index - base))
+        for k in range(index[0] // trials, index[-1] // trials + 1):
+            rngs[k].random(out=rows[0, k])
+            rngs[k].random(out=rows[1, k])
+        state[0] -= np.log1p(-np.take(rows[0], index))
         return state[0] / state[1]
 
     def offsets(index, state, d2):
         d = np.sqrt(d2)
-        psi = TWO_PI * np.take(rows[1], index - base)
+        psi = TWO_PI * np.take(rows[1], index)
         cos_psi = np.cos(psi)
         d2[d + state[2] * cos_psi < 0.0] = np.inf  # in the user's empty disc
         return d * cos_psi, d * np.sin(psi), d2
 
-    for k, areas in _cell_areas(spots, trials, start, distances, offsets):
-        yield k, r.pop(k), areas
+    return r, _cell_areas(spots, trials, start, distances, offsets)
 
 
 def mc_delay_oracle(
@@ -680,7 +663,10 @@ def mc_delay_oracle(
     axis runs over the spots, and the result's entry k is bit-equal to the
     one-spot call at (lambda_b[k], lambda_u[k], rng_seed[k]). The spots
     share one clipping loop: a spot joins it as soon as the live trials and
-    its own number at most ``_MC_PASS_TRIALS``, or when none is live.
+    its own number at most ``_MC_PASS_TRIALS``, or when none is live. One
+    array expression then scores every trial of every spot; a trial whose
+    rate underflows to 0 scores +inf, and zero traffic on such a spot NaN,
+    with no floating-point warning.
     """
     spot_b = np.atleast_1d(np.asarray(lambda_b, dtype=float))
     for b in spot_b.tolist():
@@ -694,12 +680,11 @@ def mc_delay_oracle(
                          f"{spot_b.size} densities and {len(seeds)} seeds")
     lambda_u = np.asarray(lambda_u, dtype=float)
     _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
-    scores = np.empty(spot_b.size)
-    lam_b = spot_b.tolist()
-    for k, r, areas in _serving_cells(spot_b, trials, [np.random.default_rng(s) for s in seeds]):
-        rate = capacity(r, params, mean_interference(r, params, lam_b[k], utilization))
-        scores[k] = np.sum(areas / rate)
-    scale = scores[0] if np.ndim(lambda_b) == 0 else scores.reshape(
-        (-1,) + (1,) * max(lambda_u.ndim - 1, 0))
-    tau = lambda_u * scale / trials
+    r, areas = _serving_cells(spot_b, trials, [np.random.default_rng(s) for s in seeds])
+    with np.errstate(all="ignore"):
+        rate = capacity(r, params, mean_interference(r, params, spot_b[:, None], utilization))
+        scores = np.sum(areas / rate, axis=1)
+        scale = scores[0] if np.ndim(lambda_b) == 0 else scores.reshape(
+            (-1,) + (1,) * max(lambda_u.ndim - 1, 0))
+        tau = lambda_u * scale / trials
     return float(tau) if tau.ndim == 0 else tau

@@ -72,19 +72,31 @@ def _check_keys(mapping, cls, where):
             raise SchemaError(f"{where}: {problem} keys {sorted(bad)}")
 
 
-class _NonFiniteToken:
-    """A ``NaN``/``Infinity``/``-Infinity`` token from config JSON.
+class _NumberToken:
+    """A number token from config JSON that no field accepts: ``NaN``,
+    ``Infinity`` or ``-Infinity``, which JSON does not have, or an integer
+    literal longer than Python converts (4300 digits by default).
 
-    JSON has no such numbers, so the parser keeps the token as this marker
-    instead of a float. No field accepts it, so the check of whichever field
-    holds it rejects the config and names that field.
+    The parser keeps the token as this marker instead of a number, so the
+    check of whichever field holds it rejects the config and names that
+    field.
     """
 
     def __init__(self, token: str):
         self.token = token
 
     def __repr__(self) -> str:
+        if self.token[-1:].isdigit():
+            return f"an integer literal of {len(self.token.lstrip('-'))} digits"
         return self.token
+
+
+def _json_int(token: str):
+    """``parse_int``: the int, or a marker where it has too many digits."""
+    try:
+        return int(token)
+    except ValueError:
+        return _NumberToken(token)
 
 
 def _number(value, name, integer=False):
@@ -118,9 +130,10 @@ class RadioParams:
 
     Defaults describe a 10 MHz downlink at 1 GHz with unit reuse, 1 W
     transmit power, urban path loss 3.5 and thermal noise -174 dBm/Hz. The
-    path-loss exponent must exceed 2, or the interference integral diverges;
-    zero noise is legal (interference-limited). The fields are the config's
-    ``radio`` keys, all required.
+    path-loss exponent must exceed 2, or the interference integral diverges,
+    and be at most 8, past the measured 1.6-6; zero noise is legal
+    (interference-limited). The fields are the config's ``radio`` keys, all
+    required.
     """
 
     bandwidth_hz: float = field(default=1e7, metadata={">": 0})
@@ -128,7 +141,7 @@ class RadioParams:
     tx_power_w: float = field(default=1.0, metadata={">": 0})
     antenna_gain: float = field(default=1.0, metadata={">": 0})
     carrier_freq_hz: float = field(default=1e9, metadata={">": 0})
-    path_loss_exponent: float = field(default=3.5, metadata={">": 2})
+    path_loss_exponent: float = field(default=3.5, metadata={">": 2, "<=": 8})
     noise_psd_w_per_hz: float = field(default=3.98e-21, metadata={">=": 0})
     target_delay_s_per_bit: float = field(default=1e-5, metadata={">": 0})
 
@@ -315,7 +328,7 @@ def load_scenario(document, base_dir=None) -> Scenario:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document, object_pairs_hook=_json_object,
-                                  parse_constant=_NonFiniteToken)
+                                  parse_constant=_NumberToken, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
         except RecursionError:

@@ -778,6 +778,14 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, field, token):
                  "error: regions must be a non-empty array", id="no-regions"),
     pytest.param("text", json.dumps(dict(default_config(), radio=[])),
                  "error: radio: expected an object, got list", id="radio-list"),
+    # Python refuses to convert an integer literal this long: this once
+    # exited 2 naming neither the config nor the key
+    pytest.param("json", ('"num_slots": 60', '"num_slots": 1' + "0" * 5000),
+                 "error: num_slots must be a number, got an integer literal of 5001 digits",
+                 id="num-slots-5001-digits"),
+    pytest.param("json", ('"area_km2": 1.0', '"area_km2": -' + "9" * 4301),
+                 "error: regions[0]: area_km2 must be a number, got an integer literal of "
+                 "4301 digits", id="area-4301-digits"),
     # the parser's RecursionError is a RuntimeError, so this once exited 1
     pytest.param("text", "[" * 100_000 + "]" * 100_000,
                  "error: config is nested too deeply to parse", id="deeply-nested"),
@@ -1046,6 +1054,55 @@ def test_cli_validate_fails_on_unreachable_target(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "no feasible grid point" in out
+
+
+NON_FINITE_SPOTS = ["FAIL zero-traffic identity: analytic delay failed: delay: non-finite "
+                    "result at lambda_b=1e-05, lambda_u=0.0"] + [
+    f"FAIL mc-delay bs={bs:g}/km2 users={users:g}/km2: analytic delay failed: delay: "
+    f"non-finite result at lambda_b={bs / M2_PER_KM2!r}, lambda_u={users / M2_PER_KM2!r}"
+    for bs, users in pipeline.MC_SPOT_DENSITIES_PER_KM2] + [
+    f"FAIL grid-scan users={users:g}/km2: grid scan failed: delay: non-finite result at "
+    f"lambda_b=1e-08, lambda_u={users / M2_PER_KM2!r}"
+    for users in pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2]
+
+
+@pytest.mark.parametrize("command, field, value, code, expected", [
+    ("run", "path_loss_exponent", 150, 2, ["error: radio: path_loss_exponent must be <= 8, "
+                                           "got 150.0"]),
+    # this once ran to exit 0 with a 1.29% saving
+    ("run", "path_loss_exponent", 20, 2, ["error: radio: path_loss_exponent must be <= 8, "
+                                          "got 20.0"]),
+    ("run", "bandwidth_hz", 1e-320, 1, ["error: dimensioning: slot 0, region office: delay "
+                                        "target 1.000e-05 s/bit unmet at the density cap"]),
+    ("validate", "bandwidth_hz", 1e-300, 1, [
+        "FAIL zero-traffic identity: analytic 0.0, simulated nan (both must be 0.0)",
+        "FAIL mc-delay bs=10/km2 users=100/km2: analytic 1.769644e+301 s/bit, simulated inf "
+        "s/bit, rel err inf% (limit 5%)"]),
+    ("validate", "tx_power_w", 1e-320, 1, NON_FINITE_SPOTS),
+    ("validate", "antenna_gain", 1e-320, 1, NON_FINITE_SPOTS),
+    ("validate", "noise_psd_w_per_hz", 1e300, 1, NON_FINITE_SPOTS),
+    ("validate", "target_delay_s_per_bit", 1e-320, 1, [
+        f"FAIL grid-scan users={users:g}/km2: no feasible grid point up to the density cap"
+        for users in pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2]),
+])
+def test_cli_extreme_radio_fails_naming_why_without_numpy_warnings(
+        tmp_path, capsys, command, field, value, code, expected):
+    # Each of these radios once ended in a NumPy RuntimeWarning, a traceback
+    # where warnings are errors, as CI runs validate. A delay that is not
+    # finite fails the checks that read it, naming the density.
+    config = default_config()
+    config["radio"][field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    argv += ["--out", str(tmp_path / "out")] if command == "run" else ["--trials", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    for line in expected:
+        assert any(got.startswith(line) for got in lines), (line, lines)
 
 
 def _validate_config(name, tmp_path):

@@ -530,7 +530,7 @@ def _nearest_first(stations, box):
     def start(k):
         return box, np.empty((0, len(stations)))
 
-    def distances(index, state, drawing):
+    def distances(index, state):
         nonlocal step
         step += 1
         return d2[index, step]
@@ -544,8 +544,8 @@ def _nearest_first(stations, box):
 def _cell_area(dx, dy, box):
     """One cell through the batched clipper, as a batch of one trial."""
     stations = (np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
-    [(_, areas)] = _cell_areas(1, 1, *_nearest_first([stations], box))
-    return areas[0]
+    [[area]] = _cell_areas(1, 1, *_nearest_first([stations], box))
+    return area
 
 
 def test_cell_area_exact_on_square_and_hexagonal_lattices():
@@ -595,7 +595,7 @@ def test_serving_cell_mean_area_matches_gilbert():
     # Gilbert (1962): the cell covering a fixed point has mean area
     # 1.2801 / lambda_b, against 1 / lambda_b for a typical cell.
     lam_b = 10.0 * PER_KM2
-    [(_, r, areas)] = _serving_cells([lam_b], 4000, [np.random.default_rng(11)])
+    [r], [areas] = _serving_cells([lam_b], 4000, [np.random.default_rng(11)])
     assert areas.mean() * lam_b == pytest.approx(1.2801, rel=0.03)
     assert np.all(areas > 0.0)
     # The stratified serving distance keeps its law P(r > t) = exp(-lambda pi t^2).
@@ -617,8 +617,8 @@ SPOT_BS_PER_KM2 = sorted({10.0} | {bs for bs, _ in MC_SPOT_DENSITIES_PER_KM2})
 @pytest.mark.parametrize("bs_km2", SPOT_BS_PER_KM2)
 def test_serving_cells_bit_equal_to_scalar_reference(bs_km2, trials):
     for seed in (1234, 1235, 1236):
-        [(_, r, areas)] = _serving_cells([bs_km2 * PER_KM2], trials,
-                                         [np.random.default_rng(seed)])
+        [r], [areas] = _serving_cells([bs_km2 * PER_KM2], trials,
+                                      [np.random.default_rng(seed)])
         r_ref, areas_ref = mc_reference.serving_cells(bs_km2 * PER_KM2, trials,
                                                       np.random.default_rng(seed))
         assert np.array_equal(r, r_ref)
@@ -634,12 +634,13 @@ def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, 
     # the bound, or than one spot where a spot alone is wider.
     spots = np.array(MC_SPOT_DENSITIES_PER_KM2) * PER_KM2
     users = np.stack((spots[:, 1], np.zeros(len(spots))), 1)
-    sizes, widths = [], []
+    sizes, widths, cells = [], [], []
     clip = qosmodel._clip
 
     def counting(lambda_b, trials, rngs):
         sizes.append(len(rngs))
-        return _serving_cells(lambda_b, trials, rngs)
+        cells.append(_serving_cells(lambda_b, trials, rngs))
+        return cells[-1]
 
     def clipping(cx, cy, m, qx, qy, q2):
         widths.append(m.size)
@@ -650,9 +651,12 @@ def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, 
     for seed in (1, 2, 3, 1234):
         sizes.clear()
         widths.clear()
+        cells.clear()
         seeds = [seed + k for k in range(len(spots))]
         batch = mc_delay_oracle(spots[:, 0], users, 1.0, PARAMS, trials=trials, rng_seed=seeds)
         assert sizes == [len(spots)]
+        [(r, areas)] = cells
+        assert r.shape == areas.shape == (len(spots), trials)
         assert max(widths) <= max(qosmodel._MC_PASS_TRIALS, trials)
         # the loop's width at each step where a spot joined after the first
         joins = [now for before, now in zip(widths, widths[1:]) if now > before]
@@ -663,10 +667,14 @@ def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, 
             assert widths[0] == trials
             assert joins == [trials] * (len(spots) - 1)
         assert batch.shape == users.shape
-        for (lam_b, _), lam_u, k_seed, value in zip(spots, users, seeds, batch):
+        for k, ((lam_b, _), lam_u, k_seed, value) in enumerate(zip(spots, users, seeds, batch)):
             one = mc_delay_oracle(lam_b, lam_u, 1.0, PARAMS, trials=trials, rng_seed=k_seed)
             assert np.array_equal(one, value)
             assert one[0] > 0.0 and one[1] == 0.0
+            [one_r], [one_areas] = _serving_cells([lam_b], trials,
+                                                  [np.random.default_rng(k_seed)])
+            assert np.array_equal(r[k], one_r)
+            assert np.array_equal(areas[k], one_areas)
 
 
 def test_cell_areas_rows_equal_their_single_row_calls():
@@ -677,8 +685,8 @@ def test_cell_areas_rows_equal_their_single_row_calls():
     empty = (np.empty(0), np.empty(0))
     stations = [lattice, empty, corner]
     boxes = [BOX, (-3.0, 5.0, -4.0, 4.0), BOX]
-    [(_, areas)] = _cell_areas(1, 3, *_nearest_first(stations,
-                                                     tuple(np.array(b) for b in zip(*boxes))))
+    [areas] = _cell_areas(1, 3, *_nearest_first(stations,
+                                                tuple(np.array(b) for b in zip(*boxes))))
     for t, ((x, y), box) in enumerate(zip(stations, boxes)):
         assert areas[t] == _cell_area(x, y, box)
     # The lattice's equidistant stations may be clipped in another order by
