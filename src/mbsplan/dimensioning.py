@@ -36,20 +36,15 @@ import functools
 import numpy as np
 
 from .scenario import M2_PER_KM2, RadioParams
-from .qosmodel import (BadElement, FixedPointDiverged, NonFinite, QuadratureSpec, _check_elements,
-                       _unit_sums, evaluate_qos)
+from .qosmodel import (BadElement, FixedPointDiverged, NonFinite, QuadratureSpec, _AtElement,
+                       _check_elements, _unit_sums, evaluate_qos)
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
 
 
-class InfeasibleDemand(RuntimeError):
-    """No density up to the cap meets the delay target; ``index`` is the
-    flat index of the cell the message names."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+class InfeasibleDemand(_AtElement, RuntimeError):
+    """No density up to the cap meets the delay target."""
 
 
 @functools.lru_cache(maxsize=64)

@@ -231,8 +231,8 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
 
     ``config_path`` may be None to use the built-in two-district scenario.
     The files are written into a temporary directory inside ``out_dir`` and
-    moved into place only once all of them exist, so a failed run leaves
-    the previous artifacts untouched.
+    moved into place only once all of them exist and no target name is a
+    directory, so a failed run leaves the previous artifacts untouched.
     """
     started = time.perf_counter()
     scenario, raw = _load(config_path)
@@ -274,7 +274,13 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
             "tool_version": __version__,
             "wall_time_s": time.perf_counter() - started,
         })
-        for path in staged.iterdir():
+        files = sorted(staged.iterdir())
+        # a directory in a target's place would stop the moves partway
+        for target in (out / path.name for path in files):
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(f"cannot write {target}: it is a directory; "
+                                        "no artifact was replaced")
+        for path in files:
             os.replace(path, out / path.name)
     return report
 
@@ -434,12 +440,18 @@ def _first_feasible(grid, lambda_u, params, quad):
     return first
 
 
-def _or_error(call):
-    """call(), or the ``NonFinite`` it raised."""
+def _each(call, n, part=slice(None)):
+    """``call(part)``, a list with one entry per element that ``part``
+    selects of n. Where ``call(slice(None))`` raises ``NonFinite``, each
+    element i gets its own ``call(slice(i, i + 1))`` instead, and where that
+    raises too, the ``NonFinite`` in place of its value, so a check fails
+    naming its own element."""
     try:
-        return call()
+        return call(part)
     except NonFinite as exc:
-        return exc
+        if part.stop is not None:
+            return [exc]
+        return [v for i in range(n) for v in _each(call, n, slice(i, i + 1))]
 
 
 def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> ValidationReport:
@@ -457,9 +469,10 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     loads; both are elementwise, so each value equals its own call. The
     grid scan stops each user density at the first chunk of the grid that
     holds a feasible point (``_first_feasible``), since the report reads
-    nothing past it. Where a delay is not finite (``NonFinite``), each
-    delay and each grid-scan user density gets its own call, and a check
-    whose own call fails reports FAIL with the message.
+    nothing past it. Where one of these three calls raises ``NonFinite``
+    (a delay that is not finite), ``_each`` repeats it for each of its
+    elements, and a check whose own element raised reports FAIL with the
+    message. Any other error propagates.
     """
     # 100 000 trials per spot peak at 120 MiB and 300 000 at 284 MiB, so the
     # most take about 0.85 GiB
@@ -481,16 +494,10 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
 
     # Zero traffic: the analytic delay and the simulated delay (on the first
     # spot's draws) are both exactly zero (no users, nothing to transmit).
-    # Each delay gets its own call only if the one call raises, so that a
-    # check fails naming its own delay.
     at_b, at_u = np.append(spots[0, 0], spots[:, 0]), np.append(0.0, spots[:, 1])
-    try:
-        analytic_zero, *analytic_spots = delay_given_utilization(at_b, at_u, 1.0, params,
-                                                                 quad).tolist()
-    except NonFinite:
-        analytic_zero, *analytic_spots = (
-            _or_error(lambda b=b, u=u: delay_given_utilization(b, u, 1.0, params, quad))
-            for b, u in zip(at_b, at_u))
+    analytic_zero, *analytic_spots = _each(
+        lambda s: delay_given_utilization(at_b[s], at_u[s], 1.0, params, quad).tolist(),
+        at_b.size)
     mc_zero = simulated[0][1]
     checks.append(ValidationCheck(
         "zero-traffic identity", analytic_zero == 0.0 and mc_zero == 0.0,
@@ -512,18 +519,10 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     grid = np.logspace(np.log10(_GRID_LO_PER_KM2), np.log10(_GRID_HI_PER_KM2),
                        _GRID_POINTS) / M2_PER_KM2
     lam_u = np.array(GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
-    # each load gets its own call only if the one call raises, so that a
-    # failure names its own load
-    try:
-        inverted = _min_densities(lam_u, params, quad)[0].tolist()  # inf past the cap
-    except Exception:
-        inverted = [None] * lam_u.size
-    try:
-        first = _first_feasible(grid, lam_u, params, quad)
-    except NonFinite:
-        first = [_or_error(lambda i=i: _first_feasible(grid, lam_u[i:i + 1], params, quad)[0])
-                 for i in range(lam_u.size)]
-    for i, (users_km2, k) in enumerate(zip(GRID_SPOT_USER_DENSITIES_PER_KM2, first)):
+    # an inverted density is inf past the cap
+    inverted = _each(lambda s: _min_densities(lam_u[s], params, quad)[0].tolist(), lam_u.size)
+    first = _each(lambda s: _first_feasible(grid, lam_u[s], params, quad), lam_u.size)
+    for users_km2, k, solved in zip(GRID_SPOT_USER_DENSITIES_PER_KM2, first, inverted):
         name = f"grid-scan users={users_km2:g}/km2"
         if isinstance(k, NonFinite):
             checks.append(ValidationCheck(name, False, f"grid scan failed: {k}"))
@@ -532,13 +531,9 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
             checks.append(ValidationCheck(name, False,
                                           "no feasible grid point up to the density cap"))
             continue
-        try:
-            solved = inverted[i]
-            if solved is None:
-                solved = float(_min_densities(lam_u[i:i + 1], params, quad)[0][0])
-        except Exception as exc:
+        if isinstance(solved, NonFinite):
             checks.append(ValidationCheck(
-                name, False, f"inversion failed where the grid scan succeeded: {exc}"))
+                name, False, f"inversion failed where the grid scan succeeded: {solved}"))
             continue
         lo = grid[max(k - 1, 0)] * (1.0 - 1e-9)
         hi = grid[min(k + 1, grid.size - 1)] * (1.0 + 1e-9)

@@ -68,22 +68,22 @@ class QuadratureSpec:
         _check_numbers(self, "quadrature: ")
 
 
-class NonFinite(ArithmeticError):
-    """An integrand produced NaN or inf; ``index`` is the flat index of the
-    delay the message names, where known."""
+class _AtElement(Exception):
+    """An error at one element of an array; ``index`` is the flat index of
+    the element the message names, where known."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
 
 
-class BadElement(ValueError):
-    """An input array holds a value outside its domain; ``index`` is the
-    flat index of the first such element, which the message names."""
+class NonFinite(_AtElement, ArithmeticError):
+    """An integrand produced NaN or inf."""
 
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+
+class BadElement(_AtElement, ValueError):
+    """An input array holds a value outside its domain; the message names
+    the first such element."""
 
 
 def _check_elements(name: str, values, ok, rule: str) -> None:
@@ -95,14 +95,9 @@ def _check_elements(name: str, values, ok, rule: str) -> None:
         raise BadElement(f"{name} must be {rule}, got {float(np.ravel(values)[k])!r}{where}", k)
 
 
-class FixedPointDiverged(RuntimeError):
+class FixedPointDiverged(_AtElement, RuntimeError):
     """The utilization fixed point failed to converge within the iteration
-    cap; ``index`` is the flat index of the cell the message names, where
-    known."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    cap."""
 
 
 # Stopping rule of the utilization fixed point in ``evaluate_qos``.
@@ -665,8 +660,8 @@ def mc_delay_oracle(
     share one clipping loop: a spot joins it as soon as the live trials and
     its own number at most ``_MC_PASS_TRIALS``, or when none is live. One
     array expression then scores every trial of every spot; a trial whose
-    rate underflows to 0 scores +inf, and zero traffic on such a spot NaN,
-    with no floating-point warning.
+    rate underflows to 0 scores +inf, with no floating-point warning. Zero
+    traffic scores exactly 0.0, on such a spot too.
     """
     spot_b = np.atleast_1d(np.asarray(lambda_b, dtype=float))
     for b in spot_b.tolist():
@@ -686,5 +681,5 @@ def mc_delay_oracle(
         scores = np.sum(areas / rate, axis=1)
         scale = scores[0] if np.ndim(lambda_b) == 0 else scores.reshape(
             (-1,) + (1,) * max(lambda_u.ndim - 1, 0))
-        tau = lambda_u * scale / trials
+        tau = np.where(lambda_u == 0.0, 0.0, lambda_u * scale / trials)
     return float(tau) if tau.ndim == 0 else tau

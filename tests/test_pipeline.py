@@ -305,6 +305,24 @@ DATA = Path(__file__).parent / "data"
 RUN_FILES = ("demand.csv", "plan.json", "savings.json", "series.csv", "manifest.json")
 
 
+@pytest.mark.parametrize("name", RUN_FILES)
+def test_rerun_onto_a_directory_in_an_artifacts_place_replaces_nothing(tmp_path, name):
+    # The files were once moved one by one, so a directory named savings.json
+    # left demand.csv and plan.json new beside an old series.csv.
+    out = tmp_path / "out"
+    run_pipeline(DATA / "three_regions.json", out)
+    (out / name).unlink()
+    (out / name).mkdir()
+    (out / name / "kept").write_text("x")
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    with pytest.raises(IsADirectoryError,
+                       match=re.escape(f"cannot write {out / name}: it is a directory")):
+        run_pipeline(None, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES)  # no staged directory
+    assert [p.name for p in (out / name).iterdir()] == ["kept"]
+
+
 def _assert_run_matches_reference_writers(out, reference, config, solved):
     """The five files ``run_pipeline(config, out)`` wrote for ``solved`` are
     the bytes the reference writers write for it into ``reference``."""
@@ -1075,7 +1093,8 @@ NON_FINITE_SPOTS = ["FAIL zero-traffic identity: analytic delay failed: delay: n
     ("run", "bandwidth_hz", 1e-320, 1, ["error: dimensioning: slot 0, region office: delay "
                                         "target 1.000e-05 s/bit unmet at the density cap"]),
     ("validate", "bandwidth_hz", 1e-300, 1, [
-        "FAIL zero-traffic identity: analytic 0.0, simulated nan (both must be 0.0)",
+        # zero traffic once read 0 * inf = nan here
+        "PASS zero-traffic identity: analytic 0.0, simulated 0.0 (both must be 0.0)",
         "FAIL mc-delay bs=10/km2 users=100/km2: analytic 1.769644e+301 s/bit, simulated inf "
         "s/bit, rel err inf% (limit 5%)"]),
     ("validate", "tx_power_w", 1e-320, 1, NON_FINITE_SPOTS),
@@ -1199,3 +1218,54 @@ def test_validate_non_finite_inversion_fails_only_its_spot(monkeypatch):
     assert lines[-2] == ("FAIL grid-scan users=1000/km2: inversion failed where the grid scan "
                          "succeeded: delay: non-finite result at lambda_b=0.0")
     assert lines[:-2] + lines[-1:] == fine[:-2] + fine[-1:]
+
+
+def _fails_where(real, position, value):
+    """``real``, but raising ``NonFinite`` where its argument at
+    ``position`` holds ``value``."""
+    def failing(*args):
+        hit = np.flatnonzero(np.asarray(args[position]) == value)
+        if hit.size:
+            raise NonFinite(f"delay: non-finite result at lambda_u={value!r}", int(hit[0]))
+        return real(*args)
+    return failing
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_validate_non_finite_analytic_delay_fails_only_its_check(monkeypatch, k):
+    # Zero traffic, then the three Monte Carlo spots: the one whose delay is
+    # not finite fails naming it, and every other line is the normal report.
+    fine = pipeline.validate(None, mc_trials=1000, seed=5).lines()
+    bad = ([0.0] + [u for _, u in pipeline.MC_SPOT_DENSITIES_PER_KM2])[k] / M2_PER_KM2
+    monkeypatch.setattr(pipeline, "delay_given_utilization",
+                        _fails_where(pipeline.delay_given_utilization, 1, bad))
+    lines = pipeline.validate(None, mc_trials=1000, seed=5).lines()
+    name = fine[k][5:fine[k].index(": ")]
+    assert lines[k] == (f"FAIL {name}: analytic delay failed: delay: non-finite result at "
+                        f"lambda_u={bad!r}")
+    assert lines[:k] + lines[k + 1:] == fine[:k] + fine[k + 1:]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_validate_non_finite_grid_scan_fails_only_its_check(monkeypatch, k):
+    fine = pipeline.validate(None, mc_trials=1000, seed=5).lines()
+    bad = pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2[k] / M2_PER_KM2
+    monkeypatch.setattr(pipeline, "_first_feasible",
+                        _fails_where(pipeline._first_feasible, 1, bad))
+    lines = pipeline.validate(None, mc_trials=1000, seed=5).lines()
+    at = 4 + k
+    users = pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2[k]
+    assert lines[at] == (f"FAIL grid-scan users={users:g}/km2: grid scan failed: delay: "
+                         f"non-finite result at lambda_u={bad!r}")
+    assert lines[:at] + lines[at + 1:] == fine[:at] + fine[at + 1:]
+
+
+def test_validate_inversion_errors_other_than_non_finite_propagate(monkeypatch):
+    # Only a delay that is not finite fails a check; an inversion error of
+    # any other kind is a bug, and was once reported as a failed check.
+    def broken(loads, params, quad):
+        raise ZeroDivisionError("not a NonFinite")
+
+    monkeypatch.setattr(pipeline, "_min_densities", broken)
+    with pytest.raises(ZeroDivisionError, match="not a NonFinite"):
+        pipeline.validate(None, mc_trials=1000, seed=5)

@@ -13,7 +13,7 @@ import mc_reference
 import picard_reference
 from kernel_reference import delay_r_form, doubled, pair_distance, shared_load_kernel
 from mbsplan import qosmodel
-from mbsplan.dimensioning import BISECTION_REL_TOL, demand_matrix
+from mbsplan.dimensioning import BISECTION_REL_TOL, InfeasibleDemand, demand_matrix
 from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2,
                               GRID_SPOT_USER_DENSITIES_PER_KM2, MC_SPOT_DENSITIES_PER_KM2)
 from mbsplan.qosmodel import (QuadratureSpec, _cell_areas, _serving_cells, capacity,
@@ -485,6 +485,32 @@ def test_mc_oracle_zero_traffic_and_determinism():
     second = mc_delay_oracle(lam_b, 100.0 * PER_KM2, 1.0, PARAMS, trials=1000, rng_seed=42)
     assert first == second
     assert first > 0.0
+
+
+def test_mc_oracle_scores_zero_traffic_as_zero_where_the_score_sum_overflows():
+    # At a 1e-300 Hz bandwidth the first spot's score sum overflows to inf
+    # on validate's default seeds; zero traffic once scored 0 * inf = NaN
+    # there.
+    params = dataclasses.replace(PARAMS, bandwidth_hz=1e-300)
+    lam_b = np.array(MC_SPOT_DENSITIES_PER_KM2)[:, 0] * PER_KM2
+    users = np.array([[100.0 * PER_KM2, 0.0]] * lam_b.size)
+    with np.errstate(all="raise"):
+        batch = mc_delay_oracle(lam_b, users, 1.0, params, trials=1000,
+                                rng_seed=[1234, 1235, 1236])
+        one = mc_delay_oracle(lam_b[0], 0.0, 1.0, params, trials=1000, rng_seed=1234)
+    assert batch[0, 0] == math.inf and np.all(np.isfinite(batch[1:, 0]))
+    assert batch[:, 1].tolist() == [0.0] * lam_b.size
+    assert one == 0.0 and isinstance(one, float)
+
+
+@pytest.mark.parametrize("error, base", [
+    (qosmodel.NonFinite, ArithmeticError), (qosmodel.BadElement, ValueError),
+    (qosmodel.FixedPointDiverged, RuntimeError), (InfeasibleDemand, RuntimeError)])
+def test_element_errors_carry_an_index_beside_their_base(error, base):
+    # The CLI's exit code follows the base: 2 for a ValueError, 1 otherwise.
+    exc = error("at element 3", 3)
+    assert isinstance(exc, base) and str(exc) == "at element 3" and exc.index == 3
+    assert error("nowhere").index is None
 
 
 def test_mc_oracle_scores_user_densities_on_one_set_of_draws():
