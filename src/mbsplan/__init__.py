@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .scenario import (RadioParams, Region, Scenario, ScenarioError, SchemaError,
                        ValidationError, default_config, default_scenario, load_scenario,
                        slot_midpoints_h, user_density_matrix)
-from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, QuadratureSpec, capacity,
+from .qosmodel import (FixedPointDiverged, NonFinite, QosEvaluation, capacity,
                        delay_given_utilization, evaluate_qos, mc_delay_oracle,
                        mean_interference, overlap_area)
 from .dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
@@ -34,7 +34,7 @@ __all__ = [
     "ValidationError", "default_config", "default_scenario", "load_scenario",
     "slot_midpoints_h", "user_density_matrix",
     # qos model
-    "FixedPointDiverged", "NonFinite", "QosEvaluation", "QuadratureSpec", "capacity",
+    "FixedPointDiverged", "NonFinite", "QosEvaluation", "capacity",
     "delay_given_utilization", "evaluate_qos", "mc_delay_oracle", "mean_interference",
     "overlap_area",
     # dimensioning

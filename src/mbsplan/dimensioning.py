@@ -16,11 +16,11 @@ default scenario (358 over its 120 cells). The first iteration of each cell
 takes the u = 1 delay the inversion ended on, bit-equal to evaluating it
 again, so the fixed point evaluates the delay 238 times there.
 
-h does not depend on the load, so S is tabulated once per radio and
-quadrature on a fixed lattice, and ``_min_densities`` brackets every load
-in that table and closes each bracket with a secant: 2.43 delay
-evaluations per cell and call on the default scenario (292 in 2 calls over
-120 cells), where bisection from lambda_u / 10 took 17. The tests check the
+h does not depend on the load, so S is tabulated once per radio on a fixed
+lattice, and ``_min_densities`` brackets every load in that table and
+closes each bracket with a secant: 2.43 delay evaluations per cell and call
+on the default scenario (292 in 2 calls over 120 cells), where bisection
+from lambda_u / 10 took 17. The tests check the
 computed u = 1 delay to be non-increasing in lambda_b bit for bit on a
 20 001-point grid for a range of radios.
 
@@ -36,8 +36,8 @@ import functools
 import numpy as np
 
 from .scenario import M2_PER_KM2, RadioParams
-from .qosmodel import (BadElement, FixedPointDiverged, NonFinite, QuadratureSpec, _AtElement,
-                       _check_elements, _unit_sums, evaluate_qos)
+from .qosmodel import (BadElement, FixedPointDiverged, NonFinite, _AtElement, _check_elements,
+                       _unit_sums, evaluate_qos)
 
 DEFAULT_DENSITY_CAP_PER_M2 = 1e5 / M2_PER_KM2  # 1e5 stations per km^2
 BISECTION_REL_TOL = 1e-4
@@ -48,22 +48,22 @@ class InfeasibleDemand(_AtElement, RuntimeError):
 
 
 @functools.lru_cache(maxsize=64)
-def _lattice(params: RadioParams, quad: QuadratureSpec):
+def _lattice(params: RadioParams):
     """The fixed lattice cap * 2^(-k/8), ascending, and the u = 1 node sums
-    S on it, built on the first inversion per radio and quadrature. It runs
+    S on it, built on the first inversion per radio. It runs
     from the cap down to the lowest density at which floats still resolve a
     relative step of ``BISECTION_REL_TOL`` / 4: 8444 points, down to about
     2e-319 per m^2."""
     cap = DEFAULT_DENSITY_CAP_PER_M2  # 2^-1074 is the smallest float
     steps = np.floor(8.0 * (np.log2(0.25 * BISECTION_REL_TOL * cap) + 1074.0))
     grid = cap * np.exp2(np.arange(-steps, 1.0) / 8.0)
-    unit_sum = _unit_sums(grid, 1.0, params, quad)
+    unit_sum = _unit_sums(grid, 1.0, params)
     for v in (grid, unit_sum):
         v.setflags(write=False)
     return grid, unit_sum
 
 
-def _min_densities(loads, params, quad):
+def _min_densities(loads, params):
     """Smallest feasible station density for every user density in the 1-D
     array ``loads``: 0 for a zero load, inf where even the cap misses; and
     the u = 1 delay at each density: 0 for a zero load, NaN past the cap.
@@ -98,7 +98,7 @@ def _min_densities(loads, params, quad):
     lam_u = loads[where]
     if not lam_u.size:
         return density, delay
-    grid, unit_sum = _lattice(params, quad)
+    grid, unit_sum = _lattice(params)
 
     def still_open(k):
         return k[bracket[k, 1] - bracket[k, 0] > tol * bracket[k, 1]]
@@ -127,7 +127,7 @@ def _min_densities(loads, params, quad):
             root = lo * (hi / lo) ** share
             probes = np.clip(root[:, None] * [1.0 - 0.25 * tol, 1.0 + 0.25 * tol],
                              lo[:, None], hi[:, None])
-            tau = (lam_u[idx, None] / probes) * _unit_sums(probes, 1.0, params, quad)
+            tau = (lam_u[idx, None] / probes) * _unit_sums(probes, 1.0, params)
             # the points ascend and their delays descend: the new bracket is
             # the last point that misses and the first that meets
             points = np.column_stack([lo, probes, hi])
@@ -140,7 +140,7 @@ def _min_densities(loads, params, quad):
     return density, delay
 
 
-def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureSpec()):
+def demand_matrix(users, params: RadioParams):
     """Cell-wise minimum station densities for a J x Z array of user
     densities (per m^2), as three J x Z arrays: the density (per m^2), the
     delay achieved at it and the fixed-point iterations spent finding that
@@ -168,7 +168,7 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
         return exc
 
     try:
-        densities, busy_delays = _min_densities(loads, params, quad)
+        densities, busy_delays = _min_densities(loads, params)
     except (BadElement, NonFinite) as exc:
         raise at_cell(type(exc), exc.index, str(exc)) from None
     unmet = np.flatnonzero(densities == np.inf)
@@ -179,7 +179,7 @@ def demand_matrix(users, params: RadioParams, quad: QuadratureSpec = QuadratureS
                       f"density cap {DEFAULT_DENSITY_CAP_PER_M2 * M2_PER_KM2:.6g} per km^2 (user "
                       f"density {loads[k] * M2_PER_KM2:.6g} per km^2)")
     positive = np.flatnonzero(loads > 0)
-    result = evaluate_qos(densities[positive], loads[positive], params, quad,
+    result = evaluate_qos(densities[positive], loads[positive], params,
                           _busy_delay=busy_delays[positive])
     diverged = positive[~result.converged]
     if diverged.size:

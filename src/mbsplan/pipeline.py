@@ -33,8 +33,8 @@ from . import __version__
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          optimal_plan, savings, verify_plan)
 from .dimensioning import InfeasibleDemand, _min_densities, demand_matrix
-from .qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec, delay_given_utilization,
-                       evaluate_qos, mc_delay_oracle)
+from .qosmodel import (FixedPointDiverged, NonFinite, delay_given_utilization, evaluate_qos,
+                       mc_delay_oracle)
 from .scenario import (M2_PER_KM2, Scenario, ValidationError, default_config, load_scenario,
                        slot_midpoints_h, user_density_matrix)
 
@@ -416,7 +416,7 @@ class ValidationReport:
         return [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in self.checks]
 
 
-def _first_feasible(grid, lambda_u, params, quad):
+def _first_feasible(grid, lambda_u, params):
     """Per user density, the index of the first density of the ascending
     ``grid`` whose fixed-point delay meets the target, or None.
 
@@ -428,8 +428,8 @@ def _first_feasible(grid, lambda_u, params, quad):
     first = [None] * len(lambda_u)
     rows = np.arange(len(lambda_u))
     for start in range(0, grid.size, _GRID_CHUNK):
-        delay = evaluate_qos(grid[start:start + _GRID_CHUNK], lambda_u[rows, None], params,
-                             quad).delay_s_per_bit
+        delay = evaluate_qos(grid[start:start + _GRID_CHUNK], lambda_u[rows, None],
+                             params).delay_s_per_bit
         feasible = delay <= params.target_delay_s_per_bit
         hit = feasible.any(axis=1)
         for i, k in zip(rows[hit].tolist(), np.argmax(feasible[hit], axis=1).tolist()):
@@ -482,7 +482,6 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
         raise ValueError(f"seed must be >= 0, got {seed}")
     scenario, _ = _load(config_path)
     params = scenario.radio
-    quad = QuadratureSpec()
     checks: list[ValidationCheck] = []
 
     # Each spot's draws score its load and zero traffic: the estimate is
@@ -496,7 +495,7 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     # spot's draws) are both exactly zero (no users, nothing to transmit).
     at_b, at_u = np.append(spots[0, 0], spots[:, 0]), np.append(0.0, spots[:, 1])
     analytic_zero, *analytic_spots = _each(
-        lambda s: delay_given_utilization(at_b[s], at_u[s], 1.0, params, quad).tolist(),
+        lambda s: delay_given_utilization(at_b[s], at_u[s], 1.0, params).tolist(),
         at_b.size)
     mc_zero = simulated[0][1]
     checks.append(ValidationCheck(
@@ -520,8 +519,8 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
                        _GRID_POINTS) / M2_PER_KM2
     lam_u = np.array(GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
     # an inverted density is inf past the cap
-    inverted = _each(lambda s: _min_densities(lam_u[s], params, quad)[0].tolist(), lam_u.size)
-    first = _each(lambda s: _first_feasible(grid, lam_u[s], params, quad), lam_u.size)
+    inverted = _each(lambda s: _min_densities(lam_u[s], params)[0].tolist(), lam_u.size)
+    first = _each(lambda s: _first_feasible(grid, lam_u[s], params), lam_u.size)
     for users_km2, k, solved in zip(GRID_SPOT_USER_DENSITIES_PER_KM2, first, inverted):
         name = f"grid-scan users={users_km2:g}/km2"
         if isinstance(k, NonFinite):

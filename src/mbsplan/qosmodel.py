@@ -24,48 +24,36 @@ map's image, so no reported delay exceeds the u = 1 delay.
 The overlap area is homogeneous of degree 2 in the lengths, so the whole
 radial quadrature grid at density lambda_b maps node-for-node onto the
 unit-density grid scaled by sqrt(lambda_b). The expensive double integral is
-therefore computed once per quadrature spec ("unit kernel") and reused for
-every density, slot and fixed-point iteration. The rate needs no per-node
-work per density either: signal and interference at the scaled radius both
-carry the factor lambda_b^(alpha/2), so the per-node signal, interference
-and weight are cached at unit density per radio and spec, and a density
-only rescales the noise term, with one power. Runs use the default
-``QuadratureSpec``; tests and Python callers may pass another.
+therefore computed once ("unit kernel") and reused for every density, slot
+and fixed-point iteration. The rate needs no per-node work per density
+either: signal and interference at the scaled radius both carry the factor
+lambda_b^(alpha/2), so the per-node signal, interference and weight are
+cached at unit density per radio, and a density only rescales the noise
+term, with one power. The quadrature rule is fixed: ``_NODES`` and
+``_TAIL_MASS``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import RadioParams, _check_numbers
+from .scenario import RadioParams
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor-product Gauss-Legendre node counts and truncation control.
-
-    ``tail_mass_epsilon`` sets where the radial integrals are cut: at the
-    radius where the void probability exp(-lambda_b * pi * t^2) drops below
-    it. ``nodes_theta`` counts nodes on the half turn [-pi/2, pi/2], which
-    the integrand's symmetry makes the whole angular integral. The defaults
-    meet the delay's 1e-5 relative error budget, at 1.7e-6; the bounds
-    below also admit counts that miss it.
-    """
-
-    nodes_r: int = field(default=64, metadata={">=": 8, "<=": 256})
-    nodes_x: int = field(default=64, metadata={">=": 8, "<=": 256})
-    nodes_theta: int = field(default=16, metadata={">=": 8, "<=": 256})
-    tail_mass_epsilon: float = field(default=1e-12, metadata={">": 0, "<=": 1e-6})
-
-    def __post_init__(self):
-        _check_numbers(self, "quadrature: ")
+# The delay's quadrature rule: tensor-product Gauss-Legendre node counts
+# for r, x and theta (theta on the half turn [-pi/2, pi/2], which the
+# integrand's symmetry makes the whole angular integral), and the void
+# probability exp(-lambda_b pi t^2) below which the radial integrals are
+# cut. It meets the delay's 1e-5 relative error budget, at 1.7e-6.
+_NODES = (64, 64, 16)
+_TAIL_MASS = 1e-12
 
 
 class _AtElement(Exception):
@@ -146,13 +134,13 @@ def overlap_area(r, x, theta):
     return float(area) if area.ndim == 0 else area
 
 
-def _truncation_radius(lambda_b: float, eps: float) -> float:
-    """Radius beyond which the void probability exp(-lambda pi t^2) < eps."""
-    return math.sqrt(-math.log(eps) / (lambda_b * math.pi))
+def _truncation_radius(lambda_b: float) -> float:
+    """Radius beyond which the void probability exp(-lambda pi t^2) < _TAIL_MASS."""
+    return math.sqrt(-math.log(_TAIL_MASS) / (lambda_b * math.pi))
 
 
 @functools.cache
-def _unit_kernel(quad: QuadratureSpec):
+def _unit_kernel(nodes=_NODES):
     """Radial nodes and integral weights of the outer integral at unit density.
 
     Returns (r1, kernel) where r1 are the Gauss-Legendre nodes on
@@ -170,14 +158,18 @@ def _unit_kernel(quad: QuadratureSpec):
     |cos(theta)|, so it is symmetric about theta = pi/2, where it has a
     kink, as at -pi/2. The theta integral over the full turn is therefore
     twice that over [-pi/2, pi/2], whose ends are the two kinks: the rule
-    takes ``nodes_theta`` nodes there, with doubled weights.
+    takes ``nodes[2]`` nodes there, with doubled weights.
+
+    ``nodes`` holds the node counts for r, x and theta; runs use ``_NODES``,
+    and tests build other rules to measure how the integral converges.
     """
-    r_max = _truncation_radius(1.0, quad.tail_mass_epsilon)
-    xi_r, w_r = _gauss_unit(quad.nodes_r)
+    nodes_r, nodes_x, nodes_theta = nodes
+    r_max = _truncation_radius(1.0)
+    xi_r, w_r = _gauss_unit(nodes_r)
     r1 = xi_r * r_max
     wr = w_r * r_max
-    xi_x, w_x = _gauss_unit(quad.nodes_x)
-    xi_t, w_t = _gauss_unit(quad.nodes_theta)
+    xi_x, w_x = _gauss_unit(nodes_x)
+    xi_t, w_t = _gauss_unit(nodes_theta)
     x_max = r_max + r1
     x = xi_x[None, :] * x_max[:, None]
     wx = w_x[None, :] * x_max[:, None]
@@ -233,7 +225,7 @@ _BLOCK_ELEMENTS = 65536
 
 
 @functools.lru_cache(maxsize=64)
-def _unit_vectors(params: RadioParams, quad: QuadratureSpec):
+def _unit_vectors(params: RadioParams):
     """Per-node vectors of the delay at unit station density.
 
     At density lambda_b the serving distance of node i is r1_i / sqrt(lambda_b),
@@ -245,7 +237,7 @@ def _unit_vectors(params: RadioParams, quad: QuadratureSpec):
     and the weight w_i = kernel_i ln 2 / B_eff turns 1 / log1p(SINR_i) into
     node i's share of the delay per unit density ratio.
     """
-    r1, kernel = _unit_kernel(quad)
+    r1, kernel = _unit_kernel()
     with np.errstate(all="ignore"):  # an overflow gives a delay ``NonFinite`` reports
         a = params.reference_gain * params.tx_power_w * r1 ** -params.path_loss_exponent
         b = mean_interference(r1, params, 1.0, 1.0)
@@ -255,13 +247,13 @@ def _unit_vectors(params: RadioParams, quad: QuadratureSpec):
     return a, b, w
 
 
-def _unit_sums(lambda_b, utilization, params: RadioParams, quad: QuadratureSpec):
+def _unit_sums(lambda_b, utilization, params: RadioParams):
     """S = sum_i w_i / log1p(a_i / (N0 B_eff lambda_b^(-alpha/2) + b_i u)) over
     the unit vectors of ``_unit_vectors``, for every element of the broadcast
     of lambda_b and u, in blocks of ``_BLOCK_ELEMENTS`` node terms; each is
     bit-equal to its scalar call. Unchecked, and +inf where a rate underflows
     to 0, with no floating-point warning."""
-    a, b, w = _unit_vectors(params, quad)
+    a, b, w = _unit_vectors(params)
     noise_w = params.noise_psd_w_per_hz * (params.bandwidth_hz / params.reuse_factor)
     exponent = -0.5 * params.path_loss_exponent
     # one row per element of the broadcast of lambda_b and u; a scalar u
@@ -290,13 +282,7 @@ def _unit_sums(lambda_b, utilization, params: RadioParams, quad: QuadratureSpec)
     return unit_sum.reshape(shape)
 
 
-def delay_given_utilization(
-    lambda_b,
-    lambda_u,
-    utilization,
-    params: RadioParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-):
+def delay_given_utilization(lambda_b, lambda_u, utilization, params: RadioParams):
     """Mean per-bit delay when every station is busy a fixed fraction
     ``utilization`` of the time. Exactly linear in lambda_u.
 
@@ -326,7 +312,7 @@ def delay_given_utilization(
     _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
     _check_utilization(utilization)
     with np.errstate(all="ignore"):  # a rate that underflows to 0 is reported below
-        tau = (lambda_u / lambda_b) * _unit_sums(lambda_b, utilization, params, quad)
+        tau = (lambda_u / lambda_b) * _unit_sums(lambda_b, utilization, params)
     finite = np.isfinite(tau)
     if not np.all(finite):
         first = int(np.argmin(finite))  # flat index of the first non-finite element
@@ -337,14 +323,7 @@ def delay_given_utilization(
     return float(tau) if tau.ndim == 0 else tau
 
 
-def evaluate_qos(
-    lambda_b,
-    lambda_u,
-    params: RadioParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-    *,
-    _busy_delay=None,
-) -> QosEvaluation:
+def evaluate_qos(lambda_b, lambda_u, params: RadioParams, *, _busy_delay=None) -> QosEvaluation:
     """Self-consistent delay and utilization at the given densities.
 
     Interference scales with the stations' busy fraction delay/target, which
@@ -374,7 +353,7 @@ def evaluate_qos(
     # demand_matrix passes the one its inversion ended on, bit-equal to it,
     # as the private _busy_delay (one per element, unchecked)
     if _busy_delay is None:
-        tau = delay_given_utilization(lambda_b, lambda_u, u, params, quad)
+        tau = delay_given_utilization(lambda_b, lambda_u, u, params)
     else:
         tau = np.array(_busy_delay, dtype=float).reshape(lambda_b.shape)
     # the previous iterate and its residual; NaN makes the first step g(1)
@@ -398,7 +377,7 @@ def evaluate_qos(
         u_prev[idx], f_prev[idx] = u_now, f
         idx = idx[~done & (iterations[idx] < FIXED_POINT_MAX_ITERATIONS)]
         if idx.size:
-            tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u[idx], params, quad)
+            tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u[idx], params)
     if not shape:
         return QosEvaluation(float(tau[0]), float(u[0]), int(iterations[0]), bool(converged[0]))
     return QosEvaluation(tau.reshape(shape), u.reshape(shape), iterations.reshape(shape),

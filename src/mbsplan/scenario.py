@@ -7,7 +7,7 @@ produce the per-slot, per-region active-user density matrix that drives
 dimensioning.
 
 Every numeric parameter is checked in one place: a field's metadata holds
-its bounds, e.g. ``{">": 0, "<=": 1e-6}``, and ``_check_numbers`` rejects a
+its bounds, e.g. ``{">": 2, "<=": 8}``, and ``_check_numbers`` rejects a
 value outside them with a message naming the field.
 
 Units: everything internal is SI (meters, watts, users per square meter).
@@ -112,7 +112,7 @@ def _number(value, name, integer=False):
 
 
 def _check_numbers(obj, prefix=""):
-    """Check each field bounded in its metadata, e.g. ``{">": 0, "<=": 1e-6}``,
+    """Check each field bounded in its metadata, e.g. ``{">": 2, "<=": 8}``,
     and store it as a number."""
     for f in fields(obj):
         value = getattr(obj, f.name)

@@ -26,7 +26,7 @@ from mbsplan.qosmodel import NonFinite, _unit_sums
 LOWEST = np.nextafter(0.0, 1.0) / (0.25 * BISECTION_REL_TOL)
 
 
-def min_densities(loads, params, quad) -> np.ndarray:
+def min_densities(loads, params) -> np.ndarray:
     loads = np.asarray(loads, dtype=float)
     if not np.all(np.isfinite(loads)) or np.any(loads < 0):
         raise ValueError(f"user densities must be finite and >= 0, got {loads}")
@@ -41,7 +41,7 @@ def min_densities(loads, params, quad) -> np.ndarray:
     idx = np.arange(lam_u.size)
     while idx.size:
         with np.errstate(all="ignore"):
-            tau = (lam_u[idx] / cand[idx]) * _unit_sums(cand[idx], 1.0, params, quad)
+            tau = (lam_u[idx] / cand[idx]) * _unit_sums(cand[idx], 1.0, params)
         ok = tau <= target
         hi[idx[ok]] = cand[idx[ok]]
         lo[idx[~ok]] = cand[idx[~ok]]

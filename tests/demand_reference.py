@@ -17,7 +17,7 @@ from mbsplan.dimensioning import _min_densities
 from mbsplan.qosmodel import FIXED_POINT_MAX_ITERATIONS, FIXED_POINT_TOL, delay_given_utilization
 
 
-def _fixed_point(lambda_b, lambda_u, params, quad):
+def _fixed_point(lambda_b, lambda_u, params):
     """Delays and iteration counts over 1-D arrays, every delay evaluated."""
     tau = np.zeros(lambda_b.shape)
     u = np.ones(lambda_b.shape)
@@ -28,7 +28,7 @@ def _fixed_point(lambda_b, lambda_u, params, quad):
     idx = np.arange(lambda_b.size)
     while idx.size:
         u_now = u[idx]
-        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u_now, params, quad)
+        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u_now, params)
         iterations[idx] += 1
         target = np.clip(tau[idx] / params.target_delay_s_per_bit, 0.0, 1.0)
         f = target - u_now
@@ -45,14 +45,14 @@ def _fixed_point(lambda_b, lambda_u, params, quad):
     return tau, iterations
 
 
-def demand_matrix(users, params, quad):
+def demand_matrix(users, params):
     users = np.asarray(users, dtype=float)
     loads = users.ravel()
-    densities = _min_densities(loads, params, quad)[0]
+    densities = _min_densities(loads, params)[0]
     assert np.all(np.isfinite(densities))
     positive = np.flatnonzero(loads > 0)
     delay = np.zeros(loads.shape)
     iterations = np.zeros(loads.shape, dtype=int)
     delay[positive], iterations[positive] = _fixed_point(densities[positive], loads[positive],
-                                                         params, quad)
+                                                         params)
     return tuple(v.reshape(users.shape) for v in (densities, delay, iterations))

@@ -6,23 +6,25 @@ evaluates that integral directly at one density and one serving distance,
 so tests can assemble the delay the long way and compare. ``pair_distance``
 is the plain law-of-cosines distance between the two discs' centers, which
 the acos/Heron lens references of ``overlap_area`` take (the function
-itself never forms it), and ``doubled`` is the refined quadrature the
-stability checks compare against.
-``delay_r_form`` is the delay as it was computed before the unit vectors:
-the serving distances rescaled per density and two powers per node, through
-``mean_interference`` and ``capacity``.
+itself never forms it), and ``doubled`` is the refined rule the stability
+checks compare against. ``delay_r_form`` is the delay as it was computed
+before the unit vectors: the serving distances rescaled per density and two
+powers per node, through ``mean_interference`` and ``capacity``.
+
+Node counts are tuples (r, x, theta), as ``_unit_kernel`` takes them; the
+program itself always integrates with ``qosmodel._NODES``, and these
+references take other counts to measure how the integral converges.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
-from mbsplan.qosmodel import (TWO_PI, NonFinite, QuadratureSpec, _check_utilization,
-                              _gauss_unit, _truncation_radius, _unit_kernel, capacity,
-                              mean_interference, overlap_area)
+from mbsplan.qosmodel import (_NODES, TWO_PI, NonFinite, _check_utilization, _gauss_unit,
+                              _truncation_radius, _unit_kernel, capacity, mean_interference,
+                              overlap_area)
 from mbsplan.scenario import RadioParams
 
 
@@ -38,8 +40,7 @@ def pair_distance(r, x, theta):
     return d
 
 
-def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = QuadratureSpec(),
-                       half_turn: bool = True) -> float:
+def shared_load_kernel(lambda_b: float, r: float, nodes=_NODES, half_turn: bool = True) -> float:
     """Expected-shared-user integral at serving distance r, per unit user
     density: g(lambda_b, r) = int_0^xmax int_0^2pi exp(-lambda_b A) x dtheta dx.
 
@@ -47,7 +48,7 @@ def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = Quadrat
     the tagged user's station. The x integral is truncated at the void-mass
     radius plus r. A depends on theta only through sin(theta) and
     |cos(theta)|, so the theta integral is taken on [-pi/2, pi/2] with
-    doubled weights (``quad.nodes_theta`` nodes there), as the unit kernel
+    doubled weights (``nodes[2]`` nodes there), as the unit kernel
     takes it; ``half_turn=False`` spreads the nodes over the full turn
     instead, which converges more slowly but does not rest on the symmetry.
     """
@@ -55,9 +56,9 @@ def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = Quadrat
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
     if r <= 0:
         raise ValueError(f"r must be > 0, got {r}")
-    x_max = _truncation_radius(lambda_b, quad.tail_mass_epsilon) + r
-    xi_x, w_x = _gauss_unit(quad.nodes_x)
-    xi_t, w_t = _gauss_unit(quad.nodes_theta)
+    x_max = _truncation_radius(lambda_b) + r
+    xi_x, w_x = _gauss_unit(nodes[1])
+    xi_t, w_t = _gauss_unit(nodes[2])
     x = xi_x * x_max
     wx = w_x * x_max
     t = (xi_t - 0.5) * math.pi if half_turn else xi_t * TWO_PI
@@ -70,19 +71,12 @@ def shared_load_kernel(lambda_b: float, r: float, quad: QuadratureSpec = Quadrat
     return g
 
 
-def doubled(quad: QuadratureSpec) -> QuadratureSpec:
-    """``quad`` with every node count doubled."""
-    return dataclasses.replace(quad, nodes_r=2 * quad.nodes_r, nodes_x=2 * quad.nodes_x,
-                               nodes_theta=2 * quad.nodes_theta)
+def doubled(nodes):
+    """``nodes`` with every node count doubled."""
+    return tuple(2 * n for n in nodes)
 
 
-def delay_r_form(
-    lambda_b,
-    lambda_u,
-    utilization,
-    params: RadioParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-):
+def delay_r_form(lambda_b, lambda_u, utilization, params: RadioParams, nodes=_NODES):
     """Mean per-bit delay when every station is busy a fixed fraction
     ``utilization`` of the time. Exactly linear in lambda_u.
 
@@ -100,7 +94,7 @@ def delay_r_form(
     if np.any(lambda_u < 0):
         raise ValueError(f"lambda_u must be >= 0, got {lambda_u}")
     _check_utilization(utilization)
-    r1, kernel = _unit_kernel(quad)
+    r1, kernel = _unit_kernel(nodes)
     r = r1 / np.sqrt(lambda_b)[..., None]
     busy = mean_interference(r, params, lambda_b[..., None], 1.0)
     rate = capacity(r, params, busy * utilization[..., None])

@@ -16,7 +16,7 @@ from mbsplan.qosmodel import (FIXED_POINT_MAX_ITERATIONS, FIXED_POINT_TOL, QosEv
                               delay_given_utilization)
 
 
-def evaluate_qos(lambda_b, lambda_u, params, quad) -> QosEvaluation:
+def evaluate_qos(lambda_b, lambda_u, params) -> QosEvaluation:
     lambda_b, lambda_u = np.broadcast_arrays(np.asarray(lambda_b, dtype=float),
                                              np.asarray(lambda_u, dtype=float))
     shape = lambda_b.shape
@@ -27,7 +27,7 @@ def evaluate_qos(lambda_b, lambda_u, params, quad) -> QosEvaluation:
     converged = np.zeros(lambda_b.shape, dtype=bool)
     idx = np.arange(lambda_b.size)
     while idx.size:
-        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u[idx], params, quad)
+        tau[idx] = delay_given_utilization(lambda_b[idx], lambda_u[idx], u[idx], params)
         iterations[idx] += 1
         target = np.clip(tau[idx] / params.target_delay_s_per_bit, 0.0, 1.0)
         converged[idx] = np.abs(target - u[idx]) <= FIXED_POINT_TOL

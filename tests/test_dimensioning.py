@@ -18,8 +18,7 @@ import mbsplan
 from mbsplan import dimensioning, qosmodel
 from mbsplan.dimensioning import (BISECTION_REL_TOL, DEFAULT_DENSITY_CAP_PER_M2,
                                   InfeasibleDemand, demand_matrix)
-from mbsplan.qosmodel import (FixedPointDiverged, NonFinite, QuadratureSpec,
-                              delay_given_utilization, evaluate_qos)
+from mbsplan.qosmodel import FixedPointDiverged, NonFinite, delay_given_utilization, evaluate_qos
 from mbsplan.pipeline import sweep_density_ratio
 from mbsplan.scenario import (M2_PER_KM2, RadioParams, default_scenario, load_scenario,
                               user_density_matrix)
@@ -27,9 +26,9 @@ from mbsplan.scenario import (M2_PER_KM2, RadioParams, default_scenario, load_sc
 PARAMS = RadioParams()
 
 
-def _min_density(lambda_u, params, quad=QuadratureSpec()):
+def _min_density(lambda_u, params):
     """The minimum station density of one load: its 1 x 1 demand matrix."""
-    return float(demand_matrix([[lambda_u]], params, quad)[0][0, 0])
+    return float(demand_matrix([[lambda_u]], params)[0][0, 0])
 
 
 def _noiseless_threshold(params, lambda_u):
@@ -142,19 +141,17 @@ def test_min_density_is_bit_equal_to_its_matrix_cell():
 
 
 def test_min_density_increases_with_user_density():
-    quad = QuadratureSpec()
     lams = np.array([50.0, 200.0, 1000.0, 5000.0]) / M2_PER_KM2
-    got = [_min_density(lam, PARAMS, quad) for lam in lams]
+    got = [_min_density(lam, PARAMS) for lam in lams]
     assert all(b > a for a, b in zip(got, got[1:]))
 
 
 def test_solved_density_is_feasible_and_nearly_minimal():
-    quad = QuadratureSpec()
     for lam_u_km2 in (100.0, 3000.0):
         lam_u = lam_u_km2 / M2_PER_KM2
-        lam_b = _min_density(lam_u, PARAMS, quad)
-        at = evaluate_qos(lam_b, lam_u, PARAMS, quad)
-        below = evaluate_qos(lam_b * (1.0 - 10.0 * BISECTION_REL_TOL), lam_u, PARAMS, quad)
+        lam_b = _min_density(lam_u, PARAMS)
+        at = evaluate_qos(lam_b, lam_u, PARAMS)
+        below = evaluate_qos(lam_b * (1.0 - 10.0 * BISECTION_REL_TOL), lam_u, PARAMS)
         assert at.delay_s_per_bit <= PARAMS.target_delay_s_per_bit
         assert below.delay_s_per_bit > PARAMS.target_delay_s_per_bit
 
@@ -233,8 +230,8 @@ def test_demand_matrix_names_the_first_diverged_cell(monkeypatch):
     users = np.array([[light, light], [heavy, light], [light, heavy]])
     lam_b = _min_density(heavier, PARAMS)
 
-    def heavy_diverges(lambda_b, lambda_u, params, quad, **kwargs):
-        result = evaluate_qos(lambda_b, lambda_u, params, quad, **kwargs)
+    def heavy_diverges(lambda_b, lambda_u, params, **kwargs):
+        result = evaluate_qos(lambda_b, lambda_u, params, **kwargs)
         return dataclasses.replace(result, converged=result.converged & (lambda_u < heavy))
 
     monkeypatch.setattr(dimensioning, "evaluate_qos", heavy_diverges)
@@ -270,20 +267,19 @@ def test_demand_matrix_names_the_cell_of_a_bad_user_density():
     assert excinfo.value.index == 15
 
 
-def _exact_delay(lam_b, lam_u, params, quad=QuadratureSpec()):
+def _exact_delay(lam_b, lam_u, params):
     """The inversion's u = 1 delay (lambda_u / lambda_b) S, +inf where the
     rate underflows to 0."""
     with np.errstate(all="ignore"):
-        return (lam_u / lam_b) * qosmodel._unit_sums(lam_b, 1.0, params, quad)
+        return (lam_u / lam_b) * qosmodel._unit_sums(lam_b, 1.0, params)
 
 
-def _assert_certified(got, loads, params, quad=QuadratureSpec()):
+def _assert_certified(got, loads, params):
     """Every density meets the target by its exact u = 1 delay and misses
     it at (1 - tol) times itself; a delay of +inf is a miss."""
     target = params.target_delay_s_per_bit
-    assert np.all(_exact_delay(got, loads, params, quad) <= target)
-    assert not np.any(_exact_delay(got * (1.0 - BISECTION_REL_TOL), loads, params, quad)
-                      <= target)
+    assert np.all(_exact_delay(got, loads, params) <= target)
+    assert not np.any(_exact_delay(got * (1.0 - BISECTION_REL_TOL), loads, params) <= target)
 
 
 def _within_tol(got, want):
@@ -319,7 +315,7 @@ def test_root_below_the_lattice_names_the_smallest_load_in_any_order():
     loads = np.array([1e-4, 1e-318, 1e-319, 1e-318])
     for order in (np.arange(4), np.array([2, 3, 0, 1]), np.arange(4)[::-1]):
         with pytest.raises(NonFinite, match=r"lambda_u=1e-319 meets") as got:
-            dimensioning._min_densities(loads[order], NOISELESS, QuadratureSpec())
+            dimensioning._min_densities(loads[order], NOISELESS)
         assert order[got.value.index] == 2
 
 
@@ -332,12 +328,11 @@ def test_tiny_loads_get_certified_densities():
     # each load's floor, and a 1e-320 load could not form one.
     loads = np.array([7.2e-176, 1e-175, 8.5e-175, 1e-200, 1e-300, 1e-320])
     for lam in loads:
-        got = dimensioning._min_densities(np.array([lam]), PARAMS, QuadratureSpec())[0]
+        got = dimensioning._min_densities(np.array([lam]), PARAMS)[0]
         _assert_certified(got, lam, PARAMS)
-        assert _within_tol(got, bisection_reference.min_densities([lam], PARAMS,
-                                                                  QuadratureSpec()))
-    assert np.isclose(dimensioning._min_densities(loads[:1], PARAMS, QuadratureSpec())[0][0],
-                      4.694e-69, rtol=1e-3)
+        assert _within_tol(got, bisection_reference.min_densities([lam], PARAMS))
+    assert np.isclose(dimensioning._min_densities(loads[:1], PARAMS)[0][0], 4.694e-69,
+                      rtol=1e-3)
     users = np.array([[1e-4], [1e-320]])
     demand = demand_matrix(users, PARAMS)[0]
     assert demand[1, 0] == _min_density(1e-320, PARAMS)
@@ -345,20 +340,19 @@ def test_tiny_loads_get_certified_densities():
     # bracket's low end has delay +inf, so its first probes straddle the
     # geometric midpoint instead of a secant's root.
     lax = dataclasses.replace(PARAMS, target_delay_s_per_bit=1e150)
-    grid, unit_sum = dimensioning._lattice(lax, QuadratureSpec())
-    got = dimensioning._min_densities(np.array([1e-322]), lax, QuadratureSpec())[0]
+    grid, unit_sum = dimensioning._lattice(lax)
+    got = dimensioning._min_densities(np.array([1e-322]), lax)[0]
     below = np.searchsorted(grid, got[0]) - 1
     assert np.isinf(unit_sum[below])
     _assert_certified(got, 1e-322, lax)
-    assert _within_tol(got, bisection_reference.min_densities([1e-322], lax, QuadratureSpec()))
+    assert _within_tol(got, bisection_reference.min_densities([1e-322], lax))
 
 
 def test_inversion_is_bit_equal_over_split_arrays():
     # A load's density does not depend on the other loads of its array.
     loads = np.geomspace(1e-5, 1e-2, 3000)
-    got = dimensioning._min_densities(loads, PARAMS, QuadratureSpec())
-    parts = [dimensioning._min_densities(part, PARAMS, QuadratureSpec())
-             for part in np.array_split(loads, 7)]
+    got = dimensioning._min_densities(loads, PARAMS)
+    parts = [dimensioning._min_densities(part, PARAMS) for part in np.array_split(loads, 7)]
     for k in range(2):  # the densities and their u = 1 delays
         assert np.array_equal(got[k], np.concatenate([part[k] for part in parts]))
 
@@ -384,30 +378,27 @@ BENCH_USERS = np.array(json.loads((DATA / "bench_scenario_204_7.json")
 DEFAULT_LOADS = np.unique(DEFAULT_USERS)
 BENCH_LOADS = np.unique(BENCH_USERS)
 _THREE_REGIONS = load_scenario((DATA / "three_regions.json").read_text(), base_dir=DATA)
-# users, radio and quadrature; the bench scenario has the built-in radio
+# users and radio; the bench scenario has the built-in radio
 SCENARIOS = {
-    "default": (DEFAULT_USERS, PARAMS, QuadratureSpec()),
-    "bench_204_7": (BENCH_USERS, PARAMS, QuadratureSpec()),
-    "three_regions": (user_density_matrix(_THREE_REGIONS), _THREE_REGIONS.radio,
-                      QuadratureSpec()),
-    "noiseless": (DEFAULT_USERS, NOISELESS, QuadratureSpec()),
+    "default": (DEFAULT_USERS, PARAMS),
+    "bench_204_7": (BENCH_USERS, PARAMS),
+    "three_regions": (user_density_matrix(_THREE_REGIONS), _THREE_REGIONS.radio),
+    "noiseless": (DEFAULT_USERS, NOISELESS),
 }
 
 
 @st.composite
 def _inversions(draw):
-    """Loads, radio and quadrature for one inversion: log-uniform loads with
+    """Loads and radio for one inversion: log-uniform loads with
     zeros, repeats, loads beyond the cap and, now and then, a load so small
     that its first probe underflows the rate; noise on or off, the target
     scaled by up to 1e3 either way and path-loss exponents 2.5 to 5."""
-    nodes = draw(st.integers(8, 16))
-    quad = QuadratureSpec(nodes_r=nodes, nodes_x=nodes, nodes_theta=nodes)
     params = dataclasses.replace(
         PARAMS,
         noise_psd_w_per_hz=draw(st.sampled_from((0.0, PARAMS.noise_psd_w_per_hz))),
         target_delay_s_per_bit=PARAMS.target_delay_s_per_bit * 10.0 ** draw(st.floats(-3.0, 3.0)),
         path_loss_exponent=draw(st.floats(2.5, 5.0)))
-    at_cap = delay_given_utilization(DEFAULT_DENSITY_CAP_PER_M2, 1.0, 1.0, params, quad)
+    at_cap = delay_given_utilization(DEFAULT_DENSITY_CAP_PER_M2, 1.0, 1.0, params)
     loads = [10.0 ** e for e in draw(st.lists(st.floats(-9.0, -1.0), min_size=1, max_size=24))]
     loads += [0.0] * draw(st.integers(0, 2))
     loads += [f * params.target_delay_s_per_bit / at_cap
@@ -415,20 +406,19 @@ def _inversions(draw):
     if draw(st.integers(0, 9)) == 9:
         loads.append(10.0 ** draw(st.floats(-302.0, -298.0)))
     loads += draw(st.lists(st.sampled_from(loads), max_size=4))
-    return np.array(draw(st.permutations(loads))), params, quad
+    return np.array(draw(st.permutations(loads))), params
 
 
 @settings(max_examples=150, deadline=None)
 @given(_inversions())
-@example((DEFAULT_LOADS, PARAMS, QuadratureSpec()))
-@example((BENCH_LOADS, PARAMS, QuadratureSpec()))
-@example((np.unique(SCENARIOS["three_regions"][0]), *SCENARIOS["three_regions"][1:]))
-@example((DEFAULT_LOADS, NOISELESS, QuadratureSpec()))
-@example((np.array([7.2e-176, 1e-175, 8.5e-175]), PARAMS, QuadratureSpec()))
+@example((DEFAULT_LOADS, PARAMS))
+@example((BENCH_LOADS, PARAMS))
+@example((np.unique(SCENARIOS["three_regions"][0]), SCENARIOS["three_regions"][1]))
+@example((DEFAULT_LOADS, NOISELESS))
+@example((np.array([7.2e-176, 1e-175, 8.5e-175]), PARAMS))
 @example((np.array([0.1, 802.228853288561, 1e-302]),  # lambda_u / lambda_b overflows
           dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0, path_loss_exponent=3.0,
-                              target_delay_s_per_bit=1e-3),
-          QuadratureSpec(nodes_r=8, nodes_x=8, nodes_theta=8)))
+                              target_delay_s_per_bit=1e-3)))
 def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
     # Every density d is certified by exact u = 1 delays: the target is met
     # at d and missed at d (1 - tol), a delay of +inf being a miss. Zero
@@ -438,21 +428,21 @@ def test_inversion_is_certified_and_agrees_with_plain_bisection(instance):
     # ended on, which the fixed point takes as its first iterate instead of
     # evaluating it again: bit-equal to delay_given_utilization's at that
     # density, 0 for a zero load and NaN past the cap.
-    loads, params, quad = instance
+    loads, params = instance
     try:
-        want = bisection_reference.min_densities(loads, params, quad)
+        want = bisection_reference.min_densities(loads, params)
     except NonFinite:
         with pytest.raises(NonFinite):
-            dimensioning._min_densities(loads, params, quad)
+            dimensioning._min_densities(loads, params)
         return
-    got, delay = dimensioning._min_densities(loads, params, quad)
+    got, delay = dimensioning._min_densities(loads, params)
     assert np.array_equal(got == 0.0, want == 0.0)
     assert np.array_equal(got == np.inf, want == np.inf)
     solved = (got > 0.0) & (got < np.inf)
-    _assert_certified(got[solved], loads[solved], params, quad)
+    _assert_certified(got[solved], loads[solved], params)
     assert _within_tol(got[solved], want[solved])
     assert np.array_equal(delay[solved], delay_given_utilization(got[solved], loads[solved], 1.0,
-                                                                 params, quad))
+                                                                 params))
     assert np.all(delay[got == 0.0] == 0.0) and np.all(np.isnan(delay[got == np.inf]))
 
 
@@ -476,8 +466,8 @@ def test_demand_matrix_equals_the_route_that_evaluates_every_delay(monkeypatch, 
     # Reusing the inversion's u = 1 delays changes no density, delay or
     # iteration count; it saves the first delay evaluation of every
     # positive cell: 238 of 358 on the default scenario.
-    users, params, quad = SCENARIOS[name]
-    want = demand_reference.demand_matrix(users, params, quad)
+    users, params = SCENARIOS[name]
+    want = demand_reference.demand_matrix(users, params)
     evaluated = []
     delay_at = qosmodel.delay_given_utilization
 
@@ -486,7 +476,7 @@ def test_demand_matrix_equals_the_route_that_evaluates_every_delay(monkeypatch, 
         return delay_at(lambda_b, *args)
 
     monkeypatch.setattr(qosmodel, "delay_given_utilization", counting)
-    got = demand_matrix(users, params, quad)
+    got = demand_matrix(users, params)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert sum(evaluated) == got[2].sum() - np.count_nonzero(users)
@@ -494,7 +484,7 @@ def test_demand_matrix_equals_the_route_that_evaluates_every_delay(monkeypatch, 
         assert (got[2].sum(), sum(evaluated)) == (358, 238)
 
 
-def test_lattice_table_is_built_once_per_radio_and_quadrature(monkeypatch):
+def test_lattice_table_is_built_once_per_radio(monkeypatch):
     # The table is built neither at import nor by evaluate_qos, but on the
     # first inversion, and reused by later ones, by every point of a sweep
     # among them; another radio gets its own.
@@ -507,7 +497,7 @@ def test_lattice_table_is_built_once_per_radio_and_quadrature(monkeypatch):
     sizes = _counted(monkeypatch)
     evaluate_qos(1e-5, 1e-3, PARAMS)
     assert dimensioning._lattice.cache_info().currsize == 0
-    lattice = dimensioning._lattice(PARAMS, QuadratureSpec())[0].size
+    lattice = dimensioning._lattice(PARAMS)[0].size
     assert sizes == [lattice]
     scenario = default_scenario()
     demand_matrix(user_density_matrix(scenario), scenario.radio)

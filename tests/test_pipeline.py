@@ -23,7 +23,7 @@ from mbsplan import cli, dimensioning, pipeline
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                                 Violation, optimal_plan, savings)
 from mbsplan.dimensioning import demand_matrix
-from mbsplan.qosmodel import NonFinite, QuadratureSpec, evaluate_qos
+from mbsplan.qosmodel import NonFinite, evaluate_qos
 from mbsplan.pipeline import (run_pipeline, sweep_cost_ratio, sweep_density_ratio,
                               write_sweep_csv)
 from mbsplan.scenario import (M2_PER_KM2, default_config, default_scenario, load_scenario,
@@ -660,8 +660,8 @@ def test_cli_dimensioning_failure_names_stage_slot_and_region(monkeypatch, tmp_p
         "at the density cap 100000 per km^2 (user density 4.02e+08 per km^2)\n")
     assert not any(out.iterdir())
 
-    def office_diverges(lambda_b, lambda_u, params, quad, **kwargs):
-        result = evaluate_qos(lambda_b, lambda_u, params, quad, **kwargs)
+    def office_diverges(lambda_b, lambda_u, params, **kwargs):
+        result = evaluate_qos(lambda_b, lambda_u, params, **kwargs)
         return dataclasses.replace(result, converged=result.converged & (lambda_u < 5e-3))
 
     monkeypatch.setattr(dimensioning, "evaluate_qos", office_diverges)
@@ -875,8 +875,9 @@ def test_cli_non_positive_antenna_gain_exits_2(tmp_path, capsys, gain):
 
 
 def test_cli_quadrature_block_exits_2(tmp_path, capsys):
-    # The block was a config key once; even the default spec spelled out is not.
-    config = dict(default_config(), quadrature=dataclasses.asdict(QuadratureSpec()))
+    # The block was a config key once; even the fixed rule spelled out is not.
+    config = dict(default_config(), quadrature={"nodes_r": 64, "nodes_x": 64, "nodes_theta": 16,
+                                                "tail_mass_epsilon": 1e-12})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -1163,8 +1164,8 @@ def test_grid_scan_finds_the_full_grids_first_feasible_point(config, tmp_path):
     for target in (None, 1e-12, 1e3):
         params = scenario.radio if target is None else dataclasses.replace(
             scenario.radio, target_delay_s_per_bit=target)
-        full = validate_reference.first_feasible(grid, lam_u, params, QuadratureSpec())
-        assert pipeline._first_feasible(grid, lam_u, params, QuadratureSpec()) == full
+        full = validate_reference.first_feasible(grid, lam_u, params)
+        assert pipeline._first_feasible(grid, lam_u, params) == full
         if target is None:
             assert len({k // pipeline._GRID_CHUNK for k in full}) == 3, full
         else:
@@ -1182,20 +1183,20 @@ def test_validate_inverts_its_grid_loads_in_one_call_bit_equal_to_one_load_calls
     real = pipeline._min_densities
     calls = []
 
-    def recording(loads, params, quad):
-        density, delay = real(loads, params, quad)
-        calls.append((np.array(loads), density, delay, params, quad))
+    def recording(loads, params):
+        density, delay = real(loads, params)
+        calls.append((np.array(loads), density, delay, params))
         return density, delay
 
     monkeypatch.setattr(pipeline, "_min_densities", recording)
     pipeline.validate(path, mc_trials=1000, seed=5)
     assert len(calls) == 1
-    loads, density, delay, params, quad = calls[0]
+    loads, density, delay, params = calls[0]
     assert np.array_equal(loads,
                           np.array(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2)
-    assert (params, quad) == (scenario.radio, QuadratureSpec())
+    assert params == scenario.radio
     for i in range(loads.size):
-        one_density, one_delay = real(loads[i:i + 1], params, quad)
+        one_density, one_delay = real(loads[i:i + 1], params)
         assert np.array_equal(one_density, density[i:i + 1])
         assert np.array_equal(one_delay, delay[i:i + 1])
 
@@ -1207,11 +1208,11 @@ def test_validate_non_finite_inversion_fails_only_its_spot(monkeypatch):
     real = pipeline._min_densities
     bad = pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2[1] / M2_PER_KM2
 
-    def failing(loads, params, quad):
+    def failing(loads, params):
         hit = np.flatnonzero(np.asarray(loads) == bad)
         if hit.size:
             raise NonFinite("delay: non-finite result at lambda_b=0.0", int(hit[0]))
-        return real(loads, params, quad)
+        return real(loads, params)
 
     monkeypatch.setattr(pipeline, "_min_densities", failing)
     lines = pipeline.validate(None, mc_trials=1000, seed=5).lines()
@@ -1263,7 +1264,7 @@ def test_validate_non_finite_grid_scan_fails_only_its_check(monkeypatch, k):
 def test_validate_inversion_errors_other_than_non_finite_propagate(monkeypatch):
     # Only a delay that is not finite fails a check; an inversion error of
     # any other kind is a bug, and was once reported as a failed check.
-    def broken(loads, params, quad):
+    def broken(loads, params):
         raise ZeroDivisionError("not a NonFinite")
 
     monkeypatch.setattr(pipeline, "_min_densities", broken)

@@ -1,6 +1,7 @@
 """Delay-model tests: geometry, capacity, linearity, fixed point, kernels."""
 
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -10,19 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mc_reference
+import mbsplan
 import picard_reference
 from kernel_reference import delay_r_form, doubled, pair_distance, shared_load_kernel
 from mbsplan import qosmodel
 from mbsplan.dimensioning import BISECTION_REL_TOL, InfeasibleDemand, demand_matrix
 from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2,
                               GRID_SPOT_USER_DENSITIES_PER_KM2, MC_SPOT_DENSITIES_PER_KM2)
-from mbsplan.qosmodel import (QuadratureSpec, _cell_areas, _serving_cells, capacity,
+from mbsplan.qosmodel import (_NODES, _TAIL_MASS, _cell_areas, _serving_cells, capacity,
                               delay_given_utilization, evaluate_qos, mc_delay_oracle,
                               mean_interference, overlap_area)
 from mbsplan.scenario import RadioParams
 
 PARAMS = RadioParams()
-QUAD = QuadratureSpec()
 PER_KM2 = 1e-6  # density conversion: 1 per km^2 in per m^2
 REFINEMENT_REL_TOL = 1e-4  # acceptable relative change when all node counts double
 
@@ -145,12 +146,12 @@ def test_mean_interference_rejects_bad_utilization():
 
 
 def test_shared_load_kernel_positive_and_converged():
-    g = shared_load_kernel(1.0, 0.1, QUAD)
+    g = shared_load_kernel(1.0, 0.1)
     assert 0.0 < g < np.pi * (0.1 + np.sqrt(np.log(1e12) / np.pi)) ** 2
     lam_b = 10.0 * PER_KM2
     r = 100.0
-    coarse = shared_load_kernel(lam_b, r, QUAD)
-    fine = shared_load_kernel(lam_b, r, doubled(QUAD))
+    coarse = shared_load_kernel(lam_b, r)
+    fine = shared_load_kernel(lam_b, r, doubled(_NODES))
     assert abs(fine - coarse) / coarse < REFINEMENT_REL_TOL
 
 
@@ -159,21 +160,21 @@ def test_shared_load_kernel_against_mc_integration():
     rng = np.random.default_rng(7)
     for lam_b_km2, r in ((10.0, 100.0), (100.0, 30.0)):
         lam_b = lam_b_km2 * PER_KM2
-        x_max = np.sqrt(np.log(1.0 / QUAD.tail_mass_epsilon) / (lam_b * np.pi)) + r
+        x_max = np.sqrt(np.log(1.0 / _TAIL_MASS) / (lam_b * np.pi)) + r
         x = rng.uniform(0.0, x_max, size=1_000_000)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=1_000_000)
         values = np.exp(-lam_b * overlap_area(r, x, theta)) * x
         estimate = values.mean() * x_max * 2.0 * np.pi
-        exact = shared_load_kernel(lam_b, r, QUAD)
+        exact = shared_load_kernel(lam_b, r)
         assert abs(estimate - exact) / exact < 0.01
 
 
 def test_delay_linear_in_user_density():
     lam_b = 20.0 * PER_KM2
     lam_u = 500.0 * PER_KM2
-    base = delay_given_utilization(lam_b, lam_u, 1.0, PARAMS, QUAD)
-    assert delay_given_utilization(lam_b, 0.0, 1.0, PARAMS, QUAD) == 0.0
-    twice = delay_given_utilization(lam_b, 2.0 * lam_u, 1.0, PARAMS, QUAD)
+    base = delay_given_utilization(lam_b, lam_u, 1.0, PARAMS)
+    assert delay_given_utilization(lam_b, 0.0, 1.0, PARAMS) == 0.0
+    twice = delay_given_utilization(lam_b, 2.0 * lam_u, 1.0, PARAMS)
     assert twice == pytest.approx(2.0 * base, rel=1e-12)
 
 
@@ -181,28 +182,28 @@ def test_non_finite_delay_names_its_first_element():
     # A subnormal station density (from a 1e-300 peak user density) once
     # raised a message that printed both whole density arrays.
     with np.errstate(divide="ignore"), pytest.raises(qosmodel.NonFinite) as excinfo:
-        delay_given_utilization([20.0 * PER_KM2, 9e-309, 8e-309], 1e-4, 1.0, PARAMS, QUAD)
+        delay_given_utilization([20.0 * PER_KM2, 9e-309, 8e-309], 1e-4, 1.0, PARAMS)
     assert str(excinfo.value) == "delay: non-finite result at lambda_b=9e-309, lambda_u=0.0001"
     assert excinfo.value.index == 1
 
 
 def test_bad_station_density_names_its_first_element():
     with pytest.raises(ValueError) as excinfo:
-        delay_given_utilization([20.0 * PER_KM2, 0.0, -1.0], 1e-4, 1.0, PARAMS, QUAD)
+        delay_given_utilization([20.0 * PER_KM2, 0.0, -1.0], 1e-4, 1.0, PARAMS)
     assert str(excinfo.value) == "lambda_b must be > 0, got 0.0 at index 1"
     assert excinfo.value.index == 1
 
 
 def test_bad_user_density_names_its_first_element():
     with pytest.raises(ValueError) as excinfo:
-        delay_given_utilization(20.0 * PER_KM2, [1e-4, 2e-4, -3e-4, np.nan], 1.0, PARAMS, QUAD)
+        delay_given_utilization(20.0 * PER_KM2, [1e-4, 2e-4, -3e-4, np.nan], 1.0, PARAMS)
     assert str(excinfo.value) == "lambda_u must be >= 0, got -0.0003 at index 2"
     assert excinfo.value.index == 2
 
 
 def test_bad_utilization_names_its_first_element():
     with pytest.raises(ValueError) as excinfo:
-        delay_given_utilization(20.0 * PER_KM2, 1e-4, [[0.5, 1.0], [np.nan, 1.5]], PARAMS, QUAD)
+        delay_given_utilization(20.0 * PER_KM2, 1e-4, [[0.5, 1.0], [np.nan, 1.5]], PARAMS)
     assert str(excinfo.value) == "utilization must be in [0, 1], got nan at index 2"
     assert excinfo.value.index == 2
     with pytest.raises(ValueError, match=r"^utilization must be in \[0, 1\], got 1.000001$"):
@@ -244,49 +245,49 @@ def test_delay_given_utilization_arrays_match_scalar_calls():
     lam_u = 10.0 ** rng.uniform(0.0, 5.0, 50) * PER_KM2
     for u in (1.0, 0.3, np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 48)))):
         per_pair = np.broadcast_to(u, lam_b.shape)
-        batch = delay_given_utilization(lam_b, lam_u, u, PARAMS, QUAD)
-        loop = [delay_given_utilization(float(b), float(v), float(w), PARAMS, QUAD)
+        batch = delay_given_utilization(lam_b, lam_u, u, PARAMS)
+        loop = [delay_given_utilization(float(b), float(v), float(w), PARAMS)
                 for b, v, w in zip(lam_b, lam_u, per_pair)]
         assert np.array_equal(batch, loop)
         assert np.array_equal(delay_given_utilization(lam_b[7:20], lam_u[7:20], per_pair[7:20],
-                                                      PARAMS, QUAD), batch[7:20])
+                                                      PARAMS), batch[7:20])
         # one density pair against every utilization at once
-        column = delay_given_utilization(lam_b[3], lam_u[3], per_pair, PARAMS, QUAD)
+        column = delay_given_utilization(lam_b[3], lam_u[3], per_pair, PARAMS)
         assert np.array_equal(column, [delay_given_utilization(lam_b[3], lam_u[3], float(w),
-                                                               PARAMS, QUAD) for w in per_pair])
+                                                               PARAMS) for w in per_pair])
     with pytest.raises(ValueError):
-        delay_given_utilization(np.array([1e-5, 0.0]), np.ones(2), 1.0, PARAMS, QUAD)
+        delay_given_utilization(np.array([1e-5, 0.0]), np.ones(2), 1.0, PARAMS)
     with pytest.raises(ValueError):
-        delay_given_utilization(lam_b[:2], lam_u[:2], np.array([0.5, 1.0 + 1e-6]), PARAMS, QUAD)
+        delay_given_utilization(lam_b[:2], lam_u[:2], np.array([0.5, 1.0 + 1e-6]), PARAMS)
 
 
 def test_delay_blocks_match_scalar_calls():
     # Long arrays are evaluated in blocks of densities; every element,
     # on either side of a block boundary, equals its scalar call.
-    rows = qosmodel._BLOCK_ELEMENTS // QUAD.nodes_r
+    rows = qosmodel._BLOCK_ELEMENTS // _NODES[0]
     n = 2 * rows + 100
     rng = np.random.default_rng(11)
     lam_b = 10.0 ** rng.uniform(-1.0, 4.0, n) * PER_KM2
     u = rng.uniform(0.0, 1.0, n)
     picks = [0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1]
     for batch, scalar in (
-            (delay_given_utilization(lam_b, 1e-3, u, PARAMS, QUAD),
-             lambda k: delay_given_utilization(lam_b[k], 1e-3, u[k], PARAMS, QUAD)),
-            (delay_given_utilization(lam_b, 1e-3, 1.0, PARAMS, QUAD),
-             lambda k: delay_given_utilization(lam_b[k], 1e-3, 1.0, PARAMS, QUAD)),
-            (delay_given_utilization(lam_b[0], 1e-3, u, PARAMS, QUAD),
-             lambda k: delay_given_utilization(lam_b[0], 1e-3, u[k], PARAMS, QUAD))):
+            (delay_given_utilization(lam_b, 1e-3, u, PARAMS),
+             lambda k: delay_given_utilization(lam_b[k], 1e-3, u[k], PARAMS)),
+            (delay_given_utilization(lam_b, 1e-3, 1.0, PARAMS),
+             lambda k: delay_given_utilization(lam_b[k], 1e-3, 1.0, PARAMS)),
+            (delay_given_utilization(lam_b[0], 1e-3, u, PARAMS),
+             lambda k: delay_given_utilization(lam_b[0], 1e-3, u[k], PARAMS))):
         assert [batch[k] for k in picks] == [scalar(k) for k in picks]
     lam_b[2 * rows + 5] = 1e-300
     with pytest.raises(qosmodel.NonFinite) as excinfo:
-        delay_given_utilization(lam_b, 1e-3, u, PARAMS, QUAD)
+        delay_given_utilization(lam_b, 1e-3, u, PARAMS)
     assert excinfo.value.index == 2 * rows + 5
 
 
 def test_delay_decreasing_in_bs_density():
     lam_u = 1000.0 * PER_KM2
     grid = np.logspace(np.log10(0.1), np.log10(1000.0), 10) * PER_KM2
-    delays = [delay_given_utilization(lam, lam_u, 1.0, PARAMS, QUAD) for lam in grid]
+    delays = [delay_given_utilization(lam, lam_u, 1.0, PARAMS) for lam in grid]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(delays, delays[1:]))
 
 
@@ -296,14 +297,14 @@ def test_delay_matches_literal_kernel_route():
     lam_b = 25.0 * PER_KM2
     lam_u = 800.0 * PER_KM2
     u = 0.6
-    fast = delay_given_utilization(lam_b, lam_u, u, PARAMS, QUAD)
-    r_max = np.sqrt(np.log(1.0 / QUAD.tail_mass_epsilon) / (lam_b * np.pi))
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD.nodes_r)
+    fast = delay_given_utilization(lam_b, lam_u, u, PARAMS)
+    r_max = np.sqrt(np.log(1.0 / _TAIL_MASS) / (lam_b * np.pi))
+    nodes, weights = np.polynomial.legendre.leggauss(_NODES[0])
     r = 0.5 * r_max * (nodes + 1.0)
     w = 0.5 * r_max * weights
     total = 0.0
     for ri, wi in zip(r, w):
-        g = shared_load_kernel(lam_b, ri, QUAD)
+        g = shared_load_kernel(lam_b, ri)
         rate = capacity(ri, PARAMS, mean_interference(ri, PARAMS, lam_b, u))
         total += wi * g * np.exp(-lam_b * np.pi * ri ** 2) * lam_b * 2.0 * np.pi * ri / rate
     assert fast == pytest.approx(lam_u * total, rel=1e-10)
@@ -325,8 +326,8 @@ def test_delay_matches_r_form_reference(params):
     # instead of rescaling every node's distance; both routes agree.
     lam_b = np.geomspace(1e-9, 1e-1, 161)
     for u in (0.01, 0.37, 1.0):
-        fast = delay_given_utilization(lam_b, 1e-3, u, params, QUAD)
-        np.testing.assert_allclose(fast, delay_r_form(lam_b, 1e-3, u, params, QUAD),
+        fast = delay_given_utilization(lam_b, 1e-3, u, params)
+        np.testing.assert_allclose(fast, delay_r_form(lam_b, 1e-3, u, params),
                                    rtol=1e-13, atol=0.0)
 
 
@@ -338,10 +339,10 @@ def test_delay_monotone_bit_for_bit(params):
     # fixed point needs it never to fall as the utilization rises.
     lam_b = np.geomspace(1e-9, 1e-1, 20001)
     for u in (0.01, 0.37, 1.0):
-        assert np.all(np.diff(delay_given_utilization(lam_b, 1e-3, u, params, QUAD)) <= 0.0)
+        assert np.all(np.diff(delay_given_utilization(lam_b, 1e-3, u, params)) <= 0.0)
     u = np.linspace(0.0, 1.0, 5001)
     for b in (1e-9, 1e-5, 1e-1):
-        assert np.all(np.diff(delay_given_utilization(b, 1e-3, u, params, QUAD)) >= 0.0)
+        assert np.all(np.diff(delay_given_utilization(b, 1e-3, u, params)) >= 0.0)
 
 
 NOISELESS = dataclasses.replace(PARAMS, noise_psd_w_per_hz=0.0)
@@ -364,14 +365,14 @@ def test_extreme_densities_return_or_raise_without_warnings(params, lambda_b, ou
     for u, outcome in zip((0.0, 0.5, 1.0), outcomes):
         if outcome == "raises":
             with pytest.raises(qosmodel.NonFinite):
-                delay_given_utilization(lambda_b, 1e-3, u, params, QUAD)
+                delay_given_utilization(lambda_b, 1e-3, u, params)
             continue
-        tau = delay_given_utilization(lambda_b, 1e-3, u, params, QUAD)
+        tau = delay_given_utilization(lambda_b, 1e-3, u, params)
         assert tau == 0.0 if outcome == 0.0 else 0.0 < tau < math.inf
 
 
 def test_evaluate_qos_zero_traffic():
-    result = evaluate_qos(10.0 * PER_KM2, 0.0, PARAMS, QUAD)
+    result = evaluate_qos(10.0 * PER_KM2, 0.0, PARAMS)
     assert result.delay_s_per_bit == 0.0
     assert result.utilization == 0.0
     assert result.converged
@@ -380,7 +381,7 @@ def test_evaluate_qos_zero_traffic():
 
 def test_evaluate_qos_fixed_point_identity():
     for lam_b_km2, lam_u_km2 in ((10.0, 100.0), (50.0, 1000.0), (5.0, 5000.0)):
-        result = evaluate_qos(lam_b_km2 * PER_KM2, lam_u_km2 * PER_KM2, PARAMS, QUAD)
+        result = evaluate_qos(lam_b_km2 * PER_KM2, lam_u_km2 * PER_KM2, PARAMS)
         assert result.converged
         clamped = min(max(result.delay_s_per_bit / PARAMS.target_delay_s_per_bit, 0.0), 1.0)
         assert result.utilization == pytest.approx(clamped, abs=1e-6)
@@ -388,7 +389,7 @@ def test_evaluate_qos_fixed_point_identity():
 
 def test_evaluate_qos_overloaded_cell_saturates():
     # far too few stations: utilization pins at 1, delay exceeds the target
-    result = evaluate_qos(1.0 * PER_KM2, 5000.0 * PER_KM2, PARAMS, QUAD)
+    result = evaluate_qos(1.0 * PER_KM2, 5000.0 * PER_KM2, PARAMS)
     assert result.converged
     assert result.utilization == 1.0
     assert result.delay_s_per_bit > PARAMS.target_delay_s_per_bit
@@ -402,13 +403,13 @@ def test_fixed_point_map_crosses_the_identity_once():
     target = PARAMS.target_delay_s_per_bit
     for lam_b_km2, lam_u_km2 in ((20.0, 500.0), (40.0, 2000.0)):
         lam_b, lam_u = lam_b_km2 * PER_KM2, lam_u_km2 * PER_KM2
-        g = np.clip(delay_given_utilization(lam_b, lam_u, u, PARAMS, QUAD) / target, 0.0, 1.0)
+        g = np.clip(delay_given_utilization(lam_b, lam_u, u, PARAMS) / target, 0.0, 1.0)
         above = g - u > 0.0
         assert above[0] and not above[-1]
         crossings = np.flatnonzero(above[1:] != above[:-1])
         assert crossings.size == 1
         k = int(crossings[0])
-        fixed = evaluate_qos(lam_b, lam_u, PARAMS, QUAD).utilization
+        fixed = evaluate_qos(lam_b, lam_u, PARAMS).utilization
         assert u[k] - 1e-6 <= fixed <= u[k + 1] + 1e-6
 
 
@@ -416,14 +417,14 @@ def test_evaluate_qos_arrays_match_scalar_calls():
     # zero load, a saturated cell (u pinned at 1) and ordinary cells
     lam_b = np.array([[10.0, 1.0, 20.0], [50.0, 5.0, 40.0]]) * PER_KM2
     lam_u = np.array([[0.0, 5000.0, 500.0], [1000.0, 5000.0, 2000.0]]) * PER_KM2
-    batch = evaluate_qos(lam_b, lam_u, PARAMS, QUAD)
+    batch = evaluate_qos(lam_b, lam_u, PARAMS)
     assert batch.utilization[0, 1] == 1.0
     assert batch.delay_s_per_bit[0, 0] == 0.0
     for field in ("delay_s_per_bit", "utilization", "fixed_point_iterations", "converged"):
         assert getattr(batch, field).shape == (2, 3)
     for j in range(2):
         for z in range(3):
-            alone = evaluate_qos(float(lam_b[j, z]), float(lam_u[j, z]), PARAMS, QUAD)
+            alone = evaluate_qos(float(lam_b[j, z]), float(lam_u[j, z]), PARAMS)
             assert type(alone.delay_s_per_bit) is float
             assert type(alone.fixed_point_iterations) is int
             assert batch.delay_s_per_bit[j, z] == alone.delay_s_per_bit
@@ -431,7 +432,7 @@ def test_evaluate_qos_arrays_match_scalar_calls():
             assert batch.fixed_point_iterations[j, z] == alone.fixed_point_iterations
             assert batch.converged[j, z] == alone.converged
     # a scalar broadcasts against an array, as in the grid scan
-    row = evaluate_qos(lam_b[1], 1000.0 * PER_KM2, PARAMS, QUAD)
+    row = evaluate_qos(lam_b[1], 1000.0 * PER_KM2, PARAMS)
     assert row.delay_s_per_bit[0] == batch.delay_s_per_bit[1, 0]
 
 
@@ -448,9 +449,9 @@ def test_secant_fixed_point_matches_picard(log_b, log_u, noise_scale, at_boundar
     lam_u = 10.0 ** log_u * PER_KM2
     lam_b = 10.0 ** log_b * PER_KM2
     if at_boundary:
-        lam_b = demand_matrix([[lam_u]], params, QUAD)[0][0, 0] * (1.0 + 0.01 * (log_b % 1.0))
-    fast = evaluate_qos(lam_b, lam_u, params, QUAD)
-    slow = picard_reference.evaluate_qos(lam_b, lam_u, params, QUAD)
+        lam_b = demand_matrix([[lam_u]], params)[0][0, 0] * (1.0 + 0.01 * (log_b % 1.0))
+    fast = evaluate_qos(lam_b, lam_u, params)
+    slow = picard_reference.evaluate_qos(lam_b, lam_u, params)
     assert fast.converged == slow.converged
     target = params.target_delay_s_per_bit
     assert (fast.delay_s_per_bit <= target) == (slow.delay_s_per_bit <= target)
@@ -465,12 +466,12 @@ def test_secant_steps_are_clipped_into_zero_and_the_image(monkeypatch):
     # overshoot above g(0) = 0.1; the clip holds both into [0, g(u)].
     seen = []
 
-    def convex_delay(lambda_b, lambda_u, utilization, params, quad):
+    def convex_delay(lambda_b, lambda_u, utilization, params):
         seen.append(float(utilization[0]))
         return params.target_delay_s_per_bit * (0.1 + 0.5 * utilization ** 2)
 
     monkeypatch.setattr(qosmodel, "delay_given_utilization", convex_delay)
-    result = evaluate_qos(1.0, 1.0, PARAMS, QUAD)
+    result = evaluate_qos(1.0, 1.0, PARAMS)
     assert result.converged
     assert result.utilization == pytest.approx(1.0 - math.sqrt(0.8), abs=1e-6)
     assert seen[:4] == [1.0, 0.6, 0.0, 0.1]
@@ -754,27 +755,6 @@ def test_point_in_the_users_empty_disc_leaves_its_polygon_bit_identical():
             assert np.array_equal(ny[:nm[1] + 1, 1], one_y[:, 0])
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes_r=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tail_mass_epsilon=1e-3)
-    fine = doubled(QUAD)
-    assert (fine.nodes_r, fine.nodes_x, fine.nodes_theta) == (128, 128, 32)
-    assert fine.tail_mass_epsilon == QUAD.tail_mass_epsilon
-
-
-def test_tiny_tail_mass_epsilon_gives_a_finite_delay():
-    # 1 / 1e-310 overflows to inf: this in-range value once failed the
-    # kernel build with "unit kernel: non-finite entries".
-    lam_b = np.array([1e-8, 2e-5, 1e-2])
-    tiny = qosmodel.delay_given_utilization(lam_b, 1e-3, 1.0, PARAMS,
-                                            QuadratureSpec(tail_mass_epsilon=1e-310))
-    assert np.all(np.isfinite(tiny)) and np.all(tiny > 0.0)
-    # the wider radial cut reaches the delay
-    assert not np.array_equal(tiny, qosmodel.delay_given_utilization(lam_b, 1e-3, 1.0, PARAMS))
-
-
 # The quadrature's error budget: the delay within 1e-5 relative of a
 # high-order reference, ten times under the inversion's tolerance, over
 # station densities from 0.01 to 1e4 per km^2 at u = 0, 0.5 and 1.
@@ -783,15 +763,15 @@ BUDGET_DENSITIES = np.geomspace(1e-2, 1e4, 61) * PER_KM2
 BUDGET_UTILIZATIONS = (0.0, 0.5, 1.0)
 
 
-def _reference_delays(quad, half_turn):
+def _reference_delays(nodes, half_turn):
     """Delay per unit user density at every budget density and
     utilization, one row per utilization, assembled from literal
-    ``shared_load_kernel`` calls at unit station density on ``quad``'s
-    radial rule, the theta rule on the half or the full turn."""
-    r_max = np.sqrt(np.log(1.0 / quad.tail_mass_epsilon) / np.pi)
-    nodes, weights = np.polynomial.legendre.leggauss(quad.nodes_r)
-    r1 = 0.5 * r_max * (nodes + 1.0)
-    g = np.array([shared_load_kernel(1.0, ri, quad, half_turn) for ri in r1])
+    ``shared_load_kernel`` calls at unit station density on the radial
+    rule of ``nodes``, the theta rule on the half or the full turn."""
+    r_max = np.sqrt(np.log(1.0 / _TAIL_MASS) / np.pi)
+    r_nodes, weights = np.polynomial.legendre.leggauss(nodes[0])
+    r1 = 0.5 * r_max * (r_nodes + 1.0)
+    g = np.array([shared_load_kernel(1.0, ri, nodes, half_turn) for ri in r1])
     kernel = 0.5 * r_max * weights * g * np.exp(-np.pi * r1 * r1) * 2.0 * np.pi * r1
     r = r1 / np.sqrt(BUDGET_DENSITIES)[:, None]
     busy = mean_interference(r, PARAMS, BUDGET_DENSITIES[:, None], 1.0)
@@ -804,23 +784,30 @@ def reference_delays():
     """256 / 256 / 128 nodes on the half turn, checked against 256 / 256 /
     256 on the full turn, which does not rest on the theta symmetry: they
     agree to 2.6e-8."""
-    half = _reference_delays(QuadratureSpec(nodes_r=256, nodes_x=256, nodes_theta=128), True)
-    full = _reference_delays(QuadratureSpec(nodes_r=256, nodes_x=256, nodes_theta=256), False)
+    half = _reference_delays((256, 256, 128), True)
+    full = _reference_delays((256, 256, 256), False)
     assert np.max(np.abs(full / half - 1.0)) < 1e-7
     return half
 
 
-def _budget_error(quad, reference):
-    delays = np.array([delay_given_utilization(BUDGET_DENSITIES, 1.0, u, PARAMS, quad)
-                       for u in BUDGET_UTILIZATIONS])
+def _budget_error(delay, reference):
+    """Largest relative error of ``delay(lambda_b, lambda_u, u, params)``
+    against ``reference`` over the budget's densities and utilizations."""
+    delays = np.array([delay(BUDGET_DENSITIES, 1.0, u, PARAMS) for u in BUDGET_UTILIZATIONS])
     return float(np.max(np.abs(delays / reference - 1.0)))
+
+
+def _on_rule(nodes):
+    """The delay on the rule of ``nodes``, through ``delay_r_form``, which
+    ``test_delay_matches_r_form_reference`` pins to the program's delay."""
+    return functools.partial(delay_r_form, nodes=nodes)
 
 
 def test_default_quadrature_meets_the_error_budget(reference_delays):
     # 1.7e-6 measured: nearly all of it is the 64-node radial rules'
-    error = _budget_error(QUAD, reference_delays)
+    error = _budget_error(delay_given_utilization, reference_delays)
     assert error <= QUADRATURE_BUDGET
-    assert QUAD.nodes_theta == 16
+    assert _NODES == (64, 64, 16)
 
 
 def test_nodes_theta_error_across_the_accepted_range(reference_delays):
@@ -828,22 +815,35 @@ def test_nodes_theta_error_across_the_accepted_range(reference_delays):
     # 32 with an error of 2.1e-6; 8 and 9 miss it (2.6e-5 and 1.05e-5).
     # On the full turn, as the rule once was, 32 missed it by 3.7e-4.
     counts = [*range(8, 33), 48, 64, 96, 128, 192, 256]
-    errors = {n: _budget_error(dataclasses.replace(QUAD, nodes_theta=n), reference_delays)
-              for n in counts}
+    errors = {n: _budget_error(_on_rule((*_NODES[:2], n)), reference_delays) for n in counts}
     assert [n for n in counts if errors[n] > QUADRATURE_BUDGET] == [8, 9], errors
     assert errors[32] < 3e-6
 
 
-def test_nodes_r_and_nodes_x_error_across_the_accepted_range(reference_delays):
-    # The other counts at their defaults. nodes_r meets the budget at 25-29,
-    # 37, 42, 45, 48 and every count from 50 up (8: 4.3e-3; 37: 9.9e-6; 47
-    # and 49: 1.01e-5 and 1.02e-5), nodes_x at 17-20 and every count from 22
-    # up (8: 9.5e-3; 21: 1.1e-5; 23: 9.5e-6). The accepted range, 8 to 256,
-    # also takes the counts that miss it.
+def test_delay_convergence_in_nodes_r_and_nodes_x(reference_delays):
+    # How the delay converges in each radial count, the other counts at
+    # their defaults. nodes_r meets the budget at 25-29, 37, 42, 45, 48 and
+    # every count from 50 up (8: 4.3e-3; 37: 9.9e-6; 47 and 49: 1.01e-5 and
+    # 1.02e-5), nodes_x at 17-20 and every count from 22 up (8: 9.5e-3;
+    # 21: 1.1e-5; 23: 9.5e-6): convergence is not monotone near the budget.
+    rules = {"nodes_r": lambda n: (n, *_NODES[1:]),
+             "nodes_x": lambda n: (_NODES[0], n, _NODES[2])}
     misses = {name: [n for n in range(8, 257)
-                     if _budget_error(dataclasses.replace(QUAD, **{name: n}), reference_delays)
-                     > QUADRATURE_BUDGET]
-              for name in ("nodes_r", "nodes_x")}
+                     if _budget_error(_on_rule(rule(n)), reference_delays) > QUADRATURE_BUDGET]
+              for name, rule in rules.items()}
     assert misses == {"nodes_r": [*range(8, 25), *range(30, 37), 38, 39, 40, 41, 43, 44, 46, 47,
                                   49],
                       "nodes_x": [*range(8, 17), 21]}
+
+
+def test_public_api_takes_no_quadrature_rule():
+    # The rule is fixed: no public name holds one, and the delay, the fixed
+    # point and the inversion take no rule after their radio.
+    assert all(hasattr(mbsplan, name) for name in mbsplan.__all__)
+    assert "QuadratureSpec" not in mbsplan.__all__
+    rule = (64, 64, 16)
+    for call in (lambda: evaluate_qos(1e-5, 1e-3, PARAMS, rule),
+                 lambda: delay_given_utilization(1e-5, 1e-3, 1.0, PARAMS, rule),
+                 lambda: demand_matrix([[1e-3]], PARAMS, rule)):
+        with pytest.raises(TypeError):
+            call()

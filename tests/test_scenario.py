@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mbsplan.allocation import CostModel
-from mbsplan.qosmodel import QuadratureSpec
 from mbsplan.scenario import (RadioParams, Region, Scenario, SchemaError, ValidationError,
                               default_config, default_scenario, load_scenario,
                               slot_midpoints_h, user_density_matrix)
@@ -253,13 +252,12 @@ def test_default_scenario_matches_default_config():
 
 
 # Every block whose fields carry bounds, and the prefix its messages use.
-_PREFIX = {RadioParams: "radio: ", Region: "regions[0]: ", Scenario: "",
-           QuadratureSpec: "quadrature: ", CostModel: ""}
+_PREFIX = {RadioParams: "radio: ", Region: "regions[0]: ", Scenario: "", CostModel: ""}
 
 
 def _build(cls, name, value):
     """``cls`` with field ``name`` set to ``value``; config blocks go through load_scenario."""
-    if cls in (CostModel, QuadratureSpec):
+    if cls is CostModel:
         return cls(**{name: value})
     config = default_config()
     block = {RadioParams: config["radio"], Region: config["regions"][0], Scenario: config}[cls]

@@ -15,7 +15,7 @@ import numpy as np
 from mbsplan.pipeline import (_GRID_HI_PER_KM2, _GRID_LO_PER_KM2, _GRID_POINTS, _MC_REL_TOL,
                               GRID_SPOT_USER_DENSITIES_PER_KM2, MC_SPOT_DENSITIES_PER_KM2,
                               _load, _min_densities)
-from mbsplan.qosmodel import QuadratureSpec, delay_given_utilization, evaluate_qos, mc_delay_oracle
+from mbsplan.qosmodel import delay_given_utilization, evaluate_qos, mc_delay_oracle
 from mbsplan.scenario import M2_PER_KM2
 
 
@@ -25,16 +25,16 @@ def grid():
                        _GRID_POINTS) / M2_PER_KM2
 
 
-def first_feasible(densities, lambda_u, params, quad):
+def first_feasible(densities, lambda_u, params):
     """Per user density, the first feasible index of the full grid, or None."""
-    feasible = (evaluate_qos(densities, np.asarray(lambda_u)[:, None], params, quad)
+    feasible = (evaluate_qos(densities, np.asarray(lambda_u)[:, None], params)
                 .delay_s_per_bit <= params.target_delay_s_per_bit)
     return [int(np.argmax(row)) if row.any() else None for row in feasible]
 
 
 def lines(config_path, mc_trials: int, seed: int) -> list[str]:
     scenario, _ = _load(config_path)
-    params, quad = scenario.radio, QuadratureSpec()
+    params = scenario.radio
     out = []
 
     simulated = [mc_delay_oracle(bs_km2 / M2_PER_KM2, (users_km2 / M2_PER_KM2, 0.0), 1.0,
@@ -42,7 +42,7 @@ def lines(config_path, mc_trials: int, seed: int) -> list[str]:
                  for i, (bs_km2, users_km2) in enumerate(MC_SPOT_DENSITIES_PER_KM2)]
 
     analytic_zero = delay_given_utilization(MC_SPOT_DENSITIES_PER_KM2[0][0] / M2_PER_KM2,
-                                            0.0, 1.0, params, quad)
+                                            0.0, 1.0, params)
     mc_zero = simulated[0][1]
     ok = analytic_zero == 0.0 and mc_zero == 0.0
     out.append(f"{'PASS' if ok else 'FAIL'} zero-traffic identity: analytic {analytic_zero!r}, "
@@ -50,7 +50,7 @@ def lines(config_path, mc_trials: int, seed: int) -> list[str]:
 
     for (bs_km2, users_km2), (mc, _) in zip(MC_SPOT_DENSITIES_PER_KM2, simulated):
         analytic = delay_given_utilization(bs_km2 / M2_PER_KM2, users_km2 / M2_PER_KM2, 1.0,
-                                           params, quad)
+                                           params)
         rel = abs(mc - analytic) / analytic
         out.append(f"{'PASS' if rel < _MC_REL_TOL else 'FAIL'} mc-delay bs={bs_km2:g}/km2 "
                    f"users={users_km2:g}/km2: analytic {analytic:.6e} s/bit, simulated "
@@ -59,13 +59,13 @@ def lines(config_path, mc_trials: int, seed: int) -> list[str]:
     densities = grid()
     lam_u = np.array(GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
     for i, (users_km2, k) in enumerate(zip(GRID_SPOT_USER_DENSITIES_PER_KM2,
-                                           first_feasible(densities, lam_u, params, quad))):
+                                           first_feasible(densities, lam_u, params))):
         name = f"grid-scan users={users_km2:g}/km2"
         if k is None:
             out.append(f"FAIL {name}: no feasible grid point up to the density cap")
             continue
         try:
-            solved = float(_min_densities(lam_u[i:i + 1], params, quad)[0][0])
+            solved = float(_min_densities(lam_u[i:i + 1], params)[0][0])
         except Exception as exc:
             out.append(f"FAIL {name}: inversion failed where the grid scan succeeded: {exc}")
             continue
