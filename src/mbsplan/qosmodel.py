@@ -134,17 +134,13 @@ def overlap_area(r, x, theta):
     return float(area) if area.ndim == 0 else area
 
 
-def _truncation_radius(lambda_b: float) -> float:
-    """Radius beyond which the void probability exp(-lambda pi t^2) < _TAIL_MASS."""
-    return math.sqrt(-math.log(_TAIL_MASS) / (lambda_b * math.pi))
-
-
 @functools.cache
 def _unit_kernel(nodes=_NODES):
     """Radial nodes and integral weights of the outer integral at unit density.
 
     Returns (r1, kernel) where r1 are the Gauss-Legendre nodes on
-    [0, r_max(lambda_b=1)] and kernel[i] bundles weight, inner double
+    [0, r_max], beyond which the unit-density void probability exp(-pi t^2)
+    is below ``_TAIL_MASS``, and kernel[i] bundles weight, inner double
     integral, nearest-station density and void factor:
 
         kernel[i] = w_i * g1(r1_i) * exp(-pi r1_i^2) * 2 pi r1_i
@@ -164,7 +160,7 @@ def _unit_kernel(nodes=_NODES):
     and tests build other rules to measure how the integral converges.
     """
     nodes_r, nodes_x, nodes_theta = nodes
-    r_max = _truncation_radius(1.0)
+    r_max = math.sqrt(-math.log(_TAIL_MASS) / math.pi)
     xi_r, w_r = _gauss_unit(nodes_r)
     r1 = xi_r * r_max
     wr = w_r * r_max
@@ -256,11 +252,10 @@ def _unit_sums(lambda_b, utilization, params: RadioParams):
     a, b, w = _unit_vectors(params)
     noise_w = params.noise_psd_w_per_hz * (params.bandwidth_hz / params.reuse_factor)
     exponent = -0.5 * params.path_loss_exponent
-    # one row per element of the broadcast of lambda_b and u; a scalar u
-    # scales b once
+    # one row per element of the broadcast of lambda_b and u
     shape = np.broadcast_shapes(np.shape(lambda_b), np.shape(utilization))
     rows_b = np.broadcast_to(lambda_b, shape).reshape(-1, 1)
-    rows_u = np.broadcast_to(utilization, shape).reshape(-1, 1) if np.ndim(utilization) else None
+    rows_u = np.broadcast_to(utilization, shape).reshape(-1, 1)
     unit_sum = np.empty(rows_b.shape[0])
     step = _BLOCK_ELEMENTS // a.size
     # every block's node terms are computed in place in one buffer: a fresh
@@ -272,7 +267,7 @@ def _unit_sums(lambda_b, utilization, params: RadioParams):
             block = slice(start, start + step)
             lam = rows_b[block]
             terms = work[:lam.shape[0]]
-            np.multiply(b, utilization if rows_u is None else rows_u[block], out=terms)
+            np.multiply(b, rows_u[block], out=terms)
             # a noiseless radio skips the power: 0 * inf is NaN where it overflows
             np.add(terms, noise_w * lam ** exponent if noise_w else 0.0, out=terms)
             np.divide(a, terms, out=terms)
@@ -436,14 +431,11 @@ def _clip(cx, cy, m, qx, qy, q2):
 
 def _shoelace(cx, cy, m):
     """Areas of polygons in ``_clip``'s layout, each polygon's terms summed
-    in vertex order, one row at a time, as a sequential sum over that
-    polygon alone would."""
+    in vertex order, a running sum down its column, as a sequential sum over
+    that polygon alone would."""
     terms = cx[:-1] * cy[1:] - cy[:-1] * cx[1:]
     terms[np.arange(terms.shape[0])[:, None] >= m] = 0.0
-    total = np.zeros(m.size)
-    for row in terms:
-        total += row
-    return 0.5 * total
+    return 0.5 * np.cumsum(terms, axis=0)[-1]
 
 
 # A spot joins the clipping loop only while its trials and the live ones
@@ -629,36 +621,31 @@ def mc_delay_oracle(
     geometry and load integrals, not the interference average. It shares
     no code with the analytic integrals. Deterministic for a fixed seed.
 
-    The estimate is linear in lambda_u, so one set of draws scores an array
-    of user densities at once; each element is bit-equal to its scalar call.
-
-    lambda_b and rng_seed may also be 1-D, one entry per spot: spot k draws
-    ``trials`` trials from ``default_rng(rng_seed[k])``, lambda_u's first
-    axis runs over the spots, and the result's entry k is bit-equal to the
-    one-spot call at (lambda_b[k], lambda_u[k], rng_seed[k]). The spots
-    share one clipping loop: a spot joins it as soon as the live trials and
-    its own number at most ``_MC_PASS_TRIALS``, or when none is live. One
-    array expression then scores every trial of every spot; a trial whose
-    rate underflows to 0 scores +inf, with no floating-point warning. Zero
+    lambda_b and rng_seed are 1-D, one entry per spot: spot k draws
+    ``trials`` trials from ``default_rng(rng_seed[k])``, and lambda_u's
+    first axis runs over the spots. The estimate is linear in lambda_u, so
+    one set of draws scores every user density of a spot at once, and the
+    result's entry k is bit-equal to the one-element call at
+    ([lambda_b[k]], [lambda_u[k]], [rng_seed[k]]). The spots share one
+    clipping loop: a spot joins it as soon as the live trials and its own
+    number at most ``_MC_PASS_TRIALS``, or when none is live. One array
+    expression then scores every trial of every spot; a trial whose rate
+    underflows to 0 scores +inf, with no floating-point warning. Zero
     traffic scores exactly 0.0, on such a spot too.
     """
-    spot_b = np.atleast_1d(np.asarray(lambda_b, dtype=float))
-    for b in spot_b.tolist():
-        if not 0 < b < math.inf:
-            raise ValueError(f"lambda_b must be finite and > 0, got {b}")
+    lambda_b = np.asarray(lambda_b, dtype=float)
+    seeds = np.asarray(rng_seed)
+    if lambda_b.ndim != 1 or seeds.shape != lambda_b.shape:
+        raise ValueError(f"lambda_b and rng_seed must be 1-D of one length, got shapes "
+                         f"{lambda_b.shape} and {seeds.shape}")
+    _check_elements("lambda_b", lambda_b, np.isfinite(lambda_b) & (lambda_b > 0),
+                    "finite and > 0")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    seeds = np.atleast_1d(np.asarray(rng_seed)).tolist()
-    if np.ndim(lambda_b) > 1 or len(seeds) != spot_b.size:
-        raise ValueError(f"lambda_b and rng_seed must be scalars or 1-D of one length, got "
-                         f"{spot_b.size} densities and {len(seeds)} seeds")
     lambda_u = np.asarray(lambda_u, dtype=float)
     _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
-    r, areas = _serving_cells(spot_b, trials, [np.random.default_rng(s) for s in seeds])
+    r, areas = _serving_cells(lambda_b, trials, [np.random.default_rng(s) for s in seeds.tolist()])
     with np.errstate(all="ignore"):
-        rate = capacity(r, params, mean_interference(r, params, spot_b[:, None], utilization))
-        scores = np.sum(areas / rate, axis=1)
-        scale = scores[0] if np.ndim(lambda_b) == 0 else scores.reshape(
-            (-1,) + (1,) * max(lambda_u.ndim - 1, 0))
-        tau = np.where(lambda_u == 0.0, 0.0, lambda_u * scale / trials)
-    return float(tau) if tau.ndim == 0 else tau
+        rate = capacity(r, params, mean_interference(r, params, lambda_b[:, None], utilization))
+        scale = np.sum(areas / rate, axis=1).reshape((-1,) + (1,) * max(lambda_u.ndim - 1, 0))
+        return np.where(lambda_u == 0.0, 0.0, lambda_u * scale / trials)

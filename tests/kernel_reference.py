@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from mbsplan.qosmodel import (_NODES, TWO_PI, NonFinite, _check_utilization, _gauss_unit,
-                              _truncation_radius, _unit_kernel, capacity, mean_interference,
+from mbsplan.qosmodel import (_NODES, _TAIL_MASS, TWO_PI, NonFinite, _check_utilization,
+                              _gauss_unit, _unit_kernel, capacity, mean_interference,
                               overlap_area)
 from mbsplan.scenario import RadioParams
 
@@ -56,7 +56,8 @@ def shared_load_kernel(lambda_b: float, r: float, nodes=_NODES, half_turn: bool 
         raise ValueError(f"lambda_b must be > 0, got {lambda_b}")
     if r <= 0:
         raise ValueError(f"r must be > 0, got {r}")
-    x_max = _truncation_radius(lambda_b) + r
+    # the radius where the void probability exp(-lambda_b pi t^2) falls to _TAIL_MASS
+    x_max = math.sqrt(-math.log(_TAIL_MASS) / (lambda_b * math.pi)) + r
     xi_x, w_x = _gauss_unit(nodes[1])
     xi_t, w_t = _gauss_unit(nodes[2])
     x = xi_x * x_max

@@ -112,8 +112,8 @@ def test_criterion_03_delay_matches_monte_carlo_oracle():
         lam_b = bs_km2 * PER_KM2
         lam_u = users_km2 * PER_KM2
         analytic = delay_given_utilization(lam_b, lam_u, 1.0, PARAMS)
-        simulated = mc_delay_oracle(lam_b, lam_u, 1.0, PARAMS,
-                                    trials=10_000, rng_seed=1234 + i)
+        [simulated] = mc_delay_oracle([lam_b], [lam_u], 1.0, PARAMS,
+                                      trials=10_000, rng_seed=[1234 + i])
         assert abs(simulated - analytic) / analytic < 0.05
     assert time.perf_counter() - started < 120.0
 

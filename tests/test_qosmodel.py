@@ -211,32 +211,39 @@ def test_bad_utilization_names_its_first_element():
 
 
 def test_mc_oracle_rejects_a_negative_user_density():
-    lam_b = 50.0 * PER_KM2
+    lam_b = [50.0 * PER_KM2]
     with pytest.raises(ValueError) as excinfo:
-        mc_delay_oracle(lam_b, (1e-4, -1e-4), 1.0, PARAMS, trials=10, rng_seed=0)
+        mc_delay_oracle(lam_b, [(1e-4, -1e-4)], 1.0, PARAMS, trials=10, rng_seed=[0])
     assert str(excinfo.value) == "lambda_u must be >= 0, got -0.0001 at index 1"
     assert excinfo.value.index == 1
     with pytest.raises(ValueError, match=r"^lambda_u must be >= 0, got -0\.0001$"):
-        mc_delay_oracle(lam_b, -1e-4, 1.0, PARAMS, trials=10, rng_seed=0)
+        mc_delay_oracle(lam_b, -1e-4, 1.0, PARAMS, trials=10, rng_seed=[0])
 
 
-def test_mc_oracle_rejects_spots_without_one_seed_each():
-    with pytest.raises(ValueError, match=r"^lambda_b and rng_seed must be scalars or 1-D of one "
-                                         r"length, got 2 densities and 1 seeds$"):
-        mc_delay_oracle([10.0 * PER_KM2, 30.0 * PER_KM2], 1e-4, 1.0, PARAMS, trials=10,
-                        rng_seed=[0])
+def test_mc_oracle_takes_1d_spots_with_one_seed_each():
+    # A scalar spot or seed, a 2-D spot array and spots without one seed
+    # each are all refused, naming both shapes.
+    lam_b = 10.0 * PER_KM2
+    for spots, seeds, shapes in ((lam_b, [0], "() and (1,)"), ([lam_b], 0, "(1,) and ()"),
+                                 ([[lam_b]], [0], "(1, 1) and (1,)"),
+                                 ([lam_b, 3.0 * lam_b], [0], "(2,) and (1,)")):
+        with pytest.raises(ValueError) as excinfo:
+            mc_delay_oracle(spots, 1e-4, 1.0, PARAMS, trials=10, rng_seed=seeds)
+        assert str(excinfo.value) == ("lambda_b and rng_seed must be 1-D of one length, "
+                                      f"got shapes {shapes}")
 
 
 @pytest.mark.parametrize("lam_b", [math.nan, math.inf, -math.inf])
 def test_mc_oracle_rejects_a_non_finite_station_density(lam_b):
-    with pytest.raises(ValueError, match=rf"^lambda_b must be finite and > 0, got {lam_b}$"):
-        mc_delay_oracle(lam_b, 1e-4, 1.0, PARAMS, trials=10, rng_seed=0)
+    with pytest.raises(ValueError,
+                       match=rf"^lambda_b must be finite and > 0, got {lam_b} at index 0$"):
+        mc_delay_oracle([lam_b], [1e-4], 1.0, PARAMS, trials=10, rng_seed=[0])
 
 
 @pytest.mark.parametrize("trials", [10.5, 10.0, "10"])
 def test_mc_oracle_rejects_a_non_integer_trial_count(trials):
     with pytest.raises(ValueError, match=rf"^trials must be an integer >= 1, got {trials!r}$"):
-        mc_delay_oracle(50.0 * PER_KM2, 1e-4, 1.0, PARAMS, trials=trials, rng_seed=0)
+        mc_delay_oracle([50.0 * PER_KM2], [1e-4], 1.0, PARAMS, trials=trials, rng_seed=[0])
 
 
 def test_delay_given_utilization_arrays_match_scalar_calls():
@@ -480,10 +487,10 @@ def test_secant_steps_are_clipped_into_zero_and_the_image(monkeypatch):
 
 
 def test_mc_oracle_zero_traffic_and_determinism():
-    lam_b = 10.0 * PER_KM2
-    assert mc_delay_oracle(lam_b, 0.0, 1.0, PARAMS, trials=1000, rng_seed=1) == 0.0
-    first = mc_delay_oracle(lam_b, 100.0 * PER_KM2, 1.0, PARAMS, trials=1000, rng_seed=42)
-    second = mc_delay_oracle(lam_b, 100.0 * PER_KM2, 1.0, PARAMS, trials=1000, rng_seed=42)
+    lam_b = [10.0 * PER_KM2]
+    assert mc_delay_oracle(lam_b, [0.0], 1.0, PARAMS, trials=1000, rng_seed=[1]).tolist() == [0.0]
+    [first] = mc_delay_oracle(lam_b, [100.0 * PER_KM2], 1.0, PARAMS, trials=1000, rng_seed=[42])
+    [second] = mc_delay_oracle(lam_b, [100.0 * PER_KM2], 1.0, PARAMS, trials=1000, rng_seed=[42])
     assert first == second
     assert first > 0.0
 
@@ -498,10 +505,10 @@ def test_mc_oracle_scores_zero_traffic_as_zero_where_the_score_sum_overflows():
     with np.errstate(all="raise"):
         batch = mc_delay_oracle(lam_b, users, 1.0, params, trials=1000,
                                 rng_seed=[1234, 1235, 1236])
-        one = mc_delay_oracle(lam_b[0], 0.0, 1.0, params, trials=1000, rng_seed=1234)
+        one = mc_delay_oracle(lam_b[:1], [0.0], 1.0, params, trials=1000, rng_seed=[1234])
     assert batch[0, 0] == math.inf and np.all(np.isfinite(batch[1:, 0]))
     assert batch[:, 1].tolist() == [0.0] * lam_b.size
-    assert one == 0.0 and isinstance(one, float)
+    assert one.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("error, base", [
@@ -516,16 +523,15 @@ def test_element_errors_carry_an_index_beside_their_base(error, base):
 
 def test_mc_oracle_scores_user_densities_on_one_set_of_draws():
     # Linear in lambda_u: one call scores an array of user densities, each
-    # element bit-equal to its scalar call on the same seed.
-    lam_b = 30.0 * PER_KM2
-    users = np.array([1000.0 * PER_KM2, 0.0, 37.5 * PER_KM2])
-    batch = mc_delay_oracle(lam_b, users, 0.7, PARAMS, trials=1000, rng_seed=9)
+    # element bit-equal to its one-element call on the same seed.
+    lam_b = [30.0 * PER_KM2]
+    users = np.array([[1000.0 * PER_KM2, 0.0, 37.5 * PER_KM2]])
+    batch = mc_delay_oracle(lam_b, users, 0.7, PARAMS, trials=1000, rng_seed=[9])
     assert batch.shape == users.shape
-    for lam_u, value in zip(users, batch):
-        assert mc_delay_oracle(lam_b, float(lam_u), 0.7, PARAMS, trials=1000,
-                               rng_seed=9) == value
-    assert batch[1] == 0.0
-    assert isinstance(mc_delay_oracle(lam_b, 0.0, 0.7, PARAMS, trials=1000, rng_seed=9), float)
+    for lam_u, value in zip(users[0], batch[0]):
+        [one] = mc_delay_oracle(lam_b, [lam_u], 0.7, PARAMS, trials=1000, rng_seed=[9])
+        assert one == value
+    assert batch[0, 1] == 0.0
 
 
 def _lattice(a, b, spacing, reach=4):
@@ -695,7 +701,8 @@ def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, 
             assert joins == [trials] * (len(spots) - 1)
         assert batch.shape == users.shape
         for k, ((lam_b, _), lam_u, k_seed, value) in enumerate(zip(spots, users, seeds, batch)):
-            one = mc_delay_oracle(lam_b, lam_u, 1.0, PARAMS, trials=trials, rng_seed=k_seed)
+            [one] = mc_delay_oracle([lam_b], [lam_u], 1.0, PARAMS, trials=trials,
+                                   rng_seed=[k_seed])
             assert np.array_equal(one, value)
             assert one[0] > 0.0 and one[1] == 0.0
             [one_r], [one_areas] = _serving_cells([lam_b], trials,

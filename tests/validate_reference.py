@@ -37,8 +37,8 @@ def lines(config_path, mc_trials: int, seed: int) -> list[str]:
     params = scenario.radio
     out = []
 
-    simulated = [mc_delay_oracle(bs_km2 / M2_PER_KM2, (users_km2 / M2_PER_KM2, 0.0), 1.0,
-                                 params, trials=mc_trials, rng_seed=seed + i).tolist()
+    simulated = [mc_delay_oracle([bs_km2 / M2_PER_KM2], [(users_km2 / M2_PER_KM2, 0.0)], 1.0,
+                                 params, trials=mc_trials, rng_seed=[seed + i])[0].tolist()
                  for i, (bs_km2, users_km2) in enumerate(MC_SPOT_DENSITIES_PER_KM2)]
 
     analytic_zero = delay_given_utilization(MC_SPOT_DENSITIES_PER_KM2[0][0] / M2_PER_KM2,
