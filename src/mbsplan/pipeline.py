@@ -33,8 +33,8 @@ from . import __version__
 from .allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                          optimal_plan, savings, verify_plan)
 from .dimensioning import InfeasibleDemand, _min_densities, demand_matrix
-from .qosmodel import (FixedPointDiverged, NonFinite, delay_given_utilization, evaluate_qos,
-                       mc_delay_oracle)
+from .qosmodel import (FixedPointDiverged, NonFinite, _unit_sums, delay_given_utilization,
+                       evaluate_qos, mc_delay_oracle)
 from .scenario import (M2_PER_KM2, Scenario, ValidationError, default_config, load_scenario,
                        slot_midpoints_h, user_density_matrix)
 
@@ -47,8 +47,6 @@ _GRID_POINTS = 2000
 _GRID_LO_PER_KM2 = 1e-2
 _GRID_HI_PER_KM2 = 1e5
 _MC_REL_TOL = 0.05
-# grid points per fixed-point call of validate's grid scan
-_GRID_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -420,23 +418,43 @@ def _first_feasible(grid, lambda_u, params):
     """Per user density, the index of the first density of the ascending
     ``grid`` whose fixed-point delay meets the target, or None.
 
-    The fixed point runs over chunks of ``_GRID_CHUNK`` grid points, left
-    to right; a user density leaves the scan after the first chunk that
-    holds a feasible point, as nothing past that point is reported.
-    ``evaluate_qos`` is elementwise, so the answer equals the full grid's.
+    The u = 1 delay is (lambda_u / lambda_b) S(lambda_b), so one node sum
+    S per grid point gives every row's u = 1 delays, bit-equal to
+    ``delay_given_utilization``'s. Each row runs the fixed point from its
+    low end up to and including its next point whose u = 1 delay meets the
+    target, starting from those delays as ``demand_matrix`` does: a point
+    whose u = 1 delay misses stops at the first iteration. Only where the
+    fixed point misses there too does the row go on to its next such
+    point, so the answer rests on fixed-point delays alone. A non-finite
+    u = 1 delay among the points a row visits raises the ``NonFinite``
+    that ``delay_given_utilization`` raises on it.
     """
+    target = params.target_delay_s_per_bit
+    with np.errstate(all="ignore"):  # a non-finite delay is raised below where it is visited
+        busy = (lambda_u[:, None] / grid) * _unit_sums(grid, 1.0, params)
+    point = np.arange(grid.size)
     first = [None] * len(lambda_u)
+    start = np.zeros(len(lambda_u), dtype=int)
     rows = np.arange(len(lambda_u))
-    for start in range(0, grid.size, _GRID_CHUNK):
-        delay = evaluate_qos(grid[start:start + _GRID_CHUNK], lambda_u[rows, None],
-                             params).delay_s_per_bit
-        feasible = delay <= params.target_delay_s_per_bit
-        hit = feasible.any(axis=1)
-        for i, k in zip(rows[hit].tolist(), np.argmax(feasible[hit], axis=1).tolist()):
-            first[i] = start + k
-        rows = rows[~hit]
-        if not rows.size:
-            break
+    while rows.size:
+        # each row's next point at or past its start whose u = 1 delay
+        # meets the target, or the grid's last point
+        ahead = point >= start[rows, None]
+        meets = ahead & (busy[rows] <= target)
+        stop = np.where(meets.any(axis=1), np.argmax(meets, axis=1), grid.size - 1)
+        row, k = np.nonzero(ahead & (point <= stop[:, None]))
+        row = rows[row]
+        visited = busy[row, k]
+        bad = ~np.isfinite(visited)
+        if bad.any():  # raises NonFinite naming the first of them
+            delay_given_utilization(grid[k[bad]], lambda_u[row[bad]], 1.0, params)
+        delay = evaluate_qos(grid[k], lambda_u[row], params, _busy_delay=visited).delay_s_per_bit
+        hit = delay <= target
+        found, at = np.unique(row[hit], return_index=True)
+        for i, kk in zip(found.tolist(), k[hit][at].tolist()):
+            first[i] = kk
+        start[rows] = stop + 1
+        rows = rows[~np.isin(rows, found) & (stop + 1 < grid.size)]
     return first
 
 
@@ -467,8 +485,9 @@ def validate(config_path, mc_trials: int = 10000, seed: int = 1234) -> Validatio
     ``delay_given_utilization`` call gives the zero-traffic and the three
     spot delays, and one ``_min_densities`` call inverts the three grid
     loads; both are elementwise, so each value equals its own call. The
-    grid scan stops each user density at the first chunk of the grid that
-    holds a feasible point (``_first_feasible``), since the report reads
+    grid scan sums the u = 1 delay's nodes once per grid point for all
+    three user densities and runs the fixed point only up to each one's
+    first feasible point (``_first_feasible``), since the report reads
     nothing past it. Where one of these three calls raises ``NonFinite``
     (a delay that is not finite), ``_each`` repeats it for each of its
     elements, and a check whose own element raised reports FAIL with the

@@ -623,9 +623,11 @@ def mc_delay_oracle(
 
     lambda_b and rng_seed are 1-D, one entry per spot: spot k draws
     ``trials`` trials from ``default_rng(rng_seed[k])``, and lambda_u's
-    first axis runs over the spots. The estimate is linear in lambda_u, so
-    one set of draws scores every user density of a spot at once, and the
-    result's entry k is bit-equal to the one-element call at
+    first axis runs over the spots (a scalar lambda_u applies to each; a
+    first axis of another length raises ``ValueError`` before any draw).
+    The estimate is linear in lambda_u, so one set of draws scores every
+    user density of a spot at once, and the result's entry k is bit-equal
+    to the one-element call at
     ([lambda_b[k]], [lambda_u[k]], [rng_seed[k]]). The spots share one
     clipping loop: a spot joins it as soon as the live trials and its own
     number at most ``_MC_PASS_TRIALS``, or when none is live. One array
@@ -638,11 +640,14 @@ def mc_delay_oracle(
     if lambda_b.ndim != 1 or seeds.shape != lambda_b.shape:
         raise ValueError(f"lambda_b and rng_seed must be 1-D of one length, got shapes "
                          f"{lambda_b.shape} and {seeds.shape}")
+    lambda_u = np.asarray(lambda_u, dtype=float)
+    if lambda_u.ndim and lambda_u.shape[0] != lambda_b.size:
+        raise ValueError(f"lambda_u's first axis must run over the spots of lambda_b, got shapes "
+                         f"{lambda_u.shape} and {lambda_b.shape}")
     _check_elements("lambda_b", lambda_b, np.isfinite(lambda_b) & (lambda_b > 0),
                     "finite and > 0")
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    lambda_u = np.asarray(lambda_u, dtype=float)
     _check_elements("lambda_u", lambda_u, lambda_u >= 0, ">= 0")
     r, areas = _serving_cells(lambda_b, trials, [np.random.default_rng(s) for s in seeds.tolist()])
     with np.errstate(all="ignore"):

@@ -19,7 +19,7 @@ import scipy
 import artifact_reference
 import validate_reference
 import mbsplan
-from mbsplan import cli, dimensioning, pipeline
+from mbsplan import cli, dimensioning, pipeline, qosmodel
 from mbsplan.allocation import (TIE_BREAK_EPSILON, CostModel, DeploymentPlan, SavingsReport,
                                 Violation, optimal_plan, savings)
 from mbsplan.dimensioning import demand_matrix
@@ -1155,9 +1155,9 @@ def test_validate_matches_its_unbatched_reference(config, tmp_path):
 
 @pytest.mark.parametrize("config", VALIDATE_CONFIGS)
 def test_grid_scan_finds_the_full_grids_first_feasible_point(config, tmp_path):
-    # At the config's own target the rows stop in different chunks; at 1e-12
-    # s/bit no point is feasible and every row scans the whole grid, the last
-    # chunk a short one; at 1000 s/bit every row stops at index 0.
+    # At the config's own target the rows stop at different points; at
+    # 1e-12 s/bit no point is feasible and every row scans the whole grid;
+    # at 1000 s/bit every row stops at index 0.
     scenario, _ = pipeline._load(_validate_config(config, tmp_path))
     grid = validate_reference.grid()
     lam_u = np.array(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
@@ -1167,9 +1167,63 @@ def test_grid_scan_finds_the_full_grids_first_feasible_point(config, tmp_path):
         full = validate_reference.first_feasible(grid, lam_u, params)
         assert pipeline._first_feasible(grid, lam_u, params) == full
         if target is None:
-            assert len({k // pipeline._GRID_CHUNK for k in full}) == 3, full
+            assert len(set(full)) == 3, full
         else:
             assert full == ([0, 0, 0] if target == 1e3 else [None, None, None])
+
+
+def test_grid_scan_goes_past_a_candidate_whose_fixed_point_misses(monkeypatch):
+    # The u = 1 delay only says where each row stops. Where the fixed point
+    # misses at that point, 1000/km^2 goes on to its next point, which meets,
+    # and a load that meets at the grid's last point alone finds none.
+    params = default_scenario().radio
+    target = params.target_delay_s_per_bit
+    grid = validate_reference.grid()
+    unit_sum = qosmodel._unit_sums(grid, 1.0, params)
+    last = target * grid[-1] / unit_sum[-1]
+    if (last / grid[-1]) * unit_sum[-1] > target:
+        last = np.nextafter(last, 0.0)
+    lam_u = np.array([1000.0 / M2_PER_KM2, last])
+    candidates = np.argmax((lam_u[:, None] / grid) * unit_sum <= target, axis=1)
+    assert candidates[1] == grid.size - 1
+    real = evaluate_qos
+
+    def missing(lambda_b, lambda_u, params, **kwargs):
+        result = real(lambda_b, lambda_u, params, **kwargs)
+        at_b, at_u = np.broadcast_arrays(lambda_b, lambda_u)
+        hit = np.any([(at_b == grid[k]) & (at_u == u) for k, u in zip(candidates, lam_u)],
+                     axis=0)
+        return dataclasses.replace(result, delay_s_per_bit=np.where(
+            hit, 2.0 * target, result.delay_s_per_bit))
+
+    monkeypatch.setattr(pipeline, "evaluate_qos", missing)
+    monkeypatch.setattr(validate_reference, "evaluate_qos", missing)
+    full = validate_reference.first_feasible(grid, lam_u, params)
+    assert full == [candidates[0] + 1, None]
+    assert pipeline._first_feasible(grid, lam_u, params) == full
+
+
+def test_grid_scan_sums_each_grid_point_once(monkeypatch):
+    # One u = 1 node sum per grid point serves all three loads, and only the
+    # fixed point at each load's first feasible point sums again: 2009 rows
+    # on the built-in radio, where the fixed point over 256-point chunks
+    # summed 4307.
+    params = default_scenario().radio
+    grid = validate_reference.grid()
+    lam_u = np.array(pipeline.GRID_SPOT_USER_DENSITIES_PER_KM2) / M2_PER_KM2
+    full = validate_reference.first_feasible(grid, lam_u, params)
+    iterations = evaluate_qos(grid[full], lam_u, params).fixed_point_iterations
+    rows = []
+    real = qosmodel._unit_sums
+
+    def counting(lambda_b, utilization, params):
+        rows.append(np.broadcast(lambda_b, utilization).size)
+        return real(lambda_b, utilization, params)
+
+    monkeypatch.setattr(qosmodel, "_unit_sums", counting)
+    monkeypatch.setattr(pipeline, "_unit_sums", counting)
+    assert pipeline._first_feasible(grid, lam_u, params) == full
+    assert sum(rows) <= grid.size + iterations.sum(), rows
 
 
 @pytest.mark.parametrize("config", VALIDATE_CONFIGS)

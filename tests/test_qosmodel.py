@@ -233,6 +233,28 @@ def test_mc_oracle_takes_1d_spots_with_one_seed_each():
                                       f"got shapes {shapes}")
 
 
+def test_mc_oracle_checks_lambda_u_runs_over_the_spots_before_drawing(monkeypatch):
+    # Three user densities for two spots, or a 1-D row of three for one
+    # spot, are refused naming both shapes before any trial is drawn; a
+    # scalar user density still scores every spot.
+    lam_b = [10.0 * PER_KM2, 30.0 * PER_KM2]
+    scalar = mc_delay_oracle(lam_b, 1e-4, 1.0, PARAMS, trials=100, rng_seed=[1, 2])
+    assert np.array_equal(scalar, mc_delay_oracle(lam_b, [1e-4, 1e-4], 1.0, PARAMS,
+                                                  trials=100, rng_seed=[1, 2]))
+
+    def unreached(*args):
+        raise AssertionError("drew trials")
+
+    monkeypatch.setattr(qosmodel, "_serving_cells", unreached)
+    for spots, seeds, shapes in ((lam_b, [1, 2], "(3,) and (2,)"),
+                                 (lam_b[:1], [1], "(3,) and (1,)")):
+        with pytest.raises(ValueError) as excinfo:
+            mc_delay_oracle(spots, [1e-4, 2e-4, 3e-4], 1.0, PARAMS, trials=20000,
+                            rng_seed=seeds)
+        assert str(excinfo.value) == ("lambda_u's first axis must run over the spots of "
+                                      f"lambda_b, got shapes {shapes}")
+
+
 @pytest.mark.parametrize("lam_b", [math.nan, math.inf, -math.inf])
 def test_mc_oracle_rejects_a_non_finite_station_density(lam_b):
     with pytest.raises(ValueError,

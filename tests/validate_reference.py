@@ -1,11 +1,12 @@
 """Unbatched reference for ``pipeline.validate``.
 
 ``validate`` simulates its three Monte Carlo spots in one ``mc_delay_oracle``
-call and stops its grid scan at each user density's first chunk with a
-feasible point. This module takes the plain route: one oracle call per spot,
-then the fixed point over the whole 2000-point grid for every user density,
-and the first feasible index read off the full grid. Its report lines must
-equal ``validate``'s.
+call, and its grid scan shares one u = 1 node sum per grid point between the
+user densities and runs the fixed point only up to each one's first feasible
+point. This module takes the plain route: one oracle call per spot, then the
+fixed point over the whole 2000-point grid for every user density, each
+delay evaluated on its own, and the first feasible index read off the full
+grid. Its report lines must equal ``validate``'s.
 """
 
 from __future__ import annotations
