@@ -119,9 +119,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args, sweep_fn, csv_name: str) -> int:
     result = sweep_fn(args.config, args.ratios)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / csv_name
+    path = Path(args.out) / csv_name
     write_sweep_csv(path, result)
     print(f"wrote {path} ({result.parameter_values.size - len(result.failures)} points)")
     for value, message in result.failures:

@@ -18,6 +18,7 @@ its strings: ``savings.json``'s excess capacity is ``series.csv``'s.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -221,6 +222,27 @@ def _dimensioning_counters(solved: _Solved) -> dict:
             "fixed_point_iterations": int(solved.iterations.sum())}
 
 
+@contextlib.contextmanager
+def _staging(out: Path):
+    """A temporary directory inside ``out``, which is created if need be.
+    On a clean exit every file written into it is moved into ``out`` under
+    its own name, once no target name is a directory; on any exit the
+    temporary directory is removed. So a failed write replaces nothing and
+    leaves nothing staged behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=out) as tmp:
+        staged = Path(tmp)
+        yield staged
+        files = sorted(staged.iterdir())
+        # a directory in a target's place would stop the moves partway
+        for target in (out / path.name for path in files):
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(f"cannot write {target}: it is a directory; "
+                                        "no artifact was replaced")
+        for path in files:
+            os.replace(path, out / path.name)
+
+
 def run_pipeline(config_path, out_dir) -> SavingsReport:
     """Run the full chain on one scenario, write ``demand.csv``,
     ``plan.json``, ``savings.json``, ``series.csv`` and ``manifest.json``
@@ -228,16 +250,12 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
     beside the excess matrix.
 
     ``config_path`` may be None to use the built-in two-district scenario.
-    The files are written into a temporary directory inside ``out_dir`` and
-    moved into place only once all of them exist and no target name is a
-    directory, so a failed run leaves the previous artifacts untouched.
+    The files are staged by ``_staging`` and moved into place only once all
+    of them exist, so a failed run leaves the previous artifacts untouched.
     """
     started = time.perf_counter()
     scenario, raw = _load(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=out) as tmp:
-        staged = Path(tmp)
+    with _staging(Path(out_dir)) as staged:
         solved = _solve_scenario(scenario)
         plan, report, ids = solved.plan, solved.report, scenario.region_ids
         cells = _cell_strings(solved)
@@ -272,14 +290,6 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
             "tool_version": __version__,
             "wall_time_s": time.perf_counter() - started,
         })
-        files = sorted(staged.iterdir())
-        # a directory in a target's place would stop the moves partway
-        for target in (out / path.name for path in files):
-            if target.is_dir() and not target.is_symlink():
-                raise IsADirectoryError(f"cannot write {target}: it is a directory; "
-                                        "no artifact was replaced")
-        for path in files:
-            os.replace(path, out / path.name)
     return report
 
 
@@ -371,14 +381,13 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
 def write_sweep_csv(path, result: SweepResult) -> None:
     """``parameter,total_saving_fraction,fleet_size,objective`` plus one
     ``static_saving_<region>`` column per region; failed points are skipped.
-    The file is staged beside ``path`` under a random name and moved into
-    place once written, so a failed write leaves the previous file untouched
-    and no staged file behind."""
+    The file is staged by ``_staging`` in ``path``'s directory, which is
+    created if need be, so a failed write leaves the previous file
+    untouched."""
     ok = np.isfinite(result.fleet_size)  # failed points are in result.failures
     path = Path(path)
-    staged = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
-    try:
-        _write_csv(staged, {
+    with _staging(path.parent) as staged:
+        _write_csv(staged / path.name, {
             "parameter": _reprs(result.parameter_values[ok]),
             "total_saving_fraction": _reprs(result.total_saving_fraction[ok]),
             "fleet_size": _reprs(result.fleet_size[ok]),
@@ -386,10 +395,6 @@ def write_sweep_csv(path, result: SweepResult) -> None:
             **{f"static_saving_{rid}": _reprs(result.per_region_static_saving[ok, z])
                for z, rid in enumerate(result.region_ids)},
         })
-        os.replace(staged, path)
-    except BaseException:
-        staged.unlink(missing_ok=True)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -483,25 +483,15 @@ def _cell_areas(spots: int, trials: int, start, distances, offsets):
     number at most ``_MC_PASS_TRIALS``, or where none is live. All live
     trials take a step together, on polygons stored as in ``_clip``, and
     the polygons, numbers and state are compacted together as trials
-    retire. Retired cells wait for ``_shoelace`` in batches of at most half
-    the bound, or of one step's retirements where more retire at once. A
-    trial's arithmetic and vertex order do not depend on the other trials,
-    so its area equals that of its one-trial call.
+    retire. The cells a step retires are measured by one ``_shoelace`` call
+    in that step. A trial's arithmetic and vertex order do not depend on
+    the other trials, so its area equals that of its one-trial call.
     """
     areas = np.empty(spots * trials)  # by flat trial number
     index = np.empty(0, dtype=np.intp)
     m = np.empty(0, dtype=np.intp)
     cx = cy = state = np.empty((0, 0))
-    retired, waiting, joined = [], 0, 0
-
-    def shoelace():
-        nonlocal waiting
-        x, y, k, at = zip(*retired)
-        areas[np.concatenate(at)] = _shoelace(_side_by_side(x), _side_by_side(y),
-                                              np.concatenate(k))
-        retired.clear()
-        waiting = 0
-
+    joined = 0
     while joined < spots or index.size:
         while joined < spots and (index.size + trials <= _MC_PASS_TRIALS or not index.size):
             box, new = start(joined)
@@ -516,16 +506,8 @@ def _cell_areas(spots: int, trials: int, start, distances, offsets):
         d2 = distances(index, state)
         # neither the repeated vertex nor zero padding raises the maximum
         done = d2 > 4.0 * np.max(cx * cx + cy * cy, axis=0)
-        count = int(np.count_nonzero(done))
-        if count:
-            # batches of the full bound left a repeated validate --trials 1000
-            # 86-207 fresh page faults (8 checkout paths), half of it 0-15
-            if retired and waiting + count > _MC_PASS_TRIALS // 2:
-                shoelace()
-            retired.append((cx[:, done], cy[:, done], m[done], index[done]))
-            waiting += count
-            if waiting >= _MC_PASS_TRIALS // 2:
-                shoelace()
+        if done.any():
+            areas[index[done]] = _shoelace(cx[:, done], cy[:, done], m[done])
             # compress keeps the polygons C-contiguous, so _clip's ravels
             # are views, not copies
             going = ~done
@@ -534,8 +516,6 @@ def _cell_areas(spots: int, trials: int, start, distances, offsets):
             state = np.compress(going, state, axis=1)
         if index.size:
             cx, cy, m = _clip(cx, cy, m, *offsets(index, state, d2))
-    if retired:
-        shoelace()
     return areas.reshape(spots, trials)
 
 

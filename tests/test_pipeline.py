@@ -602,6 +602,17 @@ def test_cli_sweep_cost(tmp_path):
     assert len(rows) == 3
 
 
+def test_cli_sweep_onto_a_directory_in_the_csvs_place_replaces_nothing(tmp_path, capsys):
+    target = tmp_path / "sweep_cost.csv"
+    target.mkdir()
+    (target / "kept").write_text("x")
+    assert cli.main(["sweep-cost", "--ratios", "1:3:3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {target}: it is a directory; "
+                                       "no artifact was replaced\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_cost.csv"]  # no staged file
+    assert [p.name for p in target.iterdir()] == ["kept"]
+
+
 def test_cli_sweep_reports_failed_points(monkeypatch, tmp_path, capsys):
     real_solve = pipeline._solve_scenario
 

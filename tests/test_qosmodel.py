@@ -733,6 +733,58 @@ def test_mc_oracle_spots_bit_equal_to_their_one_spot_calls(monkeypatch, trials, 
             assert np.array_equal(areas[k], one_areas)
 
 
+def _columns(cx, cy, m):
+    """Each polygon of a ``_clip`` layout as (vertex count, xs, ys), without
+    its zero padding."""
+    return [(k, tuple(x[:k + 1]), tuple(y[:k + 1]))
+            for k, x, y in zip(m.tolist(), cx.T.tolist(), cy.T.tolist())]
+
+
+def test_mc_oracle_measures_each_cell_in_the_step_it_retires(monkeypatch):
+    # At validate's spots, between two _clip calls at most one _shoelace
+    # call measures the cells that step retires: the previous _clip's
+    # polygons split, in order, into that call's columns and the next
+    # _clip's leading ones, and a spot that joins adds its fresh rectangles
+    # after them. The last call measures every cell still live.
+    spots = np.array(MC_SPOT_DENSITIES_PER_KM2) * PER_KM2
+    users = np.stack((spots[:, 1], np.zeros(len(spots))), 1)
+    trials = 1000
+    clip, shoelace = qosmodel._clip, qosmodel._shoelace
+    clipped, retired, measured = [], [], []
+
+    def check_step(after):
+        before = _columns(*clipped.pop())
+        gone = _columns(*retired.pop()) if retired else []
+        kept, at = [], 0
+        for column in before:
+            if at < len(gone) and column == gone[at]:
+                at += 1
+            else:
+                kept.append(column)
+        assert at == len(gone)  # each measured cell was live before this step
+        assert after[:len(kept)] == kept
+        joined = after[len(kept):]
+        assert len(joined) in (0, trials) and all(k == 4 for k, _, _ in joined)
+
+    def clipping(cx, cy, m, qx, qy, q2):
+        if clipped:
+            check_step(_columns(cx, cy, m))
+        clipped.append(clip(cx, cy, m, qx, qy, q2))
+        return clipped[-1]
+
+    def measuring(cx, cy, m):
+        assert not retired  # at most one call since the last _clip
+        retired.append((cx, cy, m))
+        measured.append(m.size)
+        return shoelace(cx, cy, m)
+
+    monkeypatch.setattr(qosmodel, "_clip", clipping)
+    monkeypatch.setattr(qosmodel, "_shoelace", measuring)
+    mc_delay_oracle(spots[:, 0], users, 1.0, PARAMS, trials=trials, rng_seed=[1, 2, 3])
+    check_step([])
+    assert sum(measured) == len(spots) * trials
+
+
 def test_cell_areas_rows_equal_their_single_row_calls():
     # A lattice row, a row with no other station (the whole box) and the
     # corner-cut row, each with its box.
