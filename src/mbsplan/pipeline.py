@@ -23,7 +23,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,23 +223,35 @@ def _dimensioning_counters(solved: _Solved) -> dict:
 
 @contextlib.contextmanager
 def _staging(out: Path):
-    """A temporary directory inside ``out``, which is created if need be.
-    On a clean exit every file written into it is moved into ``out`` under
-    its own name, once no target name is a directory; on any exit the
-    temporary directory is removed. So a failed write replaces nothing and
+    """Yield ``stage(name)``, the path to write ``out / name`` through: a
+    hidden ``.<name>.<token>`` file beside the target, with one random token
+    per call. ``out`` is created if need be. On a clean exit the staged
+    files are moved into place, once no target is a directory; on any exit
+    by exception they are removed. So a failed write replaces nothing and
     leaves nothing staged behind."""
-    out.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=out) as tmp:
-        staged = Path(tmp)
-        yield staged
-        files = sorted(staged.iterdir())
+    if not out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
+    token = os.urandom(8).hex()
+    staged = {}
+
+    def stage(name: str) -> Path:
+        staged[name] = out / f".{name}.{token}"
+        return staged[name]
+
+    try:
+        yield stage
+        names = sorted(staged)
         # a directory in a target's place would stop the moves partway
-        for target in (out / path.name for path in files):
+        for target in (out / name for name in names):
             if target.is_dir() and not target.is_symlink():
                 raise IsADirectoryError(f"cannot write {target}: it is a directory; "
                                         "no artifact was replaced")
-        for path in files:
-            os.replace(path, out / path.name)
+        for name in names:
+            os.replace(staged[name], out / name)
+    except BaseException:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
+        raise
 
 
 def run_pipeline(config_path, out_dir) -> SavingsReport:
@@ -250,18 +261,19 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
     beside the excess matrix.
 
     ``config_path`` may be None to use the built-in two-district scenario.
-    The files are staged by ``_staging`` and moved into place only once all
-    of them exist, so a failed run leaves the previous artifacts untouched.
+    Each file is staged by ``_staging`` as a hidden file beside its target,
+    and all are moved into place only once all of them exist, so a failed
+    run leaves the previous artifacts untouched and nothing staged behind.
     """
     started = time.perf_counter()
     scenario, raw = _load(config_path)
-    with _staging(Path(out_dir)) as staged:
+    with _staging(Path(out_dir)) as stage:
         solved = _solve_scenario(scenario)
         plan, report, ids = solved.plan, solved.report, scenario.region_ids
         cells = _cell_strings(solved)
-        _write_demand_csv(staged / "demand.csv", cells)
+        _write_demand_csv(stage("demand.csv"), cells)
         # densities in stations/km^2; every J x Z matrix is series.csv's strings
-        _write_json(staged / "plan.json", {
+        _write_json(stage("plan.json"), {
             "fleet_size": plan.fleet_size,
             "fleet_size_ceil": plan.fleet_size_ceil,
             "static_density_per_km2": dict(zip(ids, (plan.static_density * M2_PER_KM2).tolist())),
@@ -269,7 +281,7 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
             "cost_model": dataclasses.asdict(plan.cost_model),
             "tie_break_epsilon": TIE_BREAK_EPSILON,
         }, {"mbs_schedule_per_km2": (cells["mbs_per_km2"], len(ids))})
-        _write_json(staged / "savings.json", {
+        _write_json(stage("savings.json"), {
             "static_only_total": report.static_only_total,
             "hybrid_total": report.hybrid_total,
             "total_saving_fraction": report.total_saving_fraction,
@@ -280,9 +292,9 @@ def run_pipeline(config_path, out_dir) -> SavingsReport:
             "excess_capacity_per_km2": (cells["excess_per_km2"], len(ids)),
             "mbs_fraction": (cells["mbs_fraction"], len(ids)),
         })
-        _write_series_csv(staged / "series.csv", cells)
+        _write_series_csv(stage("series.csv"), cells)
         import scipy  # for its version only; importing the CLI and validate never load it
-        _write_json(staged / "manifest.json", {
+        _write_json(stage("manifest.json"), {
             "config_sha256": hashlib.sha256(raw).hexdigest(),
             "dimensioning": _dimensioning_counters(solved),
             "numpy_version": np.__version__,
@@ -381,13 +393,13 @@ def sweep_cost_ratio(config_path, cost_ratios) -> SweepResult:
 def write_sweep_csv(path, result: SweepResult) -> None:
     """``parameter,total_saving_fraction,fleet_size,objective`` plus one
     ``static_saving_<region>`` column per region; failed points are skipped.
-    The file is staged by ``_staging`` in ``path``'s directory, which is
-    created if need be, so a failed write leaves the previous file
-    untouched."""
+    The file is staged by ``_staging`` as a hidden file beside ``path``, in
+    its directory, which is created if need be, so a failed write leaves
+    the previous file untouched and nothing staged behind."""
     ok = np.isfinite(result.fleet_size)  # failed points are in result.failures
     path = Path(path)
-    with _staging(path.parent) as staged:
-        _write_csv(staged / path.name, {
+    with _staging(path.parent) as stage:
+        _write_csv(stage(path.name), {
             "parameter": _reprs(result.parameter_values[ok]),
             "total_saving_fraction": _reprs(result.total_saving_fraction[ok]),
             "fleet_size": _reprs(result.fleet_size[ok]),

@@ -432,7 +432,11 @@ def _plans(draw):
     unit = st.floats(0.0, 1.0)
     static = demand.max(axis=0) * np.array(draw(st.lists(unit, min_size=n_regions,
                                                          max_size=n_regions)))
-    fleet = float((np.maximum(0.0, demand - static) @ areas).max()) * draw(st.floats(1.0, 1.5))
+    # From the need to sum_z (cap_z - static_z) A_z, the largest fleet
+    # optimal_plan can return: there every slot's leftover fits its headroom.
+    need = float((np.maximum(0.0, demand - static) @ areas).max())
+    most = float((demand.max(axis=0) - static) @ areas)
+    fleet = need + (most - need) * draw(st.floats(0.0, 1.0))
     push = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
     schedule_push = np.array(draw(st.lists(push, min_size=size, max_size=size)))
     static_push = np.array(draw(st.lists(push, min_size=n_regions, max_size=n_regions)))

@@ -264,12 +264,14 @@ def test_csv_profiles_reproduce_builtin_run(default_run, tmp_path, case):
     assert _manifest(out)["dimensioning"] == _manifest(default_run)["dimensioning"]
 
 
-def _failing_series_writer(staged_before):
-    """A series writer that records the files already staged beside it,
-    then fails."""
+def _failing_series_writer(staged_before, error=RuntimeError):
+    """A series writer that records the names of the files already staged
+    beside it, hidden in its directory as ``.<name>.<token>``, then fails."""
     def boom(path, solved):
-        staged_before.extend(sorted(p.name for p in Path(path).parent.iterdir()))
-        raise RuntimeError("disk full, allegedly")
+        entries = Path(path).parent.iterdir()
+        hidden = (re.fullmatch(r"\.(.+)\.[0-9a-f]{16}", p.name) for p in entries)
+        staged_before.extend(sorted(match[1] for match in hidden if match))
+        raise error("disk full, allegedly")
     return boom
 
 
@@ -290,13 +292,34 @@ def test_failed_rerun_leaves_previous_artifacts_untouched(tmp_path, monkeypatch)
     names = ("demand.csv", "plan.json", "savings.json", "series.csv", "manifest.json")
     before = {name: (out / name).read_bytes() for name in names}
 
-    staged = []
-    monkeypatch.setattr(pipeline, "_write_series_csv", _failing_series_writer(staged))
-    with pytest.raises(RuntimeError, match="disk full"):
-        run_pipeline(None, out)
-    assert staged == ["demand.csv", "plan.json", "savings.json"]
-    assert sorted(p.name for p in out.iterdir()) == sorted(names)
-    assert {name: (out / name).read_bytes() for name in names} == before
+    for error in (RuntimeError, KeyboardInterrupt):
+        staged = []
+        monkeypatch.setattr(pipeline, "_write_series_csv", _failing_series_writer(staged, error))
+        with pytest.raises(error, match="disk full"):
+            run_pipeline(None, out)
+        assert staged == ["demand.csv", "plan.json", "savings.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def test_run_and_sweep_create_no_directory_but_out(tmp_path, monkeypatch, capsys):
+    # Staging beside the targets needs no directory of its own: a run into a
+    # fresh directory makes that directory only, a sweep into it none.
+    made = []
+    mkdir = os.mkdir
+
+    def recording(path, *args, **kwargs):
+        made.append(Path(path))
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", recording)
+    out = tmp_path / "fresh"
+    assert cli.main(["run", "--out", str(out)]) == 0
+    assert made == [out]
+    made.clear()
+    assert cli.main(["sweep-cost", "--ratios", "1:3:3", "--out", str(out)]) == 0
+    assert made == []
+    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES + ("sweep_cost.csv",))
 
 
 DATA = Path(__file__).parent / "data"
