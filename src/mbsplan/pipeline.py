@@ -229,8 +229,7 @@ def _staging(out: Path):
     files are moved into place, once no target is a directory; on any exit
     by exception they are removed. So a failed write replaces nothing and
     leaves nothing staged behind."""
-    if not out.is_dir():
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     token = os.urandom(8).hex()
     staged = {}
 

@@ -432,8 +432,8 @@ def _plans(draw):
     unit = st.floats(0.0, 1.0)
     static = demand.max(axis=0) * np.array(draw(st.lists(unit, min_size=n_regions,
                                                          max_size=n_regions)))
-    # From the need to sum_z (cap_z - static_z) A_z, the largest fleet
-    # optimal_plan can return: there every slot's leftover fits its headroom.
+    # optimal_plan returns the need; any fleet up to sum_z (cap_z - static_z) A_z
+    # keeps every slot's leftover within its headroom, as _canonical_schedule assumes.
     need = float((np.maximum(0.0, demand - static) @ areas).max())
     most = float((demand.max(axis=0) - static) @ areas)
     fleet = need + (most - need) * draw(st.floats(0.0, 1.0))
